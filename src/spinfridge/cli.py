@@ -1,6 +1,6 @@
 """Command-line front end emitting deterministic CSV/JSON artifacts.
 
-Configuration comes from built-in defaults (the reference operating
+Configuration comes from the RunConfig defaults (the reference operating
 point), overridden by a flat key=value config file, overridden by flags.
 All emitted numbers are in internal units (delta = k_B = 1) unless a
 --delta-scale multiplier is given; the scale is recorded in JSON metadata.
@@ -13,82 +13,53 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, replace
+from typing import get_type_hints
 
 from . import __version__
 from .cooling import PRNG_ID, simulate_bcs
 from .compiler import compile_exchange, run_with_ledger, verify
-from .cycles import run_cycles, scan_phase_diagram
+from .cycles import check_grid, run_cycles, scan_phase_diagram
 from .fridge import FridgeConfig, carnot_limit, cop, exchange, initial_state, system_hamiltonian
-
-COMMANDS = (
-    "exchange",
-    "ledger",
-    "cycles",
-    "phase-diagram",
-    "cop",
-    "bcs",
-    "verify-decomposition",
-)
 
 FIDELITY_GATE = 1.0 - 1e-8
 
-_DEFAULTS = {
-    "e1": 1.0,
-    "e2": 3.0,
-    "e3": 2.0,
-    "t1": 2.0,
-    "t2": 2.0,
-    "t3": 10.0,
-    "g": 1.0,
-    "theta": (math.pi / 2.0,),
-    "cycles": 60,
-    "grid": (2.0, 6.0, 2.0, 10.0, 41),
-    "bits": 1_000_000,
-    "epsilon0": 0.5,
-    "rounds": 1,
-    "seed": 0,
-    "out": None,
-    "format": "csv",
-    "delta_scale": 1.0,
-}
 
-# columns carrying delta (or delta/k_B) units, per command
-_SCALED_COLUMNS = {
-    "exchange": {"dQ1", "dQ2", "dQ3", "T1_after", "T2_after", "T3_after"},
-    "ledger": {"dW1", "dQ1", "dW2", "net_work", "cumulative_work"},
-    "cycles": {"T1", "energy_q1", "dQ1"},
-    "phase-diagram": {"T2", "T3", "dQ1"},
-    "cop": {"T2", "dQ1", "dQ3"},
-    "bcs": set(),
-    "verify-decomposition": set(),
-}
+def _key(default, help: str, bcs_only: bool = False):
+    """A config key with the help text of its flag, which bcs_only keeps to bcs."""
+    return field(default=default, metadata={"help": help, "bcs_only": bcs_only})
 
 
 @dataclass
 class RunConfig:
+    """The resolved configuration; each field after ``command`` is one config
+    key, with its type (read by ``_READERS``), its default and its flag help."""
+
     command: str
-    e1: float = 1.0
-    e2: float = 3.0
-    e3: float = 2.0
-    t1: float = 2.0
-    t2: float = 2.0
-    t3: float = 10.0
-    g: float = 1.0
-    theta: tuple[float, ...] = (math.pi / 2.0,)
-    cycles: int = 60
-    grid: tuple[float, float, float, float, int] = (2.0, 6.0, 2.0, 10.0, 41)
-    bits: int = 1_000_000
-    epsilon0: float = 0.5
-    rounds: int = 1
-    seed: int = 0
-    out: str | None = None
-    format: str = "csv"
-    delta_scale: float = 1.0
+    e1: float = FridgeConfig.E1
+    e2: float = FridgeConfig.E2
+    e3: float = FridgeConfig.E3
+    t1: float = FridgeConfig.T1
+    t2: float = FridgeConfig.T2
+    t3: float = FridgeConfig.T3
+    g: float = FridgeConfig.g
+    theta: tuple[float, ...] = _key((FridgeConfig.theta,), "comma-separated angles in radians")
+    cycles: int = _key(60, "number of refrigeration cycles")
+    grid: tuple[float, float, float, float, int] = _key(
+        (2.0, 6.0, 2.0, 10.0, 41), "T2_min,T2_max,T3_min,T3_max,steps"
+    )
+    bits: int = _key(1_000_000, "pool size (even)", bcs_only=True)
+    epsilon0: float = _key(0.5, "bath bias", bcs_only=True)
+    rounds: int = _key(1, "compression rounds", bcs_only=True)
+    seed: int = _key(0, "PRNG seed")
+    out: str | None = _key(None, "output path (default: stdout)")
+    format: str = _key("csv", "output format: csv or json")
+    delta_scale: float = _key(1.0, "display multiplier for delta-unit columns")
 
     def fridge(self, theta: float | None = None) -> FridgeConfig:
         return FridgeConfig(
@@ -123,32 +94,38 @@ def _parse_grid(text: str) -> tuple[float, float, float, float, int]:
         raise ValueError("grid must be 'T2_min,T2_max,T3_min,T3_max,steps'")
     t2_min, t2_max, t3_min, t3_max = (float(p) for p in parts[:4])
     steps = int(parts[4])
+    check_grid((t2_min, t2_max), (t3_min, t3_max), steps, steps)
     return (t2_min, t2_max, t3_min, t3_max, steps)
 
 
-_FILE_PARSERS = {
-    "e1": float,
-    "e2": float,
-    "e3": float,
-    "t1": float,
-    "t2": float,
-    "t3": float,
-    "g": float,
+def _parse_format(text: str) -> str:
+    if text not in ("csv", "json"):
+        raise ValueError(f"format must be csv or json, got {text!r}")
+    return text
+
+
+def _parse_delta_scale(text: str) -> float:
+    value = float(text)
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"delta-scale must be positive and finite, got {value}")
+    return value
+
+
+_PARSERS = {
     "theta": _parse_theta,
-    "cycles": int,
     "grid": _parse_grid,
-    "bits": int,
-    "epsilon0": float,
-    "rounds": int,
-    "seed": int,
+    "format": _parse_format,
+    "delta_scale": _parse_delta_scale,
     "out": str,
-    "format": str,
-    "delta_scale": float,
 }
+# every key reads its text with its _PARSERS entry, else with its annotated type
+_READERS = {name: _PARSERS.get(name, hint)
+            for name, hint in get_type_hints(RunConfig).items() if name != "command"}
 
 
-def _read_config_file(path: str) -> dict:
-    values: dict = {}
+def _read_config_file(path: str) -> list[tuple[str, str, str]]:
+    """(key, source, text) of each key = value line, in file order."""
+    entries = []
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -158,60 +135,48 @@ def _read_config_file(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
             key = key.strip().lower()
-            if key not in _FILE_PARSERS:
+            if key not in _READERS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = _FILE_PARSERS[key](value.strip())
-    return values
+            entries.append((key, f"{path}:{lineno}: {key}", value.strip()))
+    return entries
 
 
-def _build_parser() -> _Parser:
+@functools.cache
+def _parser() -> _Parser:
+    """The flags of every command, generated from RunConfig once per process."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key=value config file")
-    common.add_argument("--out", help="output path (default: stdout)")
-    common.add_argument("--format", choices=("csv", "json"), help="output format")
-    common.add_argument("--delta-scale", type=float, dest="delta_scale",
-                        help="display multiplier for delta-unit columns")
-    common.add_argument("--theta", type=_parse_theta, help="comma-separated angles in radians")
-    common.add_argument("--cycles", type=int, help="number of refrigeration cycles")
-    common.add_argument("--grid", type=_parse_grid,
-                        help="T2_min,T2_max,T3_min,T3_max,steps")
-    common.add_argument("--seed", type=int, help="PRNG seed")
-    for name in ("e1", "e2", "e3", "t1", "t2", "t3", "g"):
-        common.add_argument(f"--{name}", type=float)
+    bcs = argparse.ArgumentParser(add_help=False)
+    for key in fields(RunConfig)[1:]:  # the keys, after the command
+        owner = bcs if key.metadata.get("bcs_only") else common
+        owner.add_argument("--" + key.name.replace("_", "-"), help=key.metadata.get("help"))
 
     parser = _Parser(prog="spinfridge",
                      description="three-spin self-contained refrigerator simulator")
     sub = parser.add_subparsers(dest="command", required=True)
     for command in COMMANDS:
-        cmd = sub.add_parser(command, parents=[common])
-        if command == "bcs":
-            cmd.add_argument("--bits", type=int, help="pool size (even)")
-            cmd.add_argument("--epsilon0", type=float, help="bath bias")
-            cmd.add_argument("--rounds", type=int, help="compression rounds")
+        sub.add_parser(command, parents=[common, bcs] if command == "bcs" else [common])
     return parser
 
 
 def parse_config(argv: list[str] | None = None) -> RunConfig:
     """Resolve defaults, config file, and flags into a validated RunConfig."""
-    namespace = _build_parser().parse_args(argv)
-    values = dict(_DEFAULTS)
-    if namespace.config:
-        values.update(_read_config_file(namespace.config))
-    for key in values:
-        flag = getattr(namespace, key, None)
-        if flag is not None:
-            values[key] = flag
+    namespace = _parser().parse_args(argv)
+    entries = _read_config_file(namespace.config) if namespace.config else []
+    entries += [(key, "argument --" + key.replace("_", "-"), text)
+                for key, text in vars(namespace).items() if key in _READERS and text is not None]
+    values = {}
+    for key, source, text in entries:  # flags come last, so they win
+        try:
+            values[key] = _READERS[key](text)
+        except ValueError as exc:
+            raise ValueError(f"{source}: {exc}") from None
     cfg = RunConfig(command=namespace.command, **values)
 
-    cfg.fridge()  # validates gaps/temperatures, including E2 = E1 + E3
-    if cfg.format not in ("csv", "json"):
-        raise ValueError(f"format must be csv or json, got {cfg.format!r}")
+    for theta in cfg.theta:
+        cfg.fridge(theta)  # validates gaps, temperatures (E2 = E1 + E3) and each angle
     if cfg.cycles < 1:
         raise ValueError(f"cycles must be at least 1, got {cfg.cycles}")
-    if cfg.grid[4] < 2:
-        raise ValueError(f"grid must have at least 2 steps per axis, got {cfg.grid[4]}")
-    if not cfg.delta_scale > 0.0:
-        raise ValueError(f"delta-scale must be positive, got {cfg.delta_scale}")
     return cfg
 
 
@@ -270,13 +235,10 @@ def _meta(cfg: RunConfig) -> dict:
         "command": cfg.command,
         "version": __version__,
         "delta_scale": cfg.delta_scale,
-        "config": {
-            "E1": cfg.e1, "E2": cfg.e2, "E3": cfg.e3,
-            "T1": cfg.t1, "T2": cfg.t2, "T3": cfg.t3,
-            "g": cfg.g, "theta": list(cfg.theta), "cycles": cfg.cycles,
-            "grid": list(cfg.grid), "bits": cfg.bits, "epsilon0": cfg.epsilon0,
-            "rounds": cfg.rounds, "seed": cfg.seed,
-        },
+        # the physics keys under FridgeConfig's names, then the run keys
+        "config": {**asdict(cfg.fridge()), "theta": list(cfg.theta), "cycles": cfg.cycles,
+                   "grid": list(cfg.grid), "bits": cfg.bits, "epsilon0": cfg.epsilon0,
+                   "rounds": cfg.rounds, "seed": cfg.seed},
     }
     if cfg.command == "bcs":
         meta["prng"] = PRNG_ID
@@ -292,17 +254,7 @@ def _rows_ledger(cfg: RunConfig) -> list[dict]:
     fridge_cfg = cfg.fridge()
     sequence = compile_exchange(cfg.theta[0], fridge_cfg.g)
     _, entries = run_with_ledger(sequence, initial_state(fridge_cfg), system_hamiltonian(fridge_cfg))
-    return [
-        {
-            "step_index": e.step_index,
-            "dW1": e.dW1,
-            "dQ1": e.dQ1,
-            "dW2": e.dW2,
-            "net_work": e.net_work,
-            "cumulative_work": e.cumulative_work,
-        }
-        for e in entries
-    ]
+    return [asdict(entry) for entry in entries]
 
 
 def _rows_cycles(cfg: RunConfig) -> list[dict]:
@@ -332,7 +284,7 @@ def _rows_phase_diagram(cfg: RunConfig) -> list[dict]:
         cfg.theta[0],
         base=cfg.fridge(),
     )
-    return [{"T2": p.T2, "T3": p.T3, "dQ1": p.dQ1} for p in points]
+    return [asdict(point) for point in points]
 
 
 def _rows_cop(cfg: RunConfig) -> list[dict]:
@@ -361,15 +313,22 @@ def _rows_cop(cfg: RunConfig) -> list[dict]:
 
 def _rows_bcs(cfg: RunConfig) -> list[dict]:
     result = simulate_bcs(cfg.bits, cfg.epsilon0, cfg.rounds, cfg.seed)
-    return [
-        {
-            "round": r.round_index,
-            "analytic_bias": r.analytic_bias,
-            "empirical_bias": r.empirical_bias,
-            "retained_bits": r.retained_bits,
-        }
-        for r in result.rounds
-    ]
+    rows = [asdict(r) for r in result.rounds]
+    return [{"round": row.pop("round_index"), **row} for row in rows]
+
+
+# per command: its row builder and its columns in delta (or delta/k_B) units;
+# run() writes the verify-decomposition rows itself
+_COMMANDS = {
+    "exchange": (_rows_exchange, {"dQ1", "dQ2", "dQ3", "T1_after", "T2_after", "T3_after"}),
+    "ledger": (_rows_ledger, {"dW1", "dQ1", "dW2", "net_work", "cumulative_work"}),
+    "cycles": (_rows_cycles, {"T1", "energy_q1", "dQ1"}),
+    "phase-diagram": (_rows_phase_diagram, {"T2", "T3", "dQ1"}),
+    "cop": (_rows_cop, {"T2", "dQ1", "dQ3"}),
+    "bcs": (_rows_bcs, set()),
+    "verify-decomposition": (None, set()),
+}
+COMMANDS = tuple(_COMMANDS)
 
 
 def run(cfg: RunConfig) -> int:
@@ -390,30 +349,17 @@ def run(cfg: RunConfig) -> int:
         emit(dump_rows, cfg.format, cfg.out, _meta(cfg))
         return 0 if min(fidelities) >= FIDELITY_GATE else 1
 
-    builders = {
-        "exchange": _rows_exchange,
-        "ledger": _rows_ledger,
-        "cycles": _rows_cycles,
-        "phase-diagram": _rows_phase_diagram,
-        "cop": _rows_cop,
-        "bcs": _rows_bcs,
-    }
-    rows = builders[cfg.command](cfg)
-    rows = _scaled(rows, _SCALED_COLUMNS[cfg.command], cfg.delta_scale)
+    build, scaled_columns = _COMMANDS[cfg.command]
+    rows = _scaled(build(cfg), scaled_columns, cfg.delta_scale)
     return emit(rows, cfg.format, cfg.out, _meta(cfg))
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        cfg = parse_config(argv)
+        return run(parse_config(argv))
     except SystemExit as exc:  # argparse help/usage paths
         code = exc.code
         return int(code) if isinstance(code, int) else 0
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return run(cfg)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

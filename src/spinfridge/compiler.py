@@ -32,7 +32,7 @@ from .linalg import (
     herm_exp,
     pauli_to_operator,
 )
-from .fridge import exchange_generator
+from .fridge import exchange_generator, exchange_pauli_terms
 from .thermo import WorkLedgerEntry, ledger_step
 
 BLOCK_SIZE = 10
@@ -77,15 +77,6 @@ class CompiledSequence:
         return [self.steps[a:b] for a, b in zip(starts, self.term_boundaries)]
 
 
-# one Pauli term per block; the -1 on YXY matches the sign that makes the
-# four-term sum equal the two-entry exchange coupling (see fridge module)
-_TERMS: tuple[tuple[str, float], ...] = (
-    ("XXX", 1.0),
-    ("XYY", 1.0),
-    ("YXY", -1.0),
-    ("YYX", 1.0),
-)
-
 # exp(-i * _H_GEN) equals the Hadamard exactly (phase included); same for H_y
 _H_GEN = (math.pi / 2.0) * Operator(HADAMARD.matrix - np.eye(2))
 _HY_GEN = (math.pi / 2.0) * Operator(HADAMARD_Y.matrix - np.eye(2))
@@ -120,10 +111,11 @@ def compile_exchange(theta: float, g: float = 1.0) -> CompiledSequence:
         raise ValueError("coupling g must be positive")
     quarter = math.pi / 4.0
     steps: list[GateStep] = []
-    for letters, sign in _TERMS:
-        basis = _basis_step(letters)
-        core_angle = sign * theta / 4.0
-        core_label = f"ZZ({'-' if sign < 0 else ''}theta/2)@23"
+    # one block per Pauli term of the unit coupling; its coeff of +-1/4 makes the core +-theta/4
+    for term in exchange_pauli_terms(1.0):
+        basis = _basis_step(term.letters)
+        core_angle = term.coeff * theta
+        core_label = f"ZZ({'-' if term.coeff < 0 else ''}theta/2)@23"
         steps.extend(
             [
                 basis,

@@ -96,6 +96,16 @@ def detect_convergence(records: list[CycleRecord], tol: float) -> tuple[bool, fl
     return converged, temps[-1]
 
 
+def check_grid(
+    t2_range: tuple[float, float], t3_range: tuple[float, float], n2: int, n3: int
+) -> None:
+    """The grid rule: at least 2 points and 0 < min <= max on each axis."""
+    if n2 < 2 or n3 < 2:
+        raise ValueError("grid must have at least 2 points per axis")
+    if not (0.0 < t2_range[0] <= t2_range[1] and 0.0 < t3_range[0] <= t3_range[1]):
+        raise ValueError("temperature ranges must be positive and ordered")
+
+
 def scan_phase_diagram(
     t2_range: tuple[float, float],
     t3_range: tuple[float, float],
@@ -111,10 +121,7 @@ def scan_phase_diagram(
     configuration if omitted).
     """
     n2, n3 = (grid, grid) if isinstance(grid, int) else (int(grid[0]), int(grid[1]))
-    if n2 < 2 or n3 < 2:
-        raise ValueError("grid must have at least 2 points per axis")
-    if not (0.0 < t2_range[0] <= t2_range[1] and 0.0 < t3_range[0] <= t3_range[1]):
-        raise ValueError("temperature ranges must be positive and ordered")
+    check_grid(t2_range, t3_range, n2, n3)
     if base is None:
         base = FridgeConfig()
     points: list[PhasePoint] = []

@@ -39,11 +39,16 @@ from .thermo import (
     thermal_state,
 )
 
-SELF_CONTAINED_TOL = 1e-12
+SELF_CONTAINED_RTOL = 1e-12
 
 # basis indices of the exchanged levels (qubit 0 most significant)
 IDX_010 = 0b010
 IDX_101 = 0b101
+
+
+def is_self_contained(E1: float, E2: float, E3: float) -> bool:
+    """E2 = E1 + E3 up to a relative tolerance, as the sum's rounding grows with the gaps."""
+    return math.isclose(E2, E1 + E3, rel_tol=SELF_CONTAINED_RTOL)
 
 
 @dataclass(frozen=True)
@@ -68,7 +73,7 @@ class FridgeConfig:
             value = getattr(self, name)
             if not (value > 0.0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        if abs(self.E2 - (self.E1 + self.E3)) > SELF_CONTAINED_TOL:
+        if not is_self_contained(self.E1, self.E2, self.E3):
             raise ValueError(
                 "E2 must equal E1 + E3 (self-contained condition): "
                 f"E2={self.E2}, E1+E3={self.E1 + self.E3}"
@@ -186,7 +191,7 @@ def bound_temperature(E1: float, E2: float, E3: float, T2: float, T3: float) -> 
     This is where the working condition turns into an equality with the
     bath temperatures held fixed; spin 1 cools iff T1 exceeds it.
     """
-    if abs(E2 - (E1 + E3)) > SELF_CONTAINED_TOL:
+    if not is_self_contained(E1, E2, E3):
         raise ValueError("gaps must satisfy E2 = E1 + E3")
     if not (T2 > 0.0 and T3 > 0.0):
         raise ValueError("bath temperatures must be positive")

@@ -2,10 +2,11 @@
 
 import json
 import math
+from dataclasses import fields
 
 import pytest
 
-from spinfridge.cli import main, parse_config
+from spinfridge.cli import RunConfig, main, parse_config
 
 
 def run_cli(args, path):
@@ -53,9 +54,63 @@ def test_config_file_roundtrip_and_flag_override(tmp_path):
 
 def test_config_file_unknown_key_names_the_key(tmp_path, capsys):
     config = tmp_path / "run.cfg"
-    config.write_text("tee3 = 8.0\n")
-    assert main(["exchange", "--config", str(config)]) == 1
-    assert "tee3" in capsys.readouterr().err
+    # an unknown key, then bad values of known keys: each error names line and key
+    for text, lineno, key in [
+        ("tee3 = 8.0\n", 1, "tee3"),
+        ("# cycles\ncycles = 1.5\n", 2, "cycles"),
+        ("delta_scale = inf\n", 1, "delta_scale"),
+    ]:
+        config.write_text(text)
+        assert main(["exchange", "--config", str(config)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        prefix = f"error: {config}:{lineno}: "
+        assert line.startswith(prefix) and key in line[len(prefix):]
+
+
+# two different non-default settings per config key; a gap key brings a second
+# gap along so that E2 = E1 + E3 still holds
+KEY_SETTINGS = {
+    "e1": ("e1=0.5 e2=2.5", "e1=1.5 e2=3.5"),
+    "e2": ("e2=4 e3=3", "e2=5 e3=4"),
+    "e3": ("e3=1 e2=2", "e3=3 e2=4"),
+    "t1": ("t1=3", "t1=1.5"),
+    "t2": ("t2=2.5", "t2=3"),
+    "t3": ("t3=8", "t3=12"),
+    "g": ("g=2", "g=0.5"),
+    "theta": ("theta=0.3,0.7", "theta=1.1"),
+    "cycles": ("cycles=12", "cycles=3"),
+    "grid": ("grid=1,5,3,9,7", "grid=2,4,4,8,3"),
+    "bits": ("bits=5000", "bits=800"),
+    "epsilon0": ("epsilon0=0.25", "epsilon0=0.1"),
+    "rounds": ("rounds=3", "rounds=2"),
+    "seed": ("seed=9", "seed=4"),
+    "out": ("out=a.csv", "out=b.csv"),
+    "format": ("format=json", "format=csv"),
+    "delta_scale": ("delta_scale=2.5", "delta_scale=0.5"),
+}
+
+
+def as_flags(setting):
+    pairs = (item.partition("=") for item in setting.split())
+    return [f"--{key.replace('_', '-')}={value}" for key, _, value in pairs]
+
+
+def as_config_file(setting, path):
+    pairs = (item.partition("=") for item in setting.split())
+    path.write_text("".join(f"{key} = {value}\n" for key, _, value in pairs))
+    return ["--config", str(path)]
+
+
+@pytest.mark.parametrize("key", [f.name for f in fields(RunConfig) if f.name != "command"])
+def test_every_key_reads_alike_from_flag_and_file(key, tmp_path):
+    first, second = KEY_SETTINGS[key]
+    by_flag = parse_config(["bcs", *as_flags(first)])
+    assert getattr(by_flag, key) != getattr(parse_config(["bcs"]), key)
+    assert parse_config(["bcs", *as_config_file(first, tmp_path / "a.cfg")]) == by_flag
+    # the flag wins when the file gives the key too
+    both = parse_config(["bcs", *as_config_file(first, tmp_path / "b.cfg"), *as_flags(second)])
+    assert both == parse_config(["bcs", *as_flags(second)])
+    assert getattr(both, key) != getattr(by_flag, key)
 
 
 def test_exchange_csv_contract(tmp_path):
@@ -129,6 +184,15 @@ def test_verify_decomposition_dump_and_gate(tmp_path):
     assert rows[0]["label"] == "H@1;H@2;H@3"
 
 
+def test_verify_decomposition_checks_every_angle_before_output(tmp_path, capsys):
+    out = tmp_path / "seq.csv"
+    assert run_cli(["verify-decomposition", "--theta=0.5,inf"], out) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: theta must be finite, got inf"]
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_verify_decomposition_gate_trips_on_low_fidelity(tmp_path, monkeypatch):
     import spinfridge.cli as cli_module
 
@@ -169,3 +233,6 @@ def test_exit_codes():
     assert main(["no-such-command"]) == 1  # parser error
     assert main(["cycles", "--cycles", "0"]) == 1
     assert main(["phase-diagram", "--grid", "2,6,2,10,1"]) == 1
+    assert main(["cop", "--grid", "6,2,2,10,3"]) == 1  # the grid rule of phase-diagram
+    assert main(["cycles", "--delta-scale", "inf"]) == 1
+    assert main(["exchange", "--config", "/nonexistent-dir/run.cfg"]) == 2  # I/O

@@ -39,6 +39,18 @@ def test_config_validation():
         FridgeConfig(g=0.0)
 
 
+def test_self_contained_tolerance_is_relative():
+    # the float sum E1 + E3 is off by 7.3e-12 here: beyond any absolute 1e-12
+    big = (12345.678, 35802.467, 23456.789)
+    assert abs(big[1] - (big[0] + big[2])) > 1e-12
+    FridgeConfig(E1=big[0], E2=big[1], E3=big[2])
+    assert bound_temperature(*big, 2.0, 10.0) > 0.0
+    with pytest.raises(ValueError, match="E2 must equal E1"):
+        FridgeConfig(E1=1.0, E2=2.5, E3=2.0)
+    with pytest.raises(ValueError):
+        bound_temperature(1.0, 2.5, 2.0, 2.0, 10.0)
+
+
 def test_h_exc_has_exactly_two_entries():
     h = build_h_exc(FridgeConfig(g=1.3)).matrix
     assert h[0b010, 0b101] == pytest.approx(1.3)
