@@ -16,9 +16,11 @@ from .linalg import (
 from .thermo import (
     SpinSpec,
     WorkLedgerEntry,
+    binary_entropy,
     effective_temperature,
     internal_energy,
     ledger_step,
+    spin_temperature,
     spin_hamiltonian,
     thermal_state,
     von_neumann_entropy,
@@ -31,7 +33,10 @@ from .fridge import (
     carnot_limit,
     cop,
     exchange,
+    exchange_flow,
     exchange_pauli_terms,
+    exchange_sweep,
+    excited_populations,
     initial_state,
     phase_boundary_value,
     system_hamiltonian,
@@ -72,8 +77,10 @@ __all__ = [
     "kron", "partial_trace", "herm_exp", "evolve", "dephase", "pauli_to_operator",
     "SpinSpec", "WorkLedgerEntry", "thermal_state", "effective_temperature",
     "von_neumann_entropy", "internal_energy", "ledger_step", "spin_hamiltonian",
+    "spin_temperature", "binary_entropy",
     "FridgeConfig", "ExchangeReport", "build_h_exc", "exchange_pauli_terms",
-    "initial_state", "exchange", "working_condition", "bound_temperature",
+    "initial_state", "exchange", "excited_populations", "exchange_flow", "exchange_sweep",
+    "working_condition", "bound_temperature",
     "phase_boundary_value", "cop", "carnot_limit", "two_spin_swap",
     "system_hamiltonian",
     "GateStep", "CompiledSequence", "compile_exchange", "verify",

@@ -18,16 +18,19 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from typing import get_type_hints
 
 from . import __version__
 from .cooling import PRNG_ID, simulate_bcs
 from .compiler import compile_exchange, run_with_ledger, verify
 from .cycles import check_grid, run_cycles, scan_phase_diagram
-from .fridge import FridgeConfig, carnot_limit, cop, exchange, initial_state, system_hamiltonian
+from .fridge import (
+    FridgeConfig, carnot_limit, cop, exchange, exchange_sweep, initial_state, system_hamiltonian,
+)
 
 FIDELITY_GATE = 1.0 - 1e-8
+MAX_CYCLES = 100_000
 
 
 def _key(default, help: str, bcs_only: bool = False):
@@ -175,8 +178,8 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
 
     for theta in cfg.theta:
         cfg.fridge(theta)  # validates gaps, temperatures (E2 = E1 + E3) and each angle
-    if cfg.cycles < 1:
-        raise ValueError(f"cycles must be at least 1, got {cfg.cycles}")
+    if not 1 <= cfg.cycles <= MAX_CYCLES:
+        raise ValueError(f"cycles must lie in [1, {MAX_CYCLES}], got {cfg.cycles}")
     return cfg
 
 
@@ -261,53 +264,28 @@ def _rows_cycles(cfg: RunConfig) -> list[dict]:
     rows: list[dict] = []
     for theta in cfg.theta:
         for record in run_cycles(cfg.fridge(theta), cfg.cycles, theta):
-            rows.append(
-                {
-                    "n": record.n,
-                    "theta": theta,
-                    "T1": record.T1,
-                    "entropy_q1": record.entropy_q1,
-                    "energy_q1": record.energy_q1,
-                    "dQ1": record.dQ1,
-                }
-            )
+            row = dict(vars(record))
+            rows.append({"n": row.pop("n"), "theta": theta, **row})
     return rows
 
 
 def _rows_phase_diagram(cfg: RunConfig) -> list[dict]:
     t2_min, t2_max, t3_min, t3_max, steps = cfg.grid
-    points = scan_phase_diagram(
-        (t2_min, t2_max),
-        (t3_min, t3_max),
-        steps,
-        cfg.t1,
-        cfg.theta[0],
-        base=cfg.fridge(),
-    )
-    return [asdict(point) for point in points]
+    points = scan_phase_diagram((t2_min, t2_max), (t3_min, t3_max), steps, cfg.t1,
+                                cfg.theta[0], base=cfg.fridge())
+    return [dict(vars(point)) for point in points]
 
 
 def _rows_cop(cfg: RunConfig) -> list[dict]:
     t2_min, t2_max, _, _, steps = cfg.grid
     base = cfg.fridge()
+    t2s = [t2_min + (t2_max - t2_min) * index / (steps - 1) for index in range(steps)]
     rows = []
-    for index in range(steps):
-        t2 = t2_min + (t2_max - t2_min) * index / (steps - 1)
-        point = replace(base, T2=t2)
-        report = exchange(point)
-        if base.T1 <= t2 < base.T3:
-            limit = carnot_limit(base.T1, t2, base.T3)
-        else:
-            limit = math.nan  # outside the engine+fridge ordering
-        rows.append(
-            {
-                "T2": t2,
-                "cop": cop(point),
-                "carnot_limit": limit,
-                "dQ1": report.dQ1,
-                "dQ3": report.dQ3,
-            }
-        )
+    for t2, flow in zip(t2s, exchange_sweep(base, t2s, base.T3).tolist()):
+        # nan outside the engine+fridge ordering
+        limit = carnot_limit(base.T1, t2, base.T3) if base.T1 <= t2 < base.T3 else math.nan
+        rows.append({"T2": t2, "cop": cop(base), "carnot_limit": limit,
+                     "dQ1": base.E1 * flow, "dQ3": base.E3 * flow})
     return rows
 
 

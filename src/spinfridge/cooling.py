@@ -24,17 +24,17 @@ PRNG_ID = "numpy-pcg64"  # np.random.default_rng; seeded runs are bit-reproducib
 class BiasState:
     """A pool of n_bits i.i.d. bits at a common bias.
 
-    Analytic pipelines only produce eps in [0, 1); empirical estimates from
-    finite samples may come out slightly negative, so the full open
-    interval (-1, 1) is accepted.
+    Compression drives eps toward 1 and a pure pool has eps = 1;
+    empirical estimates from finite samples may come out slightly
+    negative, so (-1, 1] is accepted.
     """
 
     epsilon: float
     n_bits: int
 
     def __post_init__(self) -> None:
-        if not (-1.0 < self.epsilon < 1.0):
-            raise ValueError(f"bias must lie in (-1, 1), got {self.epsilon}")
+        if not (-1.0 < self.epsilon <= 1.0):
+            raise ValueError(f"bias must lie in (-1, 1], got {self.epsilon}")
         if self.n_bits < 0:
             raise ValueError(f"bit count must be nonnegative, got {self.n_bits}")
 
@@ -149,7 +149,8 @@ def simulate_bcs(n_bits: int, epsilon: float, rounds: int, seed: int) -> BcsResu
         control = bits[0::2]
         target = bits[1::2]
         bits = control[control == target]  # CNOT target reads 0 iff the pair agrees
-        analytic = bcs_bias(analytic)
+        if analytic < 1.0:  # a bias that rounded to 1.0 is a fixed point of the map
+            analytic = bcs_bias(analytic)
         history.append(BcsRound(round_index, analytic, _empirical_bias(bits), int(bits.size)))
     final = BiasState(epsilon=_empirical_bias(bits), n_bits=int(bits.size))
     return BcsResult(rounds=tuple(history), final=final, seed=seed)

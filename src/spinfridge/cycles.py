@@ -10,20 +10,15 @@ independently of theta.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import DensityMatrix, evolve, herm_exp, kron, partial_trace
-from .thermo import (
-    SpinSpec,
-    effective_temperature,
-    internal_energy,
-    spin_hamiltonian,
-    thermal_state,
-    von_neumann_entropy,
-)
-from .fridge import FridgeConfig, build_h_exc, exchange, initial_state
+from .fridge import FridgeConfig, exchange_flow, exchange_sweep, excited_populations
+from .thermo import binary_entropy, spin_temperature
+
+MAX_GRID_STEPS = 1000  # per axis
 
 
 @dataclass(frozen=True)
@@ -47,42 +42,22 @@ class PhasePoint:
 
 
 def run_cycles(cfg: FridgeConfig, n_cycles: int, theta: float) -> list[CycleRecord]:
-    """Run n_cycles evolve-reset loops and record spin 1 after each."""
+    """Run n_cycles evolve-reset loops and record spin 1 after each.
+
+    The reset keeps spin 1's populations and refreshes spins 2 and 3, so a
+    cycle is the affine map p1 <- p1 + delta of fridge.exchange_flow.
+    """
     if n_cycles < 1:
         raise ValueError(f"n_cycles must be at least 1, got {n_cycles}")
-    u = herm_exp(build_h_exc(cfg), theta / cfg.g)
-    tau2 = thermal_state(SpinSpec(cfg.E2, cfg.T2))
-    tau3 = thermal_state(SpinSpec(cfg.E3, cfg.T3))
-    h1 = spin_hamiltonian(cfg.E1)
-
-    rho = initial_state(cfg)
-    reduced = partial_trace(rho, (0,))
-    energy = internal_energy(reduced, h1)
-    records = [
-        CycleRecord(
-            n=0,
-            T1=effective_temperature(reduced, cfg.E1),
-            entropy_q1=von_neumann_entropy(reduced),
-            energy_q1=energy,
-            dQ1=0.0,
-        )
-    ]
-    for n in range(1, n_cycles + 1):
-        rho = evolve(rho, u)
-        reduced = partial_trace(rho, (0,))
-        energy_after = internal_energy(reduced, h1)
-        records.append(
-            CycleRecord(
-                n=n,
-                T1=effective_temperature(reduced, cfg.E1),
-                entropy_q1=von_neumann_entropy(reduced),
-                energy_q1=energy_after,
-                dQ1=energy_after - energy,
-            )
-        )
-        energy = energy_after
-        # reset: keep spin 1's reduced state, refresh spins 2 and 3
-        rho = DensityMatrix(kron(kron(reduced.op, tau2.op), tau3.op))
+    p1, p2, p3 = (float(p) for p in excited_populations(cfg.gaps, cfg.temps))
+    records = []
+    delta = 0.0
+    for n in range(n_cycles + 1):
+        if n:
+            delta = exchange_flow(p1, p2, p3, theta)[2]
+            p1 += delta
+        temperature = spin_temperature(1.0 - p1, p1, cfg.E1)
+        records.append(CycleRecord(n, temperature, binary_entropy(p1), cfg.E1 * p1, cfg.E1 * delta))
     return records
 
 
@@ -99,9 +74,11 @@ def detect_convergence(records: list[CycleRecord], tol: float) -> tuple[bool, fl
 def check_grid(
     t2_range: tuple[float, float], t3_range: tuple[float, float], n2: int, n3: int
 ) -> None:
-    """The grid rule: at least 2 points and 0 < min <= max on each axis."""
+    """The grid rule: 2 to MAX_GRID_STEPS points and 0 < min <= max on each axis."""
     if n2 < 2 or n3 < 2:
         raise ValueError("grid must have at least 2 points per axis")
+    if n2 > MAX_GRID_STEPS or n3 > MAX_GRID_STEPS:
+        raise ValueError(f"grid must have at most {MAX_GRID_STEPS} points per axis")
     if not (0.0 < t2_range[0] <= t2_range[1] and 0.0 < t3_range[0] <= t3_range[1]):
         raise ValueError("temperature ranges must be positive and ordered")
 
@@ -122,12 +99,9 @@ def scan_phase_diagram(
     """
     n2, n3 = (grid, grid) if isinstance(grid, int) else (int(grid[0]), int(grid[1]))
     check_grid(t2_range, t3_range, n2, n3)
-    if base is None:
-        base = FridgeConfig()
-    points: list[PhasePoint] = []
-    for t2 in np.linspace(t2_range[0], t2_range[1], n2):
-        for t3 in np.linspace(t3_range[0], t3_range[1], n3):
-            cfg = replace(base, T1=t1_fixed, T2=float(t2), T3=float(t3), theta=theta)
-            report = exchange(cfg)
-            points.append(PhasePoint(T2=float(t2), T3=float(t3), dQ1=report.dQ1))
-    return points
+    base = replace(base or FridgeConfig(), T1=t1_fixed, theta=theta)
+    t2s = np.linspace(t2_range[0], t2_range[1], n2)
+    t3s = np.linspace(t3_range[0], t3_range[1], n3)
+    dq1 = base.E1 * exchange_sweep(base, t2s[:, None], t3s[None, :])
+    cells = itertools.product(t2s.tolist(), t3s.tolist())
+    return [PhasePoint(T2=t2, T3=t3, dQ1=q) for (t2, t3), q in zip(cells, dq1.ravel().tolist())]

@@ -18,7 +18,8 @@ cooling of spin 1 shows up as dQ1 < 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,7 +27,6 @@ from .linalg import (
     DensityMatrix,
     Operator,
     PauliString,
-    herm_exp,
     evolve,
     kron,
     partial_trace,
@@ -35,7 +35,7 @@ from .thermo import (
     SpinSpec,
     effective_temperature,
     internal_energy,
-    spin_hamiltonian,
+    spin_temperature,
     thermal_state,
 )
 
@@ -80,6 +80,18 @@ class FridgeConfig:
             )
         if not math.isfinite(self.theta):
             raise ValueError(f"theta must be finite, got {self.theta}")
+        for spin, (gap, temp) in enumerate(zip(self.gaps, self.temps), start=1):
+            if math.exp(-gap / temp) < sys.float_info.min:
+                raise ValueError(f"spin {spin}: E{spin}/T{spin} = {gap / temp!r} exceeds about "
+                                 "708.4, where e^(-E/T) underflows")
+
+    @property
+    def gaps(self) -> tuple[float, float, float]:
+        return (self.E1, self.E2, self.E3)
+
+    @property
+    def temps(self) -> tuple[float, float, float]:
+        return (self.T1, self.T2, self.T3)
 
 
 @dataclass(frozen=True)
@@ -144,40 +156,55 @@ def initial_state(cfg: FridgeConfig) -> DensityMatrix:
     return DensityMatrix(kron(kron(tau1.op, tau2.op), tau3.op))
 
 
-def exchange(cfg: FridgeConfig) -> ExchangeReport:
-    """Evolve the initial product state under H_exc for angle theta.
+def excited_populations(gaps, temps) -> tuple:
+    """Excited populations p_i = e^(-E_i/T_i) / (1 + e^(-E_i/T_i)) of the three
+    spins, elementwise over broadcast arrays (or plain floats).
 
-    Per-spin heats are dQ_i = tr[H_i (rho'_i - rho_i)] on the reduced
-    states; temperatures are read off the reduced populations afterwards.
+    The exchange only rotates population between |010> and |101>, so the
+    product of thermal states stays diagonal and these three numbers fix it.
     """
-    rho0 = initial_state(cfg)
-    u = herm_exp(build_h_exc(cfg), cfg.theta / cfg.g)
-    rho1 = evolve(rho0, u)
+    boltzmann = (np.exp(-np.divide(gap, temp)) for gap, temp in zip(gaps, temps))
+    return tuple(b / (1.0 + b) for b in boltzmann)
 
-    gaps = (cfg.E1, cfg.E2, cfg.E3)
-    heats = []
-    temps = []
-    for qubit, gap in enumerate(gaps):
-        h_i = spin_hamiltonian(gap)
-        red_before = partial_trace(rho0, (qubit,))
-        red_after = partial_trace(rho1, (qubit,))
-        heats.append(internal_energy(red_after, h_i) - internal_energy(red_before, h_i))
-        temps.append(effective_temperature(red_after, gap))
 
-    pops0 = rho0.populations
-    pops1 = rho1.populations
-    return ExchangeReport(
-        P010_before=float(pops0[IDX_010]),
-        P101_before=float(pops0[IDX_101]),
-        P010_after=float(pops1[IDX_010]),
-        P101_after=float(pops1[IDX_101]),
-        dQ1=heats[0],
-        dQ2=heats[1],
-        dQ3=heats[2],
-        T1_after=temps[0],
-        T2_after=temps[1],
-        T3_after=temps[2],
-    )
+def exchange_flow(p1, p2, p3, theta: float) -> tuple:
+    """(P010, P101, delta) of one exchange by angle theta, elementwise.
+
+    delta = sin^2(theta) (P010 - P101) moves from |010> to |101>: spins 1
+    and 3 gain delta in excited population and spin 2 loses it.
+    """
+    p010 = (1.0 - p1) * p2 * (1.0 - p3)
+    p101 = p1 * (1.0 - p2) * p3
+    return p010, p101, math.sin(theta) ** 2 * (p010 - p101)
+
+
+def exchange_sweep(base: FridgeConfig, T2, T3) -> np.ndarray:
+    """delta of one exchange per (T2, T3) over broadcast arrays, at base's gaps, T1 and theta.
+
+    Every rule of FridgeConfig concerns one spin at a time, so validating each
+    distinct T2 and each distinct T3 once validates every cell.
+    """
+    for t2 in np.unique(T2):
+        replace(base, T2=float(t2))
+    for t3 in np.unique(T3):
+        replace(base, T3=float(t3))
+    p1, p2, p3 = excited_populations(base.gaps, (base.T1, T2, T3))
+    return exchange_flow(p1, p2, p3, base.theta)[2]
+
+
+def exchange(cfg: FridgeConfig) -> ExchangeReport:
+    """One exchange of the initial product state for angle theta, in closed form.
+
+    Per-spin heats are dQ_i = E_i (p_i' - p_i): E1*delta, -E2*delta and
+    E3*delta; temperatures are read off the populations afterwards.
+    """
+    before = [float(p) for p in excited_populations(cfg.gaps, cfg.temps)]
+    p010, p101, delta = exchange_flow(*before, cfg.theta)
+    moved = (delta, -delta, delta)
+    heats = [gap * dp for gap, dp in zip(cfg.gaps, moved)]
+    after = [p + dp for p, dp in zip(before, moved)]
+    temps = [spin_temperature(1.0 - p, p, gap) for p, gap in zip(after, cfg.gaps)]
+    return ExchangeReport(p010, p101, p010 - delta, p101 + delta, *heats, *temps)
 
 
 def working_condition(cfg: FridgeConfig) -> bool:

@@ -81,10 +81,14 @@ def effective_temperature(rho1: DensityMatrix, E: float) -> float:
     """
     if rho1.dim != 2:
         raise ValueError("effective temperature is defined for a single spin")
+    pops = rho1.populations
+    return spin_temperature(float(pops[0]), float(pops[1]), E)
+
+
+def spin_temperature(p_ground: float, p_excited: float, E: float) -> float:
+    """effective_temperature of the diagonal spin state diag(p_ground, p_excited)."""
     if not E > 0.0:
         raise ValueError("energy gap must be positive")
-    pops = rho1.populations
-    p_ground, p_excited = float(pops[0]), float(pops[1])
     if p_excited <= 0.0:
         return 0.0
     if p_ground <= 0.0:
@@ -99,6 +103,11 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     w = np.clip(rho.eigenvalues(), 0.0, 1.0)
     w = w[w > 0.0]
     return float(-np.sum(w * np.log(w)))
+
+
+def binary_entropy(p_excited: float) -> float:
+    """von_neumann_entropy of the diagonal spin state diag(1 - p, p)."""
+    return -sum(q * math.log(q) for q in (1.0 - p_excited, p_excited) if q > 0.0)
 
 
 def internal_energy(rho: DensityMatrix, h_sys: Operator) -> float:

@@ -6,6 +6,7 @@ from dataclasses import fields
 
 import pytest
 
+from spinfridge import FridgeConfig
 from spinfridge.cli import RunConfig, main, parse_config
 
 
@@ -227,7 +228,7 @@ def test_delta_scale_multiplies_energy_columns_only(tmp_path):
         assert float(b["entropy_q1"]) == pytest.approx(float(a["entropy_q1"]), rel=1e-12)
 
 
-def test_exit_codes():
+def test_exit_codes(capsys):
     assert main(["exchange", "--t1", "-3"]) == 1  # validation
     assert main(["exchange", "--out", "/nonexistent-dir/x.csv"]) == 2  # I/O
     assert main(["no-such-command"]) == 1  # parser error
@@ -236,3 +237,53 @@ def test_exit_codes():
     assert main(["cop", "--grid", "6,2,2,10,3"]) == 1  # the grid rule of phase-diagram
     assert main(["cycles", "--delta-scale", "inf"]) == 1
     assert main(["exchange", "--config", "/nonexistent-dir/run.cfg"]) == 2  # I/O
+    # size caps: rejected at parse time, before anything is allocated
+    capsys.readouterr()
+    for args in (
+        ["phase-diagram", "--grid", "2,6,2,10,1001"],
+        ["cop", "--grid", "2,6,2,10,100000"],
+        ["cycles", "--cycles", "100001"],
+    ):
+        assert main(args) == 1
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def test_boltzmann_factor_underflow_is_rejected(tmp_path, capsys):
+    FridgeConfig(T1=1.0 / 700.0)  # E1/T1 = 700: e^(-700) is still a normal float
+    with pytest.raises(ValueError, match=r"spin 1: E1/T1 = 71"):
+        FridgeConfig(T1=1.0 / 710.0)
+
+    out = tmp_path / "exchange.csv"
+    assert run_cli(["exchange", f"--t3={2.0 / 700.0!r}"], out) == 0
+    _, rows = read_csv(out)
+    assert float(rows[0]["P101_before"]) > 0.0
+    capsys.readouterr()
+    assert main(["exchange", f"--t3={2.0 / 710.0!r}"]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "spin 3: E3/T3 = 71" in line
+    # phase-diagram and cop check every grid temperature, on either axis
+    for args, spin in (
+        (["phase-diagram", "--grid=0.001,6,2,10,5"], "spin 2"),
+        (["phase-diagram", "--grid=2,6,0.001,10,5"], "spin 3"),
+        (["cop", "--grid=0.001,6,2,10,5"], "spin 2"),
+    ):
+        assert main(args) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {spin}: ")
+
+
+def test_bcs_pure_pools_follow_the_recursion(tmp_path):
+    # at eps0 = 0.5 the pool turns pure in round 4 and the bias rounds to 1.0 in round 6
+    for rounds in (4, 7):
+        out = tmp_path / f"bcs{rounds}.csv"
+        assert run_cli(["bcs", "--rounds", str(rounds)], out) == 0
+        _, rows = read_csv(out)
+        assert [int(row["round"]) for row in rows] == list(range(rounds + 1))
+        eps = 0.5
+        for index, row in enumerate(rows):
+            if index:
+                eps = 2.0 * eps / (1.0 + eps * eps)
+            assert float(row["analytic_bias"]) == eps
+        counts = [int(row["retained_bits"]) for row in rows]
+        assert all(b <= a for a, b in zip(counts[:-1], counts[1:]))
+        assert float(rows[-1]["empirical_bias"]) == 1.0

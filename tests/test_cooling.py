@@ -101,8 +101,11 @@ def test_bias_bridges_to_thermal_populations():
 
 def test_bias_state_domain():
     BiasState(epsilon=-0.001, n_bits=10)  # empirical estimates may dip negative
+    BiasState(epsilon=1.0, n_bits=10)  # a pure pool
     with pytest.raises(ValueError):
-        BiasState(epsilon=1.0, n_bits=10)
+        BiasState(epsilon=1.0000001, n_bits=10)
+    with pytest.raises(ValueError):
+        BiasState(epsilon=-1.0, n_bits=10)
     with pytest.raises(ValueError):
         BiasState(epsilon=0.5, n_bits=-1)
 

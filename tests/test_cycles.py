@@ -145,3 +145,5 @@ def test_scan_phase_diagram_validation():
         scan_phase_diagram((2.0, 6.0), (2.0, 10.0), 1, 2.0, math.pi / 2.0)
     with pytest.raises(ValueError):
         scan_phase_diagram((-1.0, 6.0), (2.0, 10.0), 5, 2.0, math.pi / 2.0)
+    with pytest.raises(ValueError, match="at most 1000"):
+        scan_phase_diagram((2.0, 6.0), (2.0, 10.0), (2, 1001), 2.0, math.pi / 2.0)

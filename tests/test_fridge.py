@@ -43,7 +43,8 @@ def test_self_contained_tolerance_is_relative():
     # the float sum E1 + E3 is off by 7.3e-12 here: beyond any absolute 1e-12
     big = (12345.678, 35802.467, 23456.789)
     assert abs(big[1] - (big[0] + big[2])) > 1e-12
-    FridgeConfig(E1=big[0], E2=big[1], E3=big[2])
+    # hot enough baths keep every E/T below the underflow limit
+    FridgeConfig(E1=big[0], E2=big[1], E3=big[2], T1=1e4, T2=1e4, T3=1e4)
     assert bound_temperature(*big, 2.0, 10.0) > 0.0
     with pytest.raises(ValueError, match="E2 must equal E1"):
         FridgeConfig(E1=1.0, E2=2.5, E3=2.0)

@@ -1,0 +1,263 @@
+"""The closed-form population kernel against the dense density-matrix path.
+
+The dense path (initial_state -> herm_exp -> evolve -> partial_trace) is the
+oracle for populations and heats.  Temperatures of nearly empty levels are
+ill-conditioned in the dense path's absolute rounding, so they are checked
+against the closed-form oracle built on oracles.exchanged_level_populations.
+"""
+
+import math
+from dataclasses import fields, replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from spinfridge import (
+    CycleRecord,
+    DensityMatrix,
+    ExchangeReport,
+    FridgeConfig,
+    SpinSpec,
+    binary_entropy,
+    build_h_exc,
+    carnot_limit,
+    detect_convergence,
+    effective_temperature,
+    evolve,
+    exchange,
+    herm_exp,
+    initial_state,
+    internal_energy,
+    kron,
+    partial_trace,
+    run_cycles,
+    scan_phase_diagram,
+    spin_hamiltonian,
+    spin_temperature,
+    thermal_state,
+    von_neumann_entropy,
+    working_condition,
+)
+
+POP_TOL = 1e-12
+TEMP_REL_TOL = 1e-9
+TEMPERATURE_FIELDS = ("T1_after", "T2_after", "T3_after")
+
+
+def dense_exchange(cfg: FridgeConfig) -> ExchangeReport:
+    """One exchange through 8x8 matrices: evolve, then trace out per spin."""
+    rho0 = initial_state(cfg)
+    rho1 = evolve(rho0, herm_exp(build_h_exc(cfg), cfg.theta / cfg.g))
+    heats, temps = [], []
+    for qubit, gap in enumerate(cfg.gaps):
+        h_i = spin_hamiltonian(gap)
+        before = partial_trace(rho0, (qubit,))
+        after = partial_trace(rho1, (qubit,))
+        heats.append(internal_energy(after, h_i) - internal_energy(before, h_i))
+        temps.append(effective_temperature(after, gap))
+    pops0, pops1 = rho0.populations, rho1.populations
+    return ExchangeReport(
+        float(pops0[0b010]), float(pops0[0b101]), float(pops1[0b010]), float(pops1[0b101]),
+        *heats, *temps,
+    )
+
+
+def dense_cycles(cfg: FridgeConfig, n_cycles: int, theta: float) -> list[CycleRecord]:
+    """Evolve-reset loop through 8x8 matrices: keep spin 1, refresh spins 2 and 3."""
+    u = herm_exp(build_h_exc(cfg), theta / cfg.g)
+    baths = kron(thermal_state(SpinSpec(cfg.E2, cfg.T2)).op,
+                 thermal_state(SpinSpec(cfg.E3, cfg.T3)).op)
+    h1 = spin_hamiltonian(cfg.E1)
+    rho = initial_state(cfg)
+    records = []
+    energy = None
+    for n in range(n_cycles + 1):
+        if n:
+            rho = evolve(rho, u)
+        reduced = partial_trace(rho, (0,))
+        energy_after = internal_energy(reduced, h1)
+        records.append(CycleRecord(
+            n=n,
+            T1=effective_temperature(reduced, cfg.E1),
+            entropy_q1=von_neumann_entropy(reduced),
+            energy_q1=energy_after,
+            dQ1=0.0 if n == 0 else energy_after - energy,
+        ))
+        energy = energy_after
+        rho = DensityMatrix(kron(reduced.op, baths))
+    return records
+
+
+def closed_form_temperatures(cfg: FridgeConfig) -> list[float]:
+    """Temperatures after one exchange from the closed-form level populations."""
+    p010, p101 = oracles.exchanged_level_populations(cfg.gaps, cfg.temps)
+    delta = math.sin(cfg.theta) ** 2 * (p010 - p101)
+    return [
+        oracles.effective_temperature(gap, oracles.thermal_population(gap, temp) + moved)
+        for gap, temp, moved in zip(cfg.gaps, cfg.temps, (delta, -delta, delta))
+    ]
+
+
+def close_temperature(actual: float, expected: float) -> bool:
+    return abs(actual - expected) <= TEMP_REL_TOL * abs(expected)
+
+
+# E/T from 1e-3 to 700, log-uniform: from nearly equal populations to the
+# edge of e^(-E/T) underflow
+ratios = st.floats(math.log(1e-3), math.log(700.0)).map(math.exp)
+gap_values = st.floats(0.05, 20.0)
+angles = st.floats(0.0, 2.0 * math.pi)
+
+
+@st.composite
+def configs(draw):
+    e1, e3 = draw(gap_values), draw(gap_values)
+    e2 = e1 + e3
+    return FridgeConfig(
+        E1=e1, E2=e2, E3=e3,
+        T1=e1 / draw(ratios), T2=e2 / draw(ratios), T3=e3 / draw(ratios),
+        g=draw(st.floats(0.1, 10.0)), theta=draw(angles),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(configs())
+def test_exchange_matches_the_dense_path(cfg):
+    kernel, dense = exchange(cfg), dense_exchange(cfg)
+    expected_temps = closed_form_temperatures(cfg)
+    for field in fields(ExchangeReport):
+        got, want = getattr(kernel, field.name), getattr(dense, field.name)
+        if field.name in TEMPERATURE_FIELDS:
+            # same marker (sign, zero, infinity) as the dense path
+            assert math.copysign(1.0, got) == math.copysign(1.0, want), field.name
+            assert math.isinf(got) == math.isinf(want), field.name
+            expected = expected_temps[TEMPERATURE_FIELDS.index(field.name)]
+            assert close_temperature(got, expected), (field.name, got, expected)
+        else:
+            assert abs(got - want) <= POP_TOL, (field.name, got, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(configs())
+def test_exchange_invariants(cfg):
+    report = exchange(cfg)
+    p = [oracles.thermal_population(gap, temp) for gap, temp in zip(cfg.gaps, cfg.temps)]
+    # the eight level populations after the exchange: only |010> and |101> move
+    levels = []
+    for index in range(8):
+        bits = ((index >> 2) & 1, (index >> 1) & 1, index & 1)
+        levels.append(math.prod(q if bit else 1.0 - q for bit, q in zip(bits, p)))
+    levels[0b010], levels[0b101] = report.P010_after, report.P101_after
+    assert abs(sum(levels) - 1.0) <= POP_TOL
+    assert min(levels) >= 0.0
+    # energy is conserved: E2 = E1 + E3
+    assert abs(report.dQ1 + report.dQ2 + report.dQ3) <= POP_TOL * max(cfg.gaps)
+
+
+@st.composite
+def working_configs(draw):
+    # the criterion-6 sampler: ordered bath temperatures T1 <= T2 < T3
+    e1, e3 = draw(st.floats(0.2, 4.0)), draw(st.floats(0.2, 4.0))
+    t1 = draw(st.floats(0.2, 8.0))
+    t2 = t1 + draw(st.floats(1e-3, 6.0))
+    t3 = t2 + draw(st.floats(1e-3, 8.0))
+    return FridgeConfig(E1=e1, E2=e1 + e3, E3=e3, T1=t1, T2=t2, T3=t3,
+                        theta=draw(st.floats(0.05, math.pi / 2.0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(working_configs())
+def test_cop_never_exceeds_carnot(cfg):
+    report = exchange(cfg)
+    if working_condition(cfg):
+        assert report.dQ1 < 0.0 and report.dQ3 < 0.0
+        assert report.dQ1 / report.dQ3 <= carnot_limit(*cfg.temps) + 1e-12
+    else:
+        assert report.dQ1 >= -POP_TOL
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(0.2, 4.0), st.floats(0.2, 4.0), st.floats(0.05, 10.0), angles,
+    st.floats(0.05, 10.0), st.floats(0.0, 10.0), st.floats(0.05, 10.0), st.floats(0.0, 10.0),
+)
+def test_scan_phase_diagram_equals_per_cell_dense_exchange(e1, e3, t1, theta, t2_lo, t2_span,
+                                                           t3_lo, t3_span):
+    base = FridgeConfig(E1=e1, E2=e1 + e3, E3=e3)
+    t2_range, t3_range = (t2_lo, t2_lo + t2_span), (t3_lo, t3_lo + t3_span)
+    points = scan_phase_diagram(t2_range, t3_range, (4, 3), t1, theta, base=base)
+    cells = [(t2, t3) for t2 in np.linspace(*t2_range, 4) for t3 in np.linspace(*t3_range, 3)]
+    assert [(p.T2, p.T3) for p in points] == cells
+    for point in points:
+        cfg = replace(base, T1=t1, T2=point.T2, T3=point.T3, theta=theta)
+        assert abs(point.dQ1 - dense_exchange(cfg).dQ1) <= POP_TOL
+
+
+CYCLE_CONFIGS = (FridgeConfig(), FridgeConfig(E1=0.7, E2=2.2, E3=1.5, T1=5.0, T2=3.0, T3=12.0))
+CYCLE_ANGLES = (math.pi / 8.0, 0.9, math.pi / 2.0, 2.5, 4.0)
+
+
+@pytest.mark.parametrize("cfg", CYCLE_CONFIGS)
+@pytest.mark.parametrize("theta", CYCLE_ANGLES)
+def test_run_cycles_matches_the_dense_loop(cfg, theta):
+    kernel, dense = run_cycles(cfg, 200, theta), dense_cycles(cfg, 200, theta)
+    assert len(kernel) == len(dense) == 201
+    for got, want in zip(kernel, dense):
+        assert got.n == want.n
+        assert close_temperature(got.T1, want.T1), (got.n, got.T1, want.T1)
+        for name in ("entropy_q1", "energy_q1", "dQ1"):
+            assert abs(getattr(got, name) - getattr(want, name)) <= POP_TOL, (got.n, name)
+
+
+def contraction(cfg: FridgeConfig, theta: float) -> tuple[float, float]:
+    """(r, p*): p1 - p* shrinks by r = 1 - sin^2(theta) [p2(1-p3) + (1-p2)p3] per cycle."""
+    p2 = oracles.thermal_population(cfg.E2, cfg.T2)
+    p3 = oracles.thermal_population(cfg.E3, cfg.T3)
+    gain, loss = p2 * (1.0 - p3), (1.0 - p2) * p3
+    return 1.0 - math.sin(theta) ** 2 * (gain + loss), gain / (gain + loss)
+
+
+@pytest.mark.parametrize("cfg", CYCLE_CONFIGS)
+@pytest.mark.parametrize("theta", CYCLE_ANGLES)
+def test_cycle_contraction_rate_is_closed_form(cfg, theta):
+    r, fixed = contraction(cfg, theta)
+    p1 = [record.energy_q1 / cfg.E1 for record in run_cycles(cfg, 200, theta)]
+    checked = 0
+    for before, after in zip(p1[:-1], p1[1:]):
+        if abs(before - fixed) < 1e-5:
+            break  # closer in, rounding dominates the ratio
+        assert abs((after - fixed) / (before - fixed) - r) <= 1e-9
+        checked += 1
+    assert checked >= 3
+
+
+@pytest.mark.parametrize("cfg", CYCLE_CONFIGS)
+@pytest.mark.parametrize("theta", CYCLE_ANGLES)
+def test_detect_convergence_agrees_with_the_contraction_rate(cfg, theta):
+    tol = 1e-8
+    r, fixed = contraction(cfg, theta)
+    p0 = oracles.thermal_population(cfg.E1, cfg.T1)
+    temps = [oracles.effective_temperature(cfg.E1, fixed + r**n * (p0 - fixed))
+             for n in range(400)]
+    diffs = [abs(b - a) for a, b in zip(temps[:-1], temps[1:])]
+    first = next(k for k, d in enumerate(diffs) if d < tol)  # diffs fall geometrically
+    # keep clear of the threshold, so that rounding cannot decide the count
+    assert diffs[first] < tol * (1.0 - 1e-6) and (first == 0 or diffs[first - 1] > tol * (1.0 + 1e-6))
+    cycles = max(first + 5, 5)  # the first cycle whose last five steps are all below tol
+    assert detect_convergence(run_cycles(cfg, cycles, theta), tol)[0]
+    assert not detect_convergence(run_cycles(cfg, cycles - 1, theta), tol)[0]
+
+
+@pytest.mark.parametrize(
+    "populations", [(1.0, 0.0), (0.0, 1.0), (0.5, 0.5), (0.3, 0.7), (0.8, 0.2)]
+)
+def test_population_helpers_keep_the_dense_markers(populations):
+    rho = DensityMatrix(np.diag(populations))
+    temperature = spin_temperature(*populations, 1.3)
+    dense = effective_temperature(rho, 1.3)
+    assert temperature == dense or math.isclose(temperature, dense, rel_tol=1e-15)
+    assert math.copysign(1.0, temperature) == math.copysign(1.0, dense)
+    assert binary_entropy(populations[1]) == pytest.approx(von_neumann_entropy(rho), abs=1e-15)
