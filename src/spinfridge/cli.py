@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import get_type_hints
 
 from . import __version__
-from .cooling import PRNG_ID, simulate_bcs
+from .cooling import PRNG_ID, check_pool, simulate_bcs
 from .compiler import compile_exchange, run_with_ledger, verify
 from .cycles import check_grid, run_cycles, scan_phase_diagram
 from .fridge import (
@@ -180,6 +180,7 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
         cfg.fridge(theta)  # validates gaps, temperatures (E2 = E1 + E3) and each angle
     if not 1 <= cfg.cycles <= MAX_CYCLES:
         raise ValueError(f"cycles must lie in [1, {MAX_CYCLES}], got {cfg.cycles}")
+    check_pool(cfg.bits, cfg.epsilon0, cfg.rounds)
     return cfg
 
 
@@ -257,13 +258,13 @@ def _rows_ledger(cfg: RunConfig) -> list[dict]:
     fridge_cfg = cfg.fridge()
     sequence = compile_exchange(cfg.theta[0], fridge_cfg.g)
     _, entries = run_with_ledger(sequence, initial_state(fridge_cfg), system_hamiltonian(fridge_cfg))
-    return [asdict(entry) for entry in entries]
+    return [dict(vars(entry)) for entry in entries]
 
 
 def _rows_cycles(cfg: RunConfig) -> list[dict]:
     rows: list[dict] = []
     for theta in cfg.theta:
-        for record in run_cycles(cfg.fridge(theta), cfg.cycles, theta):
+        for record in run_cycles(cfg.fridge(theta), cfg.cycles):
             row = dict(vars(record))
             rows.append({"n": row.pop("n"), "theta": theta, **row})
     return rows

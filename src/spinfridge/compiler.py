@@ -10,14 +10,20 @@ again.  Four blocks of ten give the forty-step sequence; the blocks
 commute, so their order is irrelevant.
 
 Every step stores a Hermitian generator G with unit duration, realizing
-the unitary exp(-i G).  All generators are sums of one- and two-qubit
-terms, so the sequence is directly implementable with pairwise couplings.
+the unitary exp(-i G), which it computes once.  All generators are sums of
+one- and two-qubit terms, so the sequence is directly implementable with
+pairwise couplings.
+
+Only the four core pulses depend on theta.  The basis changes and the
+fixed rotations and ZZ pulses around each core are built once per process,
+on first use, and every compiled sequence shares them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -47,15 +53,18 @@ class GateStep:
     label: str
     generator: Operator
     duration: float = 1.0
+    _unitary: Operator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.generator.is_hermitian():
             raise ValueError(f"gate generator for {self.label!r} must be Hermitian")
         if not self.duration > 0.0:
             raise ValueError("gate duration must be positive")
+        object.__setattr__(self, "_unitary", herm_exp(self.generator, 1.0))
 
     def unitary(self) -> Operator:
-        return herm_exp(self.generator, 1.0)
+        """exp(-i*generator), computed once when the step is built."""
+        return self._unitary
 
 
 @dataclass(frozen=True)
@@ -82,6 +91,7 @@ _H_GEN = (math.pi / 2.0) * Operator(HADAMARD.matrix - np.eye(2))
 _HY_GEN = (math.pi / 2.0) * Operator(HADAMARD_Y.matrix - np.eye(2))
 
 
+@functools.lru_cache(maxsize=N_BLOCKS)  # one per Pauli term
 def _basis_step(letters: str) -> GateStep:
     """Simultaneous single-qubit basis changes mapping each Pauli to Z."""
     gen = None
@@ -98,6 +108,22 @@ def _pauli_step(label: str, letters: str, angle: float) -> GateStep:
     return GateStep(label=label, generator=pauli_to_operator(PauliString(letters, angle)))
 
 
+@functools.lru_cache(maxsize=1)
+def _core_frame() -> tuple[tuple[GateStep, ...], tuple[GateStep, ...]]:
+    """The fixed pulses before and after the ZZ core of every block."""
+    quarter = math.pi / 4.0
+    zz = _pauli_step("ZZ(pi/2)@12", "ZZI", quarter)
+    ry = _pauli_step("Ry(pi/2)@2", "IYI", quarter)
+    before = (
+        _pauli_step("Rx(-pi/2)@2", "IXI", -quarter),
+        _pauli_step("Ry(-pi)@2", "IYI", -math.pi / 2.0),
+        zz,
+        ry,
+    )
+    after = (ry, zz, _pauli_step("Rx(pi/2)@2", "IXI", quarter))
+    return before, after
+
+
 def compile_exchange(theta: float, g: float = 1.0) -> CompiledSequence:
     """Forty-step pulse sequence realizing exp(-i*theta*exchange).
 
@@ -109,27 +135,14 @@ def compile_exchange(theta: float, g: float = 1.0) -> CompiledSequence:
         raise ValueError("theta must be finite")
     if not g > 0.0:
         raise ValueError("coupling g must be positive")
-    quarter = math.pi / 4.0
+    before, after = _core_frame()
     steps: list[GateStep] = []
     # one block per Pauli term of the unit coupling; its coeff of +-1/4 makes the core +-theta/4
     for term in exchange_pauli_terms(1.0):
         basis = _basis_step(term.letters)
-        core_angle = term.coeff * theta
         core_label = f"ZZ({'-' if term.coeff < 0 else ''}theta/2)@23"
-        steps.extend(
-            [
-                basis,
-                _pauli_step("Rx(-pi/2)@2", "IXI", -quarter),
-                _pauli_step("Ry(-pi)@2", "IYI", -math.pi / 2.0),
-                _pauli_step("ZZ(pi/2)@12", "ZZI", quarter),
-                _pauli_step("Ry(pi/2)@2", "IYI", quarter),
-                _pauli_step(core_label, "IZZ", core_angle),
-                _pauli_step("Ry(pi/2)@2", "IYI", quarter),
-                _pauli_step("ZZ(pi/2)@12", "ZZI", quarter),
-                _pauli_step("Rx(pi/2)@2", "IXI", quarter),
-                basis,
-            ]
-        )
+        core = _pauli_step(core_label, "IZZ", term.coeff * theta)
+        steps.extend((basis, *before, core, *after, basis))
     boundaries = tuple(BLOCK_SIZE * (k + 1) for k in range(N_BLOCKS))
     return CompiledSequence(steps=tuple(steps), theta=theta, term_boundaries=boundaries)
 
@@ -185,6 +198,7 @@ def run_with_ledger(
             h_sys,
             step_index=index,
             cumulative_before=cumulative,
+            unitary=step.unitary(),
         )
         cumulative = entry.cumulative_work
         entries.append(entry)

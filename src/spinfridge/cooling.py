@@ -125,6 +125,16 @@ def _empirical_bias(bits: np.ndarray) -> float:
     return float(1.0 - 2.0 * bits.mean())
 
 
+def check_pool(n_bits: int, epsilon: float, rounds: int) -> None:
+    """The rule for a bit-pool run: an even pool of at least 2 bits, a bias
+    in [0, 1) and a nonnegative round count."""
+    if n_bits < 2 or n_bits % 2:
+        raise ValueError(f"bit count must be even and at least 2, got {n_bits}")
+    _check_bias(epsilon)
+    if rounds < 0:
+        raise ValueError(f"round count must be nonnegative, got {rounds}")
+
+
 def simulate_bcs(n_bits: int, epsilon: float, rounds: int, seed: int) -> BcsResult:
     """Stochastic compression of a freshly sampled pool, seeded and exact.
 
@@ -132,11 +142,7 @@ def simulate_bcs(n_bits: int, epsilon: float, rounds: int, seed: int) -> BcsResu
     bits (dropping a trailing unpaired bit), keeps the control bit of every
     agreeing pair, and discards the rest.  Deterministic for a given seed.
     """
-    if n_bits < 2 or n_bits % 2:
-        raise ValueError(f"bit count must be even and at least 2, got {n_bits}")
-    _check_bias(epsilon)
-    if rounds < 0:
-        raise ValueError(f"round count must be nonnegative, got {rounds}")
+    check_pool(n_bits, epsilon, rounds)
     rng = np.random.default_rng(seed)
     bits = (rng.random(n_bits) >= (1.0 + epsilon) / 2.0).astype(np.uint8)
     analytic = epsilon

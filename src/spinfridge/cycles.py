@@ -41,8 +41,8 @@ class PhasePoint:
     dQ1: float
 
 
-def run_cycles(cfg: FridgeConfig, n_cycles: int, theta: float) -> list[CycleRecord]:
-    """Run n_cycles evolve-reset loops and record spin 1 after each.
+def run_cycles(cfg: FridgeConfig, n_cycles: int) -> list[CycleRecord]:
+    """Run n_cycles evolve-reset loops at angle cfg.theta and record spin 1 after each.
 
     The reset keeps spin 1's populations and refreshes spins 2 and 3, so a
     cycle is the affine map p1 <- p1 + delta of fridge.exchange_flow.
@@ -54,7 +54,7 @@ def run_cycles(cfg: FridgeConfig, n_cycles: int, theta: float) -> list[CycleReco
     delta = 0.0
     for n in range(n_cycles + 1):
         if n:
-            delta = exchange_flow(p1, p2, p3, theta)[2]
+            delta = exchange_flow(p1, p2, p3, cfg.theta)[2]
             p1 += delta
         temperature = spin_temperature(1.0 - p1, p1, cfg.E1)
         records.append(CycleRecord(n, temperature, binary_entropy(p1), cfg.E1 * p1, cfg.E1 * delta))

@@ -125,6 +125,7 @@ def ledger_step(
     *,
     step_index: int = 0,
     cumulative_before: float = 0.0,
+    unitary: Operator | None = None,
 ) -> tuple[DensityMatrix, WorkLedgerEntry]:
     """Apply one pulse exp(-i*generator) and book its work and heat.
 
@@ -136,6 +137,9 @@ def ledger_step(
     with the evolution), and dW2 = -tr(rho' H_c) when the field switches
     off.  The net work therefore equals the internal-energy change
     tr[h_sys (rho' - rho)].
+
+    ``unitary`` is exp(-i*generator) when the caller already holds it (a
+    compiled pulse does); by default it is computed here.
     """
     if not generator.is_hermitian():
         raise ValueError("pulse generator must be Hermitian")
@@ -145,7 +149,9 @@ def ledger_step(
         raise ValueError("generator, state, and system Hamiltonian dimensions must agree")
     h_total = (1.0 / duration) * generator
     h_control = h_total - h_sys
-    rho_after = evolve(rho_before, herm_exp(generator, 1.0))
+    if unitary is None:
+        unitary = herm_exp(generator, 1.0)
+    rho_after = evolve(rho_before, unitary)
     dw1 = internal_energy(rho_before, h_control)
     dq1 = internal_energy(rho_after, h_total) - internal_energy(rho_before, h_total)
     dw2 = -internal_energy(rho_after, h_control)

@@ -228,7 +228,7 @@ def test_delta_scale_multiplies_energy_columns_only(tmp_path):
         assert float(b["entropy_q1"]) == pytest.approx(float(a["entropy_q1"]), rel=1e-12)
 
 
-def test_exit_codes(capsys):
+def test_exit_codes(capsys, tmp_path):
     assert main(["exchange", "--t1", "-3"]) == 1  # validation
     assert main(["exchange", "--out", "/nonexistent-dir/x.csv"]) == 2  # I/O
     assert main(["no-such-command"]) == 1  # parser error
@@ -246,6 +246,18 @@ def test_exit_codes(capsys):
     ):
         assert main(args) == 1
         assert len(capsys.readouterr().err.splitlines()) == 1
+    # the bit-pool keys follow one rule, checked at parse time for every command
+    for command, line in (
+        ("cycles", "bits = 3"),
+        ("exchange", "epsilon0 = 1.0"),
+        ("ledger", "rounds = -1"),
+        ("bcs", "bits = 3"),
+    ):
+        path = tmp_path / "pool.cfg"
+        path.write_text(line + "\n")
+        assert main([command, "--config", str(path)]) == 1
+        (message,) = capsys.readouterr().err.splitlines()
+        assert message.startswith("error: ")
 
 
 def test_boltzmann_factor_underflow_is_rejected(tmp_path, capsys):

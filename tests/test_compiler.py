@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
+import spinfridge
 from spinfridge import (
     DensityMatrix,
     FridgeConfig,
@@ -18,6 +19,7 @@ from spinfridge import (
     herm_exp,
     initial_state,
     internal_energy,
+    ledger_step,
     pauli_to_operator,
     permute_blocks,
     run_with_ledger,
@@ -27,6 +29,7 @@ from spinfridge import (
 )
 
 THETAS = (0.0, math.pi / 8.0, math.pi / 4.0, math.pi / 2.0)
+CORE = 5  # position of the theta-dependent ZZ core within each ten-step block
 
 
 def test_sequence_shape():
@@ -157,3 +160,66 @@ def test_gate_step_validation():
         GateStep(label="bad", generator=Operator(np.array([[0, 1], [0, 0]])))
     with pytest.raises(ValueError):
         GateStep(label="bad", generator=Operator(np.eye(2)), duration=0.0)
+
+
+def fresh_ledger(seq, rho0, h_sys):
+    """The ledger fold with ledger_step exponentiating every generator afresh."""
+    rho, entries, cumulative = rho0, [], 0.0
+    for index, step in enumerate(seq.steps, start=1):
+        rho, entry = ledger_step(rho, step.generator, step.duration, h_sys,
+                                 step_index=index, cumulative_before=cumulative)
+        cumulative = entry.cumulative_work
+        entries.append(entry)
+    return rho, entries
+
+
+@pytest.mark.parametrize("theta", (math.pi / 2.0, 0.7, -2.4))
+@pytest.mark.parametrize(
+    "cfg", (FridgeConfig(), FridgeConfig(E1=0.7, E2=2.2, E3=1.5, T1=5.0, T2=3.0, T3=12.0, g=2.5))
+)
+def test_ledger_with_stored_unitaries_is_bit_identical(cfg, theta):
+    seq = compile_exchange(theta, cfg.g)
+    rho0, h_sys = initial_state(cfg), system_hamiltonian(cfg)
+    final, entries = run_with_ledger(seq, rho0, h_sys)
+    want_final, want_entries = fresh_ledger(seq, rho0, h_sys)
+    assert entries == want_entries
+    assert np.array_equal(final.matrix, want_final.matrix)
+
+
+def test_compiles_share_every_theta_independent_step():
+    a, b = compile_exchange(0.3), compile_exchange(-1.7, 2.0)
+    for index, (x, y) in enumerate(zip(a.steps, b.steps)):
+        if index % 10 == CORE:
+            assert x is not y and x.label == y.label
+            assert not np.array_equal(x.generator.matrix, y.generator.matrix)
+        else:
+            assert x is y, (index, x.label)
+    # 4 basis changes and 5 distinct fixed rotations or ZZ pulses
+    assert len({id(step) for index, step in enumerate(a.steps) if index % 10 != CORE}) == 9
+
+
+def test_step_unitary_is_the_exponential_of_its_generator():
+    steps = compile_exchange(1.1).steps + (
+        GateStep(label="Rz@1", generator=pauli_to_operator(PauliString("ZII", 0.3))),
+    )
+    for step in steps:
+        assert np.array_equal(step.unitary().matrix, herm_exp(step.generator, 1.0).matrix)
+        assert step.unitary() is step.unitary()
+
+
+def test_compiling_many_angles_grows_no_cache():
+    def cache_sizes():
+        return {
+            (module.__name__, name): value.cache_info().currsize
+            for module in (spinfridge.compiler, spinfridge.fridge, spinfridge.linalg, spinfridge.thermo)
+            for name, value in vars(module).items()
+            if hasattr(value, "cache_info")
+        }
+
+    compile_exchange(0.0)
+    before = cache_sizes()
+    # the four basis changes and the one frame of fixed pulses around the core
+    assert sum(before.values()) == 5
+    for theta in np.linspace(-10.0, 10.0, 1000):
+        compile_exchange(float(theta))
+    assert cache_sizes() == before

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from spinfridge import (
     CycleRecord,
     DensityMatrix,
@@ -29,7 +30,7 @@ T_BOUND = 10.0 / 13.0
 
 
 def test_run_cycles_shape_and_initial_record():
-    records = run_cycles(FridgeConfig(), 5, math.pi / 2.0)
+    records = run_cycles(FridgeConfig(theta=math.pi / 2.0), 5)
     assert len(records) == 6
     assert [r.n for r in records] == list(range(6))
     assert records[0].T1 == pytest.approx(2.0, abs=1e-10)
@@ -38,26 +39,40 @@ def test_run_cycles_shape_and_initial_record():
 
 def test_run_cycles_requires_at_least_one_cycle():
     with pytest.raises(ValueError):
-        run_cycles(FridgeConfig(), 0, math.pi / 2.0)
+        run_cycles(FridgeConfig(theta=math.pi / 2.0), 0)
+
+
+def test_run_cycles_reads_the_angle_from_the_config():
+    cfg = FridgeConfig(theta=0.1)
+    p1, p2, p3 = (oracles.thermal_population(E, T) for E, T in zip(cfg.gaps, cfg.temps))
+    records = run_cycles(cfg, 5)
+    for record in records[1:]:
+        delta = math.sin(0.1) ** 2 * ((1.0 - p1) * p2 * (1.0 - p3) - p1 * (1.0 - p2) * p3)
+        p1 += delta
+        assert record.dQ1 == pytest.approx(cfg.E1 * delta, rel=1e-12)
+        assert record.energy_q1 == pytest.approx(cfg.E1 * p1, rel=1e-12)
+    # the first cycle at pi/2 moves 1/sin^2(0.1), about 100 times, more heat
+    full = run_cycles(FridgeConfig(theta=math.pi / 2.0), 5)
+    assert full[1].dQ1 == pytest.approx(records[1].dQ1 / math.sin(0.1) ** 2, rel=1e-12)
 
 
 def test_bound_temperature_is_a_fixed_point():
-    cfg = FridgeConfig(T1=T_BOUND)
-    records = run_cycles(cfg, 8, math.pi / 2.0)
+    cfg = FridgeConfig(T1=T_BOUND, theta=math.pi / 2.0)
+    records = run_cycles(cfg, 8)
     for record in records:
         assert record.T1 == pytest.approx(T_BOUND, abs=1e-9)
 
 
 def test_paper_configuration_converges_quickly():
-    records = run_cycles(FridgeConfig(), 20, math.pi / 2.0)
+    records = run_cycles(FridgeConfig(theta=math.pi / 2.0), 20)
     assert abs(records[-1].T1 - T_BOUND) < 1e-3
     hits = [r.n for r in records if abs(r.T1 - T_BOUND) < 1e-3]
     assert hits and hits[0] <= 20
 
 
 def test_smaller_angle_converges_more_slowly_to_the_same_limit():
-    fast = run_cycles(FridgeConfig(), 300, math.pi / 2.0)
-    slow = run_cycles(FridgeConfig(), 300, math.pi / 8.0)
+    fast = run_cycles(FridgeConfig(theta=math.pi / 2.0), 300)
+    slow = run_cycles(FridgeConfig(theta=math.pi / 8.0), 300)
     assert fast[-1].T1 == pytest.approx(slow[-1].T1, abs=1e-6)
     assert fast[-1].T1 == pytest.approx(T_BOUND, abs=1e-6)
 
@@ -72,7 +87,7 @@ def test_smaller_angle_converges_more_slowly_to_the_same_limit():
 
 def test_temperature_is_monotone_non_increasing():
     for theta in (math.pi / 8.0, math.pi / 3.0, math.pi / 2.0):
-        records = run_cycles(FridgeConfig(), 60, theta)
+        records = run_cycles(FridgeConfig(theta=theta), 60)
         temps = [r.T1 for r in records]
         assert all(b <= a + 1e-12 for a, b in zip(temps[:-1], temps[1:]))
         # entropy of the target spin also falls while cooling
@@ -111,7 +126,7 @@ def test_detect_convergence_paths():
 
 
 def test_detect_convergence_on_the_reference_run():
-    records = run_cycles(FridgeConfig(), 80, math.pi / 2.0)
+    records = run_cycles(FridgeConfig(theta=math.pi / 2.0), 80)
     converged, limit = detect_convergence(records, 1e-8)
     assert converged
     assert limit == pytest.approx(T_BOUND, abs=1e-6)

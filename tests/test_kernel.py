@@ -203,7 +203,7 @@ CYCLE_ANGLES = (math.pi / 8.0, 0.9, math.pi / 2.0, 2.5, 4.0)
 @pytest.mark.parametrize("cfg", CYCLE_CONFIGS)
 @pytest.mark.parametrize("theta", CYCLE_ANGLES)
 def test_run_cycles_matches_the_dense_loop(cfg, theta):
-    kernel, dense = run_cycles(cfg, 200, theta), dense_cycles(cfg, 200, theta)
+    kernel, dense = run_cycles(replace(cfg, theta=theta), 200), dense_cycles(cfg, 200, theta)
     assert len(kernel) == len(dense) == 201
     for got, want in zip(kernel, dense):
         assert got.n == want.n
@@ -224,7 +224,7 @@ def contraction(cfg: FridgeConfig, theta: float) -> tuple[float, float]:
 @pytest.mark.parametrize("theta", CYCLE_ANGLES)
 def test_cycle_contraction_rate_is_closed_form(cfg, theta):
     r, fixed = contraction(cfg, theta)
-    p1 = [record.energy_q1 / cfg.E1 for record in run_cycles(cfg, 200, theta)]
+    p1 = [record.energy_q1 / cfg.E1 for record in run_cycles(replace(cfg, theta=theta), 200)]
     checked = 0
     for before, after in zip(p1[:-1], p1[1:]):
         if abs(before - fixed) < 1e-5:
@@ -247,8 +247,8 @@ def test_detect_convergence_agrees_with_the_contraction_rate(cfg, theta):
     # keep clear of the threshold, so that rounding cannot decide the count
     assert diffs[first] < tol * (1.0 - 1e-6) and (first == 0 or diffs[first - 1] > tol * (1.0 + 1e-6))
     cycles = max(first + 5, 5)  # the first cycle whose last five steps are all below tol
-    assert detect_convergence(run_cycles(cfg, cycles, theta), tol)[0]
-    assert not detect_convergence(run_cycles(cfg, cycles - 1, theta), tol)[0]
+    assert detect_convergence(run_cycles(replace(cfg, theta=theta), cycles), tol)[0]
+    assert not detect_convergence(run_cycles(replace(cfg, theta=theta), cycles - 1), tol)[0]
 
 
 @pytest.mark.parametrize(
