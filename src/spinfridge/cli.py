@@ -15,18 +15,23 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import math
+import operator
 import sys
 from dataclasses import asdict, dataclass, field, fields
-from typing import get_type_hints
+from typing import Sequence, get_type_hints
+
+import numpy as np
 
 from . import __version__
-from .cooling import PRNG_ID, check_pool, simulate_bcs
+from .cooling import PRNG_ID, check_bias, check_bits, check_rounds, simulate_bcs
 from .compiler import compile_exchange, run_with_ledger, verify
-from .cycles import check_grid, run_cycles, scan_phase_diagram
+from .cycles import check_grid, phase_diagram_arrays, run_cycles
 from .fridge import (
-    FridgeConfig, carnot_limit, cop, exchange, exchange_sweep, initial_state, system_hamiltonian,
+    FridgeConfig, carnot_limit, check_positive, check_theta, cop, exchange, exchange_sweep,
+    initial_state, system_hamiltonian,
 )
 
 FIDELITY_GATE = 1.0 - 1e-8
@@ -65,16 +70,12 @@ class RunConfig:
     delta_scale: float = _key(1.0, "display multiplier for delta-unit columns")
 
     def fridge(self, theta: float | None = None) -> FridgeConfig:
-        return FridgeConfig(
-            E1=self.e1,
-            E2=self.e2,
-            E3=self.e3,
-            T1=self.t1,
-            T2=self.t2,
-            T3=self.t3,
-            g=self.g,
-            theta=self.theta[0] if theta is None else theta,
-        )
+        return FridgeConfig(**{name: getattr(self, key) for key, name in _FRIDGE_KEYS.items()},
+                            theta=self.theta[0] if theta is None else theta)
+
+
+# the config keys that are FridgeConfig fields other than theta: e1 is E1, g is g
+_FRIDGE_KEYS = {f.name.lower(): f.name for f in fields(FridgeConfig) if f.name != "theta"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,6 +89,8 @@ def _parse_theta(text: str) -> tuple[float, ...]:
     values = tuple(float(part) for part in text.split(",") if part.strip())
     if not values:
         raise ValueError("theta list must not be empty")
+    for theta in values:
+        check_theta(theta)
     return values
 
 
@@ -124,6 +127,23 @@ _PARSERS = {
 # every key reads its text with its _PARSERS entry, else with its annotated type
 _READERS = {name: _PARSERS.get(name, hint)
             for name, hint in get_type_hints(RunConfig).items() if name != "command"}
+
+
+def _check_cycles(cycles: int) -> None:
+    if not 1 <= cycles <= MAX_CYCLES:
+        raise ValueError(f"cycles must lie in [1, {MAX_CYCLES}], got {cycles}")
+
+
+# the rules of one key each, applied where the key is read so that an error
+# names its flag or file line; the rules across keys (E2 = E1 + E3, the E/T
+# underflow) run on the resolved config
+_RULES = {
+    **{key: functools.partial(check_positive, name) for key, name in _FRIDGE_KEYS.items()},
+    "cycles": _check_cycles,
+    "bits": check_bits,
+    "epsilon0": check_bias,
+    "rounds": check_rounds,
+}
 
 
 def _read_config_file(path: str) -> list[tuple[str, str, str]]:
@@ -172,25 +192,21 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
     for key, source, text in entries:  # flags come last, so they win
         try:
             values[key] = _READERS[key](text)
+            if key in _RULES:
+                _RULES[key](values[key])
         except ValueError as exc:
             raise ValueError(f"{source}: {exc}") from None
     cfg = RunConfig(command=namespace.command, **values)
 
     for theta in cfg.theta:
-        cfg.fridge(theta)  # validates gaps, temperatures (E2 = E1 + E3) and each angle
-    if not 1 <= cfg.cycles <= MAX_CYCLES:
-        raise ValueError(f"cycles must lie in [1, {MAX_CYCLES}], got {cfg.cycles}")
-    check_pool(cfg.bits, cfg.epsilon0, cfg.rounds)
+        cfg.fridge(theta)  # the rules across keys: E2 = E1 + E3 and the E/T underflow
     return cfg
 
 
-def _scaled(rows: list[dict], columns: set[str], scale: float) -> list[dict]:
-    if scale == 1.0 or not columns:
-        return rows
-    return [
-        {k: (v * scale if k in columns else v) for k, v in row.items()}
-        for row in rows
-    ]
+def _scaled(columns: dict[str, Sequence], names: set[str], scale: float) -> dict[str, Sequence]:
+    if scale == 1.0:
+        return columns
+    return {k: (np.multiply(v, scale) if k in names else v) for k, v in columns.items()}
 
 
 def _json_value(value):
@@ -208,24 +224,70 @@ def _json_value(value):
     return str(value)
 
 
-def emit(rows: list[dict], fmt: str, path: str | None, meta: dict) -> int:
-    """Write rows as CSV or JSON; byte-identical for identical inputs."""
+def _float_texts(values: list, quote_nonfinite: bool) -> list[str]:
+    """repr of each float, computed once per distinct value."""
+    distinct = set(values)
+    table = dict(zip(distinct, map(float.__repr__, distinct)))
+    if quote_nonfinite and not all(map(math.isfinite, distinct)):
+        table = {v: text if math.isfinite(v) else f'"{text}"' for v, text in table.items()}
+    texts = list(map(table.__getitem__, values))
+    if 0.0 in table:  # -0.0 and 0.0 are one key, so each zero gets its own text
+        for index in itertools.compress(itertools.count(), map(operator.not_, values)):
+            texts[index] = float.__repr__(values[index])
+    return texts
+
+
+def _column_texts(values: list, fmt: str) -> tuple[list[str], bool]:
+    """The text of each value of one column in fmt, and whether a CSV field of it
+    may need quoting."""
+    kinds = set(map(type, values))
+    if all(issubclass(kind, float) for kind in kinds):
+        return _float_texts(values, quote_nonfinite=fmt == "json"), False
+    if kinds == {int}:
+        return list(map(int.__repr__, values)), False
+    if fmt == "csv":
+        texts = [repr(float(v)) if isinstance(v, float) else str(v) for v in values]
+    else:
+        texts = [json.dumps(_json_value(v)) for v in values]
+    plain = all(issubclass(kind, float) or kind in (int, bool, type(None)) for kind in kinds)
+    return texts, not plain
+
+
+def emit(columns: dict[str, Sequence], fmt: str, path: str | None, meta: dict) -> int:
+    """Write equal-length columns of scalars as CSV or JSON rows; byte-identical
+    for identical inputs.
+
+    A float's text is repr(float(v)); JSON writes 'inf', '-inf' and 'nan' as
+    strings.  Each column is formatted as a whole, and only columns whose
+    fields may need quoting go through csv.writer.
+    """
+    values = [col.tolist() if isinstance(col, np.ndarray) else list(col)
+              for col in columns.values()]
+    if len(set(map(len, values))) > 1:
+        raise ValueError("columns must have equal lengths")
+    formatted = [_column_texts(col, fmt) for col in values]
+    rows = zip(*(texts for texts, _ in formatted))
+    has_rows = bool(values and values[0])
     if fmt == "csv":
         buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        if rows:
-            writer.writerow(list(rows[0].keys()))
-            for row in rows:
-                writer.writerow(
-                    [repr(float(v)) if isinstance(v, float) else str(v) for v in row.values()]
-                )
+        if has_rows:
+            writer = csv.writer(buffer, lineterminator="\n")
+            writer.writerow(columns.keys())
+            if any(quote for _, quote in formatted):
+                writer.writerows(rows)
+            else:
+                buffer.write("\n".join(map(",".join, rows)) + "\n")
         payload = buffer.getvalue()
     else:
-        document = {
-            "meta": {k: _json_value(v) for k, v in meta.items()},
-            "data": [{k: _json_value(v) for k, v in row.items()} for row in rows],
-        }
-        payload = json.dumps(document, indent=2) + "\n"
+        document = {"meta": {k: _json_value(v) for k, v in meta.items()}, "data": []}
+        payload = json.dumps(document, indent=2)
+        if has_rows:
+            # each row as json.dumps(indent=2) lays out a dict inside the data list
+            keys = (json.dumps(name).replace("%", "%%") for name in columns)
+            template = "    {\n" + ",\n".join(f"      {key}: %s" for key in keys) + "\n    }"
+            body = ",\n".join(map(template.__mod__, rows))
+            payload = payload[:-len("[]\n}")] + "[\n" + body + "\n  ]\n}"
+        payload += "\n"
     if path is None or path == "-":
         sys.stdout.write(payload)
     else:
@@ -249,62 +311,67 @@ def _meta(cfg: RunConfig) -> dict:
     return meta
 
 
-def _rows_exchange(cfg: RunConfig) -> list[dict]:
-    report = exchange(cfg.fridge())
-    return [asdict(report)]
+def _record_columns(records: Sequence) -> dict[str, tuple]:
+    """One column per field of the dataclass records (at least one)."""
+    names = [f.name for f in fields(records[0])]
+    return dict(zip(names, zip(*map(operator.attrgetter(*names), records))))
 
 
-def _rows_ledger(cfg: RunConfig) -> list[dict]:
+def _columns_exchange(cfg: RunConfig) -> dict[str, Sequence]:
+    return _record_columns([exchange(cfg.fridge())])
+
+
+def _columns_ledger(cfg: RunConfig) -> dict[str, Sequence]:
     fridge_cfg = cfg.fridge()
     sequence = compile_exchange(cfg.theta[0], fridge_cfg.g)
     _, entries = run_with_ledger(sequence, initial_state(fridge_cfg), system_hamiltonian(fridge_cfg))
-    return [dict(vars(entry)) for entry in entries]
+    return _record_columns(entries)
 
 
-def _rows_cycles(cfg: RunConfig) -> list[dict]:
-    rows: list[dict] = []
+def _columns_cycles(cfg: RunConfig) -> dict[str, Sequence]:
+    thetas: list[float] = []
+    records = []
     for theta in cfg.theta:
-        for record in run_cycles(cfg.fridge(theta), cfg.cycles):
-            row = dict(vars(record))
-            rows.append({"n": row.pop("n"), "theta": theta, **row})
-    return rows
+        run = run_cycles(cfg.fridge(theta), cfg.cycles)
+        thetas += [theta] * len(run)
+        records += run
+    columns = _record_columns(records)
+    return {"n": columns.pop("n"), "theta": thetas, **columns}
 
 
-def _rows_phase_diagram(cfg: RunConfig) -> list[dict]:
+def _columns_phase_diagram(cfg: RunConfig) -> dict[str, Sequence]:
     t2_min, t2_max, t3_min, t3_max, steps = cfg.grid
-    points = scan_phase_diagram((t2_min, t2_max), (t3_min, t3_max), steps, cfg.t1,
-                                cfg.theta[0], base=cfg.fridge())
-    return [dict(vars(point)) for point in points]
+    t2s, t3s, dq1 = phase_diagram_arrays((t2_min, t2_max), (t3_min, t3_max), steps, cfg.t1,
+                                         cfg.theta[0], base=cfg.fridge())
+    return {"T2": t2s, "T3": t3s, "dQ1": dq1}
 
 
-def _rows_cop(cfg: RunConfig) -> list[dict]:
+def _columns_cop(cfg: RunConfig) -> dict[str, Sequence]:
     t2_min, t2_max, _, _, steps = cfg.grid
     base = cfg.fridge()
-    t2s = [t2_min + (t2_max - t2_min) * index / (steps - 1) for index in range(steps)]
-    rows = []
-    for t2, flow in zip(t2s, exchange_sweep(base, t2s, base.T3).tolist()):
-        # nan outside the engine+fridge ordering
-        limit = carnot_limit(base.T1, t2, base.T3) if base.T1 <= t2 < base.T3 else math.nan
-        rows.append({"T2": t2, "cop": cop(base), "carnot_limit": limit,
-                     "dQ1": base.E1 * flow, "dQ3": base.E3 * flow})
-    return rows
+    t2s = t2_min + (t2_max - t2_min) * np.arange(steps) / (steps - 1)
+    flow = exchange_sweep(base, t2s, base.T3)
+    # nan outside the engine+fridge ordering
+    limits = [carnot_limit(base.T1, t2, base.T3) if base.T1 <= t2 < base.T3 else math.nan
+              for t2 in t2s.tolist()]
+    return {"T2": t2s, "cop": [cop(base)] * steps, "carnot_limit": limits,
+            "dQ1": base.E1 * flow, "dQ3": base.E3 * flow}
 
 
-def _rows_bcs(cfg: RunConfig) -> list[dict]:
-    result = simulate_bcs(cfg.bits, cfg.epsilon0, cfg.rounds, cfg.seed)
-    rows = [asdict(r) for r in result.rounds]
-    return [{"round": row.pop("round_index"), **row} for row in rows]
+def _columns_bcs(cfg: RunConfig) -> dict[str, Sequence]:
+    columns = _record_columns(simulate_bcs(cfg.bits, cfg.epsilon0, cfg.rounds, cfg.seed).rounds)
+    return {"round": columns.pop("round_index"), **columns}
 
 
-# per command: its row builder and its columns in delta (or delta/k_B) units;
+# per command: its column builder and its columns in delta (or delta/k_B) units;
 # run() writes the verify-decomposition rows itself
 _COMMANDS = {
-    "exchange": (_rows_exchange, {"dQ1", "dQ2", "dQ3", "T1_after", "T2_after", "T3_after"}),
-    "ledger": (_rows_ledger, {"dW1", "dQ1", "dW2", "net_work", "cumulative_work"}),
-    "cycles": (_rows_cycles, {"T1", "energy_q1", "dQ1"}),
-    "phase-diagram": (_rows_phase_diagram, {"T2", "T3", "dQ1"}),
-    "cop": (_rows_cop, {"T2", "dQ1", "dQ3"}),
-    "bcs": (_rows_bcs, set()),
+    "exchange": (_columns_exchange, {"dQ1", "dQ2", "dQ3", "T1_after", "T2_after", "T3_after"}),
+    "ledger": (_columns_ledger, {"dW1", "dQ1", "dW2", "net_work", "cumulative_work"}),
+    "cycles": (_columns_cycles, {"T1", "energy_q1", "dQ1"}),
+    "phase-diagram": (_columns_phase_diagram, {"T2", "T3", "dQ1"}),
+    "cop": (_columns_cop, {"T2", "dQ1", "dQ3"}),
+    "bcs": (_columns_bcs, set()),
     "verify-decomposition": (None, set()),
 }
 COMMANDS = tuple(_COMMANDS)
@@ -314,23 +381,23 @@ def run(cfg: RunConfig) -> int:
     """Dispatch one command; returns the process exit code."""
     if cfg.command == "verify-decomposition":
         fidelities = []
-        dump_rows: list[dict] = []
+        listing: dict[str, Sequence] = {}
         for position, theta in enumerate(cfg.theta):
             sequence = compile_exchange(theta, cfg.g)
             fidelity = verify(sequence)
             fidelities.append(fidelity)
             print(f"theta={theta!r} fidelity={fidelity!r}", file=sys.stderr)
             if position == 0:
-                dump_rows = [
-                    {"index": i, "label": s.label, "duration": s.duration}
-                    for i, s in enumerate(sequence.steps, start=1)
-                ]
-        emit(dump_rows, cfg.format, cfg.out, _meta(cfg))
+                steps = sequence.steps
+                listing = {"index": range(1, len(steps) + 1),
+                           "label": [s.label for s in steps],
+                           "duration": [s.duration for s in steps]}
+        emit(listing, cfg.format, cfg.out, _meta(cfg))
         return 0 if min(fidelities) >= FIDELITY_GATE else 1
 
     build, scaled_columns = _COMMANDS[cfg.command]
-    rows = _scaled(build(cfg), scaled_columns, cfg.delta_scale)
-    return emit(rows, cfg.format, cfg.out, _meta(cfg))
+    columns = _scaled(build(cfg), scaled_columns, cfg.delta_scale)
+    return emit(columns, cfg.format, cfg.out, _meta(cfg))
 
 
 def main(argv: list[str] | None = None) -> int:

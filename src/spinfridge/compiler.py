@@ -34,7 +34,9 @@ from .linalg import (
     DensityMatrix,
     Operator,
     PauliString,
+    eigh_exp,
     embed_single,
+    herm_eigh,
     herm_exp,
     pauli_to_operator,
 )
@@ -147,6 +149,16 @@ def compile_exchange(theta: float, g: float = 1.0) -> CompiledSequence:
     return CompiledSequence(steps=tuple(steps), theta=theta, term_boundaries=boundaries)
 
 
+@functools.lru_cache(maxsize=1)
+def _exchange_eigh() -> tuple[np.ndarray, np.ndarray]:
+    """The eigendecomposition of the unit exchange coupling, which verify
+    exponentiates at every angle."""
+    w, v = herm_eigh(exchange_generator(1.0))
+    w.setflags(write=False)
+    v.setflags(write=False)
+    return w, v
+
+
 def sequence_unitary(seq: CompiledSequence) -> Operator:
     """Ordered product of the step unitaries (step 0 applied first)."""
     total = Operator(np.eye(seq.steps[0].generator.dim, dtype=complex))
@@ -163,7 +175,7 @@ def verify(seq: CompiledSequence, theta: float | None = None) -> float:
     if theta is None:
         theta = seq.theta
     u_seq = sequence_unitary(seq)
-    u_direct = herm_exp(exchange_generator(1.0), theta)
+    u_direct = eigh_exp(_exchange_eigh(), theta)
     overlap = np.trace(u_seq.matrix.conj().T @ u_direct.matrix)
     return float(abs(overlap)) / u_seq.dim
 

@@ -57,14 +57,15 @@ class BcsResult:
     prng: str = PRNG_ID
 
 
-def _check_bias(epsilon: float) -> None:
+def check_bias(epsilon: float) -> None:
+    """The rule for a pool's bias: [0, 1)."""
     if not (0.0 <= epsilon < 1.0):
         raise ValueError(f"bias must lie in [0, 1), got {epsilon}")
 
 
 def bcs_bias(epsilon: float) -> float:
     """One compression round: eps -> 2*eps/(1 + eps^2)."""
-    _check_bias(epsilon)
+    check_bias(epsilon)
     return 2.0 * epsilon / (1.0 + epsilon * epsilon)
 
 
@@ -74,7 +75,7 @@ def bcs_outcome_probs(epsilon: float) -> tuple[float, float, float, float]:
     Order: (0,0)->(0,0), (0,1)->(0,1), (1,0)->(1,1), (1,1)->(1,0).
     They sum to one identically.
     """
-    _check_bias(epsilon)
+    check_bias(epsilon)
     p00 = (1.0 + epsilon) ** 2 / 4.0
     p_mixed = (1.0 - epsilon * epsilon) / 4.0
     p11 = (1.0 - epsilon) ** 2 / 4.0
@@ -87,7 +88,7 @@ def expected_purified(l: int, m: int, epsilon0: float) -> float:
         raise ValueError(f"cycle count must be at least 1, got {l}")
     if m < 2 or m % 2:
         raise ValueError(f"segment size must be even and at least 2, got {m}")
-    _check_bias(epsilon0)
+    check_bias(epsilon0)
     return l * m * (1.0 + epsilon0 * epsilon0) / 4.0
 
 
@@ -97,7 +98,7 @@ def rounds_to_bias(epsilon0: float, epsilon_target: float) -> int:
     Returns 0 when the target is already met.  A zero starting bias is a
     fixed point, so any positive target is unreachable from it.
     """
-    _check_bias(epsilon0)
+    check_bias(epsilon0)
     if not (0.0 < epsilon_target < 1.0):
         raise ValueError(f"target bias must lie in (0, 1), got {epsilon_target}")
     if epsilon_target <= epsilon0:
@@ -125,12 +126,14 @@ def _empirical_bias(bits: np.ndarray) -> float:
     return float(1.0 - 2.0 * bits.mean())
 
 
-def check_pool(n_bits: int, epsilon: float, rounds: int) -> None:
-    """The rule for a bit-pool run: an even pool of at least 2 bits, a bias
-    in [0, 1) and a nonnegative round count."""
+def check_bits(n_bits: int) -> None:
+    """The rule for a pool's size: even and at least 2 bits."""
     if n_bits < 2 or n_bits % 2:
         raise ValueError(f"bit count must be even and at least 2, got {n_bits}")
-    _check_bias(epsilon)
+
+
+def check_rounds(rounds: int) -> None:
+    """The rule for a round count: nonnegative."""
     if rounds < 0:
         raise ValueError(f"round count must be nonnegative, got {rounds}")
 
@@ -142,7 +145,9 @@ def simulate_bcs(n_bits: int, epsilon: float, rounds: int, seed: int) -> BcsResu
     bits (dropping a trailing unpaired bit), keeps the control bit of every
     agreeing pair, and discards the rest.  Deterministic for a given seed.
     """
-    check_pool(n_bits, epsilon, rounds)
+    check_bits(n_bits)
+    check_bias(epsilon)
+    check_rounds(rounds)
     rng = np.random.default_rng(seed)
     bits = (rng.random(n_bits) >= (1.0 + epsilon) / 2.0).astype(np.uint8)
     analytic = epsilon

@@ -10,7 +10,6 @@ independently of theta.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -83,6 +82,29 @@ def check_grid(
         raise ValueError("temperature ranges must be positive and ordered")
 
 
+def phase_diagram_arrays(
+    t2_range: tuple[float, float],
+    t3_range: tuple[float, float],
+    grid: int | tuple[int, int],
+    t1_fixed: float,
+    theta: float,
+    *,
+    base: FridgeConfig | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(T2, T3, dQ1) of one exchange per grid cell at fixed T1, one entry per cell.
+
+    Cells are ordered by T2 then T3.  Gaps are taken from ``base`` (default
+    configuration if omitted).
+    """
+    n2, n3 = (grid, grid) if isinstance(grid, int) else (int(grid[0]), int(grid[1]))
+    check_grid(t2_range, t3_range, n2, n3)
+    base = replace(base or FridgeConfig(), T1=t1_fixed, theta=theta)
+    t2s = np.linspace(t2_range[0], t2_range[1], n2)
+    t3s = np.linspace(t3_range[0], t3_range[1], n3)
+    dq1 = base.E1 * exchange_sweep(base, t2s[:, None], t3s[None, :])
+    return t2s.repeat(n3), np.tile(t3s, n2), dq1.ravel()
+
+
 def scan_phase_diagram(
     t2_range: tuple[float, float],
     t3_range: tuple[float, float],
@@ -92,16 +114,6 @@ def scan_phase_diagram(
     *,
     base: FridgeConfig | None = None,
 ) -> list[PhasePoint]:
-    """One exchange per (T2, T3) grid cell at fixed T1; records dQ1.
-
-    Rows are ordered by T2 then T3.  Gaps are taken from ``base`` (default
-    configuration if omitted).
-    """
-    n2, n3 = (grid, grid) if isinstance(grid, int) else (int(grid[0]), int(grid[1]))
-    check_grid(t2_range, t3_range, n2, n3)
-    base = replace(base or FridgeConfig(), T1=t1_fixed, theta=theta)
-    t2s = np.linspace(t2_range[0], t2_range[1], n2)
-    t3s = np.linspace(t3_range[0], t3_range[1], n3)
-    dq1 = base.E1 * exchange_sweep(base, t2s[:, None], t3s[None, :])
-    cells = itertools.product(t2s.tolist(), t3s.tolist())
-    return [PhasePoint(T2=t2, T3=t3, dQ1=q) for (t2, t3), q in zip(cells, dq1.ravel().tolist())]
+    """phase_diagram_arrays as one PhasePoint per cell."""
+    cells = phase_diagram_arrays(t2_range, t3_range, grid, t1_fixed, theta, base=base)
+    return [PhasePoint(*cell) for cell in zip(*(column.tolist() for column in cells))]

@@ -51,6 +51,18 @@ def is_self_contained(E1: float, E2: float, E3: float) -> bool:
     return math.isclose(E2, E1 + E3, rel_tol=SELF_CONTAINED_RTOL)
 
 
+def check_positive(name: str, value: float) -> None:
+    """The rule of each gap, temperature and the coupling: positive and finite."""
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def check_theta(theta: float) -> None:
+    """The rule of an evolution angle: finite."""
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
+
+
 @dataclass(frozen=True)
 class FridgeConfig:
     """Gaps, bath temperatures, coupling, and evolution angle theta = g*t.
@@ -70,16 +82,13 @@ class FridgeConfig:
 
     def __post_init__(self) -> None:
         for name in ("E1", "E2", "E3", "T1", "T2", "T3", "g"):
-            value = getattr(self, name)
-            if not (value > 0.0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+            check_positive(name, getattr(self, name))
         if not is_self_contained(self.E1, self.E2, self.E3):
             raise ValueError(
                 "E2 must equal E1 + E3 (self-contained condition): "
                 f"E2={self.E2}, E1+E3={self.E1 + self.E3}"
             )
-        if not math.isfinite(self.theta):
-            raise ValueError(f"theta must be finite, got {self.theta}")
+        check_theta(self.theta)
         for spin, (gap, temp) in enumerate(zip(self.gaps, self.temps), start=1):
             if math.exp(-gap / temp) < sys.float_info.min:
                 raise ValueError(f"spin {spin}: E{spin}/T{spin} = {gap / temp!r} exceeds about "
@@ -230,16 +239,18 @@ def bound_temperature(E1: float, E2: float, E3: float, T2: float, T3: float) -> 
     return E1 / denom
 
 
-def phase_boundary_value(T2: float, T3: float) -> float:
-    """6*T3 - 4*T2 - T2*T3; positive iff cooling works at the default point.
+def phase_boundary_value(T2: float, T3: float, *, base: FridgeConfig | None = None) -> float:
+    """E2*T1*T3 - E3*T1*T2 - E1*T2*T3 at bath temperatures T2, T3; positive iff
+    cooling works.
 
-    The constants correspond to gaps (1, 3, 2) delta with the target spin
-    held at T1 = 2 delta/k_B; the expression is the working condition
-    cleared of denominators for that setting.
+    This is the working condition E1/T1 + E3/T3 < E2/T2 cleared of its
+    denominators, with gaps and T1 from ``base`` (default configuration if
+    omitted, where it reads 6*T3 - 4*T2 - T2*T3).
     """
     if not (T2 > 0.0 and T3 > 0.0):
         raise ValueError("temperatures must be positive")
-    return 6.0 * T3 - 4.0 * T2 - T2 * T3
+    base = base or FridgeConfig()
+    return base.E2 * base.T1 * T3 - base.E3 * base.T1 * T2 - base.E1 * T2 * T3
 
 
 def cop(cfg: FridgeConfig) -> float:

@@ -234,12 +234,22 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     return DensityMatrix(reduced.reshape(2**k, 2**k))
 
 
-def herm_exp(h: Operator, t: float) -> Operator:
-    """Unitary exp(-i*h*t) for Hermitian h, via eigendecomposition."""
+def herm_eigh(h: Operator) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors (w, v) of a Hermitian h."""
     if not h.is_hermitian():
         raise ValueError("herm_exp requires a Hermitian generator")
-    w, v = np.linalg.eigh(h.matrix)
+    return np.linalg.eigh(h.matrix)
+
+
+def eigh_exp(eig: tuple[np.ndarray, np.ndarray], t: float) -> Operator:
+    """Unitary exp(-i*h*t) from the eigendecomposition eig = herm_eigh(h)."""
+    w, v = eig
     return Operator((v * np.exp(-1j * w * t)) @ v.conj().T)
+
+
+def herm_exp(h: Operator, t: float) -> Operator:
+    """Unitary exp(-i*h*t) for Hermitian h, via eigendecomposition."""
+    return eigh_exp(herm_eigh(h), t)
 
 
 def evolve(rho: DensityMatrix, u: Operator) -> DensityMatrix:

@@ -189,7 +189,7 @@ def test_verify_decomposition_checks_every_angle_before_output(tmp_path, capsys)
     out = tmp_path / "seq.csv"
     assert run_cli(["verify-decomposition", "--theta=0.5,inf"], out) == 1
     captured = capsys.readouterr()
-    assert captured.err.splitlines() == ["error: theta must be finite, got inf"]
+    assert captured.err.splitlines() == ["error: argument --theta: theta must be finite, got inf"]
     assert captured.out == ""
     assert not out.exists()
 
@@ -258,6 +258,31 @@ def test_exit_codes(capsys, tmp_path):
         assert main([command, "--config", str(path)]) == 1
         (message,) = capsys.readouterr().err.splitlines()
         assert message.startswith("error: ")
+    # a rule of one key names the flag or the file line its value came from
+    config = tmp_path / "key.cfg"
+    for key, text, reason in (
+        ("t1", "-3", "T1 must be positive and finite, got -3.0"),
+        ("g", "0", "g must be positive and finite, got 0.0"),
+        ("theta", "0.5,inf", "theta must be finite, got inf"),
+        ("cycles", "0", "cycles must lie in [1, 100000], got 0"),
+        ("bits", "3", "bit count must be even and at least 2, got 3"),
+        ("epsilon0", "1.0", "bias must lie in [0, 1), got 1.0"),
+        ("rounds", "-1", "round count must be nonnegative, got -1"),
+    ):
+        assert main(["bcs", f"--{key}={text}"]) == 1
+        assert capsys.readouterr().err == f"error: argument --{key}: {reason}\n"
+        config.write_text(f"# line 1\n{key} = {text}\n")
+        assert main(["bcs", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: {config}:2: {key}: {reason}\n"
+    # a rule across keys reports no single source
+    for args, reason in (
+        (["exchange", "--e3", "2.5"], "E2 must equal E1 + E3 (self-contained condition): "
+                                      "E2=3.0, E1+E3=3.5"),
+        (["exchange", "--t1", "0.001"], "spin 1: E1/T1 = 1000.0 exceeds about 708.4, "
+                                        "where e^(-E/T) underflows"),
+    ):
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"error: {reason}\n"
 
 
 def test_boltzmann_factor_underflow_is_rejected(tmp_path, capsys):

@@ -14,6 +14,7 @@ from spinfridge import (
     GateStep,
     Operator,
     PauliString,
+    build_h_exc,
     compile_exchange,
     evolve,
     herm_exp,
@@ -86,6 +87,26 @@ def test_verify_against_scipy_oracle():
     u_direct = oracles.expm_unitary(oracles.exchange_matrix(), theta)
     fidelity = abs(np.trace(u_seq.conj().T @ u_direct)) / 8.0
     assert fidelity >= 1.0 - 1e-12
+
+
+def fresh_fidelity(seq, theta):
+    """verify's fidelity with the direct exponential computed afresh by herm_exp."""
+    u_seq = sequence_unitary(seq)
+    u_direct = herm_exp(build_h_exc(FridgeConfig()), theta)
+    return float(abs(np.trace(u_seq.matrix.conj().T @ u_direct.matrix))) / u_seq.dim
+
+
+@pytest.mark.parametrize("theta", (*THETAS, -2.4, 0.9321, 12.5))
+def test_verify_reuses_one_eigendecomposition(theta, monkeypatch):
+    seq = compile_exchange(theta)
+    expected = (fresh_fidelity(seq, theta), fresh_fidelity(seq, theta + 0.25))
+    verify(seq)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *args: calls.append(1) or eigh(*args))
+    # bit-identical to a fresh exponential, and no eigendecomposition per angle
+    assert (verify(seq), verify(seq, theta + 0.25)) == expected
+    assert calls == []
 
 
 def test_single_sign_flip_is_detected():
@@ -216,10 +237,11 @@ def test_compiling_many_angles_grows_no_cache():
             if hasattr(value, "cache_info")
         }
 
-    compile_exchange(0.0)
+    verify(compile_exchange(0.0))
     before = cache_sizes()
-    # the four basis changes and the one frame of fixed pulses around the core
-    assert sum(before.values()) == 5
+    # the four basis changes, the one frame of fixed pulses around the core and
+    # the one eigendecomposition verify exponentiates
+    assert sum(before.values()) == 6
     for theta in np.linspace(-10.0, 10.0, 1000):
-        compile_exchange(float(theta))
+        verify(compile_exchange(float(theta)))
     assert cache_sizes() == before

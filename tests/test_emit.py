@@ -1,0 +1,202 @@
+"""The columnar artifact writer against the row-by-row writer it replaced.
+
+``row_emit`` is that writer, kept as the oracle: every row through
+``csv.writer``, every float through ``repr(float(v))``, and JSON through
+``json.dumps(indent=2)``.  ``cli.emit`` must write the same bytes.
+"""
+
+import contextlib
+import csv
+import io
+import json
+import math
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import spinfridge.cli as cli
+from spinfridge import FridgeConfig, carnot_limit, cop, exchange_sweep, scan_phase_diagram
+from spinfridge.cli import emit, main
+
+META = {"command": "test", "delta_scale": 2.5, "config": {"theta": [0.5, math.inf], "n": 3}}
+
+
+def _json_value(value):
+    if isinstance(value, float):
+        value = float(value)
+        if not math.isfinite(value):
+            return repr(value)  # 'inf', '-inf', 'nan'
+        return value
+    if isinstance(value, dict):
+        return {k: _json_value(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_value(v) for v in value]
+    if isinstance(value, (int, str)) or value is None:
+        return value
+    return str(value)
+
+
+def row_emit(rows: list[dict], fmt: str, path, meta: dict) -> int:
+    """The row-by-row writer: the oracle for cli.emit."""
+    if fmt == "csv":
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        if rows:
+            writer.writerow(list(rows[0].keys()))
+            for row in rows:
+                writer.writerow(
+                    [repr(float(v)) if isinstance(v, float) else str(v) for v in row.values()]
+                )
+        payload = buffer.getvalue()
+    else:
+        document = {
+            "meta": {k: _json_value(v) for k, v in meta.items()},
+            "data": [{k: _json_value(v) for k, v in row.items()} for row in rows],
+        }
+        payload = json.dumps(document, indent=2) + "\n"
+    if path is None or path == "-":
+        sys.stdout.write(payload)
+    else:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(payload)
+    return 0
+
+
+def as_rows(columns: dict) -> list[dict]:
+    values = [col.tolist() if isinstance(col, np.ndarray) else list(col) for col in columns.values()]
+    return [dict(zip(columns, row)) for row in zip(*values)]
+
+
+def written(writer, data, fmt: str, path=None) -> str:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        writer(data, fmt, path, META)
+    return out.getvalue()
+
+
+SPECIAL_FLOATS = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2250738585072014e-308 / 3,
+                  1e16, 1e-5, 0.1, 123456789.0)
+floats = st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS))
+# each text needs CSV quoting, JSON escaping, both or neither
+texts = st.text(alphabet=st.sampled_from(list('ab ,"\n\r%\\é€ ')), max_size=6)
+scalars = st.one_of(floats, floats.map(np.float64), st.integers(-2**70, 2**70), st.booleans(),
+                    st.none(), texts)
+
+
+@st.composite
+def columns(draw):
+    n_rows = draw(st.integers(0, 6))
+    names = draw(st.lists(st.one_of(texts, st.sampled_from(["T2", "dQ1", "n"])),
+                          min_size=1, max_size=4, unique=True))
+    table = {}
+    for name in names:
+        # a column of one kind, or of mixed kinds; a small pool makes values repeat
+        kind = draw(st.sampled_from([floats, floats.map(np.float64), st.integers(-5, 5),
+                                     st.booleans(), st.none(), texts, scalars]))
+        pool = draw(st.lists(kind, min_size=1, max_size=8))
+        column = draw(st.lists(st.sampled_from(pool), min_size=n_rows, max_size=n_rows))
+        table[name] = np.array(column) if draw(st.booleans()) and kind is floats else column
+    return table
+
+
+@settings(max_examples=400, deadline=None)
+@given(columns(), st.sampled_from(["csv", "json"]))
+def test_emit_writes_the_bytes_of_the_row_writer(table, fmt):
+    assert written(emit, table, fmt) == written(row_emit, as_rows(table), fmt)
+
+
+def test_emit_rejects_columns_of_unequal_length():
+    with pytest.raises(ValueError, match="equal lengths"):
+        emit({"a": [1.0, 2.0], "b": [1.0]}, "csv", None, META)
+
+
+# every command at small sizes, with and without a delta scale
+COMMANDS = (
+    ["exchange"],
+    ["exchange", "--t1", "5", "--t2", "3", "--t3", "12", "--theta", "0.7"],
+    ["ledger", "--theta=-2.4"],
+    ["cycles", "--cycles", "12", "--theta", "0,0.7,3.141592653589793"],
+    ["phase-diagram", "--grid", "1,5,3,9,7", "--theta", "0.4", "--t1", "3"],
+    ["cop", "--grid", "1,12,2,10,17", "--t1", "3"],
+    ["bcs", "--bits", "1000", "--rounds", "3", "--seed", "7"],
+    ["verify-decomposition", "--theta", "0.1,0.2"],
+)
+
+
+@pytest.fixture
+def spied_emit(monkeypatch):
+    """cli.emit, recording the columns of each call."""
+    calls = []
+
+    def spy(columns, *args):
+        calls.append(columns)
+        return emit(columns, *args)
+
+    monkeypatch.setattr(cli, "emit", spy)
+    return calls
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("args", COMMANDS, ids=lambda args: args[0])
+def test_every_command_writes_its_columns_as_the_row_writer_would(args, fmt, tmp_path, capsys,
+                                                                  spied_emit):
+    command = args[0]
+    argv = args + ["--format", fmt]
+    out = tmp_path / "artifact"
+    main(argv + ["--out", str(out)])
+    (columns,) = spied_emit
+    rows = as_rows(columns)
+    meta = cli._meta(cli.parse_config(argv))
+    expected = tmp_path / "expected"
+    row_emit(rows, fmt, str(expected), meta)
+    assert out.read_bytes() == expected.read_bytes()
+    # --out - writes the same bytes to stdout
+    capsys.readouterr()
+    main(argv + ["--out", "-"])
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+
+    # the delta-scale columns are the unscaled ones times the scale, value by value
+    scaled = cli._COMMANDS[command][1]
+    if not scaled:
+        return
+    main(argv + ["--delta-scale", "2.5", "--out", str(out)])
+    rows = [{k: v * 2.5 if k in scaled else v for k, v in row.items()} for row in rows]
+    row_emit(rows, fmt, str(expected), cli._meta(cli.parse_config(argv + ["--delta-scale", "2.5"])))
+    assert out.read_bytes() == expected.read_bytes()
+
+
+def phase_diagram_rows(t2_range, t3_range, steps, t1, theta, base):
+    """The rows the phase-diagram command wrote from scan_phase_diagram's points."""
+    points = scan_phase_diagram(t2_range, t3_range, steps, t1, theta, base=base)
+    return [dict(vars(point)) for point in points]
+
+
+def cop_rows(t2_min, t2_max, steps, base):
+    """The rows the cop command wrote, one exchange_sweep over the T2 axis."""
+    t2s = [t2_min + (t2_max - t2_min) * index / (steps - 1) for index in range(steps)]
+    rows = []
+    for t2, flow in zip(t2s, exchange_sweep(base, t2s, base.T3).tolist()):
+        limit = carnot_limit(base.T1, t2, base.T3) if base.T1 <= t2 < base.T3 else math.nan
+        rows.append({"T2": t2, "cop": cop(base), "carnot_limit": limit,
+                     "dQ1": base.E1 * flow, "dQ3": base.E3 * flow})
+    return rows
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("grid", [(2.0, 6.0, 2.0, 10.0, 41), (1.0, 5.0, 3.0, 9.0, 7),
+                                  (0.5, 20.0, 0.5, 20.0, 60)])
+def test_sweeps_write_the_rows_of_the_per_cell_builders(grid, fmt, tmp_path):
+    t2_min, t2_max, t3_min, t3_max, steps = grid
+    base = FridgeConfig(T1=2.5, theta=1.1)
+    argv = ["--grid=" + ",".join(map(repr, grid)), "--t1=2.5", "--theta=1.1", "--format", fmt]
+    out, expected = tmp_path / "artifact", tmp_path / "expected"
+    for command, rows in (
+        ("phase-diagram", phase_diagram_rows((t2_min, t2_max), (t3_min, t3_max), steps, 2.5, 1.1,
+                                             base)),
+        ("cop", cop_rows(t2_min, t2_max, steps, base)),
+    ):
+        assert main([command, *argv, "--out", str(out)]) == 0
+        row_emit(rows, fmt, str(expected), cli._meta(cli.parse_config([command, *argv])))
+        assert out.read_bytes() == expected.read_bytes()
