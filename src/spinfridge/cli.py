@@ -28,11 +28,12 @@ import numpy as np
 from . import __version__
 from .cooling import PRNG_ID, check_bias, check_bits, check_rounds, simulate_bcs
 from .compiler import compile_exchange, run_with_ledger, verify
-from .cycles import check_grid, phase_diagram_arrays, run_cycles
+from .cycles import CycleRecord, check_grid, cycle_arrays, phase_diagram_arrays
 from .fridge import (
-    FridgeConfig, carnot_limit, check_positive, check_theta, cop, exchange, exchange_sweep,
-    initial_state, system_hamiltonian,
+    FridgeConfig, carnot_limit, check_theta, cop, exchange, exchange_sweep, initial_state,
+    system_hamiltonian,
 )
+from .thermo import check_positive
 
 FIDELITY_GATE = 1.0 - 1e-8
 MAX_CYCLES = 100_000
@@ -112,8 +113,7 @@ def _parse_format(text: str) -> str:
 
 def _parse_delta_scale(text: str) -> float:
     value = float(text)
-    if not (value > 0.0 and math.isfinite(value)):
-        raise ValueError(f"delta-scale must be positive and finite, got {value}")
+    check_positive("delta-scale", value)
     return value
 
 
@@ -225,15 +225,20 @@ def _json_value(value):
 
 
 def _float_texts(values: list, quote_nonfinite: bool) -> list[str]:
-    """repr of each float, computed once per distinct value."""
+    """repr of each float; a column that is at most half distinct is formatted
+    once per distinct value (above that a lookup table does not pay)."""
     distinct = set(values)
-    table = dict(zip(distinct, map(float.__repr__, distinct)))
+    if 2 * len(distinct) > len(values):
+        texts = list(map(float.__repr__, values))
+    else:
+        table = dict(zip(distinct, map(float.__repr__, distinct)))
+        texts = list(map(table.__getitem__, values))
+        if 0.0 in table:  # -0.0 and 0.0 are one key, so each zero gets its own text
+            for index in itertools.compress(itertools.count(), map(operator.not_, values)):
+                texts[index] = float.__repr__(values[index])
     if quote_nonfinite and not all(map(math.isfinite, distinct)):
-        table = {v: text if math.isfinite(v) else f'"{text}"' for v, text in table.items()}
-    texts = list(map(table.__getitem__, values))
-    if 0.0 in table:  # -0.0 and 0.0 are one key, so each zero gets its own text
-        for index in itertools.compress(itertools.count(), map(operator.not_, values)):
-            texts[index] = float.__repr__(values[index])
+        texts = [text if math.isfinite(value) else f'"{text}"'
+                 for value, text in zip(values, texts)]
     return texts
 
 
@@ -329,14 +334,9 @@ def _columns_ledger(cfg: RunConfig) -> dict[str, Sequence]:
 
 
 def _columns_cycles(cfg: RunConfig) -> dict[str, Sequence]:
-    thetas: list[float] = []
-    records = []
-    for theta in cfg.theta:
-        run = run_cycles(cfg.fridge(theta), cfg.cycles)
-        thetas += [theta] * len(run)
-        records += run
-    columns = _record_columns(records)
-    return {"n": columns.pop("n"), "theta": thetas, **columns}
+    runs = [cycle_arrays(cfg.fridge(theta), cfg.cycles) for theta in cfg.theta]
+    columns = dict(zip((f.name for f in fields(CycleRecord)), map(np.concatenate, zip(*runs))))
+    return {"n": columns.pop("n"), "theta": np.repeat(cfg.theta, cfg.cycles + 1), **columns}
 
 
 def _columns_phase_diagram(cfg: RunConfig) -> dict[str, Sequence]:

@@ -41,7 +41,7 @@ from .linalg import (
     pauli_to_operator,
 )
 from .fridge import exchange_generator, exchange_pauli_terms
-from .thermo import WorkLedgerEntry, ledger_step
+from .thermo import WorkLedgerEntry, check_positive, ledger_step
 
 BLOCK_SIZE = 10
 N_BLOCKS = 4
@@ -135,8 +135,7 @@ def compile_exchange(theta: float, g: float = 1.0) -> CompiledSequence:
     """
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
-    if not g > 0.0:
-        raise ValueError("coupling g must be positive")
+    check_positive("coupling g", g)
     before, after = _core_frame()
     steps: list[GateStep] = []
     # one block per Pauli term of the unit coupling; its coeff of +-1/4 makes the core +-theta/4

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .thermo import check_positive
+
 PRNG_ID = "numpy-pcg64"  # np.random.default_rng; seeded runs are bit-reproducible
 
 
@@ -115,8 +117,8 @@ def rounds_to_bias(epsilon0: float, epsilon_target: float) -> int:
 
 def bias_from_temperature(E: float, T: float) -> float:
     """Bias of a thermal spin: tanh(E / (2T)) with k_B = 1."""
-    if not (E > 0.0 and T > 0.0):
-        raise ValueError("gap and temperature must be positive")
+    check_positive("E", E)
+    check_positive("T", T)
     return math.tanh(E / (2.0 * T))
 
 

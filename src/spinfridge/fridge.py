@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .linalg import (
 )
 from .thermo import (
     SpinSpec,
+    check_positive,
     effective_temperature,
     internal_energy,
     spin_temperature,
@@ -51,10 +52,19 @@ def is_self_contained(E1: float, E2: float, E3: float) -> bool:
     return math.isclose(E2, E1 + E3, rel_tol=SELF_CONTAINED_RTOL)
 
 
-def check_positive(name: str, value: float) -> None:
-    """The rule of each gap, temperature and the coupling: positive and finite."""
-    if not (value > 0.0 and math.isfinite(value)):
-        raise ValueError(f"{name} must be positive and finite, got {value}")
+def check_spin(spin: int, gap, temp) -> None:
+    """The rules of spin ``spin``, for floats or broadcast arrays of its gap and
+    temperature: each positive and finite, and e^(-E/T) no smaller than the
+    smallest normal float (E/T below about 708.4), so no population underflows.
+    """
+    check_positive(f"E{spin}", gap)
+    check_positive(f"T{spin}", temp)
+    ratio = gap / temp
+    if isinstance(ratio, np.ndarray):
+        ratio = ratio.max()  # the largest E/T has the smallest e^(-E/T)
+    if math.exp(-ratio) < sys.float_info.min:
+        raise ValueError(f"spin {spin}: E{spin}/T{spin} = {float(ratio)!r} exceeds about "
+                         "708.4, where e^(-E/T) underflows")
 
 
 def check_theta(theta: float) -> None:
@@ -90,9 +100,7 @@ class FridgeConfig:
             )
         check_theta(self.theta)
         for spin, (gap, temp) in enumerate(zip(self.gaps, self.temps), start=1):
-            if math.exp(-gap / temp) < sys.float_info.min:
-                raise ValueError(f"spin {spin}: E{spin}/T{spin} = {gap / temp!r} exceeds about "
-                                 "708.4, where e^(-E/T) underflows")
+            check_spin(spin, gap, temp)
 
     @property
     def gaps(self) -> tuple[float, float, float]:
@@ -190,13 +198,12 @@ def exchange_flow(p1, p2, p3, theta: float) -> tuple:
 def exchange_sweep(base: FridgeConfig, T2, T3) -> np.ndarray:
     """delta of one exchange per (T2, T3) over broadcast arrays, at base's gaps, T1 and theta.
 
-    Every rule of FridgeConfig concerns one spin at a time, so validating each
-    distinct T2 and each distinct T3 once validates every cell.
+    base is valid already, so every cell is valid once each T2 and T3 keeps the
+    rules of its spin.
     """
-    for t2 in np.unique(T2):
-        replace(base, T2=float(t2))
-    for t3 in np.unique(T3):
-        replace(base, T3=float(t3))
+    T2, T3 = np.asarray(T2, dtype=float), np.asarray(T3, dtype=float)
+    check_spin(2, base.E2, T2)
+    check_spin(3, base.E3, T3)
     p1, p2, p3 = excited_populations(base.gaps, (base.T1, T2, T3))
     return exchange_flow(p1, p2, p3, base.theta)[2]
 
@@ -229,8 +236,8 @@ def bound_temperature(E1: float, E2: float, E3: float, T2: float, T3: float) -> 
     """
     if not is_self_contained(E1, E2, E3):
         raise ValueError("gaps must satisfy E2 = E1 + E3")
-    if not (T2 > 0.0 and T3 > 0.0):
-        raise ValueError("bath temperatures must be positive")
+    check_positive("T2", T2)
+    check_positive("T3", T3)
     denom = E2 / T2 - E3 / T3
     if denom <= 0.0:
         raise ValueError(
@@ -247,8 +254,8 @@ def phase_boundary_value(T2: float, T3: float, *, base: FridgeConfig | None = No
     denominators, with gaps and T1 from ``base`` (default configuration if
     omitted, where it reads 6*T3 - 4*T2 - T2*T3).
     """
-    if not (T2 > 0.0 and T3 > 0.0):
-        raise ValueError("temperatures must be positive")
+    check_positive("T2", T2)
+    check_positive("T3", T3)
     base = base or FridgeConfig()
     return base.E2 * base.T1 * T3 - base.E3 * base.T1 * T2 - base.E1 * T2 * T3
 
@@ -263,7 +270,9 @@ def carnot_limit(T1: float, T2: float, T3: float) -> float:
 
     Requires T1 <= T2 < T3; T1 = T2 returns +inf (zero-gap refrigerator).
     """
-    if not (0.0 < T1 <= T2 < T3):
+    for name, temp in (("T1", T1), ("T2", T2), ("T3", T3)):
+        check_positive(name, temp)
+    if not (T1 <= T2 < T3):
         raise ValueError(f"temperatures must satisfy 0 < T1 <= T2 < T3, got {(T1, T2, T3)}")
     if T1 == T2:
         return math.inf

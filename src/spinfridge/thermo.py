@@ -18,6 +18,20 @@ import numpy as np
 from .linalg import DensityMatrix, Operator, evolve, herm_exp
 
 
+def check_positive(name: str, value) -> None:
+    """The rule of every gap, temperature and coupling: positive and finite.
+
+    ``value`` is a float or an array; for an array the smallest entry that
+    breaks the rule is named (a nan last).
+    """
+    if isinstance(value, np.ndarray):
+        broken = value[~(value > 0.0) | np.isinf(value)]
+        if broken.size:
+            check_positive(name, float(np.sort(broken)[0]))
+    elif not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class SpinSpec:
     """A two-level spin: excited-state gap E > 0 at temperature T > 0.
@@ -31,10 +45,8 @@ class SpinSpec:
     T: float
 
     def __post_init__(self) -> None:
-        if not (self.E > 0.0 and math.isfinite(self.E)):
-            raise ValueError(f"energy gap must be positive and finite, got {self.E}")
-        if not (self.T > 0.0 and math.isfinite(self.T)):
-            raise ValueError(f"temperature must be positive and finite, got {self.T}")
+        check_positive("energy gap", self.E)
+        check_positive("temperature", self.T)
 
 
 @dataclass(frozen=True)
@@ -87,8 +99,7 @@ def effective_temperature(rho1: DensityMatrix, E: float) -> float:
 
 def spin_temperature(p_ground: float, p_excited: float, E: float) -> float:
     """effective_temperature of the diagonal spin state diag(p_ground, p_excited)."""
-    if not E > 0.0:
-        raise ValueError("energy gap must be positive")
+    check_positive("energy gap", E)
     if p_excited <= 0.0:
         return 0.0
     if p_ground <= 0.0:
@@ -108,6 +119,25 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 def binary_entropy(p_excited: float) -> float:
     """von_neumann_entropy of the diagonal spin state diag(1 - p, p)."""
     return -sum(q * math.log(q) for q in (1.0 - p_excited, p_excited) if q > 0.0)
+
+
+def spin_temperatures(p_excited: np.ndarray, E: float) -> np.ndarray:
+    """spin_temperature of each diagonal spin state diag(1 - p, p) of an array.
+
+    E / ln((1 - p)/p) keeps spin_temperature's markers: p = 0 gives 0.0,
+    p = 1 gives -0.0 and p = 1/2 gives +inf.
+    """
+    check_positive("energy gap", E)
+    with np.errstate(divide="ignore"):
+        return E / np.log((1.0 - p_excited) / p_excited)
+
+
+def binary_entropies(p_excited: np.ndarray) -> np.ndarray:
+    """binary_entropy of each entry of an array, with 0 ln 0 = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # np.where drops 0 * log(0)
+        ground, excited = (np.where(q > 0.0, q * np.log(q), 0.0)
+                           for q in (1.0 - p_excited, p_excited))
+    return -(ground + excited)
 
 
 def internal_energy(rho: DensityMatrix, h_sys: Operator) -> float:

@@ -4,12 +4,24 @@ These deliberately avoid the library's code paths: matrix exponentials go
 through scipy.linalg.expm instead of an eigendecomposition, partial traces
 through explicit index loops instead of einsum, and thermodynamic
 quantities through closed-form expressions instead of operator algebra.
+``loop_cycles`` is the exception: it is the per-cycle loop that
+``spinfridge.cycles`` ran before its closed form, step for step on the
+library's scalar population functions.
 """
 
 import math
 
 import numpy as np
 from scipy.linalg import expm
+
+from spinfridge import (
+    CycleRecord,
+    FridgeConfig,
+    binary_entropy,
+    exchange_flow,
+    excited_populations,
+    spin_temperature,
+)
 
 
 def thermal_population(E: float, T: float) -> float:
@@ -101,3 +113,17 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(a)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def loop_cycles(cfg: FridgeConfig, n_cycles: int) -> list[CycleRecord]:
+    """Spin 1 after each of n_cycles evolve-reset loops, iterating p1 <- p1 + delta."""
+    p1, p2, p3 = (float(p) for p in excited_populations(cfg.gaps, cfg.temps))
+    records = []
+    delta = 0.0
+    for n in range(n_cycles + 1):
+        if n:
+            delta = exchange_flow(p1, p2, p3, cfg.theta)[2]
+            p1 += delta
+        temperature = spin_temperature(1.0 - p1, p1, cfg.E1)
+        records.append(CycleRecord(n, temperature, binary_entropy(p1), cfg.E1 * p1, cfg.E1 * delta))
+    return records

@@ -183,6 +183,11 @@ def test_gate_step_validation():
         GateStep(label="bad", generator=Operator(np.eye(2)), duration=0.0)
 
 
+def test_compile_exchange_rejects_an_infinite_coupling():
+    with pytest.raises(ValueError, match="coupling g must be positive and finite, got inf"):
+        compile_exchange(0.5, g=math.inf)
+
+
 def fresh_ledger(seq, rho0, h_sys):
     """The ledger fold with ledger_step exponentiating every generator afresh."""
     rho, entries, cumulative = rho0, [], 0.0

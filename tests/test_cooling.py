@@ -99,6 +99,11 @@ def test_bias_bridges_to_thermal_populations():
         )
 
 
+def test_bias_from_temperature_rejects_an_infinite_gap():
+    with pytest.raises(ValueError, match="E must be positive and finite, got inf"):
+        bias_from_temperature(math.inf, 1.0)
+
+
 def test_bias_state_domain():
     BiasState(epsilon=-0.001, n_bits=10)  # empirical estimates may dip negative
     BiasState(epsilon=1.0, n_bits=10)  # a pure pool

@@ -107,6 +107,17 @@ def test_emit_writes_the_bytes_of_the_row_writer(table, fmt):
     assert written(emit, table, fmt) == written(row_emit, as_rows(table), fmt)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_nearly_all_distinct_column_keeps_zero_signs_and_nonfinite_texts(fmt):
+    special = [-0.0, 0.0, math.nan, math.inf, -math.inf]
+    column = special + [1.0 + k / 7.0 for k in range(20)] + special
+    table = {"list": column, "array": np.array(column)}
+    text = written(emit, table, fmt)
+    assert text == written(row_emit, as_rows(table), fmt)
+    for marker in ("-0.0", '"nan"' if fmt == "json" else "nan"):
+        assert marker in text
+
+
 def test_emit_rejects_columns_of_unequal_length():
     with pytest.raises(ValueError, match="equal lengths"):
         emit({"a": [1.0, 2.0], "b": [1.0]}, "csv", None, META)

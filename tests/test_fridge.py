@@ -16,6 +16,7 @@ from spinfridge import (
     evolve,
     exchange,
     exchange_pauli_terms,
+    exchange_sweep,
     herm_exp,
     initial_state,
     internal_energy,
@@ -242,6 +243,29 @@ def test_carnot_limit_values_and_ordering():
         carnot_limit(3.0, 2.0, 10.0)
     with pytest.raises(ValueError):
         carnot_limit(1.0, 10.0, 2.0)
+
+
+def test_carnot_limit_rejects_an_infinite_temperature():
+    with pytest.raises(ValueError, match="T3 must be positive and finite, got inf"):
+        carnot_limit(1.0, 2.0, math.inf)
+
+
+def test_phase_boundary_value_rejects_an_infinite_temperature():
+    with pytest.raises(ValueError, match="T2 must be positive and finite, got inf"):
+        phase_boundary_value(math.inf, 10.0)
+
+
+@pytest.mark.parametrize("bad", [-1.0, 0.0, math.inf, math.nan, 1e-4])
+@pytest.mark.parametrize("spin", [2, 3])
+def test_exchange_sweep_rejects_a_bad_temperature_as_the_config_would(spin, bad):
+    base = FridgeConfig()
+    with pytest.raises(ValueError) as from_config:
+        FridgeConfig(**{f"T{spin}": bad})
+    temps = np.array([2.0, bad, 5.0, bad])  # bad at 1e-4 is the E/T underflow
+    axes = (temps, base.T3) if spin == 2 else (base.T2, temps)
+    with pytest.raises(ValueError) as from_sweep:
+        exchange_sweep(base, *axes)
+    assert str(from_sweep.value) == str(from_config.value)
 
 
 def test_cop_bounded_by_carnot_when_working(rng):

@@ -42,6 +42,8 @@ from spinfridge import (
     von_neumann_entropy,
     working_condition,
 )
+from spinfridge.cycles import cycle_arrays
+from spinfridge.thermo import binary_entropies, spin_temperatures
 
 POP_TOL = 1e-12
 TEMP_REL_TOL = 1e-9
@@ -273,3 +275,49 @@ def test_population_helpers_keep_the_dense_markers(populations):
     assert temperature == dense or math.isclose(temperature, dense, rel_tol=1e-15)
     assert math.copysign(1.0, temperature) == math.copysign(1.0, dense)
     assert binary_entropy(populations[1]) == pytest.approx(von_neumann_entropy(rho), abs=1e-15)
+
+
+# theta = 0 and pi keep p1 where it is (r = 1), 1e-9 moves it by about 1e-18
+# per cycle, and 4.0 lies beyond pi
+cycle_angles = st.one_of(st.sampled_from([0.0, math.pi, 1e-9, math.pi / 2.0, 4.0]), angles)
+
+
+def well_conditioned(p: float) -> bool:
+    """Whether T1 = E1 / ln((1 - p)/p) of a float p is good to TEMP_REL_TOL.
+
+    p is held to about 1e-16 absolute, so ln((1 - p)/p) is off by about
+    1e-16/(1 - p) near p = 1 and by 1e-16/|1 - 2p| near p = 1/2.
+    """
+    return min(1.0 - p, abs(1.0 - 2.0 * p)) >= 1e-6
+
+
+@settings(max_examples=200, deadline=None)
+@given(configs(), cycle_angles)
+def test_cycle_arrays_match_the_loop(cfg, theta):
+    cfg = replace(cfg, theta=theta)
+    n, t1, entropy, energy, dq1 = cycle_arrays(cfg, 200)
+    loop = oracles.loop_cycles(cfg, 200)
+    assert n.tolist() == [record.n for record in loop] == list(range(201))
+    # row 0 is the initial state and row 1 the loop's first cycle, bit for bit
+    assert energy[0] == loop[0].energy_q1 and dq1[0] == 0.0 and dq1[1] == loop[1].dQ1
+    for row, record in zip(zip(t1.tolist(), entropy.tolist(), energy.tolist(), dq1.tolist()), loop):
+        for name, got in zip(("entropy_q1", "energy_q1", "dQ1"), row[1:]):
+            assert abs(got - getattr(record, name)) <= POP_TOL, (record.n, name)
+        if well_conditioned(record.energy_q1 / cfg.E1):
+            assert close_temperature(row[0], record.T1), (record.n, row[0], record.T1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(configs(), cycle_angles)
+def test_cycle_heats_add_up_to_the_energy_change(cfg, theta):
+    _, _, _, energy, dq1 = cycle_arrays(replace(cfg, theta=theta), 200)
+    assert np.max(np.abs(np.cumsum(dq1) - (energy - energy[0]))) <= 1e-12
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0, 0.3, 0.7])
+def test_vectorised_temperature_and_entropy_keep_the_scalar_markers(p):
+    temperature = spin_temperatures(np.array([p]), 1.3)[0]
+    entropy = binary_entropies(np.array([p]))[0]
+    for got, want in ((temperature, spin_temperature(1.0 - p, p, 1.3)), (entropy, binary_entropy(p))):
+        assert got == want or math.isclose(got, want, rel_tol=1e-15)
+        assert math.copysign(1.0, got) == math.copysign(1.0, want)  # the sign of a zero too
