@@ -29,11 +29,11 @@ from .fridge import (
     ExchangeReport,
     FridgeConfig,
     bound_temperature,
-    build_h_exc,
     carnot_limit,
     cop,
     exchange,
     exchange_flow,
+    exchange_generator,
     exchange_pauli_terms,
     exchange_sweep,
     excited_populations,
@@ -78,7 +78,7 @@ __all__ = [
     "SpinSpec", "WorkLedgerEntry", "thermal_state", "effective_temperature",
     "von_neumann_entropy", "internal_energy", "ledger_step", "spin_hamiltonian",
     "spin_temperature", "binary_entropy",
-    "FridgeConfig", "ExchangeReport", "build_h_exc", "exchange_pauli_terms",
+    "FridgeConfig", "ExchangeReport", "exchange_generator", "exchange_pauli_terms",
     "initial_state", "exchange", "excited_populations", "exchange_flow", "exchange_sweep",
     "working_condition", "bound_temperature",
     "phase_boundary_value", "cop", "carnot_limit", "two_spin_swap",

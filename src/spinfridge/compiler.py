@@ -31,17 +31,21 @@ import numpy as np
 from .linalg import (
     HADAMARD,
     HADAMARD_Y,
+    HERMITIAN_TOL,
+    UNITARY_TOL,
     DensityMatrix,
     Operator,
     PauliString,
+    canonical_density,
     eigh_exp,
     embed_single,
     herm_eigh,
     herm_exp,
+    pauli_matrix,
     pauli_to_operator,
 )
 from .fridge import exchange_generator, exchange_pauli_terms
-from .thermo import WorkLedgerEntry, check_positive, ledger_step
+from .thermo import WorkLedgerEntry, check_positive
 
 BLOCK_SIZE = 10
 N_BLOCKS = 4
@@ -111,8 +115,9 @@ def _pauli_step(label: str, letters: str, angle: float) -> GateStep:
 
 
 @functools.lru_cache(maxsize=1)
-def _core_frame() -> tuple[tuple[GateStep, ...], tuple[GateStep, ...]]:
-    """The fixed pulses before and after the ZZ core of every block."""
+def _core_frame() -> tuple[tuple[GateStep, ...], tuple[GateStep, ...], np.ndarray]:
+    """The fixed pulses before and after the ZZ core of every block, and the
+    unscaled Z@2 Z@3 product that the core scales by its angle."""
     quarter = math.pi / 4.0
     zz = _pauli_step("ZZ(pi/2)@12", "ZZI", quarter)
     ry = _pauli_step("Ry(pi/2)@2", "IYI", quarter)
@@ -123,7 +128,9 @@ def _core_frame() -> tuple[tuple[GateStep, ...], tuple[GateStep, ...]]:
         ry,
     )
     after = (ry, zz, _pauli_step("Rx(pi/2)@2", "IXI", quarter))
-    return before, after
+    izz = pauli_matrix("IZZ")
+    izz.setflags(write=False)
+    return before, after, izz
 
 
 def compile_exchange(theta: float, g: float = 1.0) -> CompiledSequence:
@@ -136,13 +143,14 @@ def compile_exchange(theta: float, g: float = 1.0) -> CompiledSequence:
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
     check_positive("coupling g", g)
-    before, after = _core_frame()
+    before, after, izz = _core_frame()
     steps: list[GateStep] = []
     # one block per Pauli term of the unit coupling; its coeff of +-1/4 makes the core +-theta/4
     for term in exchange_pauli_terms(1.0):
         basis = _basis_step(term.letters)
         core_label = f"ZZ({'-' if term.coeff < 0 else ''}theta/2)@23"
-        core = _pauli_step(core_label, "IZZ", term.coeff * theta)
+        # pauli_to_operator(PauliString("IZZ", coeff * theta)), bit for bit
+        core = GateStep(label=core_label, generator=Operator(term.coeff * theta * izz))
         steps.extend((basis, *before, core, *after, basis))
     boundaries = tuple(BLOCK_SIZE * (k + 1) for k in range(N_BLOCKS))
     return CompiledSequence(steps=tuple(steps), theta=theta, term_boundaries=boundaries)
@@ -160,10 +168,10 @@ def _exchange_eigh() -> tuple[np.ndarray, np.ndarray]:
 
 def sequence_unitary(seq: CompiledSequence) -> Operator:
     """Ordered product of the step unitaries (step 0 applied first)."""
-    total = Operator(np.eye(seq.steps[0].generator.dim, dtype=complex))
+    total = np.eye(seq.steps[0].generator.dim, dtype=complex)
     for step in seq.steps:
-        total = step.unitary() @ total
-    return total
+        total = step.unitary().matrix @ total
+    return Operator(total)
 
 
 def verify(seq: CompiledSequence, theta: float | None = None) -> float:
@@ -192,25 +200,58 @@ def permute_blocks(seq: CompiledSequence, order: Sequence[int]) -> CompiledSeque
     return CompiledSequence(steps=tuple(steps), theta=seq.theta, term_boundaries=tuple(boundaries))
 
 
+# the pulse checks of thermo.ledger_step and linalg.evolve, in the order they run
+_PULSE_ERRORS = (
+    "pulse generator must be Hermitian",
+    "pulse duration must be positive",
+    "evolve requires a unitary operator",
+)
+
+
 def run_with_ledger(
     seq: CompiledSequence, rho0: DensityMatrix, h_sys: Operator
 ) -> tuple[DensityMatrix, list[WorkLedgerEntry]]:
-    """Fold the work ledger over the sequence (step indices are 1-based)."""
-    if rho0.dim != h_sys.dim or rho0.dim != seq.steps[0].generator.dim:
-        raise ValueError("state, Hamiltonian, and sequence dimensions must agree")
-    rho = rho0
-    entries: list[WorkLedgerEntry] = []
-    cumulative = 0.0
-    for index, step in enumerate(seq.steps, start=1):
-        rho, entry = ledger_step(
-            rho,
-            step.generator,
-            step.duration,
-            h_sys,
-            step_index=index,
-            cumulative_before=cumulative,
-            unitary=step.unitary(),
-        )
-        cumulative = entry.cumulative_work
-        entries.append(entry)
-    return rho, entries
+    """Fold the work ledger over the sequence (step indices are 1-based).
+
+    The entries and the final state are those of a thermo.ledger_step per
+    pulse with its stored unitary, bit for bit, and so are the checks: the
+    pulses are checked once, stacked, each state goes through
+    linalg.canonical_density as DensityMatrix would, and the four traces of
+    every pulse are taken over the stacked states at once.
+    """
+    dim = rho0.dim
+    generators = [step.generator.matrix for step in seq.steps]
+    unitaries = [step.unitary().matrix for step in seq.steps]
+    if h_sys.dim != dim or any(g.shape[0] != dim for g in generators):
+        raise ValueError("generator, state, and system Hamiltonian dimensions must agree")
+    for u in unitaries:
+        if u.shape[0] != dim:
+            raise ValueError(f"dimension mismatch: state {dim}, unitary {u.shape[0]}")
+    gens, units = np.stack(generators), np.stack(unitaries)
+    durations = np.array([step.duration for step in seq.steps])
+    herm_err = np.abs(gens - gens.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    unit_err = np.abs(units.conj().transpose(0, 2, 1) @ units - np.eye(dim)).max(axis=(1, 2))
+    passed = np.stack([herm_err <= HERMITIAN_TOL, durations > 0.0, unit_err <= UNITARY_TOL], axis=1)
+    if not passed.all():  # the first check to fail in pulse order, as the per-pulse loop
+        raise ValueError(_PULSE_ERRORS[np.argwhere(~passed)[0][1]])
+
+    states = [rho0.matrix]
+    for u in unitaries[:-1]:
+        states.append(canonical_density(u @ states[-1] @ u.conj().T))
+    final = DensityMatrix(unitaries[-1] @ states[-1] @ unitaries[-1].conj().T)
+    states.append(final.matrix)
+    rhos = np.stack(states)
+    h_total = gens * (1.0 / durations).astype(complex)[:, None, None]
+    h_control = h_total - h_sys.matrix
+
+    def traces(rho, h):  # internal_energy of every pulse, summed in the same order
+        return np.einsum("kij,kji->k", rho, h).real
+
+    before, after = rhos[:-1], rhos[1:]
+    dw1 = traces(before, h_control)
+    dq1 = traces(after, h_total) - traces(before, h_total)
+    dw2 = -traces(after, h_control)
+    net = dw1 + dq1 + dw2
+    cumulative = np.cumsum(np.concatenate(([0.0], net)))[1:]  # 0.0 + net first, as the loop
+    rows = zip(*(column.tolist() for column in (dw1, dq1, dw2, net, cumulative)))
+    return final, [WorkLedgerEntry(index, *row) for index, row in enumerate(rows, start=1)]

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fridge import FridgeConfig, exchange_flow, exchange_sweep, excited_populations
-from .thermo import binary_entropies, spin_temperatures
+from .thermo import binary_entropies, check_positive, spin_temperatures
 
 MAX_GRID_STEPS = 1000  # per axis
 
@@ -97,13 +97,21 @@ def detect_convergence(records: list[CycleRecord], tol: float) -> tuple[bool, fl
 def check_grid(
     t2_range: tuple[float, float], t3_range: tuple[float, float], n2: int, n3: int
 ) -> None:
-    """The grid rule: 2 to MAX_GRID_STEPS points and 0 < min <= max on each axis."""
+    """The grid rule: 2 to MAX_GRID_STEPS points and 0 < min <= max on each axis,
+    with both bounds and min + (max - min)(steps - 1), the largest value the
+    axis formulas form, positive and finite."""
     if n2 < 2 or n3 < 2:
         raise ValueError("grid must have at least 2 points per axis")
     if n2 > MAX_GRID_STEPS or n3 > MAX_GRID_STEPS:
         raise ValueError(f"grid must have at most {MAX_GRID_STEPS} points per axis")
-    if not (0.0 < t2_range[0] <= t2_range[1] and 0.0 < t3_range[0] <= t3_range[1]):
-        raise ValueError("temperature ranges must be positive and ordered")
+    for name, bounds, steps in (("T2", t2_range, n2), ("T3", t3_range, n3)):
+        low, high = (float(bound) for bound in bounds)  # a numpy scalar would warn on overflow
+        check_positive(f"{name} grid minimum", low)
+        check_positive(f"{name} grid maximum", high)
+        if not low <= high:
+            raise ValueError("temperature ranges must be positive and ordered")
+        check_positive(f"{name} axis min + (max - min)(steps - 1)",
+                       low + (high - low) * (steps - 1))
 
 
 def phase_diagram_arrays(

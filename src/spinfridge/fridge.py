@@ -135,11 +135,6 @@ def exchange_generator(g: float = 1.0) -> Operator:
     return Operator(mat)
 
 
-def build_h_exc(cfg: FridgeConfig) -> Operator:
-    """Exchange Hamiltonian of the configured refrigerator."""
-    return exchange_generator(cfg.g)
-
-
 def exchange_pauli_terms(g: float = 1.0) -> tuple[PauliString, ...]:
     """The exchange coupling as four mutually commuting three-body Paulis.
 

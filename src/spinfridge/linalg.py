@@ -91,36 +91,40 @@ class Operator:
         return f"Operator(dim={self.dim})"
 
 
-class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite operator.
+def canonical_density(mat: np.ndarray) -> np.ndarray:
+    """The canonical form of a density matrix, as DensityMatrix stores it.
 
-    Construction canonicalizes the input: it is symmetrized, eigenvalue
-    drift in [-1e-10, 0) is clamped to zero, and the trace is renormalized
-    to exactly one.  Inputs violating hermiticity or trace by more than
-    1e-12, or with eigenvalues below -1e-10, are rejected.
+    Rejects hermiticity or trace errors above 1e-12 and eigenvalues below
+    -1e-10; otherwise symmetrizes, clamps eigenvalue drift in [-1e-10, 0)
+    to zero and renormalizes the trace to exactly one.
     """
+    adjoint = mat.conj().T
+    herm_err = float(np.abs(mat - adjoint).max())
+    if herm_err > HERMITIAN_TOL:
+        raise ValueError(f"density matrix not Hermitian: max deviation {herm_err:.3e}")
+    tr = complex(mat.trace())
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValueError(f"density matrix trace {tr} differs from 1 beyond tolerance")
+    mat = (mat + adjoint) / 2.0
+    eigs = np.linalg.eigvalsh(mat)
+    if eigs[0] < -PSD_TOL:
+        raise ValueError(f"density matrix not PSD: min eigenvalue {eigs[0]:.3e}")
+    if eigs[0] < 0.0:
+        # clamp harmless floating-point negativity
+        w, v = np.linalg.eigh(mat)
+        mat = (v * np.clip(w, 0.0, None)) @ v.conj().T
+    return mat / mat.trace().real
+
+
+class DensityMatrix:
+    """Hermitian, unit-trace, positive-semidefinite operator, held in the
+    canonical form of canonical_density (which rejects invalid input)."""
 
     __slots__ = ("_op",)
 
     def __init__(self, matrix) -> None:
         op = matrix if isinstance(matrix, Operator) else Operator(matrix)
-        mat = op.matrix
-        herm_err = float(np.max(np.abs(mat - mat.conj().T)))
-        if herm_err > HERMITIAN_TOL:
-            raise ValueError(f"density matrix not Hermitian: max deviation {herm_err:.3e}")
-        tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"density matrix trace {tr} differs from 1 beyond tolerance")
-        mat = (mat + mat.conj().T) / 2.0
-        eigs = np.linalg.eigvalsh(mat)
-        if eigs[0] < -PSD_TOL:
-            raise ValueError(f"density matrix not PSD: min eigenvalue {eigs[0]:.3e}")
-        if eigs[0] < 0.0:
-            # clamp harmless floating-point negativity
-            w, v = np.linalg.eigh(mat)
-            mat = (v * np.clip(w, 0.0, None)) @ v.conj().T
-        mat = mat / np.trace(mat).real
-        self._op = Operator(mat)
+        self._op = Operator(canonical_density(op.matrix))
 
     @property
     def op(self) -> Operator:
@@ -156,6 +160,8 @@ _PAULI = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+for _mat in _PAULI.values():
+    _mat.setflags(write=False)  # pauli_matrix hands out the one-letter matrices themselves
 
 IDENTITY_2 = Operator(_PAULI["I"])
 PAULI_X = Operator(_PAULI["X"])
@@ -186,12 +192,17 @@ class PauliString:
             raise ValueError("pauli coefficient must be finite")
 
 
+def pauli_matrix(letters: str) -> np.ndarray:
+    """The unscaled tensor product of single-qubit Paulis, qubit 0 first."""
+    mat = _PAULI[letters[0]]
+    for letter in letters[1:]:
+        mat = np.kron(mat, _PAULI[letter])
+    return mat
+
+
 def pauli_to_operator(p: PauliString) -> Operator:
     """Coefficient times the tensor product of single-qubit Paulis, qubit 0 first."""
-    mat = _PAULI[p.letters[0]]
-    for letter in p.letters[1:]:
-        mat = np.kron(mat, _PAULI[letter])
-    return Operator(p.coeff * mat)
+    return Operator(p.coeff * pauli_matrix(p.letters))
 
 
 def kron(a: Operator, b: Operator) -> Operator:

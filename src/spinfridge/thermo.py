@@ -77,12 +77,6 @@ def thermal_state(spec: SpinSpec) -> DensityMatrix:
     return DensityMatrix(np.diag([1.0 / z, boltzmann / z]))
 
 
-def excited_population(spec: SpinSpec) -> float:
-    """Excited-state population e^(-E/T) / (1 + e^(-E/T))."""
-    boltzmann = math.exp(-spec.E / spec.T)
-    return boltzmann / (1.0 + boltzmann)
-
-
 def effective_temperature(rho1: DensityMatrix, E: float) -> float:
     """Temperature assigned to a single spin from its populations only.
 

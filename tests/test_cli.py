@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from dataclasses import fields
 
 import pytest
@@ -243,8 +244,14 @@ def test_exit_codes(capsys, tmp_path):
         ["phase-diagram", "--grid", "2,6,2,10,1001"],
         ["cop", "--grid", "2,6,2,10,100000"],
         ["cycles", "--cycles", "100001"],
+        # infinite or overflowing grid bounds: rejected before any axis is formed
+        ["phase-diagram", "--grid", "2,inf,2,10,5"],
+        ["cop", "--grid", "2,inf,2,10,5"],
+        ["cop", "--grid", "2,1e308,2,10,5"],
     ):
-        assert main(args) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # outside pytest a warning prints its own lines
+            assert main(args) == 1
         assert len(capsys.readouterr().err.splitlines()) == 1
     # the bit-pool keys follow one rule, checked at parse time for every command
     for command, line in (

@@ -2,21 +2,24 @@
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import oracles
 import spinfridge
+from conftest import working_configs
 from spinfridge import (
     DensityMatrix,
     FridgeConfig,
     GateStep,
     Operator,
     PauliString,
-    build_h_exc,
     compile_exchange,
     evolve,
+    exchange_generator,
     herm_exp,
     initial_state,
     internal_energy,
@@ -92,7 +95,7 @@ def test_verify_against_scipy_oracle():
 def fresh_fidelity(seq, theta):
     """verify's fidelity with the direct exponential computed afresh by herm_exp."""
     u_seq = sequence_unitary(seq)
-    u_direct = herm_exp(build_h_exc(FridgeConfig()), theta)
+    u_direct = herm_exp(exchange_generator(FridgeConfig().g), theta)
     return float(abs(np.trace(u_seq.matrix.conj().T @ u_direct.matrix))) / u_seq.dim
 
 
@@ -188,15 +191,42 @@ def test_compile_exchange_rejects_an_infinite_coupling():
         compile_exchange(0.5, g=math.inf)
 
 
-def fresh_ledger(seq, rho0, h_sys):
-    """The ledger fold with ledger_step exponentiating every generator afresh."""
+def fresh_ledger(seq, rho0, h_sys, *, stored_unitaries=False):
+    """The ledger fold as one ledger_step per pulse, exponentiating every
+    generator afresh unless told to use the stored unitaries."""
     rho, entries, cumulative = rho0, [], 0.0
     for index, step in enumerate(seq.steps, start=1):
         rho, entry = ledger_step(rho, step.generator, step.duration, h_sys,
-                                 step_index=index, cumulative_before=cumulative)
+                                 step_index=index, cumulative_before=cumulative,
+                                 unitary=step.unitary() if stored_unitaries else None)
         cumulative = entry.cumulative_work
         entries.append(entry)
     return rho, entries
+
+
+def fold_matches_the_loop(cfg, theta):
+    """Assert run_with_ledger books fresh_ledger's entries and final state byte
+    for byte, and return the number of PSD clamps it applied."""
+    seq = compile_exchange(theta, cfg.g)
+    rho0, h_sys = initial_state(cfg), system_hamiltonian(cfg)
+    with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as clamps:
+        final, entries = run_with_ledger(seq, rho0, h_sys)
+    want_final, want_entries = fresh_ledger(seq, rho0, h_sys)
+    assert entries == want_entries and repr(entries) == repr(want_entries)
+    assert final.matrix.tobytes() == want_final.matrix.tobytes()
+    return clamps.call_count
+
+
+def high_e_over_t_configs(count, seed):
+    """Gaps up to 20 at temperatures down to 0.05, where populations as small
+    as e^-400 leave eigenvalue drift below zero for the PSD clamp."""
+    rng = np.random.default_rng(seed)
+    configs = []
+    for _ in range(count):
+        e1, e3 = rng.uniform(0.05, 10.0, size=2)
+        t1, t2, t3 = rng.uniform(0.05, 2.0, size=3)
+        configs.append(FridgeConfig(E1=e1, E2=e1 + e3, E3=e3, T1=t1, T2=t2, T3=t3))
+    return configs
 
 
 @pytest.mark.parametrize("theta", (math.pi / 2.0, 0.7, -2.4))
@@ -204,12 +234,41 @@ def fresh_ledger(seq, rho0, h_sys):
     "cfg", (FridgeConfig(), FridgeConfig(E1=0.7, E2=2.2, E3=1.5, T1=5.0, T2=3.0, T3=12.0, g=2.5))
 )
 def test_ledger_with_stored_unitaries_is_bit_identical(cfg, theta):
-    seq = compile_exchange(theta, cfg.g)
-    rho0, h_sys = initial_state(cfg), system_hamiltonian(cfg)
-    final, entries = run_with_ledger(seq, rho0, h_sys)
-    want_final, want_entries = fresh_ledger(seq, rho0, h_sys)
-    assert entries == want_entries
-    assert np.array_equal(final.matrix, want_final.matrix)
+    fold_matches_the_loop(cfg, theta)
+    clamps = [fold_matches_the_loop(hot, theta) for hot in high_e_over_t_configs(12, 20)]
+    assert sum(clamps) > 0
+
+    @settings(max_examples=8, deadline=None)
+    @given(working_configs())
+    def criterion_6_configs(sampled):
+        fold_matches_the_loop(sampled, theta)
+
+    criterion_6_configs()
+
+
+def test_ledger_rejects_each_pulse_as_the_per_pulse_loop():
+    h_sys = system_hamiltonian(FridgeConfig())
+    rho0 = initial_state(FridgeConfig())
+    not_hermitian = Operator(np.triu(np.ones((8, 8))))
+    cases = (
+        (DensityMatrix(np.eye(4) / 4.0), None,
+         "generator, state, and system Hamiltonian dimensions must agree"),
+        (rho0, ("_unitary", lambda core: 1.01 * core.unitary()),
+         "evolve requires a unitary operator"),
+        (rho0, ("generator", lambda core: not_hermitian), "pulse generator must be Hermitian"),
+        (rho0, ("duration", lambda core: 0.0), "pulse duration must be positive"),
+    )
+    for state, mutation, message in cases:
+        seq = compile_exchange(0.7)
+        if mutation:  # the first core pulse is built per compile, so no cache sees this
+            core = seq.steps[CORE]
+            name, value = mutation
+            object.__setattr__(core, name, value(core))
+        with pytest.raises(ValueError) as loop:
+            fresh_ledger(seq, state, h_sys, stored_unitaries=True)
+        with pytest.raises(ValueError) as fold:
+            run_with_ledger(seq, state, h_sys)
+        assert str(fold.value) == str(loop.value) == message
 
 
 def test_compiles_share_every_theta_independent_step():

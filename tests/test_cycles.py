@@ -1,6 +1,7 @@
 """Multi-cycle cooling trajectories and the bath-temperature scan."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,10 +13,10 @@ from spinfridge import (
     FridgeConfig,
     SpinSpec,
     bound_temperature,
-    build_h_exc,
     detect_convergence,
     evolve,
     exchange,
+    exchange_generator,
     herm_exp,
     initial_state,
     kron,
@@ -101,7 +102,7 @@ def test_temperature_is_monotone_non_increasing():
 
 def test_reset_preserves_the_reduced_target_state():
     cfg = FridgeConfig()
-    rho = evolve(initial_state(cfg), herm_exp(build_h_exc(cfg), cfg.theta / cfg.g))
+    rho = evolve(initial_state(cfg), herm_exp(exchange_generator(cfg.g), cfg.theta / cfg.g))
     reduced = partial_trace(rho, (0,))
     rebuilt = DensityMatrix(
         kron(
@@ -162,3 +163,8 @@ def test_scan_phase_diagram_validation():
         scan_phase_diagram((-1.0, 6.0), (2.0, 10.0), 5, 2.0, math.pi / 2.0)
     with pytest.raises(ValueError, match="at most 1000"):
         scan_phase_diagram((2.0, 6.0), (2.0, 10.0), (2, 1001), 2.0, math.pi / 2.0)
+    # an overflowing axis raises before it is formed, and a numpy bound does not warn first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="T3 axis .* got inf"):
+            scan_phase_diagram((2.0, 6.0), (np.float64(2.0), np.float64(1e308)), 5, 2.0, 1.0)

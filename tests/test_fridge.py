@@ -10,11 +10,11 @@ import oracles
 from spinfridge import (
     FridgeConfig,
     bound_temperature,
-    build_h_exc,
     carnot_limit,
     cop,
     evolve,
     exchange,
+    exchange_generator,
     exchange_pauli_terms,
     exchange_sweep,
     herm_exp,
@@ -54,7 +54,7 @@ def test_self_contained_tolerance_is_relative():
 
 
 def test_h_exc_has_exactly_two_entries():
-    h = build_h_exc(FridgeConfig(g=1.3)).matrix
+    h = exchange_generator(1.3).matrix
     assert h[0b010, 0b101] == pytest.approx(1.3)
     assert h[0b101, 0b010] == pytest.approx(1.3)
     mask = np.ones((8, 8), dtype=bool)
@@ -78,7 +78,7 @@ def test_pauli_terms_pairwise_commute():
 
 def test_self_containment_commutator():
     cfg = FridgeConfig()
-    h_exc = build_h_exc(cfg).matrix
+    h_exc = exchange_generator(cfg.g).matrix
     h_sys = system_hamiltonian(cfg).matrix
     comm = h_exc @ h_sys - h_sys @ h_exc
     assert np.max(np.abs(comm)) <= 1e-12
@@ -155,7 +155,7 @@ def test_exchange_heats_balance_and_leave_other_levels_alone(rng):
         assert report.dQ1 + report.dQ2 + report.dQ3 == pytest.approx(0.0, abs=1e-10)
 
         rho0 = initial_state(cfg)
-        rho1 = evolve(rho0, herm_exp(build_h_exc(cfg), cfg.theta / cfg.g))
+        rho1 = evolve(rho0, herm_exp(exchange_generator(cfg.g), cfg.theta / cfg.g))
         for idx in range(8):
             if idx in (0b010, 0b101):
                 continue
@@ -169,7 +169,7 @@ def test_exchange_conserves_total_internal_energy():
         cfg = FridgeConfig(theta=theta)
         h_sys = system_hamiltonian(cfg)
         rho0 = initial_state(cfg)
-        rho1 = evolve(rho0, herm_exp(build_h_exc(cfg), theta / cfg.g))
+        rho1 = evolve(rho0, herm_exp(exchange_generator(cfg.g), theta / cfg.g))
         assert internal_energy(rho1, h_sys) == pytest.approx(
             internal_energy(rho0, h_sys), abs=1e-11
         )

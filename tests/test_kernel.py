@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import working_configs
 from spinfridge import (
     CycleRecord,
     DensityMatrix,
@@ -22,12 +23,12 @@ from spinfridge import (
     FridgeConfig,
     SpinSpec,
     binary_entropy,
-    build_h_exc,
     carnot_limit,
     detect_convergence,
     effective_temperature,
     evolve,
     exchange,
+    exchange_generator,
     herm_exp,
     initial_state,
     internal_energy,
@@ -53,7 +54,7 @@ TEMPERATURE_FIELDS = ("T1_after", "T2_after", "T3_after")
 def dense_exchange(cfg: FridgeConfig) -> ExchangeReport:
     """One exchange through 8x8 matrices: evolve, then trace out per spin."""
     rho0 = initial_state(cfg)
-    rho1 = evolve(rho0, herm_exp(build_h_exc(cfg), cfg.theta / cfg.g))
+    rho1 = evolve(rho0, herm_exp(exchange_generator(cfg.g), cfg.theta / cfg.g))
     heats, temps = [], []
     for qubit, gap in enumerate(cfg.gaps):
         h_i = spin_hamiltonian(gap)
@@ -70,7 +71,7 @@ def dense_exchange(cfg: FridgeConfig) -> ExchangeReport:
 
 def dense_cycles(cfg: FridgeConfig, n_cycles: int, theta: float) -> list[CycleRecord]:
     """Evolve-reset loop through 8x8 matrices: keep spin 1, refresh spins 2 and 3."""
-    u = herm_exp(build_h_exc(cfg), theta / cfg.g)
+    u = herm_exp(exchange_generator(cfg.g), theta / cfg.g)
     baths = kron(thermal_state(SpinSpec(cfg.E2, cfg.T2)).op,
                  thermal_state(SpinSpec(cfg.E3, cfg.T3)).op)
     h1 = spin_hamiltonian(cfg.E1)
@@ -158,17 +159,6 @@ def test_exchange_invariants(cfg):
     assert min(levels) >= 0.0
     # energy is conserved: E2 = E1 + E3
     assert abs(report.dQ1 + report.dQ2 + report.dQ3) <= POP_TOL * max(cfg.gaps)
-
-
-@st.composite
-def working_configs(draw):
-    # the criterion-6 sampler: ordered bath temperatures T1 <= T2 < T3
-    e1, e3 = draw(st.floats(0.2, 4.0)), draw(st.floats(0.2, 4.0))
-    t1 = draw(st.floats(0.2, 8.0))
-    t2 = t1 + draw(st.floats(1e-3, 6.0))
-    t3 = t2 + draw(st.floats(1e-3, 8.0))
-    return FridgeConfig(E1=e1, E2=e1 + e3, E3=e3, T1=t1, T2=t2, T3=t3,
-                        theta=draw(st.floats(0.05, math.pi / 2.0)))
 
 
 @settings(max_examples=300, deadline=None)

@@ -15,6 +15,7 @@ from spinfridge import (
     dephase,
     effective_temperature,
     evolve,
+    excited_populations,
     herm_exp,
     internal_energy,
     ledger_step,
@@ -22,7 +23,6 @@ from spinfridge import (
     thermal_state,
     von_neumann_entropy,
 )
-from spinfridge.thermo import excited_population
 from spinfridge.linalg import PAULI_X
 
 
@@ -46,7 +46,7 @@ def test_thermal_state_limits_and_value():
     )
     warm = thermal_state(SpinSpec(E=2.0, T=4.0)).populations
     assert warm[1] == pytest.approx(0.37754066879814546, abs=1e-13)
-    assert excited_population(SpinSpec(E=2.0, T=4.0)) == pytest.approx(
+    assert excited_populations([2.0], [4.0])[0] == pytest.approx(
         float(warm[1]), abs=1e-15
     )
 
