@@ -26,7 +26,7 @@ from typing import Sequence, get_type_hints
 import numpy as np
 
 from . import __version__
-from .cooling import PRNG_ID, check_bias, check_bits, check_rounds, simulate_bcs
+from .cooling import PRNG_ID, check_bias, check_bits, check_rounds, check_seed, simulate_bcs
 from .compiler import compile_exchange, run_with_ledger, verify
 from .cycles import CycleRecord, check_grid, cycle_arrays, phase_diagram_arrays
 from .fridge import (
@@ -143,6 +143,7 @@ _RULES = {
     "bits": check_bits,
     "epsilon0": check_bias,
     "rounds": check_rounds,
+    "seed": check_seed,
 }
 
 

@@ -13,6 +13,7 @@ bridges these bit-pool statements to the refrigerator's thermal states.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,23 +21,25 @@ import numpy as np
 from .thermo import check_positive
 
 PRNG_ID = "numpy-pcg64"  # np.random.default_rng; seeded runs are bit-reproducible
+MAX_BITS = 10**9  # a pool holds one byte per bit; a compression round peaks near four
+SAMPLE_CHUNK = 2**15  # uniforms drawn per rng.random call while sampling a pool
 
 
 @dataclass(frozen=True)
 class BiasState:
     """A pool of n_bits i.i.d. bits at a common bias.
 
-    Compression drives eps toward 1 and a pure pool has eps = 1;
-    empirical estimates from finite samples may come out slightly
-    negative, so (-1, 1] is accepted.
+    Compression drives eps toward 1 and a pure pool has eps = 1; an
+    empirical estimate from a finite sample may come out negative, down to
+    -1 for a pool whose bits are all 1, so [-1, 1] is accepted.
     """
 
     epsilon: float
     n_bits: int
 
     def __post_init__(self) -> None:
-        if not (-1.0 < self.epsilon <= 1.0):
-            raise ValueError(f"bias must lie in (-1, 1], got {self.epsilon}")
+        if not (-1.0 <= self.epsilon <= 1.0):
+            raise ValueError(f"bias must lie in [-1, 1], got {self.epsilon}")
         if self.n_bits < 0:
             raise ValueError(f"bit count must be nonnegative, got {self.n_bits}")
 
@@ -125,19 +128,45 @@ def bias_from_temperature(E: float, T: float) -> float:
 def _empirical_bias(bits: np.ndarray) -> float:
     if bits.size == 0:
         return 0.0
-    return float(1.0 - 2.0 * bits.mean())
+    # a count of ones is exact, so this equals 1 - 2 * mean() bit for bit
+    return 1.0 - 2.0 * (np.count_nonzero(bits) / bits.size)
 
 
 def check_bits(n_bits: int) -> None:
-    """The rule for a pool's size: even and at least 2 bits."""
+    """The rule for a pool's size: even, at least 2 and at most MAX_BITS bits."""
     if n_bits < 2 or n_bits % 2:
         raise ValueError(f"bit count must be even and at least 2, got {n_bits}")
+    if n_bits > MAX_BITS:
+        raise ValueError(f"bit count must be at most {MAX_BITS}, got {n_bits}")
 
 
 def check_rounds(rounds: int) -> None:
     """The rule for a round count: nonnegative."""
     if rounds < 0:
         raise ValueError(f"round count must be nonnegative, got {rounds}")
+
+
+def check_seed(seed: int) -> None:
+    """The rule for a PRNG seed: a nonnegative integer."""
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+
+
+def _sample_pool(rng: np.random.Generator, n_bits: int, epsilon: float) -> np.ndarray:
+    """n_bits bools, each True (a 1 bit) with probability (1 - epsilon)/2.
+
+    Bit i is rng.random() >= (1 + epsilon)/2 for the i-th uniform of the
+    stream.  PCG64 spends one raw draw per double, so drawing the uniforms
+    SAMPLE_CHUNK at a time gives the same bits as one rng.random(n_bits).
+    """
+    threshold = (1.0 + epsilon) / 2.0
+    bits = np.empty(n_bits, dtype=bool)
+    buffer = np.empty(min(n_bits, SAMPLE_CHUNK))
+    for start in range(0, n_bits, SAMPLE_CHUNK):
+        uniforms = buffer[:min(SAMPLE_CHUNK, n_bits - start)]
+        rng.random(out=uniforms)
+        np.greater_equal(uniforms, threshold, out=bits[start:start + uniforms.size])
+    return bits
 
 
 def simulate_bcs(n_bits: int, epsilon: float, rounds: int, seed: int) -> BcsResult:
@@ -150,8 +179,8 @@ def simulate_bcs(n_bits: int, epsilon: float, rounds: int, seed: int) -> BcsResu
     check_bits(n_bits)
     check_bias(epsilon)
     check_rounds(rounds)
-    rng = np.random.default_rng(seed)
-    bits = (rng.random(n_bits) >= (1.0 + epsilon) / 2.0).astype(np.uint8)
+    check_seed(seed)
+    bits = _sample_pool(np.random.default_rng(seed), n_bits, epsilon)
     analytic = epsilon
     history = [BcsRound(0, analytic, _empirical_bias(bits), int(bits.size))]
     for round_index in range(1, rounds + 1):
@@ -159,9 +188,11 @@ def simulate_bcs(n_bits: int, epsilon: float, rounds: int, seed: int) -> BcsResu
             bits = bits[:-1]
         if bits.size == 0:
             break  # pool exhausted; remaining rounds are vacuous
-        control = bits[0::2]
-        target = bits[1::2]
-        bits = control[control == target]  # CNOT target reads 0 iff the pair agrees
+        # a (control, target) pair of bools read as one uint16 agrees iff it is
+        # 0x0000 or 0x0101, when the CNOT target reads 0; the kept control bit
+        # is then the pair's bit, and np.compress keeps the pairs in order
+        pairs = bits.view(np.uint16)
+        bits = np.compress((pairs == 0) | (pairs == 0x0101), pairs) != 0
         if analytic < 1.0:  # a bias that rounded to 1.0 is a fixed point of the map
             analytic = bcs_bias(analytic)
         history.append(BcsRound(round_index, analytic, _empirical_bias(bits), int(bits.size)))

@@ -4,9 +4,11 @@ These deliberately avoid the library's code paths: matrix exponentials go
 through scipy.linalg.expm instead of an eigendecomposition, partial traces
 through explicit index loops instead of einsum, and thermodynamic
 quantities through closed-form expressions instead of operator algebra.
-``loop_cycles`` is the exception: it is the per-cycle loop that
-``spinfridge.cycles`` ran before its closed form, step for step on the
-library's scalar population functions.
+``loop_cycles`` and ``loop_bcs`` are the exceptions: they are the
+per-cycle loop that ``spinfridge.cycles`` ran before its closed form, step
+for step on the library's scalar population functions, and the uint8 pool
+that ``spinfridge.cooling.simulate_bcs`` sampled and compressed before its
+bit-pool kernel.
 """
 
 import math
@@ -21,6 +23,15 @@ from spinfridge import (
     exchange_flow,
     excited_populations,
     spin_temperature,
+)
+from spinfridge.cooling import (
+    BcsResult,
+    BcsRound,
+    BiasState,
+    bcs_bias,
+    check_bias,
+    check_bits,
+    check_rounds,
 )
 
 
@@ -127,3 +138,34 @@ def loop_cycles(cfg: FridgeConfig, n_cycles: int) -> list[CycleRecord]:
         temperature = spin_temperature(1.0 - p1, p1, cfg.E1)
         records.append(CycleRecord(n, temperature, binary_entropy(p1), cfg.E1 * p1, cfg.E1 * delta))
     return records
+
+
+def _empirical_bias(bits: np.ndarray) -> float:
+    if bits.size == 0:
+        return 0.0
+    return float(1.0 - 2.0 * bits.mean())
+
+
+def loop_bcs(n_bits: int, epsilon: float, rounds: int, seed: int) -> BcsResult:
+    """One float64 draw of the whole pool, a strided boolean-mask gather per
+    round, and the pool's mean as its bias."""
+    check_bits(n_bits)
+    check_bias(epsilon)
+    check_rounds(rounds)
+    rng = np.random.default_rng(seed)
+    bits = (rng.random(n_bits) >= (1.0 + epsilon) / 2.0).astype(np.uint8)
+    analytic = epsilon
+    history = [BcsRound(0, analytic, _empirical_bias(bits), int(bits.size))]
+    for round_index in range(1, rounds + 1):
+        if bits.size % 2:
+            bits = bits[:-1]
+        if bits.size == 0:
+            break  # pool exhausted; remaining rounds are vacuous
+        control = bits[0::2]
+        target = bits[1::2]
+        bits = control[control == target]  # CNOT target reads 0 iff the pair agrees
+        if analytic < 1.0:  # a bias that rounded to 1.0 is a fixed point of the map
+            analytic = bcs_bias(analytic)
+        history.append(BcsRound(round_index, analytic, _empirical_bias(bits), int(bits.size)))
+    final = BiasState(epsilon=_empirical_bias(bits), n_bits=int(bits.size))
+    return BcsResult(rounds=tuple(history), final=final, seed=seed)

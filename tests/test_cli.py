@@ -248,6 +248,7 @@ def test_exit_codes(capsys, tmp_path):
         ["phase-diagram", "--grid", "2,inf,2,10,5"],
         ["cop", "--grid", "2,inf,2,10,5"],
         ["cop", "--grid", "2,1e308,2,10,5"],
+        ["bcs", "--bits", "100000000000000"],
     ):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # outside pytest a warning prints its own lines
@@ -275,12 +276,18 @@ def test_exit_codes(capsys, tmp_path):
         ("bits", "3", "bit count must be even and at least 2, got 3"),
         ("epsilon0", "1.0", "bias must lie in [0, 1), got 1.0"),
         ("rounds", "-1", "round count must be nonnegative, got -1"),
+        ("seed", "-1", "seed must be a nonnegative integer, got -1"),
+        ("bits", "100000000000000", "bit count must be at most 1000000000, got 100000000000000"),
     ):
         assert main(["bcs", f"--{key}={text}"]) == 1
         assert capsys.readouterr().err == f"error: argument --{key}: {reason}\n"
         config.write_text(f"# line 1\n{key} = {text}\n")
         assert main(["bcs", "--config", str(config)]) == 1
         assert capsys.readouterr().err == f"error: {config}:2: {key}: {reason}\n"
+    # the seed rule holds for every command, as the pool keys do
+    assert main(["exchange", "--seed=-1"]) == 1
+    assert capsys.readouterr().err == (
+        "error: argument --seed: seed must be a nonnegative integer, got -1\n")
     # a rule across keys reports no single source
     for args, reason in (
         (["exchange", "--e3", "2.5"], "E2 must equal E1 + E3 (self-contained condition): "
@@ -331,3 +338,13 @@ def test_bcs_pure_pools_follow_the_recursion(tmp_path):
         counts = [int(row["retained_bits"]) for row in rows]
         assert all(b <= a for a, b in zip(counts[:-1], counts[1:]))
         assert float(rows[-1]["empirical_bias"]) == 1.0
+
+
+def test_bcs_all_ones_pool_reports_bias_minus_one(tmp_path):
+    # seed 1 samples the 2-bit pool 11 at eps0 = 0: its bias is -1.0 in every round
+    out = tmp_path / "ones.csv"
+    assert run_cli(["bcs", "--bits", "2", "--epsilon0", "0", "--rounds", "1", "--seed", "1"],
+                   out) == 0
+    _, rows = read_csv(out)
+    assert [row["retained_bits"] for row in rows] == ["2", "1"]
+    assert [float(row["empirical_bias"]) for row in rows] == [-1.0, -1.0]

@@ -1,11 +1,13 @@
 """Basic compression subroutine: recursion, yields, stochastic engine."""
 
+import itertools
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from spinfridge import (
     BiasState,
     SpinSpec,
@@ -17,6 +19,7 @@ from spinfridge import (
     simulate_bcs,
     thermal_state,
 )
+from spinfridge.cooling import MAX_BITS, SAMPLE_CHUNK
 
 
 def test_bcs_bias_examples():
@@ -107,10 +110,11 @@ def test_bias_from_temperature_rejects_an_infinite_gap():
 def test_bias_state_domain():
     BiasState(epsilon=-0.001, n_bits=10)  # empirical estimates may dip negative
     BiasState(epsilon=1.0, n_bits=10)  # a pure pool
+    BiasState(epsilon=-1.0, n_bits=10)  # a pool whose bits are all 1
     with pytest.raises(ValueError):
         BiasState(epsilon=1.0000001, n_bits=10)
     with pytest.raises(ValueError):
-        BiasState(epsilon=-1.0, n_bits=10)
+        BiasState(epsilon=-1.0000001, n_bits=10)
     with pytest.raises(ValueError):
         BiasState(epsilon=0.5, n_bits=-1)
 
@@ -131,6 +135,42 @@ def test_simulate_bcs_validation():
         simulate_bcs(0, 0.5, 1, seed=0)
     with pytest.raises(ValueError):
         simulate_bcs(100, 1.0, 1, seed=0)
+    # the size cap is checked before any pool is allocated
+    with pytest.raises(ValueError, match=f"bit count must be at most {MAX_BITS}, got"):
+        simulate_bcs(MAX_BITS + 2, 0.5, 1, seed=0)
+    for seed in (-1, 1.5, None):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            simulate_bcs(100, 0.5, 1, seed=seed)
+
+
+def test_simulate_bcs_equals_the_uint8_loop():
+    # pools one bit pair, two pairs, and around one and three sampling chunks;
+    # the bias 1 - 2^-53 rounds the sampling threshold (1 + eps)/2 to 1.0
+    sizes = (2, 4, SAMPLE_CHUNK - 2, SAMPLE_CHUNK + 2, 3 * SAMPLE_CHUNK + 2)
+    biases = (0.0, 0.3, 0.99, 1.0 - 2.0**-53)
+    finals = []
+    for n_bits, eps, seed in itertools.product(sizes, biases, range(8)):
+        for rounds in range(9):
+            case = (n_bits, eps, rounds, seed)
+            result = simulate_bcs(*case)
+            assert result == oracles.loop_bcs(*case), case
+            finals.append(result)
+    # the cases reach every kind of pool the loop can leave
+    assert any(r.final.epsilon == -1.0 and r.final.n_bits > 1 for r in finals)  # all ones
+    assert any(r.final.epsilon == 1.0 and r.final.n_bits > 1 for r in finals)  # pure
+    assert any(r.final.n_bits == 0 for r in finals)  # exhausted
+    assert any(row.retained_bits % 2 for r in finals for row in r.rounds[:-1])  # odd, trimmed
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 2 * SAMPLE_CHUNK).map(lambda pairs: 2 * pairs),
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.integers(0, 8),
+    st.integers(0, 2**64),
+)
+def test_simulate_bcs_equals_the_uint8_loop_on_random_cases(n_bits, eps, rounds, seed):
+    assert simulate_bcs(n_bits, eps, rounds, seed) == oracles.loop_bcs(n_bits, eps, rounds, seed)
 
 
 def test_simulate_bcs_unbiased_pool_stays_unbiased():
