@@ -53,8 +53,7 @@ from .compiler import (
     verify,
 )
 from .cycles import (
-    CycleRecord,
-    PhasePoint,
+    CycleColumns,
     detect_convergence,
     run_cycles,
     scan_phase_diagram,
@@ -85,8 +84,7 @@ __all__ = [
     "system_hamiltonian",
     "GateStep", "CompiledSequence", "compile_exchange", "verify",
     "sequence_unitary", "permute_blocks", "run_with_ledger",
-    "CycleRecord", "PhasePoint", "run_cycles", "detect_convergence",
-    "scan_phase_diagram",
+    "CycleColumns", "run_cycles", "detect_convergence", "scan_phase_diagram",
     "BiasState", "BcsRound", "BcsResult", "bcs_bias", "bcs_outcome_probs",
     "expected_purified", "rounds_to_bias", "bias_from_temperature", "simulate_bcs",
 ]

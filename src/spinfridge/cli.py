@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .cooling import PRNG_ID, check_bias, check_bits, check_rounds, check_seed, simulate_bcs
 from .compiler import compile_exchange, run_with_ledger, verify
-from .cycles import CycleRecord, check_grid, cycle_arrays, phase_diagram_arrays
+from .cycles import CycleColumns, check_cycles, check_grid, run_cycles, scan_phase_diagram
 from .fridge import (
     FridgeConfig, carnot_limit, check_theta, cop, exchange, exchange_sweep, initial_state,
     system_hamiltonian,
@@ -36,7 +36,6 @@ from .fridge import (
 from .thermo import check_positive
 
 FIDELITY_GATE = 1.0 - 1e-8
-MAX_CYCLES = 100_000
 
 
 def _key(default, help: str, bcs_only: bool = False):
@@ -129,17 +128,12 @@ _READERS = {name: _PARSERS.get(name, hint)
             for name, hint in get_type_hints(RunConfig).items() if name != "command"}
 
 
-def _check_cycles(cycles: int) -> None:
-    if not 1 <= cycles <= MAX_CYCLES:
-        raise ValueError(f"cycles must lie in [1, {MAX_CYCLES}], got {cycles}")
-
-
 # the rules of one key each, applied where the key is read so that an error
 # names its flag or file line; the rules across keys (E2 = E1 + E3, the E/T
 # underflow) run on the resolved config
 _RULES = {
     **{key: functools.partial(check_positive, name) for key, name in _FRIDGE_KEYS.items()},
-    "cycles": _check_cycles,
+    "cycles": check_cycles,
     "bits": check_bits,
     "epsilon0": check_bias,
     "rounds": check_rounds,
@@ -335,15 +329,15 @@ def _columns_ledger(cfg: RunConfig) -> dict[str, Sequence]:
 
 
 def _columns_cycles(cfg: RunConfig) -> dict[str, Sequence]:
-    runs = [cycle_arrays(cfg.fridge(theta), cfg.cycles) for theta in cfg.theta]
-    columns = dict(zip((f.name for f in fields(CycleRecord)), map(np.concatenate, zip(*runs))))
+    runs = [run_cycles(cfg.fridge(theta), cfg.cycles) for theta in cfg.theta]
+    columns = dict(zip(CycleColumns._fields, map(np.concatenate, zip(*runs))))
     return {"n": columns.pop("n"), "theta": np.repeat(cfg.theta, cfg.cycles + 1), **columns}
 
 
 def _columns_phase_diagram(cfg: RunConfig) -> dict[str, Sequence]:
     t2_min, t2_max, t3_min, t3_max, steps = cfg.grid
-    t2s, t3s, dq1 = phase_diagram_arrays((t2_min, t2_max), (t3_min, t3_max), steps, cfg.t1,
-                                         cfg.theta[0], base=cfg.fridge())
+    t2s, t3s, dq1 = scan_phase_diagram((t2_min, t2_max), (t3_min, t3_max), steps,
+                                       base=cfg.fridge())
     return {"T2": t2s, "T3": t3s, "dQ1": dq1}
 
 

@@ -44,7 +44,7 @@ from .linalg import (
     pauli_matrix,
     pauli_to_operator,
 )
-from .fridge import exchange_generator, exchange_pauli_terms
+from .fridge import check_theta, exchange_generator, exchange_pauli_terms
 from .thermo import WorkLedgerEntry, check_positive
 
 BLOCK_SIZE = 10
@@ -140,8 +140,7 @@ def compile_exchange(theta: float, g: float = 1.0) -> CompiledSequence:
     population exchange and larger values simply wind further.  g only
     fixes the physical time t = theta/g and does not enter the sequence.
     """
-    if not math.isfinite(theta):
-        raise ValueError("theta must be finite")
+    check_theta(theta)
     check_positive("coupling g", g)
     before, after, izz = _core_frame()
     steps: list[GateStep] = []
@@ -174,15 +173,13 @@ def sequence_unitary(seq: CompiledSequence) -> Operator:
     return Operator(total)
 
 
-def verify(seq: CompiledSequence, theta: float | None = None) -> float:
+def verify(seq: CompiledSequence) -> float:
     """Fidelity |tr(U_seq^dag U_direct)| / dim against the direct exponential.
 
     1.0 means the sequence equals the target up to a global phase.
     """
-    if theta is None:
-        theta = seq.theta
     u_seq = sequence_unitary(seq)
-    u_direct = eigh_exp(_exchange_eigh(), theta)
+    u_direct = eigh_exp(_exchange_eigh(), seq.theta)
     overlap = np.trace(u_seq.matrix.conj().T @ u_direct.matrix)
     return float(abs(overlap)) / u_seq.dim
 

@@ -11,7 +11,7 @@ independently of theta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,40 +19,38 @@ from .fridge import FridgeConfig, exchange_flow, exchange_sweep, excited_populat
 from .thermo import binary_entropies, check_positive, spin_temperatures
 
 MAX_GRID_STEPS = 1000  # per axis
+MAX_CYCLES = 100_000
 
 
-@dataclass(frozen=True)
-class CycleRecord:
-    """Snapshot of the target spin after cycle n (n = 0 is the initial state)."""
+class CycleColumns(NamedTuple):
+    """Spin 1 after each cycle n = 0..n_cycles (n = 0 is the initial state), one
+    entry per cycle in each column."""
 
-    n: int
-    T1: float
-    entropy_q1: float
-    energy_q1: float
-    dQ1: float
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    """Heat transfer of spin 1 for one (T2, T3) grid cell."""
-
-    T2: float
-    T3: float
-    dQ1: float
+    n: np.ndarray
+    T1: np.ndarray
+    entropy_q1: np.ndarray
+    energy_q1: np.ndarray
+    dQ1: np.ndarray
 
 
-def cycle_arrays(cfg: FridgeConfig, n_cycles: int) -> tuple[np.ndarray, ...]:
-    """The n, T1, entropy_q1, energy_q1 and dQ1 columns of run_cycles, in closed form.
+def check_cycles(n_cycles: int) -> None:
+    """The cycle rule: 1 to MAX_CYCLES cycles."""
+    if not 1 <= n_cycles <= MAX_CYCLES:
+        raise ValueError(f"cycles must lie in [1, {MAX_CYCLES}], got {n_cycles}")
 
-    With A = p2 (1 - p3), D = A + (1 - p2) p3 and s2 = sin^2(theta), a cycle
+
+def run_cycles(cfg: FridgeConfig, n_cycles: int) -> CycleColumns:
+    """Spin 1 after each of n_cycles evolve-reset loops at angle cfg.theta, in closed form.
+
+    The reset keeps spin 1's populations and refreshes spins 2 and 3.  With
+    A = p2 (1 - p3), D = A + (1 - p2) p3 and s2 = sin^2(theta), a cycle
     maps p1 to p1 + s2 (A - D p1), so after n cycles p1 = p* + d_n (p1_0 - p*)
     with the fixed point p* = A / D (spin 1 at T_bound) and the contraction
     d_n = (1 - s2 D)^n, taken as exp(n log1p(-s2 D)) to keep the rounding of
     1 - s2 D out of its powers.  Cycle n moves the heat E1 delta_1 d_(n-1),
     delta_1 being the first cycle's exchange_flow.
     """
-    if n_cycles < 1:
-        raise ValueError(f"n_cycles must be at least 1, got {n_cycles}")
+    check_cycles(n_cycles)
     p0, p2, p3 = (float(p) for p in excited_populations(cfg.gaps, cfg.temps))
     gain = p2 * (1.0 - p3)
     rate = gain + (1.0 - p2) * p3
@@ -70,28 +68,17 @@ def cycle_arrays(cfg: FridgeConfig, n_cycles: int) -> tuple[np.ndarray, ...]:
     dq1 = np.empty_like(p1)
     dq1[0] = 0.0
     dq1[1:] = cfg.E1 * exchange_flow(p0, p2, p3, cfg.theta)[2] * decay[:-1]
-    return n, spin_temperatures(p1, cfg.E1), binary_entropies(p1), cfg.E1 * p1, dq1
+    return CycleColumns(n, spin_temperatures(p1, cfg.E1), binary_entropies(p1), cfg.E1 * p1, dq1)
 
 
-def run_cycles(cfg: FridgeConfig, n_cycles: int) -> list[CycleRecord]:
-    """Run n_cycles evolve-reset loops at angle cfg.theta and record spin 1 after each.
-
-    The reset keeps spin 1's populations and refreshes spins 2 and 3, so a
-    cycle is the affine map p1 <- p1 + delta of fridge.exchange_flow; the
-    records are the rows of cycle_arrays.
-    """
-    columns = cycle_arrays(cfg, n_cycles)
-    return [CycleRecord(*row) for row in zip(*(column.tolist() for column in columns))]
-
-
-def detect_convergence(records: list[CycleRecord], tol: float) -> tuple[bool, float]:
-    """Converged iff the last five successive T1 differences are below tol."""
-    if len(records) < 2:
-        raise ValueError("need at least two records to assess convergence")
-    temps = [r.T1 for r in records]
-    diffs = [abs(b - a) for a, b in zip(temps[:-1], temps[1:])]
-    converged = len(diffs) >= 5 and all(d < tol for d in diffs[-5:])
-    return converged, temps[-1]
+def detect_convergence(T1, tol: float) -> tuple[bool, float]:
+    """Converged iff the last five successive differences of the T1 column are
+    below tol; also returns the last T1."""
+    temps = np.asarray(T1, dtype=float)
+    if temps.size < 2:
+        raise ValueError("need at least two temperatures to assess convergence")
+    diffs = np.abs(np.diff(temps[-6:]))
+    return diffs.size == 5 and bool(np.all(diffs < tol)), float(temps[-1])
 
 
 def check_grid(
@@ -114,38 +101,22 @@ def check_grid(
                        low + (high - low) * (steps - 1))
 
 
-def phase_diagram_arrays(
-    t2_range: tuple[float, float],
-    t3_range: tuple[float, float],
-    grid: int | tuple[int, int],
-    t1_fixed: float,
-    theta: float,
-    *,
-    base: FridgeConfig | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(T2, T3, dQ1) of one exchange per grid cell at fixed T1, one entry per cell.
-
-    Cells are ordered by T2 then T3.  Gaps are taken from ``base`` (default
-    configuration if omitted).
-    """
-    n2, n3 = (grid, grid) if isinstance(grid, int) else (int(grid[0]), int(grid[1]))
-    check_grid(t2_range, t3_range, n2, n3)
-    base = replace(base or FridgeConfig(), T1=t1_fixed, theta=theta)
-    t2s = np.linspace(t2_range[0], t2_range[1], n2)
-    t3s = np.linspace(t3_range[0], t3_range[1], n3)
-    dq1 = base.E1 * exchange_sweep(base, t2s[:, None], t3s[None, :])
-    return t2s.repeat(n3), np.tile(t3s, n2), dq1.ravel()
-
-
 def scan_phase_diagram(
     t2_range: tuple[float, float],
     t3_range: tuple[float, float],
     grid: int | tuple[int, int],
-    t1_fixed: float,
-    theta: float,
     *,
     base: FridgeConfig | None = None,
-) -> list[PhasePoint]:
-    """phase_diagram_arrays as one PhasePoint per cell."""
-    cells = phase_diagram_arrays(t2_range, t3_range, grid, t1_fixed, theta, base=base)
-    return [PhasePoint(*cell) for cell in zip(*(column.tolist() for column in cells))]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(T2, T3, dQ1) of one exchange per grid cell, one entry per cell.
+
+    Cells are ordered by T2 then T3.  Gaps, T1 and theta are taken from
+    ``base`` (default configuration if omitted).
+    """
+    n2, n3 = (grid, grid) if isinstance(grid, int) else (int(grid[0]), int(grid[1]))
+    check_grid(t2_range, t3_range, n2, n3)
+    base = base or FridgeConfig()
+    t2s = np.linspace(t2_range[0], t2_range[1], n2)
+    t3s = np.linspace(t3_range[0], t3_range[1], n3)
+    dq1 = base.E1 * exchange_sweep(base, t2s[:, None], t3s[None, :])
+    return t2s.repeat(n3), np.tile(t3s, n2), dq1.ravel()

@@ -47,9 +47,15 @@ IDX_010 = 0b010
 IDX_101 = 0b101
 
 
-def is_self_contained(E1: float, E2: float, E3: float) -> bool:
-    """E2 = E1 + E3 up to a relative tolerance, as the sum's rounding grows with the gaps."""
-    return math.isclose(E2, E1 + E3, rel_tol=SELF_CONTAINED_RTOL)
+def check_gaps(E1: float, E2: float, E3: float) -> None:
+    """The gap rule: each gap positive and finite, and E2 = E1 + E3 up to a
+    relative tolerance, as the sum's rounding grows with the gaps."""
+    for name, gap in (("E1", E1), ("E2", E2), ("E3", E3)):
+        check_positive(name, gap)
+    if not math.isclose(E2, E1 + E3, rel_tol=SELF_CONTAINED_RTOL):
+        raise ValueError(
+            f"E2 must equal E1 + E3 (self-contained condition): E2={E2}, E1+E3={E1 + E3}"
+        )
 
 
 def check_spin(spin: int, gap, temp) -> None:
@@ -91,13 +97,9 @@ class FridgeConfig:
     theta: float = math.pi / 2
 
     def __post_init__(self) -> None:
-        for name in ("E1", "E2", "E3", "T1", "T2", "T3", "g"):
+        check_gaps(*self.gaps)
+        for name in ("T1", "T2", "T3", "g"):
             check_positive(name, getattr(self, name))
-        if not is_self_contained(self.E1, self.E2, self.E3):
-            raise ValueError(
-                "E2 must equal E1 + E3 (self-contained condition): "
-                f"E2={self.E2}, E1+E3={self.E1 + self.E3}"
-            )
         check_theta(self.theta)
         for spin, (gap, temp) in enumerate(zip(self.gaps, self.temps), start=1):
             check_spin(spin, gap, temp)
@@ -229,8 +231,7 @@ def bound_temperature(E1: float, E2: float, E3: float, T2: float, T3: float) -> 
     This is where the working condition turns into an equality with the
     bath temperatures held fixed; spin 1 cools iff T1 exceeds it.
     """
-    if not is_self_contained(E1, E2, E3):
-        raise ValueError("gaps must satisfy E2 = E1 + E3")
+    check_gaps(E1, E2, E3)
     check_positive("T2", T2)
     check_positive("T3", T3)
     denom = E2 / T2 - E3 / T3

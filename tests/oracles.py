@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from spinfridge import (
-    CycleRecord,
+    CycleColumns,
     FridgeConfig,
     binary_entropy,
     exchange_flow,
@@ -126,18 +126,18 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def loop_cycles(cfg: FridgeConfig, n_cycles: int) -> list[CycleRecord]:
+def loop_cycles(cfg: FridgeConfig, n_cycles: int) -> CycleColumns:
     """Spin 1 after each of n_cycles evolve-reset loops, iterating p1 <- p1 + delta."""
     p1, p2, p3 = (float(p) for p in excited_populations(cfg.gaps, cfg.temps))
-    records = []
+    rows = []
     delta = 0.0
     for n in range(n_cycles + 1):
         if n:
             delta = exchange_flow(p1, p2, p3, cfg.theta)[2]
             p1 += delta
         temperature = spin_temperature(1.0 - p1, p1, cfg.E1)
-        records.append(CycleRecord(n, temperature, binary_entropy(p1), cfg.E1 * p1, cfg.E1 * delta))
-    return records
+        rows.append((n, temperature, binary_entropy(p1), cfg.E1 * p1, cfg.E1 * delta))
+    return CycleColumns(*map(np.array, zip(*rows)))
 
 
 def _empirical_bias(bits: np.ndarray) -> float:

@@ -1,5 +1,6 @@
 """Forty-step pulse decomposition of the exchange evolution."""
 
+import dataclasses
 import itertools
 import math
 from unittest import mock
@@ -108,7 +109,7 @@ def test_verify_reuses_one_eigendecomposition(theta, monkeypatch):
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda *args: calls.append(1) or eigh(*args))
     # bit-identical to a fresh exponential, and no eigendecomposition per angle
-    assert (verify(seq), verify(seq, theta + 0.25)) == expected
+    assert (verify(seq), verify(dataclasses.replace(seq, theta=theta + 0.25))) == expected
     assert calls == []
 
 
@@ -189,6 +190,11 @@ def test_gate_step_validation():
 def test_compile_exchange_rejects_an_infinite_coupling():
     with pytest.raises(ValueError, match="coupling g must be positive and finite, got inf"):
         compile_exchange(0.5, g=math.inf)
+
+
+def test_compile_exchange_applies_the_theta_rule_of_the_config():
+    with pytest.raises(ValueError, match="^theta must be finite, got nan$"):
+        compile_exchange(math.nan)
 
 
 def fresh_ledger(seq, rho0, h_sys, *, stored_unitaries=False):

@@ -8,7 +8,6 @@ import pytest
 
 import oracles
 from spinfridge import (
-    CycleRecord,
     DensityMatrix,
     FridgeConfig,
     SpinSpec,
@@ -26,16 +25,17 @@ from spinfridge import (
     scan_phase_diagram,
     thermal_state,
 )
+from spinfridge.cycles import MAX_CYCLES
 
 T_BOUND = 10.0 / 13.0
 
 
 def test_run_cycles_shape_and_initial_record():
-    records = run_cycles(FridgeConfig(theta=math.pi / 2.0), 5)
-    assert len(records) == 6
-    assert [r.n for r in records] == list(range(6))
-    assert records[0].T1 == pytest.approx(2.0, abs=1e-10)
-    assert records[0].dQ1 == 0.0
+    cols = run_cycles(FridgeConfig(theta=math.pi / 2.0), 5)
+    assert len(cols.n) == 6
+    assert cols.n.tolist() == list(range(6))
+    assert cols.T1[0] == pytest.approx(2.0, abs=1e-10)
+    assert cols.dQ1[0] == 0.0
 
 
 def test_run_cycles_requires_at_least_one_cycle():
@@ -43,44 +43,48 @@ def test_run_cycles_requires_at_least_one_cycle():
         run_cycles(FridgeConfig(theta=math.pi / 2.0), 0)
 
 
+def test_run_cycles_caps_the_cycle_count():
+    with pytest.raises(ValueError, match=f"cycles must lie in \\[1, {MAX_CYCLES}\\]"):
+        run_cycles(FridgeConfig(), MAX_CYCLES + 1)
+
+
 def test_run_cycles_reads_the_angle_from_the_config():
     cfg = FridgeConfig(theta=0.1)
     p1, p2, p3 = (oracles.thermal_population(E, T) for E, T in zip(cfg.gaps, cfg.temps))
-    records = run_cycles(cfg, 5)
-    for record in records[1:]:
+    cols = run_cycles(cfg, 5)
+    for dq1, energy in zip(cols.dQ1[1:].tolist(), cols.energy_q1[1:].tolist()):
         delta = math.sin(0.1) ** 2 * ((1.0 - p1) * p2 * (1.0 - p3) - p1 * (1.0 - p2) * p3)
         p1 += delta
-        assert record.dQ1 == pytest.approx(cfg.E1 * delta, rel=1e-12)
-        assert record.energy_q1 == pytest.approx(cfg.E1 * p1, rel=1e-12)
+        assert dq1 == pytest.approx(cfg.E1 * delta, rel=1e-12)
+        assert energy == pytest.approx(cfg.E1 * p1, rel=1e-12)
     # the first cycle at pi/2 moves 1/sin^2(0.1), about 100 times, more heat
     full = run_cycles(FridgeConfig(theta=math.pi / 2.0), 5)
-    assert full[1].dQ1 == pytest.approx(records[1].dQ1 / math.sin(0.1) ** 2, rel=1e-12)
+    assert full.dQ1[1] == pytest.approx(cols.dQ1[1] / math.sin(0.1) ** 2, rel=1e-12)
 
 
 def test_bound_temperature_is_a_fixed_point():
     cfg = FridgeConfig(T1=T_BOUND, theta=math.pi / 2.0)
-    records = run_cycles(cfg, 8)
-    for record in records:
-        assert record.T1 == pytest.approx(T_BOUND, abs=1e-9)
+    for t1 in run_cycles(cfg, 8).T1.tolist():
+        assert t1 == pytest.approx(T_BOUND, abs=1e-9)
 
 
 def test_paper_configuration_converges_quickly():
-    records = run_cycles(FridgeConfig(theta=math.pi / 2.0), 20)
-    assert abs(records[-1].T1 - T_BOUND) < 1e-3
-    hits = [r.n for r in records if abs(r.T1 - T_BOUND) < 1e-3]
+    cols = run_cycles(FridgeConfig(theta=math.pi / 2.0), 20)
+    assert abs(cols.T1[-1] - T_BOUND) < 1e-3
+    hits = cols.n[np.abs(cols.T1 - T_BOUND) < 1e-3].tolist()
     assert hits and hits[0] <= 20
 
 
 def test_smaller_angle_converges_more_slowly_to_the_same_limit():
     fast = run_cycles(FridgeConfig(theta=math.pi / 2.0), 300)
     slow = run_cycles(FridgeConfig(theta=math.pi / 8.0), 300)
-    assert fast[-1].T1 == pytest.approx(slow[-1].T1, abs=1e-6)
-    assert fast[-1].T1 == pytest.approx(T_BOUND, abs=1e-6)
+    assert fast.T1[-1] == pytest.approx(slow.T1[-1], abs=1e-6)
+    assert fast.T1[-1] == pytest.approx(T_BOUND, abs=1e-6)
 
-    def first_hit(records, tol=1e-3):
-        for record in records:
-            if abs(record.T1 - T_BOUND) < tol:
-                return record.n
+    def first_hit(cols, tol=1e-3):
+        for n, t1 in zip(cols.n.tolist(), cols.T1.tolist()):
+            if abs(t1 - T_BOUND) < tol:
+                return n
         return math.inf
 
     assert first_hit(fast) < first_hit(slow)
@@ -88,16 +92,15 @@ def test_smaller_angle_converges_more_slowly_to_the_same_limit():
 
 def test_temperature_is_monotone_non_increasing():
     for theta in (math.pi / 8.0, math.pi / 3.0, math.pi / 2.0):
-        records = run_cycles(FridgeConfig(theta=theta), 60)
-        temps = [r.T1 for r in records]
+        cols = run_cycles(FridgeConfig(theta=theta), 60)
+        temps = cols.T1.tolist()
         assert all(b <= a + 1e-12 for a, b in zip(temps[:-1], temps[1:]))
         # entropy of the target spin also falls while cooling
-        assert records[-1].entropy_q1 < records[0].entropy_q1
+        assert cols.entropy_q1[-1] < cols.entropy_q1[0]
         # per-cycle heat matches the energy deltas
-        for before, after in zip(records[:-1], records[1:]):
-            assert after.dQ1 == pytest.approx(
-                after.energy_q1 - before.energy_q1, abs=1e-12
-            )
+        energies = cols.energy_q1.tolist()
+        for before, after, dq1 in zip(energies[:-1], energies[1:], cols.dQ1[1:].tolist()):
+            assert dq1 == pytest.approx(after - before, abs=1e-12)
 
 
 def test_reset_preserves_the_reduced_target_state():
@@ -114,11 +117,11 @@ def test_reset_preserves_the_reduced_target_state():
 
 
 def test_detect_convergence_paths():
-    constant = [CycleRecord(n, 1.5, 0.1, 0.2, 0.0) for n in range(8)]
+    constant = [1.5] * 8
     converged, limit = detect_convergence(constant, 1e-10)
     assert converged and limit == 1.5
 
-    decreasing = [CycleRecord(n, 5.0 - 0.5 * n, 0.1, 0.2, 0.0) for n in range(8)]
+    decreasing = [5.0 - 0.5 * n for n in range(8)]
     converged, _ = detect_convergence(decreasing, 1e-6)
     assert not converged
 
@@ -127,8 +130,8 @@ def test_detect_convergence_paths():
 
 
 def test_detect_convergence_on_the_reference_run():
-    records = run_cycles(FridgeConfig(theta=math.pi / 2.0), 80)
-    converged, limit = detect_convergence(records, 1e-8)
+    cols = run_cycles(FridgeConfig(theta=math.pi / 2.0), 80)
+    converged, limit = detect_convergence(cols.T1, 1e-8)
     assert converged
     assert limit == pytest.approx(T_BOUND, abs=1e-6)
     # analytic check: the limit solves the working condition at equality
@@ -136,17 +139,17 @@ def test_detect_convergence_on_the_reference_run():
 
 
 def test_scan_phase_diagram_shape_and_signs():
-    points = scan_phase_diagram((2.0, 6.0), (2.0, 10.0), 9, 2.0, math.pi / 2.0)
-    assert len(points) == 81
+    t2s, t3s, dq1 = scan_phase_diagram((2.0, 6.0), (2.0, 10.0), 9)  # T1 = 2, theta = pi/2
+    assert len(dq1) == 81
     # deterministic ordering: T2 outer, T3 inner
-    assert points[0].T2 == pytest.approx(2.0)
-    assert points[0].T3 == pytest.approx(2.0)
-    assert points[1].T3 > points[0].T3
+    assert t2s[0] == pytest.approx(2.0)
+    assert t3s[0] == pytest.approx(2.0)
+    assert t3s[1] > t3s[0]
 
-    for point in points:
-        boundary = phase_boundary_value(point.T2, point.T3)
+    for t2, t3, heat in zip(t2s.tolist(), t3s.tolist(), dq1.tolist()):
+        boundary = phase_boundary_value(t2, t3)
         if abs(boundary) > 0.5:
-            assert point.dQ1 * boundary < 0.0  # dQ1 < 0 exactly when cooling works
+            assert heat * boundary < 0.0  # dQ1 < 0 exactly when cooling works
 
 
 def test_scan_phase_boundary_curve_carries_no_heat():
@@ -158,13 +161,14 @@ def test_scan_phase_boundary_curve_carries_no_heat():
 
 def test_scan_phase_diagram_validation():
     with pytest.raises(ValueError):
-        scan_phase_diagram((2.0, 6.0), (2.0, 10.0), 1, 2.0, math.pi / 2.0)
+        scan_phase_diagram((2.0, 6.0), (2.0, 10.0), 1)
     with pytest.raises(ValueError):
-        scan_phase_diagram((-1.0, 6.0), (2.0, 10.0), 5, 2.0, math.pi / 2.0)
+        scan_phase_diagram((-1.0, 6.0), (2.0, 10.0), 5)
     with pytest.raises(ValueError, match="at most 1000"):
-        scan_phase_diagram((2.0, 6.0), (2.0, 10.0), (2, 1001), 2.0, math.pi / 2.0)
+        scan_phase_diagram((2.0, 6.0), (2.0, 10.0), (2, 1001))
     # an overflowing axis raises before it is formed, and a numpy bound does not warn first
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="T3 axis .* got inf"):
-            scan_phase_diagram((2.0, 6.0), (np.float64(2.0), np.float64(1e308)), 5, 2.0, 1.0)
+            scan_phase_diagram((2.0, 6.0), (np.float64(2.0), np.float64(1e308)), 5,
+                               base=FridgeConfig(theta=1.0))

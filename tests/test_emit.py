@@ -178,10 +178,11 @@ def test_every_command_writes_its_columns_as_the_row_writer_would(args, fmt, tmp
     assert out.read_bytes() == expected.read_bytes()
 
 
-def phase_diagram_rows(t2_range, t3_range, steps, t1, theta, base):
-    """The rows the phase-diagram command wrote from scan_phase_diagram's points."""
-    points = scan_phase_diagram(t2_range, t3_range, steps, t1, theta, base=base)
-    return [dict(vars(point)) for point in points]
+def phase_diagram_rows(t2_range, t3_range, steps, base):
+    """The rows the phase-diagram command wrote from scan_phase_diagram's cells."""
+    columns = scan_phase_diagram(t2_range, t3_range, steps, base=base)
+    return [dict(zip(("T2", "T3", "dQ1"), cell))
+            for cell in zip(*(column.tolist() for column in columns))]
 
 
 def cop_rows(t2_min, t2_max, steps, base):
@@ -204,8 +205,7 @@ def test_sweeps_write_the_rows_of_the_per_cell_builders(grid, fmt, tmp_path):
     argv = ["--grid=" + ",".join(map(repr, grid)), "--t1=2.5", "--theta=1.1", "--format", fmt]
     out, expected = tmp_path / "artifact", tmp_path / "expected"
     for command, rows in (
-        ("phase-diagram", phase_diagram_rows((t2_min, t2_max), (t3_min, t3_max), steps, 2.5, 1.1,
-                                             base)),
+        ("phase-diagram", phase_diagram_rows((t2_min, t2_max), (t3_min, t3_max), steps, base)),
         ("cop", cop_rows(t2_min, t2_max, steps, base)),
     ):
         assert main([command, *argv, "--out", str(out)]) == 0

@@ -216,6 +216,12 @@ def test_bound_temperature_values():
         bound_temperature(1.0, 2.5, 2.0, 2.0, 10.0)
 
 
+@pytest.mark.parametrize("gaps", [(-1.0, 1.0, 2.0), (0.0, 2.0, 2.0), (1.0, math.inf, math.inf)])
+def test_bound_temperature_rejects_a_gap_that_is_not_positive_and_finite(gaps):
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        bound_temperature(*gaps, 2.0, 10.0)
+
+
 def test_phase_boundary_values_and_sign_agreement():
     assert phase_boundary_value(2.0, 10.0) == pytest.approx(32.0)
     assert phase_boundary_value(6.0, 6.0) == pytest.approx(-24.0)

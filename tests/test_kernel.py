@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import working_configs
 from spinfridge import (
-    CycleRecord,
+    CycleColumns,
     DensityMatrix,
     ExchangeReport,
     FridgeConfig,
@@ -43,7 +43,6 @@ from spinfridge import (
     von_neumann_entropy,
     working_condition,
 )
-from spinfridge.cycles import cycle_arrays
 from spinfridge.thermo import binary_entropies, spin_temperatures
 
 POP_TOL = 1e-12
@@ -69,30 +68,30 @@ def dense_exchange(cfg: FridgeConfig) -> ExchangeReport:
     )
 
 
-def dense_cycles(cfg: FridgeConfig, n_cycles: int, theta: float) -> list[CycleRecord]:
+def dense_cycles(cfg: FridgeConfig, n_cycles: int, theta: float) -> CycleColumns:
     """Evolve-reset loop through 8x8 matrices: keep spin 1, refresh spins 2 and 3."""
     u = herm_exp(exchange_generator(cfg.g), theta / cfg.g)
     baths = kron(thermal_state(SpinSpec(cfg.E2, cfg.T2)).op,
                  thermal_state(SpinSpec(cfg.E3, cfg.T3)).op)
     h1 = spin_hamiltonian(cfg.E1)
     rho = initial_state(cfg)
-    records = []
+    rows = []
     energy = None
     for n in range(n_cycles + 1):
         if n:
             rho = evolve(rho, u)
         reduced = partial_trace(rho, (0,))
         energy_after = internal_energy(reduced, h1)
-        records.append(CycleRecord(
-            n=n,
-            T1=effective_temperature(reduced, cfg.E1),
-            entropy_q1=von_neumann_entropy(reduced),
-            energy_q1=energy_after,
-            dQ1=0.0 if n == 0 else energy_after - energy,
+        rows.append((
+            n,
+            effective_temperature(reduced, cfg.E1),
+            von_neumann_entropy(reduced),
+            energy_after,
+            0.0 if n == 0 else energy_after - energy,
         ))
         energy = energy_after
         rho = DensityMatrix(kron(reduced.op, baths))
-    return records
+    return CycleColumns(*map(np.array, zip(*rows)))
 
 
 def closed_form_temperatures(cfg: FridgeConfig) -> list[float]:
@@ -190,14 +189,14 @@ def test_phase_boundary_value_has_the_sign_of_the_working_condition(cfg):
 )
 def test_scan_phase_diagram_equals_per_cell_dense_exchange(e1, e3, t1, theta, t2_lo, t2_span,
                                                            t3_lo, t3_span):
-    base = FridgeConfig(E1=e1, E2=e1 + e3, E3=e3)
+    base = FridgeConfig(E1=e1, E2=e1 + e3, E3=e3, T1=t1, theta=theta)
     t2_range, t3_range = (t2_lo, t2_lo + t2_span), (t3_lo, t3_lo + t3_span)
-    points = scan_phase_diagram(t2_range, t3_range, (4, 3), t1, theta, base=base)
+    t2s, t3s, dq1 = scan_phase_diagram(t2_range, t3_range, (4, 3), base=base)
     cells = [(t2, t3) for t2 in np.linspace(*t2_range, 4) for t3 in np.linspace(*t3_range, 3)]
-    assert [(p.T2, p.T3) for p in points] == cells
-    for point in points:
-        cfg = replace(base, T1=t1, T2=point.T2, T3=point.T3, theta=theta)
-        assert abs(point.dQ1 - dense_exchange(cfg).dQ1) <= POP_TOL
+    assert list(zip(t2s.tolist(), t3s.tolist())) == cells
+    for t2, t3, heat in zip(t2s.tolist(), t3s.tolist(), dq1.tolist()):
+        cfg = replace(base, T2=t2, T3=t3)
+        assert abs(heat - dense_exchange(cfg).dQ1) <= POP_TOL
 
 
 CYCLE_CONFIGS = (FridgeConfig(), FridgeConfig(E1=0.7, E2=2.2, E3=1.5, T1=5.0, T2=3.0, T3=12.0))
@@ -208,12 +207,14 @@ CYCLE_ANGLES = (math.pi / 8.0, 0.9, math.pi / 2.0, 2.5, 4.0)
 @pytest.mark.parametrize("theta", CYCLE_ANGLES)
 def test_run_cycles_matches_the_dense_loop(cfg, theta):
     kernel, dense = run_cycles(replace(cfg, theta=theta), 200), dense_cycles(cfg, 200, theta)
-    assert len(kernel) == len(dense) == 201
-    for got, want in zip(kernel, dense):
-        assert got.n == want.n
-        assert close_temperature(got.T1, want.T1), (got.n, got.T1, want.T1)
-        for name in ("entropy_q1", "energy_q1", "dQ1"):
-            assert abs(getattr(got, name) - getattr(want, name)) <= POP_TOL, (got.n, name)
+    assert len(kernel.n) == len(dense.n) == 201
+    assert kernel.n.tolist() == dense.n.tolist()
+    for n, got, want in zip(kernel.n.tolist(), kernel.T1.tolist(), dense.T1.tolist()):
+        assert close_temperature(got, want), (n, got, want)
+    for name in ("entropy_q1", "energy_q1", "dQ1"):
+        for n, got, want in zip(kernel.n.tolist(), getattr(kernel, name).tolist(),
+                                getattr(dense, name).tolist()):
+            assert abs(got - want) <= POP_TOL, (n, name)
 
 
 def contraction(cfg: FridgeConfig, theta: float) -> tuple[float, float]:
@@ -228,7 +229,7 @@ def contraction(cfg: FridgeConfig, theta: float) -> tuple[float, float]:
 @pytest.mark.parametrize("theta", CYCLE_ANGLES)
 def test_cycle_contraction_rate_is_closed_form(cfg, theta):
     r, fixed = contraction(cfg, theta)
-    p1 = [record.energy_q1 / cfg.E1 for record in run_cycles(replace(cfg, theta=theta), 200)]
+    p1 = (run_cycles(replace(cfg, theta=theta), 200).energy_q1 / cfg.E1).tolist()
     checked = 0
     for before, after in zip(p1[:-1], p1[1:]):
         if abs(before - fixed) < 1e-5:
@@ -251,8 +252,8 @@ def test_detect_convergence_agrees_with_the_contraction_rate(cfg, theta):
     # keep clear of the threshold, so that rounding cannot decide the count
     assert diffs[first] < tol * (1.0 - 1e-6) and (first == 0 or diffs[first - 1] > tol * (1.0 + 1e-6))
     cycles = max(first + 5, 5)  # the first cycle whose last five steps are all below tol
-    assert detect_convergence(run_cycles(replace(cfg, theta=theta), cycles), tol)[0]
-    assert not detect_convergence(run_cycles(replace(cfg, theta=theta), cycles - 1), tol)[0]
+    assert detect_convergence(run_cycles(replace(cfg, theta=theta), cycles).T1, tol)[0]
+    assert not detect_convergence(run_cycles(replace(cfg, theta=theta), cycles - 1).T1, tol)[0]
 
 
 @pytest.mark.parametrize(
@@ -283,24 +284,26 @@ def well_conditioned(p: float) -> bool:
 
 @settings(max_examples=200, deadline=None)
 @given(configs(), cycle_angles)
-def test_cycle_arrays_match_the_loop(cfg, theta):
+def test_run_cycles_matches_the_loop(cfg, theta):
     cfg = replace(cfg, theta=theta)
-    n, t1, entropy, energy, dq1 = cycle_arrays(cfg, 200)
+    n, t1, entropy, energy, dq1 = run_cycles(cfg, 200)
     loop = oracles.loop_cycles(cfg, 200)
-    assert n.tolist() == [record.n for record in loop] == list(range(201))
+    assert n.tolist() == loop.n.tolist() == list(range(201))
     # row 0 is the initial state and row 1 the loop's first cycle, bit for bit
-    assert energy[0] == loop[0].energy_q1 and dq1[0] == 0.0 and dq1[1] == loop[1].dQ1
-    for row, record in zip(zip(t1.tolist(), entropy.tolist(), energy.tolist(), dq1.tolist()), loop):
-        for name, got in zip(("entropy_q1", "energy_q1", "dQ1"), row[1:]):
-            assert abs(got - getattr(record, name)) <= POP_TOL, (record.n, name)
-        if well_conditioned(record.energy_q1 / cfg.E1):
-            assert close_temperature(row[0], record.T1), (record.n, row[0], record.T1)
+    assert energy[0] == loop.energy_q1[0] and dq1[0] == 0.0 and dq1[1] == loop.dQ1[1]
+    for name, column in zip(("entropy_q1", "energy_q1", "dQ1"), (entropy, energy, dq1)):
+        for k, (got, want) in enumerate(zip(column.tolist(), getattr(loop, name).tolist())):
+            assert abs(got - want) <= POP_TOL, (k, name)
+    for k, (got, want, p1) in enumerate(zip(t1.tolist(), loop.T1.tolist(),
+                                            (loop.energy_q1 / cfg.E1).tolist())):
+        if well_conditioned(p1):
+            assert close_temperature(got, want), (k, got, want)
 
 
 @settings(max_examples=200, deadline=None)
 @given(configs(), cycle_angles)
 def test_cycle_heats_add_up_to_the_energy_change(cfg, theta):
-    _, _, _, energy, dq1 = cycle_arrays(replace(cfg, theta=theta), 200)
+    _, _, _, energy, dq1 = run_cycles(replace(cfg, theta=theta), 200)
     assert np.max(np.abs(np.cumsum(dq1) - (energy - energy[0]))) <= 1e-12
 
 
