@@ -28,6 +28,7 @@ from .thermo import (
 from .fridge import (
     ExchangeReport,
     FridgeConfig,
+    boltzmann_margin,
     bound_temperature,
     carnot_limit,
     cop,
@@ -36,7 +37,6 @@ from .fridge import (
     exchange_generator,
     exchange_pauli_terms,
     exchange_sweep,
-    excited_populations,
     initial_state,
     phase_boundary_value,
     system_hamiltonian,
@@ -78,7 +78,7 @@ __all__ = [
     "von_neumann_entropy", "internal_energy", "ledger_step", "spin_hamiltonian",
     "spin_temperature", "binary_entropy",
     "FridgeConfig", "ExchangeReport", "exchange_generator", "exchange_pauli_terms",
-    "initial_state", "exchange", "excited_populations", "exchange_flow", "exchange_sweep",
+    "initial_state", "exchange", "boltzmann_margin", "exchange_flow", "exchange_sweep",
     "working_condition", "bound_temperature",
     "phase_boundary_value", "cop", "carnot_limit", "two_spin_swap",
     "system_hamiltonian",

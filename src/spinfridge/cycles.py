@@ -11,12 +11,13 @@ independently of theta.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import NamedTuple
 
 import numpy as np
 
-from .fridge import FridgeConfig, exchange_flow, exchange_sweep, excited_populations
-from .thermo import binary_entropies, check_positive, spin_temperatures
+from .fridge import FridgeConfig, boltzmann_margin, exchange_flow, exchange_sweep
+from .thermo import binary_entropy, check_positive, spin_temperature
 
 MAX_GRID_STEPS = 1000  # per axis
 MAX_CYCLES = 100_000
@@ -33,8 +34,15 @@ class CycleColumns(NamedTuple):
     dQ1: np.ndarray
 
 
+def check_count(name: str, value) -> None:
+    """The rule of a cycle or grid-step count: an integer, and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def check_cycles(n_cycles: int) -> None:
-    """The cycle rule: 1 to MAX_CYCLES cycles."""
+    """The cycle rule: an integer from 1 to MAX_CYCLES."""
+    check_count("cycles", n_cycles)
     if not 1 <= n_cycles <= MAX_CYCLES:
         raise ValueError(f"cycles must lie in [1, {MAX_CYCLES}], got {n_cycles}")
 
@@ -43,32 +51,35 @@ def run_cycles(cfg: FridgeConfig, n_cycles: int) -> CycleColumns:
     """Spin 1 after each of n_cycles evolve-reset loops at angle cfg.theta, in closed form.
 
     The reset keeps spin 1's populations and refreshes spins 2 and 3.  With
-    A = p2 (1 - p3), D = A + (1 - p2) p3 and s2 = sin^2(theta), a cycle
-    maps p1 to p1 + s2 (A - D p1), so after n cycles p1 = p* + d_n (p1_0 - p*)
-    with the fixed point p* = A / D (spin 1 at T_bound) and the contraction
-    d_n = (1 - s2 D)^n, taken as exp(n log1p(-s2 D)) to keep the rounding of
-    1 - s2 D out of its powers.  Cycle n moves the heat E1 delta_1 d_(n-1),
-    delta_1 being the first cycle's exchange_flow.
+    boltzmann_margin's b_i and x and s2 = sin^2(theta), a cycle maps spin 1's
+    excited population p to p - s2 D (p - p*), D = (b2 + b3)/((1 + b2)(1 + b3)),
+    with the fixed point p* = b2/(b2 + b3) (spin 1 at T_bound), 1 - p* = b3/(b2 + b3).
+    After n cycles p = p* + d_n g and 1 - p = (1 - p*) - d_n g, with the gap
+    g = p_0 - p* = b2 expm1(x)/((1 + b1)(b2 + b3)) and d_n = exp(n log1p(-s2 D)),
+    which keeps the rounding of 1 - s2 D out of the powers (1 - s2 D)^n.  Cycle n
+    moves the heat E1 delta_1 d_(n-1), delta_1 being the first cycle's exchange_flow.
     """
     check_cycles(n_cycles)
-    p0, p2, p3 = (float(p) for p in excited_populations(cfg.gaps, cfg.temps))
-    gain = p2 * (1.0 - p3)
-    rate = gain + (1.0 - p2) * p3
-    fixed = gain / rate
+    boltzmann, margin = boltzmann_margin(cfg.gaps, cfg.temps)
+    b1, b2, b3 = map(float, boltzmann)
+    fixed, fixed_ground = b2 / (b2 + b3), b3 / (b2 + b3)
+    start, start_ground = b1 / (1.0 + b1), 1.0 / (1.0 + b1)
+    rate = (b2 + b3) / ((1.0 + b2) * (1.0 + b3))
+    gap = b2 * math.expm1(margin) / ((1.0 + b1) * (b2 + b3))
     n = np.arange(n_cycles + 1)
     log_decay = n * math.log1p(-math.sin(cfg.theta) ** 2 * rate)
-    decay = np.exp(log_decay)
-    # each form adds two terms of one sign, so p1 keeps its relative accuracy
-    # where it is far below the other end of its path
-    if p0 >= fixed:  # spin 1 cools towards p*
-        p1 = fixed + decay * (p0 - fixed)
-        p1[0] = p0  # p* + (p0 - p*) may round away from p0
-    else:  # spin 1 warms from p0 by the share 1 - d_n of the gap
-        p1 = p0 - np.expm1(log_decay) * (fixed - p0)
-    dq1 = np.empty_like(p1)
-    dq1[0] = 0.0
-    dq1[1:] = cfg.E1 * exchange_flow(p0, p2, p3, cfg.theta)[2] * decay[:-1]
-    return CycleColumns(n, spin_temperatures(p1, cfg.E1), binary_entropies(p1), cfg.E1 * p1, dq1)
+    decay, shrink = np.exp(log_decay), np.expm1(log_decay)  # d_n and d_n - 1
+    # each population adds two terms of one sign, so it keeps its relative
+    # accuracy where it is far below the other end of its path
+    if margin > 0.0:  # spin 1 cools: p falls to p*, 1 - p rises from its start
+        p1, q1 = fixed + decay * gap, start_ground - shrink * gap
+    else:  # spin 1 warms: p rises from its start, 1 - p falls to 1 - p*
+        p1, q1 = start + shrink * gap, fixed_ground - decay * gap
+    p1[0], q1[0] = start, start_ground  # p* + g and (1 - p*) - g may round away from them
+    flow = exchange_flow(boltzmann, margin, cfg.theta)
+    dq1 = np.concatenate(([0.0], cfg.E1 * flow * decay[:-1]))
+    return CycleColumns(n, spin_temperature(q1, p1, cfg.E1), binary_entropy(q1, p1),
+                        cfg.E1 * p1, dq1)
 
 
 def detect_convergence(T1, tol: float) -> tuple[bool, float]:
@@ -84,9 +95,11 @@ def detect_convergence(T1, tol: float) -> tuple[bool, float]:
 def check_grid(
     t2_range: tuple[float, float], t3_range: tuple[float, float], n2: int, n3: int
 ) -> None:
-    """The grid rule: 2 to MAX_GRID_STEPS points and 0 < min <= max on each axis,
+    """The grid rule: an integer count of 2 to MAX_GRID_STEPS points and 0 < min <= max per axis,
     with both bounds and min + (max - min)(steps - 1), the largest value the
     axis formulas form, positive and finite."""
+    check_count("grid steps", n2)
+    check_count("grid steps", n3)
     if n2 < 2 or n3 < 2:
         raise ValueError("grid must have at least 2 points per axis")
     if n2 > MAX_GRID_STEPS or n3 > MAX_GRID_STEPS:
@@ -113,7 +126,7 @@ def scan_phase_diagram(
     Cells are ordered by T2 then T3.  Gaps, T1 and theta are taken from
     ``base`` (default configuration if omitted).
     """
-    n2, n3 = (grid, grid) if isinstance(grid, int) else (int(grid[0]), int(grid[1]))
+    n2, n3 = grid if isinstance(grid, tuple) else (grid, grid)
     check_grid(t2_range, t3_range, n2, n3)
     base = base or FridgeConfig()
     t2s = np.linspace(t2_range[0], t2_range[1], n2)

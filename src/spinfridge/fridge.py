@@ -170,26 +170,30 @@ def initial_state(cfg: FridgeConfig) -> DensityMatrix:
     return DensityMatrix(kron(kron(tau1.op, tau2.op), tau3.op))
 
 
-def excited_populations(gaps, temps) -> tuple:
-    """Excited populations p_i = e^(-E_i/T_i) / (1 + e^(-E_i/T_i)) of the three
-    spins, elementwise over broadcast arrays (or plain floats).
+def boltzmann_margin(gaps, temps) -> tuple:
+    """The Boltzmann factors (b1, b2, b3), b_i = e^(-E_i/T_i), and the cooling margin
+    x = E2/T2 - (E1/T1 + E3/T3), elementwise over broadcast arrays (or plain floats).
 
-    The exchange only rotates population between |010> and |101>, so the
-    product of thermal states stays diagonal and these three numbers fix it.
+    They fix the diagonal state that the exchange keeps: spin i is excited with
+    probability b_i/(1 + b_i), and P101/P010 = e^x.  A float subtraction has the
+    exact sign of the comparison, so x > 0 is the working condition, bit for bit.
     """
-    boltzmann = (np.exp(-np.divide(gap, temp)) for gap, temp in zip(gaps, temps))
-    return tuple(b / (1.0 + b) for b in boltzmann)
+    ratios = [np.divide(gap, temp) for gap, temp in zip(gaps, temps)]
+    return tuple(np.exp(-ratio) for ratio in ratios), ratios[1] - (ratios[0] + ratios[2])
 
 
-def exchange_flow(p1, p2, p3, theta: float) -> tuple:
-    """(P010, P101, delta) of one exchange by angle theta, elementwise.
+def exchange_flow(boltzmann, margin, theta: float):
+    """delta = sin^2(theta) (P010 - P101) of one exchange by angle theta, elementwise
+    over boltzmann_margin's b_i and x.
 
-    delta = sin^2(theta) (P010 - P101) moves from |010> to |101>: spins 1
-    and 3 gain delta in excited population and spin 2 loses it.
+    delta moves from |010> to |101>: spins 1 and 3 gain it in excited population and
+    spin 2 loses it.  P010 = b2/prod(1 + b_i) and P101 = P010 e^x, so delta =
+    -sin^2(theta) P010 expm1(x) has no cancellation, and is negative exactly when x > 0.
     """
-    p010 = (1.0 - p1) * p2 * (1.0 - p3)
-    p101 = p1 * (1.0 - p2) * p3
-    return p010, p101, math.sin(theta) ** 2 * (p010 - p101)
+    b1, b2, b3 = boltzmann
+    # P010 (e^x - 1) first, where sin^2(theta) P010 may underflow; 0 - expm1(0) is +0.0
+    difference = b2 / ((1.0 + b1) * (1.0 + b2)) * (0.0 - np.expm1(margin)) / (1.0 + b3)
+    return math.sin(theta) ** 2 * difference
 
 
 def exchange_sweep(base: FridgeConfig, T2, T3) -> np.ndarray:
@@ -201,28 +205,30 @@ def exchange_sweep(base: FridgeConfig, T2, T3) -> np.ndarray:
     T2, T3 = np.asarray(T2, dtype=float), np.asarray(T3, dtype=float)
     check_spin(2, base.E2, T2)
     check_spin(3, base.E3, T3)
-    p1, p2, p3 = excited_populations(base.gaps, (base.T1, T2, T3))
-    return exchange_flow(p1, p2, p3, base.theta)[2]
+    return exchange_flow(*boltzmann_margin(base.gaps, (base.T1, T2, T3)), base.theta)
 
 
 def exchange(cfg: FridgeConfig) -> ExchangeReport:
     """One exchange of the initial product state for angle theta, in closed form.
 
     Per-spin heats are dQ_i = E_i (p_i' - p_i): E1*delta, -E2*delta and
-    E3*delta; temperatures are read off the populations afterwards.
+    E3*delta; temperatures are read off both populations afterwards.
     """
-    before = [float(p) for p in excited_populations(cfg.gaps, cfg.temps)]
-    p010, p101, delta = exchange_flow(*before, cfg.theta)
+    boltzmann, margin = boltzmann_margin(cfg.gaps, cfg.temps)
+    b1, b2, b3 = map(float, boltzmann)
+    z = (1.0 + b1) * (1.0 + b2) * (1.0 + b3)
+    p010, p101 = b2 / z, b1 * b3 / z
+    delta = float(exchange_flow(boltzmann, margin, cfg.theta))
     moved = (delta, -delta, delta)
     heats = [gap * dp for gap, dp in zip(cfg.gaps, moved)]
-    after = [p + dp for p, dp in zip(before, moved)]
-    temps = [spin_temperature(1.0 - p, p, gap) for p, gap in zip(after, cfg.gaps)]
+    temps = [float(spin_temperature(1.0 / (1.0 + b) - dp, b / (1.0 + b) + dp, gap))
+             for b, dp, gap in zip((b1, b2, b3), moved, cfg.gaps)]
     return ExchangeReport(p010, p101, p010 - delta, p101 + delta, *heats, *temps)
 
 
 def working_condition(cfg: FridgeConfig) -> bool:
-    """True iff E1/T1 + E3/T3 < E2/T2 strictly (equivalent to P101 > P010)."""
-    return cfg.E1 / cfg.T1 + cfg.E3 / cfg.T3 < cfg.E2 / cfg.T2
+    """True iff E1/T1 + E3/T3 < E2/T2 strictly: boltzmann_margin's x > 0."""
+    return bool(boltzmann_margin(cfg.gaps, cfg.temps)[1] > 0.0)
 
 
 def bound_temperature(E1: float, E2: float, E3: float, T2: float, T3: float) -> float:

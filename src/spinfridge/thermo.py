@@ -87,20 +87,16 @@ def effective_temperature(rho1: DensityMatrix, E: float) -> float:
     """
     if rho1.dim != 2:
         raise ValueError("effective temperature is defined for a single spin")
-    pops = rho1.populations
-    return spin_temperature(float(pops[0]), float(pops[1]), E)
+    return float(spin_temperature(*rho1.populations, E))
 
 
-def spin_temperature(p_ground: float, p_excited: float, E: float) -> float:
-    """effective_temperature of the diagonal spin state diag(p_ground, p_excited)."""
+def spin_temperature(p_ground, p_excited, E: float):
+    """effective_temperature of the diagonal spin state diag(p_ground, p_excited),
+    elementwise over broadcast arrays (or plain floats); E / ln(p_ground / p_excited)
+    forms its markers 0.0, -0.0 and +inf in the division."""
     check_positive("energy gap", E)
-    if p_excited <= 0.0:
-        return 0.0
-    if p_ground <= 0.0:
-        return -0.0
-    if p_ground == p_excited:
-        return math.inf
-    return E / math.log(p_ground / p_excited)
+    with np.errstate(divide="ignore"):
+        return E / np.log(np.divide(p_ground, p_excited))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
@@ -110,27 +106,11 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return float(-np.sum(w * np.log(w)))
 
 
-def binary_entropy(p_excited: float) -> float:
-    """von_neumann_entropy of the diagonal spin state diag(1 - p, p)."""
-    return -sum(q * math.log(q) for q in (1.0 - p_excited, p_excited) if q > 0.0)
-
-
-def spin_temperatures(p_excited: np.ndarray, E: float) -> np.ndarray:
-    """spin_temperature of each diagonal spin state diag(1 - p, p) of an array.
-
-    E / ln((1 - p)/p) keeps spin_temperature's markers: p = 0 gives 0.0,
-    p = 1 gives -0.0 and p = 1/2 gives +inf.
-    """
-    check_positive("energy gap", E)
-    with np.errstate(divide="ignore"):
-        return E / np.log((1.0 - p_excited) / p_excited)
-
-
-def binary_entropies(p_excited: np.ndarray) -> np.ndarray:
-    """binary_entropy of each entry of an array, with 0 ln 0 = 0."""
+def binary_entropy(p_ground, p_excited):
+    """von_neumann_entropy of the diagonal spin state diag(p_ground, p_excited),
+    elementwise over broadcast arrays (or plain floats), with 0 ln 0 = 0."""
     with np.errstate(divide="ignore", invalid="ignore"):  # np.where drops 0 * log(0)
-        ground, excited = (np.where(q > 0.0, q * np.log(q), 0.0)
-                           for q in (1.0 - p_excited, p_excited))
+        ground, excited = (np.where(q > 0.0, q * np.log(q), 0.0) for q in (p_ground, p_excited))
     return -(ground + excited)
 
 

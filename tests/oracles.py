@@ -6,24 +6,20 @@ through explicit index loops instead of einsum, and thermodynamic
 quantities through closed-form expressions instead of operator algebra.
 ``loop_cycles`` and ``loop_bcs`` are the exceptions: they are the
 per-cycle loop that ``spinfridge.cycles`` ran before its closed form, step
-for step on the library's scalar population functions, and the uint8 pool
-that ``spinfridge.cooling.simulate_bcs`` sampled and compressed before its
-bit-pool kernel.
+for step on products of excited populations, and the uint8 pool that
+``spinfridge.cooling.simulate_bcs`` sampled and compressed before its
+bit-pool kernel.  ``decimal_flow`` and ``decimal_cycles`` redo the
+population products at DECIMAL_DIGITS significant digits, from the exact
+values of the float inputs.
 """
 
 import math
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
 from scipy.linalg import expm
 
-from spinfridge import (
-    CycleColumns,
-    FridgeConfig,
-    binary_entropy,
-    exchange_flow,
-    excited_populations,
-    spin_temperature,
-)
+from spinfridge import CycleColumns, FridgeConfig, spin_temperature
 from spinfridge.cooling import (
     BcsResult,
     BcsRound,
@@ -128,16 +124,56 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 def loop_cycles(cfg: FridgeConfig, n_cycles: int) -> CycleColumns:
     """Spin 1 after each of n_cycles evolve-reset loops, iterating p1 <- p1 + delta."""
-    p1, p2, p3 = (float(p) for p in excited_populations(cfg.gaps, cfg.temps))
+    p1, p2, p3 = (float(b / (1.0 + b)) for b in
+                  (np.exp(-np.divide(gap, temp)) for gap, temp in zip(cfg.gaps, cfg.temps)))
     rows = []
     delta = 0.0
     for n in range(n_cycles + 1):
         if n:
-            delta = exchange_flow(p1, p2, p3, cfg.theta)[2]
+            p010 = (1.0 - p1) * p2 * (1.0 - p3)
+            p101 = p1 * (1.0 - p2) * p3
+            delta = math.sin(cfg.theta) ** 2 * (p010 - p101)
             p1 += delta
-        temperature = spin_temperature(1.0 - p1, p1, cfg.E1)
+        temperature = float(spin_temperature(1.0 - p1, p1, cfg.E1))
         rows.append((n, temperature, binary_entropy(p1), cfg.E1 * p1, cfg.E1 * delta))
     return CycleColumns(*map(np.array, zip(*rows)))
+
+
+DECIMAL_DIGITS = 50
+
+
+def _decimal_populations(cfg: FridgeConfig) -> list[Decimal]:
+    """The excited populations b/(1 + b), b = e^(-E/T), of the three spins;
+    call inside a DECIMAL_DIGITS context."""
+    boltzmann = [(-Decimal(gap) / Decimal(temp)).exp() for gap, temp in zip(cfg.gaps, cfg.temps)]
+    return [b / (1 + b) for b in boltzmann]
+
+
+def _decimal_levels(p1: Decimal, p2: Decimal, p3: Decimal) -> tuple[Decimal, Decimal]:
+    """(P010, P101) of the product of spins with excited populations p1, p2, p3."""
+    return (1 - p1) * p2 * (1 - p3), p1 * (1 - p2) * p3
+
+
+def decimal_flow(cfg: FridgeConfig) -> tuple[Decimal, Decimal, Decimal]:
+    """(P010, P101, delta) of one exchange, with sin^2(theta) from the float
+    math.sin(theta)."""
+    with localcontext(Context(prec=DECIMAL_DIGITS)):
+        p010, p101 = _decimal_levels(*_decimal_populations(cfg))
+        return p010, p101, Decimal(math.sin(cfg.theta)) ** 2 * (p010 - p101)
+
+
+def decimal_cycles(cfg: FridgeConfig, n_cycles: int) -> tuple[list[Decimal], list[Decimal]]:
+    """Spin 1's excited population p and temperature E1 / ln((1 - p)/p) after
+    each of n_cycles evolve-reset loops (n = 0 is the initial state)."""
+    with localcontext(Context(prec=DECIMAL_DIGITS)):
+        p1, p2, p3 = _decimal_populations(cfg)
+        sin2 = Decimal(math.sin(cfg.theta)) ** 2
+        populations = [p1]
+        for _ in range(n_cycles):
+            p010, p101 = _decimal_levels(p1, p2, p3)
+            p1 += sin2 * (p010 - p101)
+            populations.append(p1)
+        return populations, [Decimal(cfg.E1) / ((1 - p) / p).ln() for p in populations]
 
 
 def _empirical_bias(bits: np.ndarray) -> float:

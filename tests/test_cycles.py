@@ -48,6 +48,12 @@ def test_run_cycles_caps_the_cycle_count():
         run_cycles(FridgeConfig(), MAX_CYCLES + 1)
 
 
+@pytest.mark.parametrize("count", [2.5, 3.0, True, np.float64(3.0)], ids=["2.5", "3.0", "True", "np3.0"])
+def test_run_cycles_requires_an_integer_cycle_count(count):
+    with pytest.raises(ValueError, match="cycles must be an integer"):
+        run_cycles(FridgeConfig(), count)
+
+
 def test_run_cycles_reads_the_angle_from_the_config():
     cfg = FridgeConfig(theta=0.1)
     p1, p2, p3 = (oracles.thermal_population(E, T) for E, T in zip(cfg.gaps, cfg.temps))
@@ -166,6 +172,9 @@ def test_scan_phase_diagram_validation():
         scan_phase_diagram((-1.0, 6.0), (2.0, 10.0), 5)
     with pytest.raises(ValueError, match="at most 1000"):
         scan_phase_diagram((2.0, 6.0), (2.0, 10.0), (2, 1001))
+    for grid in ((2.9, 3), (3, 2.0), 3.0, True):  # a step count is never truncated
+        with pytest.raises(ValueError, match="grid steps must be an integer"):
+            scan_phase_diagram((2.0, 6.0), (2.0, 10.0), grid)
     # an overflowing axis raises before it is formed, and a numpy bound does not warn first
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -22,6 +22,7 @@ from spinfridge import (
     internal_energy,
     pauli_to_operator,
     phase_boundary_value,
+    run_cycles,
     system_hamiltonian,
     two_spin_swap,
     working_condition,
@@ -189,7 +190,36 @@ def test_working_condition_equals_cooling_sign(rng):
         if working_condition(cfg):
             assert report.dQ1 < 0.0
         else:
-            assert report.dQ1 >= -1e-12
+            assert report.dQ1 >= 0.0
+
+
+def test_near_the_boundary_every_cooling_sign_is_the_working_condition(rng):
+    """T1 within 1e-15 to 1e-6 relative of T_bound: the dQ1 of exchange, of
+    exchange_sweep (phase-diagram and cop) and of run_cycles' first cycle is
+    negative exactly when working_condition holds, and the cycles move spin 1's
+    energy in that direction, with no tolerance band."""
+    draws = 5000
+    e1, e3 = rng.uniform(0.05, 20.0, (2, draws))
+    t2, t3 = rng.uniform(0.1, 50.0, (2, draws))
+    offsets = rng.choice([-1.0, 1.0], draws) * 10.0 ** rng.uniform(-15.0, -6.0, draws)
+    thetas = rng.uniform(0.05, math.pi - 0.05, draws)
+    checked = 0
+    for k in range(draws):
+        e2 = e1[k] + e3[k]
+        denom = e2 / t2[k] - e3[k] / t3[k]
+        if denom <= 0.0:
+            continue  # T_bound is negative, so no T1 > 0 lies near it
+        cfg = FridgeConfig(E1=e1[k], E2=e2, E3=e3[k], T1=e1[k] / denom * (1.0 + offsets[k]),
+                           T2=t2[k], T3=t3[k], theta=thetas[k])
+        works = working_condition(cfg)
+        cols = run_cycles(cfg, 30)
+        assert (exchange(cfg).dQ1 < 0.0) == works, cfg
+        assert bool(exchange_sweep(cfg, cfg.T2, cfg.T3) < 0.0) == works, cfg
+        assert (cols.dQ1[1] < 0.0) == works, cfg
+        steps = np.diff(cols.energy_q1[1:])
+        assert np.all(steps <= 0.0) if works else np.all(steps >= 0.0), cfg
+        checked += 1
+    assert checked > draws // 2
 
 
 def test_exchange_population_transfer_monotone_in_theta():

@@ -8,10 +8,11 @@ against the closed-form oracle built on oracles.exchanged_level_populations.
 
 import math
 from dataclasses import fields, replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -23,11 +24,13 @@ from spinfridge import (
     FridgeConfig,
     SpinSpec,
     binary_entropy,
+    boltzmann_margin,
     carnot_limit,
     detect_convergence,
     effective_temperature,
     evolve,
     exchange,
+    exchange_flow,
     exchange_generator,
     herm_exp,
     initial_state,
@@ -43,7 +46,6 @@ from spinfridge import (
     von_neumann_entropy,
     working_condition,
 )
-from spinfridge.thermo import binary_entropies, spin_temperatures
 
 POP_TOL = 1e-12
 TEMP_REL_TOL = 1e-9
@@ -265,7 +267,7 @@ def test_population_helpers_keep_the_dense_markers(populations):
     dense = effective_temperature(rho, 1.3)
     assert temperature == dense or math.isclose(temperature, dense, rel_tol=1e-15)
     assert math.copysign(1.0, temperature) == math.copysign(1.0, dense)
-    assert binary_entropy(populations[1]) == pytest.approx(von_neumann_entropy(rho), abs=1e-15)
+    assert binary_entropy(*populations) == pytest.approx(von_neumann_entropy(rho), abs=1e-15)
 
 
 # theta = 0 and pi keep p1 where it is (r = 1), 1e-9 moves it by about 1e-18
@@ -289,8 +291,8 @@ def test_run_cycles_matches_the_loop(cfg, theta):
     n, t1, entropy, energy, dq1 = run_cycles(cfg, 200)
     loop = oracles.loop_cycles(cfg, 200)
     assert n.tolist() == loop.n.tolist() == list(range(201))
-    # row 0 is the initial state and row 1 the loop's first cycle, bit for bit
-    assert energy[0] == loop.energy_q1[0] and dq1[0] == 0.0 and dq1[1] == loop.dQ1[1]
+    # row 0 is the loop's initial state and row 1 one exchange, bit for bit
+    assert energy[0] == loop.energy_q1[0] and dq1[0] == 0.0 and dq1[1] == exchange(cfg).dQ1
     for name, column in zip(("entropy_q1", "energy_q1", "dQ1"), (entropy, energy, dq1)):
         for k, (got, want) in enumerate(zip(column.tolist(), getattr(loop, name).tolist())):
             assert abs(got - want) <= POP_TOL, (k, name)
@@ -309,8 +311,77 @@ def test_cycle_heats_add_up_to_the_energy_change(cfg, theta):
 
 @pytest.mark.parametrize("p", [0.0, 0.5, 1.0, 0.3, 0.7])
 def test_vectorised_temperature_and_entropy_keep_the_scalar_markers(p):
-    temperature = spin_temperatures(np.array([p]), 1.3)[0]
-    entropy = binary_entropies(np.array([p]))[0]
-    for got, want in ((temperature, spin_temperature(1.0 - p, p, 1.3)), (entropy, binary_entropy(p))):
-        assert got == want or math.isclose(got, want, rel_tol=1e-15)
-        assert math.copysign(1.0, got) == math.copysign(1.0, want)  # the sign of a zero too
+    """spin_temperature and binary_entropy give one result for floats and for
+    arrays: the markers 0.0 (p = 0), -0.0 (p = 1) and +inf (p = 1/2), and the
+    closed forms elsewhere."""
+    temperature, entropy = spin_temperature(1.0 - p, p, 1.3), binary_entropy(1.0 - p, p)
+    ground, excited = np.array([1.0 - p, 0.25]), np.array([p, 0.75])
+    for got, want in ((spin_temperature(ground, excited, 1.3)[0], temperature),
+                      (binary_entropy(ground, excited)[0], entropy)):
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)  # a zero too
+    markers = {0.0: 0.0, 1.0: -0.0, 0.5: math.inf}
+    if p in markers:
+        assert temperature == markers[p]
+        assert math.copysign(1.0, temperature) == math.copysign(1.0, markers[p])
+    else:
+        assert math.isclose(temperature, oracles.effective_temperature(1.3, p), rel_tol=1e-15)
+    assert math.isclose(entropy, oracles.binary_entropy(p), rel_tol=1e-15)
+
+
+@st.composite
+def near_boundary_configs(draw):
+    """T1 within 1e-15 to 1e-6 relative of T_bound = E1 / (E2/T2 - E3/T3)."""
+    e1, e3 = draw(gap_values), draw(gap_values)
+    t2, t3 = draw(st.floats(0.1, 50.0)), draw(st.floats(0.1, 50.0))
+    denom = (e1 + e3) / t2 - e3 / t3
+    assume(denom > 0.0)
+    offset = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-15.0, -6.0))
+    return FridgeConfig(E1=e1, E2=e1 + e3, E3=e3, T1=e1 / denom * (1.0 + offset), T2=t2, T3=t3,
+                        theta=draw(angles))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(configs(), near_boundary_configs()))
+def test_exchange_flow_matches_the_decimal_oracle(cfg):
+    """P010, P101 and delta within the rounding of their inputs, against 50 digits.
+
+    Each E/T is off by up to u relative (u = 2^-53), so the margin x by up to
+    3u S, S = E1/T1 + E2/T2 + E3/T3, which moves delta = -sin^2(theta) P010
+    expm1(x) by up to sin^2(theta) P101 3u S.  Every other step adds at most
+    u E/T to a factor e^(-E/T), and a few u more, so (2S + 16)u relative,
+    and each of them at most half a subnormal step where it underflows.
+    """
+    want = oracles.decimal_flow(cfg)
+    report = exchange(cfg)
+    got = (report.P010_before, report.P101_before,
+           exchange_flow(*boltzmann_margin(cfg.gaps, cfg.temps), cfg.theta))
+    u = 2.0 ** -53
+    total = sum(gap / temp for gap, temp in zip(cfg.gaps, cfg.temps))
+    rounding = (2.0 * total + 16.0) * u
+    underflow = 8.0 * 2.0 ** -1074
+    bounds = (rounding * float(want[0]) + underflow, rounding * float(want[1]) + underflow,
+              rounding * abs(float(want[2]))
+              + 3.0 * total * u * math.sin(cfg.theta) ** 2 * float(want[1]) + underflow)
+    for name, g, w, bound in zip(("P010", "P101", "delta"), got, want, bounds):
+        assert abs(float(Decimal(float(g)) - w)) <= bound, (name, float(g), float(w), bound)
+
+
+def test_run_cycles_matches_the_decimal_trajectory(rng):
+    """p to 1e-12 and T1 to TEMP_REL_TOL relative of a 50-digit loop on every row
+    but those within 1e-6 of p = 1/2, including the rows near full inversion
+    (1 - p < 1e-6) that test_run_cycles_matches_the_loop cannot check."""
+    inverted = 0
+    for _ in range(80):
+        e1, e3 = rng.uniform(0.05, 20.0, 2)
+        ratios = np.exp(rng.uniform(math.log(1e-3), math.log(700.0), 3))
+        cfg = FridgeConfig(E1=e1, E2=e1 + e3, E3=e3, T1=e1 / ratios[0], T2=(e1 + e3) / ratios[1],
+                           T3=e3 / ratios[2], theta=rng.uniform(0.0, 2.0 * math.pi))
+        cols = run_cycles(cfg, 120)
+        populations, temperatures = oracles.decimal_cycles(cfg, 120)
+        for n, (p, t1) in enumerate(zip(populations, temperatures)):
+            got_p = cols.energy_q1[n] / cfg.E1
+            assert abs(got_p - float(p)) <= 1e-12 * float(p), (cfg, n)
+            if abs(1 - 2 * p) >= Decimal("1e-6"):
+                assert close_temperature(cols.T1[n], float(t1)), (cfg, n, cols.T1[n], float(t1))
+            inverted += 1 - p < Decimal("1e-6")
+    assert inverted > 100

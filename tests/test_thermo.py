@@ -14,8 +14,8 @@ from spinfridge import (
     SpinSpec,
     dephase,
     effective_temperature,
+    boltzmann_margin,
     evolve,
-    excited_populations,
     herm_exp,
     internal_energy,
     ledger_step,
@@ -46,9 +46,8 @@ def test_thermal_state_limits_and_value():
     )
     warm = thermal_state(SpinSpec(E=2.0, T=4.0)).populations
     assert warm[1] == pytest.approx(0.37754066879814546, abs=1e-13)
-    assert excited_populations([2.0], [4.0])[0] == pytest.approx(
-        float(warm[1]), abs=1e-15
-    )
+    b = boltzmann_margin((2.0, 2.0, 2.0), (4.0, 4.0, 4.0))[0][0]
+    assert b / (1.0 + b) == pytest.approx(float(warm[1]), abs=1e-15)
 
     cold = thermal_state(SpinSpec(E=1.0, T=1e-4)).populations
     assert cold[0] == pytest.approx(1.0, abs=1e-12)
