@@ -14,7 +14,9 @@ the unitary exp(-i G), which it computes once.  All generators are sums of
 one- and two-qubit terms, so the sequence is directly implementable with
 pairwise couplings.
 
-Only the four core pulses depend on theta.  The basis changes and the
+Only the four core pulses depend on theta, and they take two generators:
+three terms carry +1/4 and one -1/4, so a compile builds two core steps
+and places each in every block of its sign.  The basis changes and the
 fixed rotations and ZZ pulses around each core are built once per process,
 on first use, and every compiled sequence shares them.
 """
@@ -36,7 +38,7 @@ from .linalg import (
     DensityMatrix,
     Operator,
     PauliString,
-    canonical_density,
+    canonical_chain,
     eigh_exp,
     embed_single,
     herm_eigh,
@@ -62,11 +64,13 @@ class GateStep:
     _unitary: Operator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.generator.is_hermitian():
-            raise ValueError(f"gate generator for {self.label!r} must be Hermitian")
+        try:  # herm_exp's hermiticity check is the step's only one
+            unitary = herm_exp(self.generator, 1.0)
+        except ValueError:
+            raise ValueError(f"gate generator for {self.label!r} must be Hermitian") from None
         if not self.duration > 0.0:
             raise ValueError("gate duration must be positive")
-        object.__setattr__(self, "_unitary", herm_exp(self.generator, 1.0))
+        object.__setattr__(self, "_unitary", unitary)
 
     def unitary(self) -> Operator:
         """exp(-i*generator), computed once when the step is built."""
@@ -143,14 +147,18 @@ def compile_exchange(theta: float, g: float = 1.0) -> CompiledSequence:
     check_theta(theta)
     check_positive("coupling g", g)
     before, after, izz = _core_frame()
+    terms = exchange_pauli_terms(1.0)
+    # one core per distinct coeff of the unit coupling: +-1/4 makes it +-theta/4;
+    # its generator is pauli_to_operator(PauliString("IZZ", coeff * theta)), bit for bit
+    cores = {
+        coeff: GateStep(label=f"ZZ({'-' if coeff < 0 else ''}theta/2)@23",
+                        generator=Operator(coeff * theta * izz))
+        for coeff in dict.fromkeys(term.coeff for term in terms)
+    }
     steps: list[GateStep] = []
-    # one block per Pauli term of the unit coupling; its coeff of +-1/4 makes the core +-theta/4
-    for term in exchange_pauli_terms(1.0):
+    for term in terms:  # one block per Pauli term
         basis = _basis_step(term.letters)
-        core_label = f"ZZ({'-' if term.coeff < 0 else ''}theta/2)@23"
-        # pauli_to_operator(PauliString("IZZ", coeff * theta)), bit for bit
-        core = GateStep(label=core_label, generator=Operator(term.coeff * theta * izz))
-        steps.extend((basis, *before, core, *after, basis))
+        steps.extend((basis, *before, cores[term.coeff], *after, basis))
     boundaries = tuple(BLOCK_SIZE * (k + 1) for k in range(N_BLOCKS))
     return CompiledSequence(steps=tuple(steps), theta=theta, term_boundaries=boundaries)
 
@@ -212,8 +220,9 @@ def run_with_ledger(
 
     The entries and the final state are those of a thermo.ledger_step per
     pulse with its stored unitary, bit for bit, and so are the checks: the
-    pulses are checked once, stacked, each state goes through
-    linalg.canonical_density as DensityMatrix would, and the four traces of
+    pulses are checked once, stacked, the states go through
+    linalg.canonical_chain (canonical_density per state, as DensityMatrix
+    would, with the positivity checks stacked), and the four traces of
     every pulse are taken over the stacked states at once.
     """
     dim = rho0.dim
@@ -232,9 +241,7 @@ def run_with_ledger(
     if not passed.all():  # the first check to fail in pulse order, as the per-pulse loop
         raise ValueError(_PULSE_ERRORS[np.argwhere(~passed)[0][1]])
 
-    states = [rho0.matrix]
-    for u in unitaries[:-1]:
-        states.append(canonical_density(u @ states[-1] @ u.conj().T))
+    states = canonical_chain(rho0.matrix, unitaries[:-1])
     final = DensityMatrix(unitaries[-1] @ states[-1] @ unitaries[-1].conj().T)
     states.append(final.matrix)
     rhos = np.stack(states)

@@ -13,12 +13,11 @@ bridges these bit-pool statements to the refrigerator's thermal states.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .thermo import check_positive
+from .thermo import check_count, check_positive
 
 PRNG_ID = "numpy-pcg64"  # np.random.default_rng; seeded runs are bit-reproducible
 MAX_BITS = 10**9  # a pool holds one byte per bit; a compression round peaks near four
@@ -133,7 +132,8 @@ def _empirical_bias(bits: np.ndarray) -> float:
 
 
 def check_bits(n_bits: int) -> None:
-    """The rule for a pool's size: even, at least 2 and at most MAX_BITS bits."""
+    """The rule for a pool's size: an even integer, at least 2 and at most MAX_BITS."""
+    check_count("bit count", n_bits)
     if n_bits < 2 or n_bits % 2:
         raise ValueError(f"bit count must be even and at least 2, got {n_bits}")
     if n_bits > MAX_BITS:
@@ -141,14 +141,16 @@ def check_bits(n_bits: int) -> None:
 
 
 def check_rounds(rounds: int) -> None:
-    """The rule for a round count: nonnegative."""
+    """The rule for a round count: a nonnegative integer."""
+    check_count("round count", rounds)
     if rounds < 0:
         raise ValueError(f"round count must be nonnegative, got {rounds}")
 
 
 def check_seed(seed: int) -> None:
     """The rule for a PRNG seed: a nonnegative integer."""
-    if not isinstance(seed, numbers.Integral) or seed < 0:
+    check_count("seed", seed, "a nonnegative integer")
+    if seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
 
 

@@ -11,13 +11,12 @@ independently of theta.
 from __future__ import annotations
 
 import math
-import numbers
 from typing import NamedTuple
 
 import numpy as np
 
 from .fridge import FridgeConfig, boltzmann_margin, exchange_flow, exchange_sweep
-from .thermo import binary_entropy, check_positive, spin_temperature
+from .thermo import binary_entropy, check_count, check_positive, spin_temperature
 
 MAX_GRID_STEPS = 1000  # per axis
 MAX_CYCLES = 100_000
@@ -32,12 +31,6 @@ class CycleColumns(NamedTuple):
     entropy_q1: np.ndarray
     energy_q1: np.ndarray
     dQ1: np.ndarray
-
-
-def check_count(name: str, value) -> None:
-    """The rule of a cycle or grid-step count: an integer, and not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def check_cycles(n_cycles: int) -> None:

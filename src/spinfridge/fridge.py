@@ -254,12 +254,19 @@ def phase_boundary_value(T2: float, T3: float, *, base: FridgeConfig | None = No
 
     This is the working condition E1/T1 + E3/T3 < E2/T2 cleared of its
     denominators, with gaps and T1 from ``base`` (default configuration if
-    omitted, where it reads 6*T3 - 4*T2 - T2*T3).
+    omitted, where it reads 6*T3 - 4*T2 - T2*T3).  It is positive exactly
+    when boltzmann_margin's x is, as working_condition decides: where the
+    rounding of the three products moves their difference across zero, the
+    value is T1*T2*T3*x instead.
     """
-    check_positive("T2", T2)
-    check_positive("T3", T3)
     base = base or FridgeConfig()
-    return base.E2 * base.T1 * T3 - base.E3 * base.T1 * T2 - base.E1 * T2 * T3
+    check_spin(2, base.E2, T2)  # the bath rules of the config, so no E/T overflows
+    check_spin(3, base.E3, T3)
+    value = base.E2 * base.T1 * T3 - base.E3 * base.T1 * T2 - base.E1 * T2 * T3
+    margin = float(boltzmann_margin(base.gaps, (base.T1, T2, T3))[1])
+    if (value > 0.0) != (margin > 0.0):
+        value = base.T1 * T2 * T3 * margin
+    return value
 
 
 def cop(cfg: FridgeConfig) -> float:

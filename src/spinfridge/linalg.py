@@ -18,7 +18,7 @@ series or scaling-and-squaring scheme.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -91,13 +91,8 @@ class Operator:
         return f"Operator(dim={self.dim})"
 
 
-def canonical_density(mat: np.ndarray) -> np.ndarray:
-    """The canonical form of a density matrix, as DensityMatrix stores it.
-
-    Rejects hermiticity or trace errors above 1e-12 and eigenvalues below
-    -1e-10; otherwise symmetrizes, clamps eigenvalue drift in [-1e-10, 0)
-    to zero and renormalizes the trace to exactly one.
-    """
+def _symmetrized_density(mat: np.ndarray) -> np.ndarray:
+    """(mat + mat^dag)/2, after rejecting hermiticity or trace errors above 1e-12."""
     adjoint = mat.conj().T
     herm_err = float(np.abs(mat - adjoint).max())
     if herm_err > HERMITIAN_TOL:
@@ -105,7 +100,17 @@ def canonical_density(mat: np.ndarray) -> np.ndarray:
     tr = complex(mat.trace())
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"density matrix trace {tr} differs from 1 beyond tolerance")
-    mat = (mat + adjoint) / 2.0
+    return (mat + adjoint) / 2.0
+
+
+def canonical_density(mat: np.ndarray) -> np.ndarray:
+    """The canonical form of a density matrix, as DensityMatrix stores it.
+
+    Rejects hermiticity or trace errors above 1e-12 and eigenvalues below
+    -1e-10; otherwise symmetrizes, clamps eigenvalue drift in [-1e-10, 0)
+    to zero and renormalizes the trace to exactly one.
+    """
+    mat = _symmetrized_density(mat)
     eigs = np.linalg.eigvalsh(mat)
     if eigs[0] < -PSD_TOL:
         raise ValueError(f"density matrix not PSD: min eigenvalue {eigs[0]:.3e}")
@@ -114,6 +119,33 @@ def canonical_density(mat: np.ndarray) -> np.ndarray:
         w, v = np.linalg.eigh(mat)
         mat = (v * np.clip(w, 0.0, None)) @ v.conj().T
     return mat / mat.trace().real
+
+
+def canonical_chain(rho: np.ndarray, unitaries: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """[rho, rho_1, ..., rho_n] with rho_k = canonical_density(u_k rho_(k-1) u_k^dag).
+
+    Bit for bit that loop, with the n positivity checks run as one stacked
+    eigvalsh after it (numpy's stacked eigvalsh equals the per-matrix call
+    bit for bit, which the test suite guards).  Without a negative
+    eigenvalue canonical_density only symmetrizes and divides by the trace;
+    when a state needs a clamp or a rejection, or fails its hermiticity or
+    trace check, the loop runs again per state to apply it exactly.
+    """
+    states, symmetrized = [rho], []
+    try:
+        for u in unitaries:
+            mat = _symmetrized_density(u @ states[-1] @ u.conj().T)
+            symmetrized.append(mat)
+            states.append(mat / mat.trace().real)
+    except ValueError:
+        pass
+    else:
+        if not symmetrized or (np.linalg.eigvalsh(np.stack(symmetrized))[:, 0] >= 0.0).all():
+            return states
+    states = [rho]
+    for u in unitaries:
+        states.append(canonical_density(u @ states[-1] @ u.conj().T))
+    return states
 
 
 class DensityMatrix:

@@ -11,6 +11,7 @@ the net work of a pulse equals the change in system internal energy.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,13 @@ def check_positive(name: str, value) -> None:
             check_positive(name, float(np.sort(broken)[0]))
     elif not (value > 0.0 and math.isfinite(value)):
         raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def check_count(name: str, value, rule: str = "an integer") -> None:
+    """The rule of every count (cycles, grid steps, pool bits, rounds, seeds): an
+    integer, and not a bool.  ``rule`` names it in the error message."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -145,7 +153,12 @@ def ledger_step(
     ``unitary`` is exp(-i*generator) when the caller already holds it (a
     compiled pulse does); by default it is computed here.
     """
-    if not generator.is_hermitian():
+    if unitary is None:
+        try:  # herm_exp's hermiticity check is then the generator's only one
+            unitary = herm_exp(generator, 1.0)
+        except ValueError:
+            raise ValueError("pulse generator must be Hermitian") from None
+    elif not generator.is_hermitian():
         raise ValueError("pulse generator must be Hermitian")
     if not duration > 0.0:
         raise ValueError("pulse duration must be positive")
@@ -153,8 +166,6 @@ def ledger_step(
         raise ValueError("generator, state, and system Hamiltonian dimensions must agree")
     h_total = (1.0 / duration) * generator
     h_control = h_total - h_sys
-    if unitary is None:
-        unitary = herm_exp(generator, 1.0)
     rho_after = evolve(rho_before, unitary)
     dw1 = internal_energy(rho_before, h_control)
     dq1 = internal_energy(rho_after, h_total) - internal_energy(rho_before, h_total)

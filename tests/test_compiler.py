@@ -8,6 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import spinfridge
@@ -185,6 +186,22 @@ def test_gate_step_validation():
         GateStep(label="bad", generator=Operator(np.array([[0, 1], [0, 0]])))
     with pytest.raises(ValueError):
         GateStep(label="bad", generator=Operator(np.eye(2)), duration=0.0)
+    # hermiticity is checked first, then the duration
+    with pytest.raises(ValueError, match="^gate generator for 'bad' must be Hermitian$"):
+        GateStep(label="bad", generator=Operator(np.array([[0, 1], [0, 0]])), duration=0.0)
+    with pytest.raises(ValueError, match="^gate duration must be positive$"):
+        GateStep(label="bad", generator=Operator(np.eye(2)), duration=0.0)
+
+
+def test_each_pulse_generator_is_checked_for_hermiticity_once():
+    generator = pauli_to_operator(PauliString("ZXY", 0.3))
+    rho0, h_sys = initial_state(FridgeConfig()), system_hamiltonian(FridgeConfig())
+    with mock.patch.object(Operator, "is_hermitian", autospec=True,
+                           side_effect=Operator.is_hermitian) as checks:
+        GateStep(label="Rzxy", generator=generator)
+        assert checks.call_count == 1
+        ledger_step(rho0, generator, 1.0, h_sys)  # exponentiates the generator itself
+    assert [call.args[0] for call in checks.call_args_list] == [generator, generator]
 
 
 def test_compile_exchange_rejects_an_infinite_coupling():
@@ -212,15 +229,21 @@ def fresh_ledger(seq, rho0, h_sys, *, stored_unitaries=False):
 
 def fold_matches_the_loop(cfg, theta):
     """Assert run_with_ledger books fresh_ledger's entries and final state byte
-    for byte, and return the number of PSD clamps it applied."""
+    for byte, and return the number of PSD clamps it applied and whether its
+    state chain fell back to one positivity check per state."""
     seq = compile_exchange(theta, cfg.g)
     rho0, h_sys = initial_state(cfg), system_hamiltonian(cfg)
-    with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as clamps:
+    with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as clamps, \
+            mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as checks:
         final, entries = run_with_ledger(seq, rho0, h_sys)
     want_final, want_entries = fresh_ledger(seq, rho0, h_sys)
     assert entries == want_entries and repr(entries) == repr(want_entries)
     assert final.matrix.tobytes() == want_final.matrix.tobytes()
-    return clamps.call_count
+    # one stacked check of the 39 states and the final state's own; the
+    # fallback checks every state again, one at a time
+    per_state = sum(call.args[0].ndim == 2 for call in checks.call_args_list)
+    assert checks.call_count == per_state + 1 and per_state in (1, 40)
+    return clamps.call_count, per_state == 40
 
 
 def high_e_over_t_configs(count, seed):
@@ -241,7 +264,7 @@ def high_e_over_t_configs(count, seed):
 )
 def test_ledger_with_stored_unitaries_is_bit_identical(cfg, theta):
     fold_matches_the_loop(cfg, theta)
-    clamps = [fold_matches_the_loop(hot, theta) for hot in high_e_over_t_configs(12, 20)]
+    clamps = [fold_matches_the_loop(hot, theta)[0] for hot in high_e_over_t_configs(12, 20)]
     assert sum(clamps) > 0
 
     @settings(max_examples=8, deadline=None)
@@ -250,6 +273,24 @@ def test_ledger_with_stored_unitaries_is_bit_identical(cfg, theta):
         fold_matches_the_loop(sampled, theta)
 
     criterion_6_configs()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.2, 4.0), st.floats(0.2, 4.0),
+       st.tuples(*[st.floats(-3.0, math.log10(80.0))] * 3), st.floats(-math.pi, math.pi))
+def test_ledger_fold_equals_the_loop_from_low_to_high_e_over_t(e1, e3, log_ratios, theta):
+    """E/T per spin from 1e-3 to 80, the stacked positivity check and its fallback."""
+    gaps = (e1, e1 + e3, e3)
+    temps = [gap / 10.0**ratio for gap, ratio in zip(gaps, log_ratios)]
+    fold_matches_the_loop(FridgeConfig(*gaps, *temps), theta)
+
+
+def test_ledger_fold_takes_the_per_state_fallback_only_for_a_clamp():
+    # E/T = 30 per spin: the smallest eigenvalue, about e^-120, rounds below zero
+    hot = FridgeConfig(E1=30.0, E2=60.0, E3=30.0, T1=1.0, T2=1.0, T3=1.0)
+    clamps, fallback = fold_matches_the_loop(hot, 0.7)
+    assert fallback and clamps > 0
+    assert fold_matches_the_loop(FridgeConfig(), 0.7) == (0, False)
 
 
 def test_ledger_rejects_each_pulse_as_the_per_pulse_loop():
@@ -287,6 +328,11 @@ def test_compiles_share_every_theta_independent_step():
             assert x is y, (index, x.label)
     # 4 basis changes and 5 distinct fixed rotations or ZZ pulses
     assert len({id(step) for index, step in enumerate(a.steps) if index % 10 != CORE}) == 9
+    # within a compile, the three +theta/4 blocks share one core and YXY has the other
+    cores = a.steps[CORE::10]
+    assert cores[0] is cores[1] is cores[3] and cores[2] is not cores[0]
+    assert cores[0].label == "ZZ(theta/2)@23" and cores[2].label == "ZZ(-theta/2)@23"
+    assert len({id(step) for step in cores}) == 2
 
 
 def test_step_unitary_is_the_exponential_of_its_generator():

@@ -143,6 +143,17 @@ def test_simulate_bcs_validation():
             simulate_bcs(100, 0.5, 1, seed=seed)
 
 
+@pytest.mark.parametrize("n_bits, rounds, seed, message", [
+    (8, True, 0, "round count must be an integer, got True"),
+    (8, 1, True, "seed must be a nonnegative integer, got True"),
+    (4.0, 1, 0, "bit count must be an integer, got 4.0"),
+    (8, 1.5, 0, "round count must be an integer, got 1.5"),
+])
+def test_simulate_bcs_counts_follow_the_integer_rule_of_cycles(n_bits, rounds, seed, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        simulate_bcs(n_bits, 0.3, rounds, seed)
+
+
 def test_simulate_bcs_equals_the_uint8_loop():
     # pools one bit pair, two pairs, and around one and three sampling chunks;
     # the bias 1 - 2^-53 rounds the sampling threshold (1 + eps)/2 to 1.0

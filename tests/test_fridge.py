@@ -196,8 +196,9 @@ def test_working_condition_equals_cooling_sign(rng):
 def test_near_the_boundary_every_cooling_sign_is_the_working_condition(rng):
     """T1 within 1e-15 to 1e-6 relative of T_bound: the dQ1 of exchange, of
     exchange_sweep (phase-diagram and cop) and of run_cycles' first cycle is
-    negative exactly when working_condition holds, and the cycles move spin 1's
-    energy in that direction, with no tolerance band."""
+    negative exactly when working_condition holds, phase_boundary_value is
+    positive exactly then, and the cycles move spin 1's energy in that
+    direction, with no tolerance band."""
     draws = 5000
     e1, e3 = rng.uniform(0.05, 20.0, (2, draws))
     t2, t3 = rng.uniform(0.1, 50.0, (2, draws))
@@ -216,6 +217,7 @@ def test_near_the_boundary_every_cooling_sign_is_the_working_condition(rng):
         assert (exchange(cfg).dQ1 < 0.0) == works, cfg
         assert bool(exchange_sweep(cfg, cfg.T2, cfg.T3) < 0.0) == works, cfg
         assert (cols.dQ1[1] < 0.0) == works, cfg
+        assert (phase_boundary_value(cfg.T2, cfg.T3, base=cfg) > 0.0) == works, cfg
         steps = np.diff(cols.energy_q1[1:])
         assert np.all(steps <= 0.0) if works else np.all(steps >= 0.0), cfg
         checked += 1
@@ -289,6 +291,9 @@ def test_carnot_limit_rejects_an_infinite_temperature():
 def test_phase_boundary_value_rejects_an_infinite_temperature():
     with pytest.raises(ValueError, match="T2 must be positive and finite, got inf"):
         phase_boundary_value(math.inf, 10.0)
+    # the bath rules of the config, as the grid sweeps apply them
+    with pytest.raises(ValueError, match=r"^spin 3: E3/T3 = 20000.0 exceeds about 708.4"):
+        phase_boundary_value(2.0, 1e-4)
 
 
 @pytest.mark.parametrize("bad", [-1.0, 0.0, math.inf, math.nan, 1e-4])

@@ -1,6 +1,7 @@
 """Core operator, state, and Pauli-string primitives."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +20,16 @@ from spinfridge import (
     partial_trace,
     pauli_to_operator,
 )
-from spinfridge.linalg import HADAMARD, HADAMARD_Y, IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z
+from spinfridge.linalg import (
+    HADAMARD,
+    HADAMARD_Y,
+    IDENTITY_2,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    canonical_chain,
+    canonical_density,
+)
 
 
 def test_operator_rejects_bad_shapes():
@@ -50,6 +60,49 @@ def test_density_matrix_validation():
     rho = DensityMatrix(np.diag([1.0 + 5e-11, -5e-11]))
     assert rho.eigenvalues()[0] >= 0.0
     assert abs(float(np.trace(rho.matrix).real) - 1.0) < 1e-15
+
+
+def test_stacked_eigvalsh_is_the_per_matrix_eigvalsh(rng):
+    """canonical_chain decides every clamp from one stacked eigvalsh, which is
+    the per-state rule only while numpy's stacked call equals the per-matrix
+    one bit for bit; this guard fails, rather than the ledger drifting, if a
+    numpy or LAPACK update breaks that."""
+    states = [oracles.random_density(rng, 8) for _ in range(100)]
+    for _ in range(100):  # spectra at and near zero, where the clamps decide
+        u = oracles.random_unitary(rng, 8)
+        weights = np.concatenate(([1.0], 10.0 ** rng.uniform(-40.0, 0.0, 4), np.zeros(3)))
+        states.append((u * (weights / weights.sum())) @ u.conj().T)
+    stacked = np.stack([(rho + rho.conj().T) / 2.0 for rho in states])
+    per_matrix = np.stack([np.linalg.eigvalsh(rho) for rho in stacked])
+    assert np.linalg.eigvalsh(stacked).tobytes() == per_matrix.tobytes()
+    assert (per_matrix[:, 0] < 0.0).any()
+
+
+@pytest.mark.parametrize("case", ["clean", "clamp", "not PSD", "trace", "not Hermitian"])
+def test_canonical_chain_is_the_canonical_density_loop(rng, case):
+    unitaries = [oracles.random_unitary(rng, 8) for _ in range(12)]
+    rho = oracles.random_density(rng, 8)
+    if case in ("clamp", "not PSD"):  # a negative eigenvalue in the clamp window or beyond it
+        drift = 5e-11 if case == "clamp" else 1e-6
+        rho = np.diag([1.0 + drift, -drift, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]).astype(complex)
+    elif case == "trace":
+        unitaries[5] = 1.001 * unitaries[5]
+    elif case == "not Hermitian":
+        rho = rho + np.triu(np.full((8, 8), 1e-9), 1)
+    want = [rho]
+    try:
+        for u in unitaries:
+            want.append(canonical_density(u @ want[-1] @ u.conj().T))
+    except ValueError as loop:
+        with pytest.raises(ValueError) as chain:
+            canonical_chain(rho, unitaries)
+        assert str(chain.value) == str(loop)
+        assert case in ("not PSD", "trace", "not Hermitian")
+        return
+    with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as clamps:
+        got = canonical_chain(rho, unitaries)
+    assert [state.tobytes() for state in got] == [state.tobytes() for state in want]
+    assert (clamps.call_count > 0) == (case == "clamp")
 
 
 def test_kron_identity_and_sigma_z():
