@@ -15,12 +15,11 @@ import argparse
 import csv
 import functools
 import io
-import itertools
 import json
 import math
 import operator
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import Sequence, get_type_hints
 
 import numpy as np
@@ -76,6 +75,9 @@ class RunConfig:
 
 # the config keys that are FridgeConfig fields other than theta: e1 is E1, g is g
 _FRIDGE_KEYS = {f.name.lower(): f.name for f in fields(FridgeConfig) if f.name != "theta"}
+# the config keys that JSON meta echoes under "config": all but the output keys
+_META_KEYS = [f.name for f in fields(RunConfig)[1:]
+              if f.name not in ("out", "format", "delta_scale")]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -160,8 +162,9 @@ def _read_config_file(path: str) -> list[tuple[str, str, str]]:
 
 
 @functools.cache
-def _parser() -> _Parser:
-    """The flags of every command, generated from RunConfig once per process."""
+def _parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser and each command's own, generated from RunConfig
+    once per process."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key=value config file")
     bcs = argparse.ArgumentParser(add_help=False)
@@ -172,14 +175,22 @@ def _parser() -> _Parser:
     parser = _Parser(prog="spinfridge",
                      description="three-spin self-contained refrigerator simulator")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command in COMMANDS:
-        sub.add_parser(command, parents=[common, bcs] if command == "bcs" else [common])
-    return parser
+    commands = {command: sub.add_parser(command,
+                                        parents=[common, bcs] if command == "bcs" else [common])
+                for command in COMMANDS}
+    return parser, commands
 
 
 def parse_config(argv: list[str] | None = None) -> RunConfig:
     """Resolve defaults, config file, and flags into a validated RunConfig."""
-    namespace = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser, commands = _parser()
+    if argv and argv[0] in commands:
+        # all the top-level parser would do is hand the rest to this subparser;
+        # it runs only when argv[0] is no command (usage, -h, an unknown command)
+        namespace = commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    else:
+        namespace = parser.parse_args(argv)
     entries = _read_config_file(namespace.config) if namespace.config else []
     entries += [(key, "argument --" + key.replace("_", "-"), text)
                 for key, text in vars(namespace).items() if key in _READERS and text is not None]
@@ -219,30 +230,36 @@ def _json_value(value):
     return str(value)
 
 
-def _float_texts(values: list, quote_nonfinite: bool) -> list[str]:
-    """repr of each float; a column that is at most half distinct is formatted
-    once per distinct value (above that a lookup table does not pay)."""
-    distinct = set(values)
+def _float_texts(values: np.ndarray, quote_nonfinite: bool) -> list[str]:
+    """repr of each float of a float64 array; a column that is at most half
+    distinct is formatted once per distinct value (above that a lookup table
+    does not pay)."""
+    distinct, inverse = np.unique(values, return_inverse=True)
     if 2 * len(distinct) > len(values):
-        texts = list(map(float.__repr__, values))
+        texts = list(map(float.__repr__, values.tolist()))
     else:
-        table = dict(zip(distinct, map(float.__repr__, distinct)))
-        texts = list(map(table.__getitem__, values))
-        if 0.0 in table:  # -0.0 and 0.0 are one key, so each zero gets its own text
-            for index in itertools.compress(itertools.count(), map(operator.not_, values)):
-                texts[index] = float.__repr__(values[index])
-    if quote_nonfinite and not all(map(math.isfinite, distinct)):
-        texts = [text if math.isfinite(value) else f'"{text}"'
-                 for value, text in zip(values, texts)]
+        table = list(map(float.__repr__, distinct.tolist()))
+        texts = list(map(table.__getitem__, inverse.tolist()))
+        # -0.0 and 0.0 are one distinct value, so each zero gets its own text
+        for index in np.flatnonzero(values == 0.0).tolist():
+            texts[index] = float.__repr__(values[index])
+    if quote_nonfinite:
+        for index in np.flatnonzero(~np.isfinite(values)).tolist():
+            texts[index] = f'"{texts[index]}"'
     return texts
 
 
-def _column_texts(values: list, fmt: str) -> tuple[list[str], bool]:
+def _column_texts(column: Sequence, fmt: str) -> tuple[list[str], bool]:
     """The text of each value of one column in fmt, and whether a CSV field of it
     may need quoting."""
+    if isinstance(column, np.ndarray) and column.dtype == np.float64:
+        return _float_texts(column, quote_nonfinite=fmt == "json"), False
+    if isinstance(column, np.ndarray) and column.dtype == np.int64:
+        return list(map(int.__repr__, column.tolist())), False
+    values = column.tolist() if isinstance(column, np.ndarray) else list(column)
     kinds = set(map(type, values))
     if all(issubclass(kind, float) for kind in kinds):
-        return _float_texts(values, quote_nonfinite=fmt == "json"), False
+        return _column_texts(np.array(values, dtype=np.float64), fmt)
     if kinds == {int}:
         return list(map(int.__repr__, values)), False
     if fmt == "csv":
@@ -261,32 +278,37 @@ def emit(columns: dict[str, Sequence], fmt: str, path: str | None, meta: dict) -
     strings.  Each column is formatted as a whole, and only columns whose
     fields may need quoting go through csv.writer.
     """
-    values = [col.tolist() if isinstance(col, np.ndarray) else list(col)
-              for col in columns.values()]
-    if len(set(map(len, values))) > 1:
+    if len(set(map(len, columns.values()))) > 1:
         raise ValueError("columns must have equal lengths")
-    formatted = [_column_texts(col, fmt) for col in values]
-    rows = zip(*(texts for texts, _ in formatted))
-    has_rows = bool(values and values[0])
+    formatted = [_column_texts(col, fmt) for col in columns.values()]
+    texts = [column_texts for column_texts, _ in formatted]
+    has_rows = bool(texts and texts[0])
     if fmt == "csv":
         buffer = io.StringIO()
         if has_rows:
             writer = csv.writer(buffer, lineterminator="\n")
             writer.writerow(columns.keys())
             if any(quote for _, quote in formatted):
-                writer.writerows(rows)
+                writer.writerows(zip(*texts))
             else:
-                buffer.write("\n".join(map(",".join, rows)) + "\n")
+                buffer.write("\n".join(map(",".join, zip(*texts))) + "\n")
         payload = buffer.getvalue()
     else:
         document = {"meta": {k: _json_value(v) for k, v in meta.items()}, "data": []}
         payload = json.dumps(document, indent=2)
         if has_rows:
-            # each row as json.dumps(indent=2) lays out a dict inside the data list
-            keys = (json.dumps(name).replace("%", "%%") for name in columns)
-            template = "    {\n" + ",\n".join(f"      {key}: %s" for key in keys) + "\n    }"
-            body = ",\n".join(map(template.__mod__, rows))
-            payload = payload[:-len("[]\n}")] + "[\n" + body + "\n  ]\n}"
+            # each row as json.dumps(indent=2) lays out a dict inside the data
+            # list: every text after its key's prefix, all in one join
+            keys = [json.dumps(name) for name in columns]
+            prefixes = [f"\n    }},\n    {{\n      {keys[0]}: "]
+            prefixes += [f",\n      {key}: " for key in keys[1:]]
+            width = 2 * len(keys)
+            parts = [""] * (width * len(texts[0]))
+            for index, (prefix, column_texts) in enumerate(zip(prefixes, texts)):
+                parts[2 * index::width] = [prefix] * len(column_texts)
+                parts[2 * index + 1::width] = column_texts
+            parts[0] = f"[\n    {{\n      {keys[0]}: "  # the first row follows no row
+            payload = payload[:-len("[]\n}")] + "".join(parts) + "\n    }\n  ]\n}"
         payload += "\n"
     if path is None or path == "-":
         sys.stdout.write(payload)
@@ -302,9 +324,7 @@ def _meta(cfg: RunConfig) -> dict:
         "version": __version__,
         "delta_scale": cfg.delta_scale,
         # the physics keys under FridgeConfig's names, then the run keys
-        "config": {**asdict(cfg.fridge()), "theta": list(cfg.theta), "cycles": cfg.cycles,
-                   "grid": list(cfg.grid), "bits": cfg.bits, "epsilon0": cfg.epsilon0,
-                   "rounds": cfg.rounds, "seed": cfg.seed},
+        "config": {_FRIDGE_KEYS.get(key, key): getattr(cfg, key) for key in _META_KEYS},
     }
     if cfg.command == "bcs":
         meta["prng"] = PRNG_ID

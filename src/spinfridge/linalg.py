@@ -127,9 +127,10 @@ def canonical_chain(rho: np.ndarray, unitaries: Sequence[np.ndarray]) -> list[np
     Bit for bit that loop, with the n positivity checks run as one stacked
     eigvalsh after it (numpy's stacked eigvalsh equals the per-matrix call
     bit for bit, which the test suite guards).  Without a negative
-    eigenvalue canonical_density only symmetrizes and divides by the trace;
-    when a state needs a clamp or a rejection, or fails its hermiticity or
-    trace check, the loop runs again per state to apply it exactly.
+    eigenvalue canonical_density only symmetrizes and divides by the trace,
+    so the states before the first one that needs a clamp or a rejection, or
+    fails its hermiticity or trace check, are exact; the loop runs again per
+    state from that one on to apply it exactly.
     """
     states, symmetrized = [rho], []
     try:
@@ -139,11 +140,12 @@ def canonical_chain(rho: np.ndarray, unitaries: Sequence[np.ndarray]) -> list[np
             states.append(mat / mat.trace().real)
     except ValueError:
         pass
-    else:
-        if not symmetrized or (np.linalg.eigvalsh(np.stack(symmetrized))[:, 0] >= 0.0).all():
-            return states
-    states = [rho]
-    for u in unitaries:
+    first = len(symmetrized)  # the first unitary whose state is not yet exact
+    if symmetrized:
+        negative = np.flatnonzero(np.linalg.eigvalsh(np.stack(symmetrized))[:, 0] < 0.0)
+        first = int(negative[0]) if negative.size else first
+    del states[first + 1:]
+    for u in unitaries[first:]:
         states.append(canonical_density(u @ states[-1] @ u.conj().T))
     return states
 

@@ -1,5 +1,8 @@
 """Command-line interface: parsing, emission, determinism, exit codes."""
 
+import argparse
+import contextlib
+import io
 import json
 import math
 import warnings
@@ -7,8 +10,9 @@ from dataclasses import fields
 
 import pytest
 
+import spinfridge.cli as cli
 from spinfridge import FridgeConfig
-from spinfridge.cli import RunConfig, main, parse_config
+from spinfridge.cli import COMMANDS, RunConfig, main, parse_config
 
 
 def run_cli(args, path):
@@ -113,6 +117,56 @@ def test_every_key_reads_alike_from_flag_and_file(key, tmp_path):
     both = parse_config(["bcs", *as_config_file(first, tmp_path / "b.cfg"), *as_flags(second)])
     assert both == parse_config(["bcs", *as_flags(second)])
     assert getattr(both, key) != getattr(by_flag, key)
+
+
+# each flag form, an abbreviation, a bcs-only flag, a missing value, an
+# unknown flag, a stray argument and the command's help, with the exit code of
+# the parse (None: it parses; "bcs": it parses for bcs only)
+PARSE_CASES = (
+    ([], None), (["--t1=3"], None), (["--t1", "3"], None), (["--thet=0.5"], None),
+    (["--thet", "0.5,0.7"], None), (["--theta=-2.4"], None), (["--bits=4000"], "bcs"),
+    (["--epsilon0", "0.2", "--rounds=2"], "bcs"), (["--t1"], 1), (["--t1=3", "--cycles"], 1),
+    (["--nope"], 1), (["--nope=1", "--t1=3"], 1), (["--e=1"], 1), (["stray"], 1),
+    (["--", "stray"], 1), (["-h"], 0), (["--he"], 0), (["--t1=3", "-h"], 0), (["--config"], 1),
+    (["--t3=8", "--t3=9", "--format", "json"], None),
+)
+
+
+def outcome(parse):
+    """What one parse returns or raises, with its stdout and stderr."""
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            result = parse()
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+        except ValueError as exc:
+            result = ("error", str(exc))
+    return result, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_command_parses_as_the_top_level_parser_would(command, monkeypatch):
+    parser, commands = cli._parser()
+    for args, code in PARSE_CASES:
+        argv = [command, *args]
+        # the command's own parser, given the arguments after the command,
+        # fills the namespace of the top-level parser in the same key order
+        own = outcome(lambda: list(vars(commands[command].parse_args(
+            args, argparse.Namespace(command=command))).items()))
+        assert own == outcome(lambda: list(vars(parser.parse_args(argv)).items())), argv
+        if code == "bcs":
+            code = None if command == "bcs" else 1
+        if code is None:
+            assert own[0][0] != "exit", argv
+        else:
+            assert own[0] == ("exit", code), argv
+        # parse_config dispatches to the command's parser; with none to
+        # dispatch to it runs the top-level one, and either way it ends alike
+        dispatched = outcome(lambda: parse_config(argv))
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_parser", lambda: (parser, {}))
+            assert outcome(lambda: parse_config(argv)) == dispatched, argv
 
 
 def test_exchange_csv_contract(tmp_path):

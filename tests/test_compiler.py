@@ -33,6 +33,7 @@ from spinfridge import (
     system_hamiltonian,
     verify,
 )
+from spinfridge.linalg import canonical_density
 
 THETAS = (0.0, math.pi / 8.0, math.pi / 4.0, math.pi / 2.0)
 CORE = 5  # position of the theta-dependent ZZ core within each ten-step block
@@ -227,6 +228,19 @@ def fresh_ledger(seq, rho0, h_sys, *, stored_unitaries=False):
     return rho, entries
 
 
+def first_clamped_state(seq, rho0):
+    """Index of the first of the 39 intermediate states of the per-pulse loop
+    whose symmetrized matrix has a negative eigenvalue (39 if none has)."""
+    rho = rho0.matrix
+    for index, step in enumerate(seq.steps[:-1]):
+        u = step.unitary().matrix
+        mat = u @ rho @ u.conj().T
+        if np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)[0] < 0.0:
+            return index
+        rho = canonical_density(mat)
+    return len(seq.steps) - 1
+
+
 def fold_matches_the_loop(cfg, theta):
     """Assert run_with_ledger books fresh_ledger's entries and final state byte
     for byte, and return the number of PSD clamps it applied and whether its
@@ -240,10 +254,12 @@ def fold_matches_the_loop(cfg, theta):
     assert entries == want_entries and repr(entries) == repr(want_entries)
     assert final.matrix.tobytes() == want_final.matrix.tobytes()
     # one stacked check of the 39 states and the final state's own; the
-    # fallback checks every state again, one at a time
+    # fallback checks again, one at a time, the states from the first that
+    # needs a clamp on
     per_state = sum(call.args[0].ndim == 2 for call in checks.call_args_list)
-    assert checks.call_count == per_state + 1 and per_state in (1, 40)
-    return clamps.call_count, per_state == 40
+    first = first_clamped_state(seq, rho0)
+    assert checks.call_count == per_state + 1 and per_state == 1 + 39 - first
+    return clamps.call_count, first < 39
 
 
 def high_e_over_t_configs(count, seed):
@@ -286,11 +302,19 @@ def test_ledger_fold_equals_the_loop_from_low_to_high_e_over_t(e1, e3, log_ratio
 
 
 def test_ledger_fold_takes_the_per_state_fallback_only_for_a_clamp():
-    # E/T = 30 per spin: the smallest eigenvalue, about e^-120, rounds below zero
+    # E/T = 30 per spin: the smallest eigenvalue, about e^-120, rounds below
+    # zero from the first state on, so every state is checked again
     hot = FridgeConfig(E1=30.0, E2=60.0, E3=30.0, T1=1.0, T2=1.0, T3=1.0)
-    clamps, fallback = fold_matches_the_loop(hot, 0.7)
-    assert fallback and clamps > 0
-    assert fold_matches_the_loop(FridgeConfig(), 0.7) == (0, False)
+    for theta in (0.7, math.pi / 2.0, -2.4):
+        clamps, fallback = fold_matches_the_loop(hot, theta)
+        assert fallback and clamps > 0
+        assert fold_matches_the_loop(FridgeConfig(), theta) == (0, False)
+    # E3/T3 = 56 with no exchange (theta = 0): the first state needs no clamp,
+    # so only the 38 states after it are checked again
+    cold = FridgeConfig(E1=1.0, E2=2.0, E3=1.0, T1=1.0, T2=158.86564694485625,
+                        T3=0.01778279410038923)
+    assert first_clamped_state(compile_exchange(0.0), initial_state(cold)) == 1
+    assert fold_matches_the_loop(cold, 0.0)[1]
 
 
 def test_ledger_rejects_each_pulse_as_the_per_pulse_loop():

@@ -76,9 +76,10 @@ def written(writer, data, fmt: str, path=None) -> str:
     return out.getvalue()
 
 
-SPECIAL_FLOATS = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2250738585072014e-308 / 3,
-                  1e16, 1e-5, 0.1, 123456789.0)
+SPECIAL_FLOATS = (0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
+                  2.2250738585072014e-308 / 3, 1e16, 1e-5, 0.1, 123456789.0)
 floats = st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS))
+int64s = st.integers(-2**63, 2**63 - 1)
 # each text needs CSV quoting, JSON escaping, both or neither
 texts = st.text(alphabet=st.sampled_from(list('ab ,"\n\r%\\é€ ')), max_size=6)
 scalars = st.one_of(floats, floats.map(np.float64), st.integers(-2**70, 2**70), st.booleans(),
@@ -87,17 +88,22 @@ scalars = st.one_of(floats, floats.map(np.float64), st.integers(-2**70, 2**70), 
 
 @st.composite
 def columns(draw):
-    n_rows = draw(st.integers(0, 6))
+    n_rows = draw(st.integers(0, 10))
     names = draw(st.lists(st.one_of(texts, st.sampled_from(["T2", "dQ1", "n"])),
                           min_size=1, max_size=4, unique=True))
     table = {}
     for name in names:
-        # a column of one kind, or of mixed kinds; a small pool makes values repeat
-        kind = draw(st.sampled_from([floats, floats.map(np.float64), st.integers(-5, 5),
+        # a column of one kind, or of mixed kinds; a pool smaller or larger than
+        # half the rows puts the column on either side of the half-distinct rule
+        kind = draw(st.sampled_from([floats, floats.map(np.float64), st.integers(-5, 5), int64s,
                                      st.booleans(), st.none(), texts, scalars]))
-        pool = draw(st.lists(kind, min_size=1, max_size=8))
+        pool = draw(st.lists(kind, min_size=1, max_size=12))
         column = draw(st.lists(st.sampled_from(pool), min_size=n_rows, max_size=n_rows))
-        table[name] = np.array(column) if draw(st.booleans()) and kind is floats else column
+        if kind is floats and draw(st.booleans()):
+            column = np.array(column, dtype=np.float64)
+        elif kind is int64s and draw(st.booleans()):
+            column = np.array(column, dtype=np.int64)
+        table[name] = column
     return table
 
 
@@ -107,15 +113,25 @@ def test_emit_writes_the_bytes_of_the_row_writer(table, fmt):
     assert written(emit, table, fmt) == written(row_emit, as_rows(table), fmt)
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_a_nearly_all_distinct_column_keeps_zero_signs_and_nonfinite_texts(fmt):
-    special = [-0.0, 0.0, math.nan, math.inf, -math.inf]
-    column = special + [1.0 + k / 7.0 for k in range(20)] + special
+SPECIAL_COLUMN = [-0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324]
+
+
+def assert_special_texts(column, fmt):
     table = {"list": column, "array": np.array(column)}
     text = written(emit, table, fmt)
     assert text == written(row_emit, as_rows(table), fmt)
-    for marker in ("-0.0", '"nan"' if fmt == "json" else "nan"):
+    for marker in ("-0.0", "5e-324", '"nan"' if fmt == "json" else "nan"):
         assert marker in text
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_nearly_all_distinct_column_keeps_zero_signs_and_nonfinite_texts(fmt):
+    assert_special_texts(SPECIAL_COLUMN + [1.0 + k / 7.0 for k in range(20)] + SPECIAL_COLUMN, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_mostly_repeated_column_keeps_zero_signs_and_nonfinite_texts(fmt):
+    assert_special_texts((SPECIAL_COLUMN + [1.5]) * 5, fmt)
 
 
 def test_emit_rejects_columns_of_unequal_length():

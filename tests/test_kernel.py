@@ -173,13 +173,31 @@ def test_cop_never_exceeds_carnot(cfg):
         assert report.dQ1 >= -POP_TOL
 
 
+def assert_default_boundary_value(t2, t3):
+    """At the default gaps and T1 = 2 the value is the closed form of the
+    reference point where its sign is the working condition's, and T1*T2*T3*x
+    where rounding moves the closed form across zero; both bit for bit."""
+    closed = 6.0 * t3 - 4.0 * t2 - t2 * t3
+    x = float(boltzmann_margin((1.0, 3.0, 2.0), (2.0, t2, t3))[1])
+    want = closed if (closed > 0.0) == (x > 0.0) else 2.0 * t2 * t3 * x
+    assert phase_boundary_value(t2, t3) == want
+    return want == closed
+
+
 @settings(max_examples=300, deadline=None)
 @given(working_configs())
 def test_phase_boundary_value_has_the_sign_of_the_working_condition(cfg):
     value = phase_boundary_value(cfg.T2, cfg.T3, base=cfg)
     assert working_condition(cfg) == (value > 0.0)
-    # the default gaps at T1 = 2 give the constants of the reference point
-    assert phase_boundary_value(cfg.T2, cfg.T3) == 6.0 * cfg.T3 - 4.0 * cfg.T2 - cfg.T2 * cfg.T3
+    assert_default_boundary_value(cfg.T2, cfg.T3)
+
+
+def test_phase_boundary_value_takes_each_branch_on_the_default_boundary():
+    assert assert_default_boundary_value(2.0, 10.0)
+    # on the rounded boundary T3 = 4*T2/(6 - T2) the closed form reads 8.9e-16,
+    # but x = 0 and the working condition is false
+    assert not assert_default_boundary_value(2.5034, 2.8638105588285763)
+    assert phase_boundary_value(2.5034, 2.8638105588285763) == 0.0
 
 
 @settings(max_examples=40, deadline=None)

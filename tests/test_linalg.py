@@ -78,13 +78,17 @@ def test_stacked_eigvalsh_is_the_per_matrix_eigvalsh(rng):
     assert (per_matrix[:, 0] < 0.0).any()
 
 
-@pytest.mark.parametrize("case", ["clean", "clamp", "not PSD", "trace", "not Hermitian"])
+@pytest.mark.parametrize("case", ["clean", "clamp", "late clamp", "not PSD", "trace",
+                                  "not Hermitian"])
 def test_canonical_chain_is_the_canonical_density_loop(rng, case):
     unitaries = [oracles.random_unitary(rng, 8) for _ in range(12)]
     rho = oracles.random_density(rng, 8)
     if case in ("clamp", "not PSD"):  # a negative eigenvalue in the clamp window or beyond it
         drift = 5e-11 if case == "clamp" else 1e-6
         rho = np.diag([1.0 + drift, -drift, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]).astype(complex)
+    elif case == "late clamp":  # a pure state stays exact through 5 identities, then drifts
+        rho = np.diag([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]).astype(complex)
+        unitaries[:5] = [np.eye(8, dtype=complex)] * 5
     elif case == "trace":
         unitaries[5] = 1.001 * unitaries[5]
     elif case == "not Hermitian":
@@ -99,10 +103,14 @@ def test_canonical_chain_is_the_canonical_density_loop(rng, case):
         assert str(chain.value) == str(loop)
         assert case in ("not PSD", "trace", "not Hermitian")
         return
-    with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as clamps:
+    with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as clamps, \
+            mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as checks:
         got = canonical_chain(rho, unitaries)
     assert [state.tobytes() for state in got] == [state.tobytes() for state in want]
-    assert (clamps.call_count > 0) == (case == "clamp")
+    assert (clamps.call_count > 0) == (case in ("clamp", "late clamp"))
+    # the per-state checks run again from the first state that needs a clamp on
+    per_state = sum(call.args[0].ndim == 2 for call in checks.call_args_list)
+    assert per_state == {"clean": 0, "clamp": 12, "late clamp": 12 - 5}[case]
 
 
 def test_kron_identity_and_sigma_z():
