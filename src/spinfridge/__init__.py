@@ -31,6 +31,7 @@ from .fridge import (
     boltzmann_margin,
     bound_temperature,
     carnot_limit,
+    carnot_sweep,
     cop,
     exchange,
     exchange_flow,
@@ -80,8 +81,8 @@ __all__ = [
     "FridgeConfig", "ExchangeReport", "exchange_generator", "exchange_pauli_terms",
     "initial_state", "exchange", "boltzmann_margin", "exchange_flow", "exchange_sweep",
     "working_condition", "bound_temperature",
-    "phase_boundary_value", "cop", "carnot_limit", "two_spin_swap",
-    "system_hamiltonian",
+    "phase_boundary_value", "cop", "carnot_limit", "carnot_sweep",
+    "two_spin_swap", "system_hamiltonian",
     "GateStep", "CompiledSequence", "compile_exchange", "verify",
     "sequence_unitary", "permute_blocks", "run_with_ledger",
     "CycleColumns", "run_cycles", "detect_convergence", "scan_phase_diagram",

@@ -27,9 +27,9 @@ import numpy as np
 from . import __version__
 from .cooling import PRNG_ID, check_bias, check_bits, check_rounds, check_seed, simulate_bcs
 from .compiler import compile_exchange, run_with_ledger, verify
-from .cycles import CycleColumns, check_cycles, check_grid, run_cycles, scan_phase_diagram
+from .cycles import check_cycles, check_grid, run_cycles, scan_phase_diagram
 from .fridge import (
-    FridgeConfig, carnot_limit, check_theta, cop, exchange, exchange_sweep, initial_state,
+    FridgeConfig, carnot_sweep, check_theta, cop, exchange, exchange_sweep, initial_state,
     system_hamiltonian,
 )
 from .thermo import check_positive
@@ -68,9 +68,9 @@ class RunConfig:
     format: str = _key("csv", "output format: csv or json")
     delta_scale: float = _key(1.0, "display multiplier for delta-unit columns")
 
-    def fridge(self, theta: float | None = None) -> FridgeConfig:
+    def fridge(self) -> FridgeConfig:
         return FridgeConfig(**{name: getattr(self, key) for key, name in _FRIDGE_KEYS.items()},
-                            theta=self.theta[0] if theta is None else theta)
+                            theta=self.theta[0])
 
 
 # the config keys that are FridgeConfig fields other than theta: e1 is E1, g is g
@@ -203,9 +203,9 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
         except ValueError as exc:
             raise ValueError(f"{source}: {exc}") from None
     cfg = RunConfig(command=namespace.command, **values)
-
-    for theta in cfg.theta:
-        cfg.fridge(theta)  # the rules across keys: E2 = E1 + E3 and the E/T underflow
+    # the rules across keys, E2 = E1 + E3 and the E/T underflow, do not depend on
+    # theta, and _parse_theta has checked every angle
+    cfg.fridge()
     return cfg
 
 
@@ -230,20 +230,21 @@ def _json_value(value):
     return str(value)
 
 
-def _float_texts(values: np.ndarray, quote_nonfinite: bool) -> list[str]:
-    """repr of each float of a float64 array; a column that is at most half
-    distinct is formatted once per distinct value (above that a lookup table
-    does not pay)."""
+def _array_texts(values: np.ndarray, quote_nonfinite: bool) -> list[str]:
+    """repr of each number of a float64 or int64 array; a column that repeats a
+    value formats each distinct value once (one with no repeat skips the table)."""
+    floats = values.dtype == np.float64
+    text = float.__repr__ if floats else int.__repr__
     distinct, inverse = np.unique(values, return_inverse=True)
-    if 2 * len(distinct) > len(values):
-        texts = list(map(float.__repr__, values.tolist()))
+    if len(distinct) == len(values):
+        texts = list(map(text, values.tolist()))
     else:
-        table = list(map(float.__repr__, distinct.tolist()))
-        texts = list(map(table.__getitem__, inverse.tolist()))
-        # -0.0 and 0.0 are one distinct value, so each zero gets its own text
-        for index in np.flatnonzero(values == 0.0).tolist():
-            texts[index] = float.__repr__(values[index])
-    if quote_nonfinite:
+        texts = np.array(list(map(text, distinct.tolist())), dtype=object)[inverse].tolist()
+        if floats:
+            # -0.0 and 0.0 are one distinct value, so each zero gets its own text
+            for index in np.flatnonzero(values == 0.0).tolist():
+                texts[index] = float.__repr__(values[index])
+    if quote_nonfinite and floats:
         for index in np.flatnonzero(~np.isfinite(values)).tolist():
             texts[index] = f'"{texts[index]}"'
     return texts
@@ -252,10 +253,8 @@ def _float_texts(values: np.ndarray, quote_nonfinite: bool) -> list[str]:
 def _column_texts(column: Sequence, fmt: str) -> tuple[list[str], bool]:
     """The text of each value of one column in fmt, and whether a CSV field of it
     may need quoting."""
-    if isinstance(column, np.ndarray) and column.dtype == np.float64:
-        return _float_texts(column, quote_nonfinite=fmt == "json"), False
-    if isinstance(column, np.ndarray) and column.dtype == np.int64:
-        return list(map(int.__repr__, column.tolist())), False
+    if isinstance(column, np.ndarray) and column.dtype in (np.float64, np.int64):
+        return _array_texts(column, quote_nonfinite=fmt == "json"), False
     values = column.tolist() if isinstance(column, np.ndarray) else list(column)
     kinds = set(map(type, values))
     if all(issubclass(kind, float) for kind in kinds):
@@ -349,8 +348,7 @@ def _columns_ledger(cfg: RunConfig) -> dict[str, Sequence]:
 
 
 def _columns_cycles(cfg: RunConfig) -> dict[str, Sequence]:
-    runs = [run_cycles(cfg.fridge(theta), cfg.cycles) for theta in cfg.theta]
-    columns = dict(zip(CycleColumns._fields, map(np.concatenate, zip(*runs))))
+    columns = run_cycles(cfg.fridge(), cfg.cycles, cfg.theta)._asdict()
     return {"n": columns.pop("n"), "theta": np.repeat(cfg.theta, cfg.cycles + 1), **columns}
 
 
@@ -366,10 +364,8 @@ def _columns_cop(cfg: RunConfig) -> dict[str, Sequence]:
     base = cfg.fridge()
     t2s = t2_min + (t2_max - t2_min) * np.arange(steps) / (steps - 1)
     flow = exchange_sweep(base, t2s, base.T3)
-    # nan outside the engine+fridge ordering
-    limits = [carnot_limit(base.T1, t2, base.T3) if base.T1 <= t2 < base.T3 else math.nan
-              for t2 in t2s.tolist()]
-    return {"T2": t2s, "cop": [cop(base)] * steps, "carnot_limit": limits,
+    return {"T2": t2s, "cop": [cop(base)] * steps,
+            "carnot_limit": carnot_sweep(base.T1, t2s, base.T3),
             "dQ1": base.E1 * flow, "dQ3": base.E3 * flow}
 
 

@@ -20,8 +20,9 @@ import numpy as np
 from .thermo import check_count, check_positive
 
 PRNG_ID = "numpy-pcg64"  # np.random.default_rng; seeded runs are bit-reproducible
-MAX_BITS = 10**9  # a pool holds one byte per bit; a compression round peaks near four
+MAX_BITS = 10**9  # a pool holds one byte per bit; a compression round adds about half a byte
 SAMPLE_CHUNK = 2**15  # uniforms drawn per rng.random call while sampling a pool
+COMPRESS_CHUNK = 2**16  # pairs compacted per np.compress call in a compression round
 
 
 @dataclass(frozen=True)
@@ -171,6 +172,25 @@ def _sample_pool(rng: np.random.Generator, n_bits: int, epsilon: float) -> np.nd
     return bits
 
 
+def _compress_round(bits: np.ndarray) -> np.ndarray:
+    """The control bit of every agreeing (control, target) pair of an even-sized pool, in order.
+
+    A pair of bools read as one uint16 agrees iff it is 0x0000 or 0x0101, when the
+    CNOT target reads 0; the kept control bit is then the pair's bit.  np.compress
+    forms an int64 index of the kept pairs, so it runs COMPRESS_CHUNK pairs at a
+    time into one output of a byte per pair.
+    """
+    pairs = bits.view(np.uint16)
+    kept = np.empty(pairs.size, dtype=bool)
+    count = 0
+    for start in range(0, pairs.size, COMPRESS_CHUNK):
+        chunk = pairs[start:start + COMPRESS_CHUNK]
+        agreeing = np.compress((chunk == 0) | (chunk == 0x0101), chunk)
+        np.not_equal(agreeing, 0, out=kept[count:count + agreeing.size])
+        count += agreeing.size
+    return kept[:count]
+
+
 def simulate_bcs(n_bits: int, epsilon: float, rounds: int, seed: int) -> BcsResult:
     """Stochastic compression of a freshly sampled pool, seeded and exact.
 
@@ -190,11 +210,7 @@ def simulate_bcs(n_bits: int, epsilon: float, rounds: int, seed: int) -> BcsResu
             bits = bits[:-1]
         if bits.size == 0:
             break  # pool exhausted; remaining rounds are vacuous
-        # a (control, target) pair of bools read as one uint16 agrees iff it is
-        # 0x0000 or 0x0101, when the CNOT target reads 0; the kept control bit
-        # is then the pair's bit, and np.compress keeps the pairs in order
-        pairs = bits.view(np.uint16)
-        bits = np.compress((pairs == 0) | (pairs == 0x0101), pairs) != 0
+        bits = _compress_round(bits)
         if analytic < 1.0:  # a bias that rounded to 1.0 is a fixed point of the map
             analytic = bcs_bias(analytic)
         history.append(BcsRound(round_index, analytic, _empirical_bias(bits), int(bits.size)))

@@ -11,11 +11,11 @@ independently of theta.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .fridge import FridgeConfig, boltzmann_margin, exchange_flow, exchange_sweep
+from .fridge import FridgeConfig, boltzmann_margin, check_theta, exchange_flow, exchange_sweep
 from .thermo import binary_entropy, check_count, check_positive, spin_temperature
 
 MAX_GRID_STEPS = 1000  # per axis
@@ -40,8 +40,10 @@ def check_cycles(n_cycles: int) -> None:
         raise ValueError(f"cycles must lie in [1, {MAX_CYCLES}], got {n_cycles}")
 
 
-def run_cycles(cfg: FridgeConfig, n_cycles: int) -> CycleColumns:
-    """Spin 1 after each of n_cycles evolve-reset loops at angle cfg.theta, in closed form.
+def run_cycles(cfg: FridgeConfig, n_cycles: int,
+               thetas: Sequence[float] | None = None) -> CycleColumns:
+    """Spin 1 after each of n_cycles evolve-reset loops, in closed form, at each angle of
+    thetas (default cfg.theta alone) in one array pass, the angles one after another.
 
     The reset keeps spin 1's populations and refreshes spins 2 and 3.  With
     boltzmann_margin's b_i and x and s2 = sin^2(theta), a cycle maps spin 1's
@@ -51,8 +53,12 @@ def run_cycles(cfg: FridgeConfig, n_cycles: int) -> CycleColumns:
     g = p_0 - p* = b2 expm1(x)/((1 + b1)(b2 + b3)) and d_n = exp(n log1p(-s2 D)),
     which keeps the rounding of 1 - s2 D out of the powers (1 - s2 D)^n.  Cycle n
     moves the heat E1 delta_1 d_(n-1), delta_1 being the first cycle's exchange_flow.
+    Only s2 depends on the angle, so the pass runs over (angles, n_cycles + 1) arrays.
     """
     check_cycles(n_cycles)
+    thetas = (cfg.theta,) if thetas is None else tuple(thetas)
+    for theta in thetas:
+        check_theta(theta)
     boltzmann, margin = boltzmann_margin(cfg.gaps, cfg.temps)
     b1, b2, b3 = map(float, boltzmann)
     fixed, fixed_ground = b2 / (b2 + b3), b3 / (b2 + b3)
@@ -60,7 +66,7 @@ def run_cycles(cfg: FridgeConfig, n_cycles: int) -> CycleColumns:
     rate = (b2 + b3) / ((1.0 + b2) * (1.0 + b3))
     gap = b2 * math.expm1(margin) / ((1.0 + b1) * (b2 + b3))
     n = np.arange(n_cycles + 1)
-    log_decay = n * math.log1p(-math.sin(cfg.theta) ** 2 * rate)
+    log_decay = np.multiply.outer([math.log1p(-math.sin(t) ** 2 * rate) for t in thetas], n)
     decay, shrink = np.exp(log_decay), np.expm1(log_decay)  # d_n and d_n - 1
     # each population adds two terms of one sign, so it keeps its relative
     # accuracy where it is far below the other end of its path
@@ -68,11 +74,12 @@ def run_cycles(cfg: FridgeConfig, n_cycles: int) -> CycleColumns:
         p1, q1 = fixed + decay * gap, start_ground - shrink * gap
     else:  # spin 1 warms: p rises from its start, 1 - p falls to 1 - p*
         p1, q1 = start + shrink * gap, fixed_ground - decay * gap
-    p1[0], q1[0] = start, start_ground  # p* + g and (1 - p*) - g may round away from them
-    flow = exchange_flow(boltzmann, margin, cfg.theta)
-    dq1 = np.concatenate(([0.0], cfg.E1 * flow * decay[:-1]))
-    return CycleColumns(n, spin_temperature(q1, p1, cfg.E1), binary_entropy(q1, p1),
-                        cfg.E1 * p1, dq1)
+    p1[:, 0], q1[:, 0] = start, start_ground  # p* + g and (1 - p*) - g may round away from them
+    heat = [cfg.E1 * exchange_flow(boltzmann, margin, theta) for theta in thetas]
+    dq1 = np.zeros_like(decay)
+    np.multiply(np.reshape(heat, (-1, 1)), decay[:, :-1], out=dq1[:, 1:])
+    return CycleColumns(np.tile(n, len(thetas)), spin_temperature(q1, p1, cfg.E1).ravel(),
+                        binary_entropy(q1, p1).ravel(), (cfg.E1 * p1).ravel(), dq1.ravel())
 
 
 def detect_convergence(T1, tol: float) -> tuple[bool, float]:

@@ -283,9 +283,17 @@ def carnot_limit(T1: float, T2: float, T3: float) -> float:
         check_positive(name, temp)
     if not (T1 <= T2 < T3):
         raise ValueError(f"temperatures must satisfy 0 < T1 <= T2 < T3, got {(T1, T2, T3)}")
-    if T1 == T2:
-        return math.inf
-    return (T3 - T2) * T1 / (T3 * (T2 - T1))
+    return float(carnot_sweep(T1, T2, T3))
+
+
+def carnot_sweep(T1, T2, T3) -> np.ndarray:
+    """carnot_limit elementwise over broadcast arrays of positive temperatures, by the
+    same expression: +inf at T1 = T2, nan where T1 <= T2 < T3 fails, and no
+    floating-point warning (an overflow reads inf, as in float arithmetic)."""
+    T1, T2, T3 = (np.asarray(temp, dtype=float) for temp in (T1, T2, T3))
+    with np.errstate(all="ignore"):
+        limit = (T3 - T2) * T1 / (T3 * (T2 - T1))
+    return np.where((T1 <= T2) & (T2 < T3), limit, math.nan)
 
 
 _SWAP_2 = Operator(

@@ -40,6 +40,23 @@ def test_theta_list_parsing():
     assert cfg.theta == (0.3927, 0.7854, 1.1781, 1.5708)
 
 
+@pytest.mark.parametrize("thetas", ["0.7", "0.1,0.2,0.3,0.4,0.5,0.6"])
+def test_parse_config_checks_the_rules_across_keys_once_whatever_the_angle_count(thetas, monkeypatch, tmp_path):
+    """One FridgeConfig validation in parse_config, whatever the angle count."""
+    checks = []
+    validate = FridgeConfig.__post_init__
+
+    def counted(self):
+        checks.append(self)
+        validate(self)
+
+    monkeypatch.setattr(FridgeConfig, "__post_init__", counted)
+    parse_config(["cycles", f"--theta={thetas}", "--t1=3"])
+    assert len(checks) == 1
+    assert run_cli(["cycles", f"--theta={thetas}", "--t1=3"], tmp_path / "cycles.csv") == 0
+    assert len(checks) == 3  # the op's own parse_config, and the config of the kernel call
+
+
 def test_invalid_gap_combination_is_rejected(capsys, tmp_path):
     assert main(["exchange", "--e3", "2.5"]) == 1
     err = capsys.readouterr().err

@@ -54,6 +54,12 @@ def test_run_cycles_requires_an_integer_cycle_count(count):
         run_cycles(FridgeConfig(), count)
 
 
+@pytest.mark.parametrize("thetas", [[0.1, math.nan], [math.inf], [0.5, -math.inf, 0.2]])
+def test_run_cycles_requires_finite_angles(thetas):
+    with pytest.raises(ValueError, match="theta must be finite"):
+        run_cycles(FridgeConfig(), 5, thetas)
+
+
 def test_run_cycles_reads_the_angle_from_the_config():
     cfg = FridgeConfig(theta=0.1)
     p1, p2, p3 = (oracles.thermal_population(E, T) for E, T in zip(cfg.gaps, cfg.temps))

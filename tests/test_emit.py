@@ -93,8 +93,7 @@ def columns(draw):
                           min_size=1, max_size=4, unique=True))
     table = {}
     for name in names:
-        # a column of one kind, or of mixed kinds; a pool smaller or larger than
-        # half the rows puts the column on either side of the half-distinct rule
+        # a column of one kind, or of mixed kinds
         kind = draw(st.sampled_from([floats, floats.map(np.float64), st.integers(-5, 5), int64s,
                                      st.booleans(), st.none(), texts, scalars]))
         pool = draw(st.lists(kind, min_size=1, max_size=12))
@@ -110,6 +109,45 @@ def columns(draw):
 @settings(max_examples=400, deadline=None)
 @given(columns(), st.sampled_from(["csv", "json"]))
 def test_emit_writes_the_bytes_of_the_row_writer(table, fmt):
+    assert written(emit, table, fmt) == written(row_emit, as_rows(table), fmt)
+
+
+def distinct_key(value):
+    """The value as np.unique tells numbers apart: every nan alike, -0.0 as 0.0."""
+    return "nan" if math.isnan(value) else value
+
+
+def twin(value):
+    """A value np.unique does not tell from value: the other zero or nan, else itself."""
+    return -value if value == 0.0 or math.isnan(value) else value
+
+
+@st.composite
+def repeat_columns(draw):
+    """A float64 or int64 array column with no repeat, exactly one repeat, or one
+    value throughout (a zero or nan with either sign), by np.unique's count."""
+    kind = draw(st.sampled_from(["float", "int"]))
+    if kind == "float":
+        values = st.one_of(floats, st.sampled_from(SPECIAL_FLOATS))
+    else:
+        values = st.one_of(int64s, st.sampled_from([-2**63, 2**63 - 1, 0, -1]))
+    distinct = draw(st.lists(values, min_size=1, max_size=40, unique_by=distinct_key))
+    shape = draw(st.sampled_from(["no repeat", "one repeat", "one value"]))
+    if shape == "one repeat":
+        index = draw(st.integers(0, len(distinct) - 1))
+        repeat = twin(distinct[index]) if kind == "float" and draw(st.booleans()) else distinct[index]
+        distinct.insert(draw(st.integers(0, len(distinct))), repeat)
+    elif shape == "one value":
+        count = draw(st.integers(2, 40))
+        distinct = [twin(distinct[0]) if kind == "float" and draw(st.booleans()) else distinct[0]
+                    for _ in range(count)]
+    return np.array(distinct, dtype=np.float64 if kind == "float" else np.int64)
+
+
+@settings(max_examples=400, deadline=None)
+@given(repeat_columns(), st.sampled_from(["csv", "json"]))
+def test_emit_writes_columns_with_and_without_repeats_as_the_row_writer(column, fmt):
+    table = {"x": column, "n": np.arange(len(column))}
     assert written(emit, table, fmt) == written(row_emit, as_rows(table), fmt)
 
 

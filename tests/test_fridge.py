@@ -5,12 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from spinfridge import (
     FridgeConfig,
     bound_temperature,
     carnot_limit,
+    carnot_sweep,
     cop,
     evolve,
     exchange,
@@ -281,6 +284,27 @@ def test_carnot_limit_values_and_ordering():
         carnot_limit(3.0, 2.0, 10.0)
     with pytest.raises(ValueError):
         carnot_limit(1.0, 10.0, 2.0)
+
+
+def carnot_point(t1, t2, t3):
+    """carnot_limit's ceiling in Python floats, nan outside T1 <= T2 < T3."""
+    if not t1 <= t2 < t3:
+        return math.nan
+    return math.inf if t1 == t2 else (t3 - t2) * t1 / (t3 * (t2 - t1))
+
+
+temperatures = st.floats(math.log(1e-3), math.log(1e3)).map(math.exp)
+
+
+@settings(max_examples=200, deadline=None)
+@given(temperatures, temperatures, st.lists(temperatures, max_size=20))
+def test_carnot_sweep_is_carnot_limit_point_by_point(t1, t3, t2s):
+    t2s = [t1, t3, *t2s, math.nextafter(t1, 0.0), math.nextafter(t1, math.inf)]
+    got = carnot_sweep(t1, np.array(t2s), t3).tolist()
+    assert list(map(repr, got)) == [repr(carnot_point(t1, t2, t3)) for t2 in t2s]
+    for t2, limit in zip(t2s, got):
+        if t1 <= t2 < t3:
+            assert repr(carnot_limit(t1, t2, t3)) == repr(limit)
 
 
 def test_carnot_limit_rejects_an_infinite_temperature():

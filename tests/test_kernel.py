@@ -300,6 +300,25 @@ def well_conditioned(p: float) -> bool:
     return min(1.0 - p, abs(1.0 - 2.0 * p)) >= 1e-6
 
 
+# 0 and -0, pi, negative angles, and angles past pi and 2 pi
+batch_angles = st.one_of(st.sampled_from([0.0, -0.0, math.pi, -2.4, 7.0, 4.0]),
+                         st.floats(-10.0, 10.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(configs(), st.lists(batch_angles, min_size=1, max_size=6), st.integers(1, 300),
+       st.booleans())
+def test_run_cycles_over_angles_is_the_one_angle_runs_concatenated(cfg, thetas, cycles, cooling):
+    """One batched pass equals the one-angle runs, concatenated, bit for bit: 1-300
+    cycles put each angle's row on every offset of the SIMD lanes."""
+    assume(working_condition(cfg) == cooling)
+    batched = run_cycles(cfg, cycles, thetas)
+    runs = [run_cycles(replace(cfg, theta=theta), cycles) for theta in thetas]
+    for name, column in zip(CycleColumns._fields, batched):
+        expected = np.concatenate([getattr(run, name) for run in runs])
+        assert column.dtype == expected.dtype and column.tobytes() == expected.tobytes(), name
+
+
 @settings(max_examples=200, deadline=None)
 @given(configs(), cycle_angles)
 def test_run_cycles_matches_the_loop(cfg, theta):
