@@ -68,7 +68,10 @@ class RunConfig:
     format: str = _key("csv", "output format: csv or json")
     delta_scale: float = _key(1.0, "display multiplier for delta-unit columns")
 
+    @functools.cached_property
     def fridge(self) -> FridgeConfig:
+        """The physics keys and the first angle as a FridgeConfig, built and
+        checked on first use; parse_config builds it and the builders reuse it."""
         return FridgeConfig(**{name: getattr(self, key) for key, name in _FRIDGE_KEYS.items()},
                             theta=self.theta[0])
 
@@ -205,7 +208,7 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
     cfg = RunConfig(command=namespace.command, **values)
     # the rules across keys, E2 = E1 + E3 and the E/T underflow, do not depend on
     # theta, and _parse_theta has checked every angle
-    cfg.fridge()
+    cfg.fridge
     return cfg
 
 
@@ -337,31 +340,31 @@ def _record_columns(records: Sequence) -> dict[str, tuple]:
 
 
 def _columns_exchange(cfg: RunConfig) -> dict[str, Sequence]:
-    return _record_columns([exchange(cfg.fridge())])
+    return _record_columns([exchange(cfg.fridge)])
 
 
 def _columns_ledger(cfg: RunConfig) -> dict[str, Sequence]:
-    fridge_cfg = cfg.fridge()
+    fridge_cfg = cfg.fridge
     sequence = compile_exchange(cfg.theta[0], fridge_cfg.g)
     _, entries = run_with_ledger(sequence, initial_state(fridge_cfg), system_hamiltonian(fridge_cfg))
     return _record_columns(entries)
 
 
 def _columns_cycles(cfg: RunConfig) -> dict[str, Sequence]:
-    columns = run_cycles(cfg.fridge(), cfg.cycles, cfg.theta)._asdict()
+    columns = run_cycles(cfg.fridge, cfg.cycles, cfg.theta)._asdict()
     return {"n": columns.pop("n"), "theta": np.repeat(cfg.theta, cfg.cycles + 1), **columns}
 
 
 def _columns_phase_diagram(cfg: RunConfig) -> dict[str, Sequence]:
     t2_min, t2_max, t3_min, t3_max, steps = cfg.grid
     t2s, t3s, dq1 = scan_phase_diagram((t2_min, t2_max), (t3_min, t3_max), steps,
-                                       base=cfg.fridge())
+                                       base=cfg.fridge)
     return {"T2": t2s, "T3": t3s, "dQ1": dq1}
 
 
 def _columns_cop(cfg: RunConfig) -> dict[str, Sequence]:
     t2_min, t2_max, _, _, steps = cfg.grid
-    base = cfg.fridge()
+    base = cfg.fridge
     t2s = t2_min + (t2_max - t2_min) * np.arange(steps) / (steps - 1)
     flow = exchange_sweep(base, t2s, base.T3)
     return {"T2": t2s, "cop": [cop(base)] * steps,
@@ -391,18 +394,14 @@ COMMANDS = tuple(_COMMANDS)
 def run(cfg: RunConfig) -> int:
     """Dispatch one command; returns the process exit code."""
     if cfg.command == "verify-decomposition":
-        fidelities = []
-        listing: dict[str, Sequence] = {}
-        for position, theta in enumerate(cfg.theta):
-            sequence = compile_exchange(theta, cfg.g)
-            fidelity = verify(sequence)
-            fidelities.append(fidelity)
+        sequences = [compile_exchange(theta, cfg.g) for theta in cfg.theta]
+        fidelities = verify(sequences)
+        for theta, fidelity in zip(cfg.theta, fidelities):
             print(f"theta={theta!r} fidelity={fidelity!r}", file=sys.stderr)
-            if position == 0:
-                steps = sequence.steps
-                listing = {"index": range(1, len(steps) + 1),
-                           "label": [s.label for s in steps],
-                           "duration": [s.duration for s in steps]}
+        steps = sequences[0].steps
+        listing = {"index": range(1, len(steps) + 1),
+                   "label": [s.label for s in steps],
+                   "duration": [s.duration for s in steps]}
         emit(listing, cfg.format, cfg.out, _meta(cfg))
         return 0 if min(fidelities) >= FIDELITY_GATE else 1
 

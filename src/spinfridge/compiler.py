@@ -173,23 +173,45 @@ def _exchange_eigh() -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def sequence_unitary(seq: CompiledSequence) -> Operator:
-    """Ordered product of the step unitaries (step 0 applied first)."""
-    total = np.eye(seq.steps[0].generator.dim, dtype=complex)
-    for step in seq.steps:
-        total = step.unitary().matrix @ total
-    return Operator(total)
+def sequence_unitary(seqs: CompiledSequence | Sequence[CompiledSequence]):
+    """Ordered product of the step unitaries (step 0 applied first).
+
+    ``seqs`` is one sequence, whose product comes back as an Operator, or a
+    list of sequences with equally many steps, whose products come back as a
+    list.  One loop runs over the steps of the whole list: a step object that
+    every sequence holds at a position multiplies all the products at once,
+    broadcast, and the others go stacked (numpy's broadcast and stacked matmul
+    equal the per-matrix product bit for bit, which the test suite guards).
+    """
+    batch = [seqs] if isinstance(seqs, CompiledSequence) else list(seqs)
+    if len({len(seq.steps) for seq in batch}) != 1:
+        raise ValueError("sequence_unitary needs one or more sequences of equal length")
+    dim = batch[0].steps[0].generator.dim
+    total = np.eye(dim, dtype=complex)
+    for column in zip(*(seq.steps for seq in batch)):
+        if all(step is column[0] for step in column):
+            total = column[0].unitary().matrix @ total
+        else:
+            total = np.stack([step.unitary().matrix for step in column]) @ total
+    products = [Operator(product) for product in np.broadcast_to(total, (len(batch), dim, dim))]
+    return products[0] if isinstance(seqs, CompiledSequence) else products
 
 
-def verify(seq: CompiledSequence) -> float:
+def verify(seqs: CompiledSequence | Sequence[CompiledSequence]):
     """Fidelity |tr(U_seq^dag U_direct)| / dim against the direct exponential.
 
-    1.0 means the sequence equals the target up to a global phase.
+    1.0 means the sequence equals the target up to a global phase.  As for
+    sequence_unitary, ``seqs`` is one sequence (a float comes back) or a list
+    (a list of floats comes back), and one sequence_unitary call forms every
+    product.
     """
-    u_seq = sequence_unitary(seq)
-    u_direct = eigh_exp(_exchange_eigh(), seq.theta)
-    overlap = np.trace(u_seq.matrix.conj().T @ u_direct.matrix)
-    return float(abs(overlap)) / u_seq.dim
+    batch = [seqs] if isinstance(seqs, CompiledSequence) else list(seqs)
+    fidelities = []
+    for seq, u_seq in zip(batch, sequence_unitary(batch)):
+        u_direct = eigh_exp(_exchange_eigh(), seq.theta)
+        overlap = np.trace(u_seq.matrix.conj().T @ u_direct.matrix)
+        fidelities.append(float(abs(overlap)) / u_seq.dim)
+    return fidelities[0] if isinstance(seqs, CompiledSequence) else fidelities
 
 
 def permute_blocks(seq: CompiledSequence, order: Sequence[int]) -> CompiledSequence:
@@ -219,33 +241,38 @@ def run_with_ledger(
     """Fold the work ledger over the sequence (step indices are 1-based).
 
     The entries and the final state are those of a thermo.ledger_step per
-    pulse with its stored unitary, bit for bit, and so are the checks: the
-    pulses are checked once, stacked, the states go through
-    linalg.canonical_chain (canonical_density per state, as DensityMatrix
-    would, with the positivity checks stacked), and the four traces of
+    pulse with its stored unitary, bit for bit, and so are the checks: each
+    distinct step object (a compile shares the fixed pulses and places each
+    core in several blocks) is checked once, stacked, and the first pulse to
+    fail is the first appearance of the first failing step; the states go
+    through linalg.canonical_chain (canonical_density per state, as
+    DensityMatrix would, with the checks stacked), and the four traces of
     every pulse are taken over the stacked states at once.
     """
     dim = rho0.dim
-    generators = [step.generator.matrix for step in seq.steps]
-    unitaries = [step.unitary().matrix for step in seq.steps]
+    distinct = list({id(step): step for step in seq.steps}.values())  # in order of first use
+    position = {id(step): k for k, step in enumerate(distinct)}
+    of_pulse = [position[id(step)] for step in seq.steps]
+    generators = [step.generator.matrix for step in distinct]
+    unitaries = [step.unitary().matrix for step in distinct]
     if h_sys.dim != dim or any(g.shape[0] != dim for g in generators):
         raise ValueError("generator, state, and system Hamiltonian dimensions must agree")
     for u in unitaries:
         if u.shape[0] != dim:
             raise ValueError(f"dimension mismatch: state {dim}, unitary {u.shape[0]}")
     gens, units = np.stack(generators), np.stack(unitaries)
-    durations = np.array([step.duration for step in seq.steps])
+    durations = np.array([step.duration for step in distinct])
     herm_err = np.abs(gens - gens.conj().transpose(0, 2, 1)).max(axis=(1, 2))
     unit_err = np.abs(units.conj().transpose(0, 2, 1) @ units - np.eye(dim)).max(axis=(1, 2))
     passed = np.stack([herm_err <= HERMITIAN_TOL, durations > 0.0, unit_err <= UNITARY_TOL], axis=1)
     if not passed.all():  # the first check to fail in pulse order, as the per-pulse loop
         raise ValueError(_PULSE_ERRORS[np.argwhere(~passed)[0][1]])
 
-    states = canonical_chain(rho0.matrix, unitaries[:-1])
-    final = DensityMatrix(unitaries[-1] @ states[-1] @ unitaries[-1].conj().T)
-    states.append(final.matrix)
-    rhos = np.stack(states)
-    h_total = gens * (1.0 / durations).astype(complex)[:, None, None]
+    units = units[of_pulse]
+    states = canonical_chain(rho0.matrix, units[:-1])
+    final = DensityMatrix(units[-1] @ states[-1] @ units[-1].conj().T)
+    rhos = np.concatenate((states, final.matrix[None]))
+    h_total = (gens * (1.0 / durations).astype(complex)[:, None, None])[of_pulse]
     h_control = h_total - h_sys.matrix
 
     def traces(rho, h):  # internal_energy of every pulse, summed in the same order

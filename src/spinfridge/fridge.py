@@ -163,11 +163,21 @@ def system_hamiltonian(cfg: FridgeConfig) -> Operator:
 
 
 def initial_state(cfg: FridgeConfig) -> DensityMatrix:
-    """Product of the three thermal states (diagonal)."""
-    tau1 = thermal_state(SpinSpec(cfg.E1, cfg.T1))
-    tau2 = thermal_state(SpinSpec(cfg.E2, cfg.T2))
-    tau3 = thermal_state(SpinSpec(cfg.E3, cfg.T3))
-    return DensityMatrix(kron(kron(tau1.op, tau2.op), tau3.op))
+    """Product of the three thermal states (diagonal), canonicalized once.
+
+    Bit for bit the DensityMatrix of kron(kron(tau1, tau2), tau3) with
+    tau_i = thermal_state(SpinSpec(E_i, T_i)): each spin's populations
+    [1, b]/(1 + b), b = e^(-E/T), are divided by their own sum, as tau_i's
+    DensityMatrix divides by its trace (its symmetrization and positivity
+    check leave a positive diagonal as it is).
+    """
+    spins = []
+    for gap, temp in zip(cfg.gaps, cfg.temps):
+        boltzmann = math.exp(-gap / temp)
+        z = 1.0 + boltzmann
+        populations = np.array([1.0 / z, boltzmann / z], dtype=complex)
+        spins.append(populations / populations.sum().real)
+    return DensityMatrix(np.diag(np.kron(np.kron(spins[0], spins[1]), spins[2])))
 
 
 def boltzmann_margin(gaps, temps) -> tuple:

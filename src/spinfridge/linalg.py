@@ -91,18 +91,6 @@ class Operator:
         return f"Operator(dim={self.dim})"
 
 
-def _symmetrized_density(mat: np.ndarray) -> np.ndarray:
-    """(mat + mat^dag)/2, after rejecting hermiticity or trace errors above 1e-12."""
-    adjoint = mat.conj().T
-    herm_err = float(np.abs(mat - adjoint).max())
-    if herm_err > HERMITIAN_TOL:
-        raise ValueError(f"density matrix not Hermitian: max deviation {herm_err:.3e}")
-    tr = complex(mat.trace())
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"density matrix trace {tr} differs from 1 beyond tolerance")
-    return (mat + adjoint) / 2.0
-
-
 def canonical_density(mat: np.ndarray) -> np.ndarray:
     """The canonical form of a density matrix, as DensityMatrix stores it.
 
@@ -110,7 +98,14 @@ def canonical_density(mat: np.ndarray) -> np.ndarray:
     -1e-10; otherwise symmetrizes, clamps eigenvalue drift in [-1e-10, 0)
     to zero and renormalizes the trace to exactly one.
     """
-    mat = _symmetrized_density(mat)
+    adjoint = mat.conj().T
+    herm_err = float(np.abs(mat - adjoint).max())
+    if herm_err > HERMITIAN_TOL:
+        raise ValueError(f"density matrix not Hermitian: max deviation {herm_err:.3e}")
+    tr = complex(mat.trace())
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValueError(f"density matrix trace {tr} differs from 1 beyond tolerance")
+    mat = (mat + adjoint) / 2.0
     eigs = np.linalg.eigvalsh(mat)
     if eigs[0] < -PSD_TOL:
         raise ValueError(f"density matrix not PSD: min eigenvalue {eigs[0]:.3e}")
@@ -121,32 +116,43 @@ def canonical_density(mat: np.ndarray) -> np.ndarray:
     return mat / mat.trace().real
 
 
-def canonical_chain(rho: np.ndarray, unitaries: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """[rho, rho_1, ..., rho_n] with rho_k = canonical_density(u_k rho_(k-1) u_k^dag).
+def canonical_chain(rho: np.ndarray, unitaries: Sequence[np.ndarray]) -> np.ndarray:
+    """The stack [rho, rho_1, ..., rho_n] with rho_k = canonical_density(u_k rho_(k-1) u_k^dag).
 
-    Bit for bit that loop, with the n positivity checks run as one stacked
-    eigvalsh after it (numpy's stacked eigvalsh equals the per-matrix call
-    bit for bit, which the test suite guards).  Without a negative
-    eigenvalue canonical_density only symmetrizes and divides by the trace,
-    so the states before the first one that needs a clamp or a rejection, or
-    fails its hermiticity or trace check, are exact; the loop runs again per
-    state from that one on to apply it exactly.
+    Bit for bit that loop.  The loop here only conjugates, symmetrizes and
+    divides by the trace, which is all canonical_density does to a state that
+    passes its checks; the hermiticity, trace and positivity checks then run
+    stacked over the n raw and symmetrized states (numpy's stacked eigvalsh
+    equals the per-matrix call bit for bit, which the test suite guards).
+    The states before the first one that fails a check, or needs a clamp, are
+    exact; from that one on the chain runs again through canonical_density,
+    which applies the clamps and raises the errors exactly.  States after a
+    failing one are thrown away, so the arithmetic on them (a zero or
+    non-finite trace) raises no floating-point warning.
     """
-    states, symmetrized = [rho], []
-    try:
-        for u in unitaries:
-            mat = _symmetrized_density(u @ states[-1] @ u.conj().T)
-            symmetrized.append(mat)
-            states.append(mat / mat.trace().real)
-    except ValueError:
-        pass
-    first = len(symmetrized)  # the first unitary whose state is not yet exact
-    if symmetrized:
-        negative = np.flatnonzero(np.linalg.eigvalsh(np.stack(symmetrized))[:, 0] < 0.0)
+    n, dim = len(unitaries), rho.shape[0]
+    unitaries = np.asarray(unitaries, dtype=complex).reshape(n, dim, dim)
+    adjoints = unitaries.conj().transpose(0, 2, 1)
+    raw = np.empty((n, dim, dim), dtype=complex)
+    symmetrized = np.empty_like(raw)
+    states = np.empty((n + 1, dim, dim), dtype=complex)
+    states[0] = rho
+    with np.errstate(all="ignore"):
+        for k, (u, adjoint) in enumerate(zip(unitaries, adjoints)):
+            mat, sym = raw[k], symmetrized[k]
+            np.matmul(u @ states[k], adjoint, out=mat)
+            np.add(mat, mat.conj().T, out=sym)
+            sym /= 2.0
+            np.divide(sym, sym.trace().real, out=states[k + 1])
+        herm_err = np.abs(raw - raw.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+        trace_err = np.abs(np.trace(raw, axis1=1, axis2=2) - 1.0)
+    failed = np.flatnonzero(~((herm_err <= HERMITIAN_TOL) & (trace_err <= TRACE_TOL)))
+    first = int(failed[0]) if failed.size else n  # the first state that is not yet exact
+    if first:
+        negative = np.flatnonzero(np.linalg.eigvalsh(symmetrized[:first])[:, 0] < 0.0)
         first = int(negative[0]) if negative.size else first
-    del states[first + 1:]
-    for u in unitaries[first:]:
-        states.append(canonical_density(u @ states[-1] @ u.conj().T))
+    for k in range(first, n):
+        states[k + 1] = canonical_density(unitaries[k] @ states[k] @ adjoints[k])
     return states
 
 

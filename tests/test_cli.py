@@ -54,7 +54,7 @@ def test_parse_config_checks_the_rules_across_keys_once_whatever_the_angle_count
     parse_config(["cycles", f"--theta={thetas}", "--t1=3"])
     assert len(checks) == 1
     assert run_cli(["cycles", f"--theta={thetas}", "--t1=3"], tmp_path / "cycles.csv") == 0
-    assert len(checks) == 3  # the op's own parse_config, and the config of the kernel call
+    assert len(checks) == 2  # the op's own parse_config, whose config the kernel call reuses
 
 
 def test_invalid_gap_combination_is_rejected(capsys, tmp_path):
@@ -269,7 +269,7 @@ def test_verify_decomposition_checks_every_angle_before_output(tmp_path, capsys)
 def test_verify_decomposition_gate_trips_on_low_fidelity(tmp_path, monkeypatch):
     import spinfridge.cli as cli_module
 
-    monkeypatch.setattr(cli_module, "verify", lambda seq: 0.5)
+    monkeypatch.setattr(cli_module, "verify", lambda sequences: [0.5] * len(sequences))
     assert run_cli(["verify-decomposition"], tmp_path / "seq.csv") == 1
 
 

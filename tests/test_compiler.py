@@ -115,6 +115,59 @@ def test_verify_reuses_one_eigendecomposition(theta, monkeypatch):
     assert calls == []
 
 
+def loop_product(seq):
+    """sequence_unitary's product as one 2-D matmul per step, sequence by sequence."""
+    total = np.eye(8, dtype=complex)
+    for step in seq.steps:
+        total = step.unitary().matrix @ total
+    return total
+
+
+def test_broadcast_and_stacked_matmul_are_the_per_matrix_matmul(rng):
+    """sequence_unitary multiplies a list of sequences at once, broadcasting each
+    shared step over the stack and stacking the rest, which is the per-sequence
+    product only while numpy's broadcast and stacked matmul equal the per-matrix
+    one bit for bit; this guard fails, rather than verify drifting, if a numpy
+    or BLAS update breaks that."""
+    for count in range(1, 9):
+        left, right = (np.stack([oracles.random_unitary(rng, 8) for _ in range(count)])
+                       for _ in range(2))
+        shared = oracles.random_unitary(rng, 8)
+        assert (shared @ right).tobytes() == np.stack([shared @ m for m in right]).tobytes()
+        assert (left @ right).tobytes() == np.stack([a @ b for a, b in zip(left, right)]).tobytes()
+
+
+@pytest.mark.parametrize("count", range(1, 9))
+def test_verify_over_a_list_is_verify_per_sequence(count):
+    thetas = (0.0, -0.0, math.pi, -math.pi, 0.7, -2.4, 12.5, math.pi / 2.0)[-count:]
+    seqs = [compile_exchange(theta) for theta in thetas]
+    if count > 2:  # a permuted sequence holds other basis changes and cores at some positions
+        seqs[1] = permute_blocks(seqs[1], (3, 1, 0, 2))
+    if count > 4:  # one sequence twice, and a list with every step shared
+        seqs[4] = seqs[0]
+        assert verify([seqs[0]] * 3) == [verify(seqs[0])] * 3
+    direct = exchange_generator(1.0)
+    want = [float(abs(np.trace(loop_product(seq).conj().T @ herm_exp(direct, seq.theta).matrix)))
+            / 8.0 for seq in seqs]
+    got = verify(seqs)
+    assert repr(got) == repr([verify(seq) for seq in seqs]) == repr(want)
+    products = sequence_unitary(seqs)
+    assert all(isinstance(u, Operator) for u in products)
+    assert [u.matrix.tobytes() for u in products] == [loop_product(seq).tobytes() for seq in seqs]
+    assert [sequence_unitary(seq).matrix.tobytes() for seq in seqs] == [
+        loop_product(seq).tobytes() for seq in seqs]
+    assert isinstance(verify(seqs[0]), float) and got[0] == verify(seqs[0])
+
+
+def test_verify_takes_sequences_of_equal_length():
+    seq = compile_exchange(0.7)
+    short = type(seq)(steps=seq.steps[:10], theta=0.7, term_boundaries=(10,))
+    for batch in ([seq, short], []):
+        with pytest.raises(ValueError, match="^sequence_unitary needs one or more sequences "
+                                             "of equal length$"):
+            verify(batch)
+
+
 def test_single_sign_flip_is_detected():
     seq = compile_exchange(math.pi / 2.0)
     steps = list(seq.steps)

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 import oracles
 from spinfridge import (
+    DensityMatrix,
     FridgeConfig,
+    SpinSpec,
     bound_temperature,
     carnot_limit,
     carnot_sweep,
@@ -23,10 +25,12 @@ from spinfridge import (
     herm_exp,
     initial_state,
     internal_energy,
+    kron,
     pauli_to_operator,
     phase_boundary_value,
     run_cycles,
     system_hamiltonian,
+    thermal_state,
     two_spin_swap,
     working_condition,
 )
@@ -111,6 +115,25 @@ def test_initial_state_populations():
     assert p101 == pytest.approx(0.1389516661940625, abs=1e-15)
     assert rho0.populations[0b010] == pytest.approx(p010, abs=1e-15)
     assert rho0.populations[0b101] == pytest.approx(p101, abs=1e-15)
+
+
+def product_of_thermal_states(cfg):
+    """initial_state as the DensityMatrix of the product of the three thermal-state
+    DensityMatrix objects, four canonicalizations in all."""
+    taus = [thermal_state(SpinSpec(gap, temp)).op for gap, temp in zip(cfg.gaps, cfg.temps)]
+    return DensityMatrix(kron(kron(taus[0], taus[1]), taus[2]))
+
+
+# E/T per spin from 1e-3 to 700, log-uniform: from nearly equal populations to
+# the edge of e^(-E/T) underflow, where the product's smallest entries are subnormal
+@settings(max_examples=300, deadline=None)
+@given(st.floats(math.log(1e-2), math.log(1e2)).map(math.exp),
+       st.floats(math.log(1e-2), math.log(1e2)).map(math.exp),
+       st.tuples(*[st.floats(math.log(1e-3), math.log(700.0)).map(math.exp)] * 3))
+def test_initial_state_is_the_product_of_the_thermal_states(e1, e3, ratios):
+    gaps = (e1, e1 + e3, e3)
+    cfg = FridgeConfig(*gaps, *(gap / ratio for gap, ratio in zip(gaps, ratios)))
+    assert initial_state(cfg).matrix.tobytes() == product_of_thermal_states(cfg).matrix.tobytes()
 
 
 def test_equal_temperatures_degenerate_populations():

@@ -78,9 +78,28 @@ def test_stacked_eigvalsh_is_the_per_matrix_eigvalsh(rng):
     assert (per_matrix[:, 0] < 0.0).any()
 
 
+def test_stacked_trace_and_hermiticity_error_are_the_per_matrix_ones(rng):
+    """canonical_chain takes canonical_density's trace and hermiticity checks
+    over the stack of raw states, which is the per-state rule only while
+    numpy's stacked trace and maximum equal the per-matrix ones bit for bit."""
+    states = [oracles.random_density(rng, 8) for _ in range(100)]
+    for _ in range(100):  # non-Hermitian, with traces far from and near zero
+        scale = 10.0 ** rng.uniform(-20.0, 5.0)
+        states.append(scale * (rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))))
+    raw = np.stack(states)
+    per_trace = np.array([m.trace() for m in raw])
+    per_herm = np.array([np.abs(m - m.conj().T).max() for m in raw])
+    assert np.trace(raw, axis1=1, axis2=2).tobytes() == per_trace.tobytes()
+    stacked_herm = np.abs(raw - raw.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    assert stacked_herm.tobytes() == per_herm.tobytes()
+
+
 @pytest.mark.parametrize("case", ["clean", "clamp", "late clamp", "not PSD", "trace",
-                                  "not Hermitian"])
+                                  "not Hermitian", "trace, then zero", "not Hermitian, then inf"])
 def test_canonical_chain_is_the_canonical_density_loop(rng, case):
+    """Errors and states of the loop; the chain checks after it has formed every
+    state, so a failing state's successors (a zero trace, an infinity) must
+    raise no floating-point warning, which the test run turns into an error."""
     unitaries = [oracles.random_unitary(rng, 8) for _ in range(12)]
     rho = oracles.random_density(rng, 8)
     if case in ("clamp", "not PSD"):  # a negative eigenvalue in the clamp window or beyond it
@@ -89,10 +108,16 @@ def test_canonical_chain_is_the_canonical_density_loop(rng, case):
     elif case == "late clamp":  # a pure state stays exact through 5 identities, then drifts
         rho = np.diag([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]).astype(complex)
         unitaries[:5] = [np.eye(8, dtype=complex)] * 5
-    elif case == "trace":
+    elif case.startswith("trace"):
         unitaries[5] = 1.001 * unitaries[5]
     elif case == "not Hermitian":
         rho = rho + np.triu(np.full((8, 8), 1e-9), 1)
+    elif case.startswith("not Hermitian"):  # rounding at this scale breaks hermiticity
+        unitaries[5] = 1e8 * unitaries[5]
+    if case.endswith("zero"):  # 0/0 in the division by the next state's trace
+        unitaries[6:] = [np.zeros((8, 8), dtype=complex)] * 6
+    elif case.endswith("inf"):
+        unitaries[6:] = [np.full((8, 8), np.inf, dtype=complex)] * 6
     want = [rho]
     try:
         for u in unitaries:
@@ -101,7 +126,7 @@ def test_canonical_chain_is_the_canonical_density_loop(rng, case):
         with pytest.raises(ValueError) as chain:
             canonical_chain(rho, unitaries)
         assert str(chain.value) == str(loop)
-        assert case in ("not PSD", "trace", "not Hermitian")
+        assert case.split(",")[0] in ("not PSD", "trace", "not Hermitian")
         return
     with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as clamps, \
             mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as checks:
