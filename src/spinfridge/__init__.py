@@ -47,6 +47,7 @@ from .fridge import (
 from .compiler import (
     CompiledSequence,
     GateStep,
+    LedgerColumns,
     compile_exchange,
     permute_blocks,
     run_with_ledger,
@@ -84,7 +85,7 @@ __all__ = [
     "phase_boundary_value", "cop", "carnot_limit", "carnot_sweep",
     "two_spin_swap", "system_hamiltonian",
     "GateStep", "CompiledSequence", "compile_exchange", "verify",
-    "sequence_unitary", "permute_blocks", "run_with_ledger",
+    "sequence_unitary", "permute_blocks", "run_with_ledger", "LedgerColumns",
     "CycleColumns", "run_cycles", "detect_convergence", "scan_phase_diagram",
     "BiasState", "BcsRound", "BcsResult", "bcs_bias", "bcs_outcome_probs",
     "expected_purified", "rounds_to_bias", "bias_from_temperature", "simulate_bcs",

@@ -212,7 +212,8 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
     return cfg
 
 
-def _scaled(columns: dict[str, Sequence], names: set[str], scale: float) -> dict[str, Sequence]:
+def _scaled(columns: dict[str, np.ndarray], names: set[str],
+            scale: float) -> dict[str, np.ndarray]:
     if scale == 1.0:
         return columns
     return {k: (np.multiply(v, scale) if k in names else v) for k, v in columns.items()}
@@ -253,28 +254,18 @@ def _array_texts(values: np.ndarray, quote_nonfinite: bool) -> list[str]:
     return texts
 
 
-def _column_texts(column: Sequence, fmt: str) -> tuple[list[str], bool]:
+def _column_texts(column: np.ndarray | list[str], fmt: str) -> tuple[list[str], bool]:
     """The text of each value of one column in fmt, and whether a CSV field of it
-    may need quoting."""
-    if isinstance(column, np.ndarray) and column.dtype in (np.float64, np.int64):
+    may need quoting (only a string's may)."""
+    if isinstance(column, np.ndarray):
         return _array_texts(column, quote_nonfinite=fmt == "json"), False
-    values = column.tolist() if isinstance(column, np.ndarray) else list(column)
-    kinds = set(map(type, values))
-    if all(issubclass(kind, float) for kind in kinds):
-        return _column_texts(np.array(values, dtype=np.float64), fmt)
-    if kinds == {int}:
-        return list(map(int.__repr__, values)), False
-    if fmt == "csv":
-        texts = [repr(float(v)) if isinstance(v, float) else str(v) for v in values]
-    else:
-        texts = [json.dumps(_json_value(v)) for v in values]
-    plain = all(issubclass(kind, float) or kind in (int, bool, type(None)) for kind in kinds)
-    return texts, not plain
+    return (list(column) if fmt == "csv" else list(map(json.dumps, column))), True
 
 
-def emit(columns: dict[str, Sequence], fmt: str, path: str | None, meta: dict) -> int:
-    """Write equal-length columns of scalars as CSV or JSON rows; byte-identical
-    for identical inputs.
+def emit(columns: dict[str, np.ndarray | list[str]], fmt: str, path: str | None,
+         meta: dict) -> int:
+    """Write equal-length columns, each a float64 or int64 array or a list of
+    strings, as CSV or JSON rows; byte-identical for identical inputs.
 
     A float's text is repr(float(v)); JSON writes 'inf', '-inf' and 'nan' as
     strings.  Each column is formatted as a whole, and only columns whose
@@ -333,46 +324,46 @@ def _meta(cfg: RunConfig) -> dict:
     return meta
 
 
-def _record_columns(records: Sequence) -> dict[str, tuple]:
-    """One column per field of the dataclass records (at least one)."""
+def _record_columns(records: Sequence) -> dict[str, np.ndarray]:
+    """One array column per field of the dataclass records (at least one)."""
     names = [f.name for f in fields(records[0])]
-    return dict(zip(names, zip(*map(operator.attrgetter(*names), records))))
+    return dict(zip(names, map(np.array, zip(*map(operator.attrgetter(*names), records)))))
 
 
-def _columns_exchange(cfg: RunConfig) -> dict[str, Sequence]:
+def _columns_exchange(cfg: RunConfig) -> dict[str, np.ndarray]:
     return _record_columns([exchange(cfg.fridge)])
 
 
-def _columns_ledger(cfg: RunConfig) -> dict[str, Sequence]:
+def _columns_ledger(cfg: RunConfig) -> dict[str, np.ndarray]:
     fridge_cfg = cfg.fridge
     sequence = compile_exchange(cfg.theta[0], fridge_cfg.g)
-    _, entries = run_with_ledger(sequence, initial_state(fridge_cfg), system_hamiltonian(fridge_cfg))
-    return _record_columns(entries)
+    _, ledger = run_with_ledger(sequence, initial_state(fridge_cfg), system_hamiltonian(fridge_cfg))
+    return ledger._asdict()
 
 
-def _columns_cycles(cfg: RunConfig) -> dict[str, Sequence]:
+def _columns_cycles(cfg: RunConfig) -> dict[str, np.ndarray]:
     columns = run_cycles(cfg.fridge, cfg.cycles, cfg.theta)._asdict()
     return {"n": columns.pop("n"), "theta": np.repeat(cfg.theta, cfg.cycles + 1), **columns}
 
 
-def _columns_phase_diagram(cfg: RunConfig) -> dict[str, Sequence]:
+def _columns_phase_diagram(cfg: RunConfig) -> dict[str, np.ndarray]:
     t2_min, t2_max, t3_min, t3_max, steps = cfg.grid
     t2s, t3s, dq1 = scan_phase_diagram((t2_min, t2_max), (t3_min, t3_max), steps,
                                        base=cfg.fridge)
     return {"T2": t2s, "T3": t3s, "dQ1": dq1}
 
 
-def _columns_cop(cfg: RunConfig) -> dict[str, Sequence]:
+def _columns_cop(cfg: RunConfig) -> dict[str, np.ndarray]:
     t2_min, t2_max, _, _, steps = cfg.grid
     base = cfg.fridge
     t2s = t2_min + (t2_max - t2_min) * np.arange(steps) / (steps - 1)
     flow = exchange_sweep(base, t2s, base.T3)
-    return {"T2": t2s, "cop": [cop(base)] * steps,
+    return {"T2": t2s, "cop": np.full(steps, cop(base)),
             "carnot_limit": carnot_sweep(base.T1, t2s, base.T3),
             "dQ1": base.E1 * flow, "dQ3": base.E3 * flow}
 
 
-def _columns_bcs(cfg: RunConfig) -> dict[str, Sequence]:
+def _columns_bcs(cfg: RunConfig) -> dict[str, np.ndarray]:
     columns = _record_columns(simulate_bcs(cfg.bits, cfg.epsilon0, cfg.rounds, cfg.seed).rounds)
     return {"round": columns.pop("round_index"), **columns}
 
@@ -399,9 +390,9 @@ def run(cfg: RunConfig) -> int:
         for theta, fidelity in zip(cfg.theta, fidelities):
             print(f"theta={theta!r} fidelity={fidelity!r}", file=sys.stderr)
         steps = sequences[0].steps
-        listing = {"index": range(1, len(steps) + 1),
+        listing = {"index": np.arange(1, len(steps) + 1),
                    "label": [s.label for s in steps],
-                   "duration": [s.duration for s in steps]}
+                   "duration": np.array([s.duration for s in steps])}
         emit(listing, cfg.format, cfg.out, _meta(cfg))
         return 0 if min(fidelities) >= FIDELITY_GATE else 1
 

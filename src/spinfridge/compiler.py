@@ -26,15 +26,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .linalg import (
     HADAMARD,
     HADAMARD_Y,
-    HERMITIAN_TOL,
-    UNITARY_TOL,
     DensityMatrix,
     Operator,
     PauliString,
@@ -47,7 +45,7 @@ from .linalg import (
     pauli_to_operator,
 )
 from .fridge import check_theta, exchange_generator, exchange_pauli_terms
-from .thermo import WorkLedgerEntry, check_positive
+from .thermo import check_positive
 
 BLOCK_SIZE = 10
 N_BLOCKS = 4
@@ -227,52 +225,41 @@ def permute_blocks(seq: CompiledSequence, order: Sequence[int]) -> CompiledSeque
     return CompiledSequence(steps=tuple(steps), theta=seq.theta, term_boundaries=tuple(boundaries))
 
 
-# the pulse checks of thermo.ledger_step and linalg.evolve, in the order they run
-_PULSE_ERRORS = (
-    "pulse generator must be Hermitian",
-    "pulse duration must be positive",
-    "evolve requires a unitary operator",
-)
+class LedgerColumns(NamedTuple):
+    """The work ledger of a pulse sequence: the four-phase record of
+    thermo.ledger_step for each pulse, one entry per pulse in each column
+    (step_index counts from 1)."""
+
+    step_index: np.ndarray
+    dW1: np.ndarray
+    dQ1: np.ndarray
+    dW2: np.ndarray
+    net_work: np.ndarray
+    cumulative_work: np.ndarray
 
 
 def run_with_ledger(
     seq: CompiledSequence, rho0: DensityMatrix, h_sys: Operator
-) -> tuple[DensityMatrix, list[WorkLedgerEntry]]:
-    """Fold the work ledger over the sequence (step indices are 1-based).
+) -> tuple[DensityMatrix, LedgerColumns]:
+    """Fold the work ledger over the sequence, as columns.
 
-    The entries and the final state are those of a thermo.ledger_step per
-    pulse with its stored unitary, bit for bit, and so are the checks: each
-    distinct step object (a compile shares the fixed pulses and places each
-    core in several blocks) is checked once, stacked, and the first pulse to
-    fail is the first appearance of the first failing step; the states go
-    through linalg.canonical_chain (canonical_density per state, as
-    DensityMatrix would, with the checks stacked), and the four traces of
-    every pulse are taken over the stacked states at once.
+    The columns and the final state are those of a thermo.ledger_step per
+    pulse, bit for bit.  GateStep has checked every generator and duration
+    where the step was built, and its unitary is herm_exp's, so only the
+    dimensions are checked here.  The states go through
+    linalg.canonical_chain (canonical_density per state, as DensityMatrix
+    would, with the checks stacked), and the four traces of every pulse are
+    taken over the stacked states at once.
     """
-    dim = rho0.dim
-    distinct = list({id(step): step for step in seq.steps}.values())  # in order of first use
-    position = {id(step): k for k, step in enumerate(distinct)}
-    of_pulse = [position[id(step)] for step in seq.steps]
-    generators = [step.generator.matrix for step in distinct]
-    unitaries = [step.unitary().matrix for step in distinct]
-    if h_sys.dim != dim or any(g.shape[0] != dim for g in generators):
+    if h_sys.dim != rho0.dim or any(step.generator.dim != rho0.dim for step in seq.steps):
         raise ValueError("generator, state, and system Hamiltonian dimensions must agree")
-    for u in unitaries:
-        if u.shape[0] != dim:
-            raise ValueError(f"dimension mismatch: state {dim}, unitary {u.shape[0]}")
-    gens, units = np.stack(generators), np.stack(unitaries)
-    durations = np.array([step.duration for step in distinct])
-    herm_err = np.abs(gens - gens.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-    unit_err = np.abs(units.conj().transpose(0, 2, 1) @ units - np.eye(dim)).max(axis=(1, 2))
-    passed = np.stack([herm_err <= HERMITIAN_TOL, durations > 0.0, unit_err <= UNITARY_TOL], axis=1)
-    if not passed.all():  # the first check to fail in pulse order, as the per-pulse loop
-        raise ValueError(_PULSE_ERRORS[np.argwhere(~passed)[0][1]])
-
-    units = units[of_pulse]
+    gens = np.stack([step.generator.matrix for step in seq.steps])
+    units = np.stack([step.unitary().matrix for step in seq.steps])
     states = canonical_chain(rho0.matrix, units[:-1])
     final = DensityMatrix(units[-1] @ states[-1] @ units[-1].conj().T)
     rhos = np.concatenate((states, final.matrix[None]))
-    h_total = (gens * (1.0 / durations).astype(complex)[:, None, None])[of_pulse]
+    durations = np.array([step.duration for step in seq.steps])
+    h_total = gens * (1.0 / durations).astype(complex)[:, None, None]
     h_control = h_total - h_sys.matrix
 
     def traces(rho, h):  # internal_energy of every pulse, summed in the same order
@@ -284,5 +271,4 @@ def run_with_ledger(
     dw2 = -traces(after, h_control)
     net = dw1 + dq1 + dw2
     cumulative = np.cumsum(np.concatenate(([0.0], net)))[1:]  # 0.0 + net first, as the loop
-    rows = zip(*(column.tolist() for column in (dw1, dq1, dw2, net, cumulative)))
-    return final, [WorkLedgerEntry(index, *row) for index, row in enumerate(rows, start=1)]
+    return final, LedgerColumns(np.arange(1, len(seq.steps) + 1), dw1, dq1, dw2, net, cumulative)

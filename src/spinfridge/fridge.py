@@ -98,11 +98,10 @@ class FridgeConfig:
 
     def __post_init__(self) -> None:
         check_gaps(*self.gaps)
-        for name in ("T1", "T2", "T3", "g"):
-            check_positive(name, getattr(self, name))
-        check_theta(self.theta)
         for spin, (gap, temp) in enumerate(zip(self.gaps, self.temps), start=1):
             check_spin(spin, gap, temp)
+        check_positive("g", self.g)
+        check_theta(self.theta)
 
     @property
     def gaps(self) -> tuple[float, float, float]:

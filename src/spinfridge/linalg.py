@@ -100,10 +100,10 @@ def canonical_density(mat: np.ndarray) -> np.ndarray:
     """
     adjoint = mat.conj().T
     herm_err = float(np.abs(mat - adjoint).max())
-    if herm_err > HERMITIAN_TOL:
+    if not herm_err <= HERMITIAN_TOL:  # a nan fails too
         raise ValueError(f"density matrix not Hermitian: max deviation {herm_err:.3e}")
     tr = complex(mat.trace())
-    if abs(tr - 1.0) > TRACE_TOL:
+    if not abs(tr - 1.0) <= TRACE_TOL:
         raise ValueError(f"density matrix trace {tr} differs from 1 beyond tolerance")
     mat = (mat + adjoint) / 2.0
     eigs = np.linalg.eigvalsh(mat)

@@ -69,7 +69,7 @@ class WorkLedgerEntry:
     cumulative_work: float
 
     def __post_init__(self) -> None:
-        if abs(self.net_work - (self.dW1 + self.dQ1 + self.dW2)) > 1e-12:
+        if not abs(self.net_work - (self.dW1 + self.dQ1 + self.dW2)) <= 1e-12:  # a nan fails
             raise ValueError("net_work must equal dW1 + dQ1 + dW2")
 
 
@@ -137,7 +137,6 @@ def ledger_step(
     *,
     step_index: int = 0,
     cumulative_before: float = 0.0,
-    unitary: Operator | None = None,
 ) -> tuple[DensityMatrix, WorkLedgerEntry]:
     """Apply one pulse exp(-i*generator) and book its work and heat.
 
@@ -150,16 +149,13 @@ def ledger_step(
     off.  The net work therefore equals the internal-energy change
     tr[h_sys (rho' - rho)].
 
-    ``unitary`` is exp(-i*generator) when the caller already holds it (a
-    compiled pulse does); by default it is computed here.
+    This is the per-pulse form of compiler.run_with_ledger, which books a
+    whole compiled sequence at once, bit for bit as a loop of these calls.
     """
-    if unitary is None:
-        try:  # herm_exp's hermiticity check is then the generator's only one
-            unitary = herm_exp(generator, 1.0)
-        except ValueError:
-            raise ValueError("pulse generator must be Hermitian") from None
-    elif not generator.is_hermitian():
-        raise ValueError("pulse generator must be Hermitian")
+    try:  # herm_exp's hermiticity check is the generator's only one
+        unitary = herm_exp(generator, 1.0)
+    except ValueError:
+        raise ValueError("pulse generator must be Hermitian") from None
     if not duration > 0.0:
         raise ValueError("pulse duration must be positive")
     if generator.dim != rho_before.dim or h_sys.dim != rho_before.dim:

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -189,6 +190,25 @@ def test_block_permutations_commute():
         assert np.max(np.abs(state.matrix - reference.matrix)) <= 1e-10
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 4, 8]), st.integers(0, 2**32 - 1), st.floats(-300.0, 300.0))
+def test_a_pulse_unitary_is_unitary_at_every_generator_scale(dim, seed, log_scale):
+    """run_with_ledger checks no unitary: herm_exp's, which GateStep stores, is
+    unitary by construction, for generator entries from 1e-300 to 1e300."""
+    generator = Operator(oracles.random_hermitian(np.random.default_rng(seed), dim)
+                         * 10.0**log_scale)
+    assert herm_exp(generator, 1.0).is_unitary()
+    assert GateStep(label="scaled", generator=generator).unitary().is_unitary()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(st.sampled_from([0.0, -0.0, 1e-300, 1e300, -1e300, sys.float_info.max,
+                                  -sys.float_info.max]),
+                 st.floats(allow_nan=False, allow_infinity=False)))
+def test_every_compiled_pulse_is_unitary_at_extreme_angles(theta):
+    assert all(step.unitary().is_unitary() for step in compile_exchange(theta).steps)
+
+
 def test_permute_blocks_validates_order():
     seq = compile_exchange(0.5)
     with pytest.raises(ValueError):
@@ -199,9 +219,9 @@ def test_ledger_on_maximally_mixed_state_is_flat():
     seq = compile_exchange(math.pi / 2.0)
     cfg = FridgeConfig()
     rho0 = DensityMatrix(np.eye(8) / 8.0)
-    _, entries = run_with_ledger(seq, rho0, system_hamiltonian(cfg))
-    for entry in entries:
-        assert entry.net_work == pytest.approx(0.0, abs=1e-12)
+    _, ledger = run_with_ledger(seq, rho0, system_hamiltonian(cfg))
+    for net_work in ledger.net_work:
+        assert net_work == pytest.approx(0.0, abs=1e-12)
 
 
 def test_ledger_run_books_zero_total_work():
@@ -209,21 +229,21 @@ def test_ledger_run_books_zero_total_work():
     seq = compile_exchange(math.pi / 2.0, cfg.g)
     rho0 = initial_state(cfg)
     h_sys = system_hamiltonian(cfg)
-    final, entries = run_with_ledger(seq, rho0, h_sys)
+    final, ledger = run_with_ledger(seq, rho0, h_sys)
 
-    assert len(entries) == 40
-    assert [e.step_index for e in entries] == list(range(1, 41))
-    assert abs(entries[-1].cumulative_work) <= 1e-9
-    assert max(abs(e.cumulative_work) for e in entries[:-1]) > 1e-3
-    for entry in entries:
-        assert entry.dQ1 == pytest.approx(0.0, abs=1e-10)
+    assert all(len(column) == 40 for column in ledger)
+    assert ledger.step_index.tolist() == list(range(1, 41))
+    assert abs(ledger.cumulative_work[-1]) <= 1e-9
+    assert max(abs(ledger.cumulative_work[:-1])) > 1e-3
+    for dq1 in ledger.dQ1:
+        assert dq1 == pytest.approx(0.0, abs=1e-10)
 
     # ledger consistency: per-step net work equals the internal-energy delta
     rho = rho0
-    for entry, step in zip(entries, seq.steps):
+    for net_work, step in zip(ledger.net_work, seq.steps):
         before = internal_energy(rho, h_sys)
         rho = evolve(rho, step.unitary())
-        assert entry.net_work == pytest.approx(
+        assert net_work == pytest.approx(
             internal_energy(rho, h_sys) - before, abs=1e-10
         )
 
@@ -268,14 +288,13 @@ def test_compile_exchange_applies_the_theta_rule_of_the_config():
         compile_exchange(math.nan)
 
 
-def fresh_ledger(seq, rho0, h_sys, *, stored_unitaries=False):
+def fresh_ledger(seq, rho0, h_sys):
     """The ledger fold as one ledger_step per pulse, exponentiating every
-    generator afresh unless told to use the stored unitaries."""
+    generator afresh."""
     rho, entries, cumulative = rho0, [], 0.0
     for index, step in enumerate(seq.steps, start=1):
         rho, entry = ledger_step(rho, step.generator, step.duration, h_sys,
-                                 step_index=index, cumulative_before=cumulative,
-                                 unitary=step.unitary() if stored_unitaries else None)
+                                 step_index=index, cumulative_before=cumulative)
         cumulative = entry.cumulative_work
         entries.append(entry)
     return rho, entries
@@ -295,16 +314,19 @@ def first_clamped_state(seq, rho0):
 
 
 def fold_matches_the_loop(cfg, theta):
-    """Assert run_with_ledger books fresh_ledger's entries and final state byte
-    for byte, and return the number of PSD clamps it applied and whether its
-    state chain fell back to one positivity check per state."""
+    """Assert run_with_ledger books fresh_ledger's entries, column by column,
+    and final state byte for byte, and return the number of PSD clamps it
+    applied and whether its state chain fell back to one positivity check per
+    state."""
     seq = compile_exchange(theta, cfg.g)
     rho0, h_sys = initial_state(cfg), system_hamiltonian(cfg)
     with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as clamps, \
             mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as checks:
-        final, entries = run_with_ledger(seq, rho0, h_sys)
+        final, ledger = run_with_ledger(seq, rho0, h_sys)
     want_final, want_entries = fresh_ledger(seq, rho0, h_sys)
-    assert entries == want_entries and repr(entries) == repr(want_entries)
+    for name, column in ledger._asdict().items():
+        want = [getattr(entry, name) for entry in want_entries]
+        assert column.tolist() == want and repr(column.tolist()) == repr(want)
     assert final.matrix.tobytes() == want_final.matrix.tobytes()
     # one stacked check of the 39 states and the final state's own; the
     # fallback checks again, one at a time, the states from the first that
@@ -371,28 +393,21 @@ def test_ledger_fold_takes_the_per_state_fallback_only_for_a_clamp():
 
 
 def test_ledger_rejects_each_pulse_as_the_per_pulse_loop():
+    # GateStep checks each generator and duration where the step is built, so
+    # the dimensions are what the ledger has left to check
+    seq, rho0 = compile_exchange(0.7), initial_state(FridgeConfig())
     h_sys = system_hamiltonian(FridgeConfig())
-    rho0 = initial_state(FridgeConfig())
-    not_hermitian = Operator(np.triu(np.ones((8, 8))))
-    cases = (
-        (DensityMatrix(np.eye(4) / 4.0), None,
-         "generator, state, and system Hamiltonian dimensions must agree"),
-        (rho0, ("_unitary", lambda core: 1.01 * core.unitary()),
-         "evolve requires a unitary operator"),
-        (rho0, ("generator", lambda core: not_hermitian), "pulse generator must be Hermitian"),
-        (rho0, ("duration", lambda core: 0.0), "pulse duration must be positive"),
-    )
-    for state, mutation, message in cases:
-        seq = compile_exchange(0.7)
-        if mutation:  # the first core pulse is built per compile, so no cache sees this
-            core = seq.steps[CORE]
-            name, value = mutation
-            object.__setattr__(core, name, value(core))
+    small = GateStep(label="small", generator=Operator(np.zeros((4, 4))))
+    mixed = spinfridge.CompiledSequence(seq.steps[:5] + (small,), 0.7, (6,))
+    for pulses, state, hamiltonian in ((seq, DensityMatrix(np.eye(4) / 4.0), h_sys),
+                                       (seq, rho0, Operator(np.eye(2))),
+                                       (mixed, rho0, h_sys)):
         with pytest.raises(ValueError) as loop:
-            fresh_ledger(seq, state, h_sys, stored_unitaries=True)
+            fresh_ledger(pulses, state, hamiltonian)
         with pytest.raises(ValueError) as fold:
-            run_with_ledger(seq, state, h_sys)
-        assert str(fold.value) == str(loop.value) == message
+            run_with_ledger(pulses, state, hamiltonian)
+        assert str(fold.value) == str(loop.value) == \
+            "generator, state, and system Hamiltonian dimensions must agree"
 
 
 def test_compiles_share_every_theta_independent_step():

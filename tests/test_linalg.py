@@ -49,6 +49,13 @@ def test_operator_is_immutable():
         op.matrix[0, 0] = 5.0
 
 
+@pytest.mark.parametrize("dim", [2, 8])
+def test_density_matrix_rejects_a_nan_matrix_by_name(dim):
+    # nan > tol is false, so the checks must read "not within tolerance"
+    with pytest.raises(ValueError, match="^density matrix not Hermitian: max deviation nan$"):
+        DensityMatrix(np.full((dim, dim), np.nan))
+
+
 def test_density_matrix_validation():
     with pytest.raises(ValueError):
         DensityMatrix(np.array([[0.5, 0.3], [0.1, 0.5]]))  # not Hermitian

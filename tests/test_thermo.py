@@ -145,6 +145,15 @@ def test_ledger_step_validation():
         ledger_step(rho, Operator(np.zeros((2, 2))), 0.0, spin_hamiltonian(1.0))
 
 
+def test_ledger_step_rejects_a_nan_entry():
+    # a 1e300 generator over 1e-10 overflows the total Hamiltonian to inf, and
+    # every trace of it to nan, which the net-work identity must not let through
+    rho = thermal_state(SpinSpec(E=1.0, T=2.0))
+    with np.errstate(over="ignore"), \
+            pytest.raises(ValueError, match="^net_work must equal dW1 \\+ dQ1 \\+ dW2$"):
+        ledger_step(rho, Operator(1e300 * np.diag([1.0, -1.0])), 1e-10, spin_hamiltonian(1.0))
+
+
 def test_ledger_identity_against_energy_delta(rng):
     # the two accounting modes of the four-phase ledger must agree
     h_sys = Operator(np.diag([0.0, 1.0, 3.0, 4.0]))
