@@ -115,17 +115,10 @@ def _parse_format(text: str) -> str:
     return text
 
 
-def _parse_delta_scale(text: str) -> float:
-    value = float(text)
-    check_positive("delta-scale", value)
-    return value
-
-
 _PARSERS = {
     "theta": _parse_theta,
     "grid": _parse_grid,
     "format": _parse_format,
-    "delta_scale": _parse_delta_scale,
     "out": str,
 }
 # every key reads its text with its _PARSERS entry, else with its annotated type
@@ -143,6 +136,7 @@ _RULES = {
     "epsilon0": check_bias,
     "rounds": check_rounds,
     "seed": check_seed,
+    "delta_scale": functools.partial(check_positive, "delta-scale"),
 }
 
 
@@ -214,9 +208,22 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
 
 def _scaled(columns: dict[str, np.ndarray], names: set[str],
             scale: float) -> dict[str, np.ndarray]:
+    """The columns, those in ``names`` times scale, which must keep every value of
+    the normal float range inside it (zeros, markers and subnormals pass)."""
     if scale == 1.0:
         return columns
-    return {k: (np.multiply(v, scale) if k in names else v) for k, v in columns.items()}
+    scaled = dict(columns)
+    for name in (k for k in columns if k in names):
+        with np.errstate(over="ignore", under="ignore"):
+            scaled[name] = np.multiply(columns[name], scale)
+        magnitude = np.abs([columns[name], scaled[name]])
+        normal = (magnitude >= sys.float_info.min) & (magnitude <= sys.float_info.max)
+        left = np.flatnonzero(normal[0] & ~normal[1])
+        if left.size:
+            value = float(columns[name][left[0]])
+            raise ValueError(f"delta-scale {scale!r} takes {name} = {value!r} out of the "
+                             "normal float range")
+    return scaled
 
 
 def _json_value(value):

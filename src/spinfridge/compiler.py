@@ -15,7 +15,8 @@ one- and two-qubit terms, so the sequence is directly implementable with
 pairwise couplings.
 
 Only the four core pulses depend on theta, and they take two generators:
-three terms carry +1/4 and one -1/4, so a compile builds two core steps
+three terms carry +1/4 and one -1/4, so a compile builds two core steps,
+diagonal (+-theta/4 IZZ) and so exponentiated in closed form by herm_exp,
 and places each in every block of its sign.  The basis changes and the
 fixed rotations and ZZ pulses around each core are built once per process,
 on first use, and every compiled sequence shares them.
@@ -39,7 +40,6 @@ from .linalg import (
     canonical_chain,
     eigh_exp,
     embed_single,
-    herm_eigh,
     herm_exp,
     pauli_matrix,
     pauli_to_operator,
@@ -49,7 +49,6 @@ from .thermo import check_positive
 
 BLOCK_SIZE = 10
 N_BLOCKS = 4
-N_STEPS = BLOCK_SIZE * N_BLOCKS
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,7 @@ class GateStep:
     _unitary: Operator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        try:  # herm_exp's hermiticity check is the step's only one
+        try:  # herm_exp's hermiticity check is the step's only one (closed form if diagonal)
             unitary = herm_exp(self.generator, 1.0)
         except ValueError:
             raise ValueError(f"gate generator for {self.label!r} must be Hermitian") from None
@@ -84,6 +83,9 @@ class CompiledSequence:
     term_boundaries: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        dims = sorted({step.generator.dim for step in self.steps})
+        if len(dims) > 1:
+            raise ValueError(f"sequence steps must share one dimension, got {dims}")
         if self.term_boundaries[-1] != len(self.steps):
             raise ValueError("term boundaries must end at the final step")
         if any(b - a <= 0 for a, b in zip((0,) + self.term_boundaries, self.term_boundaries)):
@@ -165,7 +167,7 @@ def compile_exchange(theta: float, g: float = 1.0) -> CompiledSequence:
 def _exchange_eigh() -> tuple[np.ndarray, np.ndarray]:
     """The eigendecomposition of the unit exchange coupling, which verify
     exponentiates at every angle."""
-    w, v = herm_eigh(exchange_generator(1.0))
+    w, v = np.linalg.eigh(exchange_generator(1.0).matrix)
     w.setflags(write=False)
     v.setflags(write=False)
     return w, v
@@ -245,13 +247,13 @@ def run_with_ledger(
 
     The columns and the final state are those of a thermo.ledger_step per
     pulse, bit for bit.  GateStep has checked every generator and duration
-    where the step was built, and its unitary is herm_exp's, so only the
-    dimensions are checked here.  The states go through
-    linalg.canonical_chain (canonical_density per state, as DensityMatrix
-    would, with the checks stacked), and the four traces of every pulse are
-    taken over the stacked states at once.
+    where the step was built (its unitary is herm_exp's), CompiledSequence
+    their shared dimension, so only the state's and h_sys's are checked here.
+    The states go through linalg.canonical_chain (canonical_density per
+    state, as DensityMatrix would, with the checks stacked), and the four
+    traces of every pulse are taken over the stacked states at once.
     """
-    if h_sys.dim != rho0.dim or any(step.generator.dim != rho0.dim for step in seq.steps):
+    if h_sys.dim != rho0.dim or seq.steps[0].generator.dim != rho0.dim:
         raise ValueError("generator, state, and system Hamiltonian dimensions must agree")
     gens = np.stack([step.generator.matrix for step in seq.steps])
     units = np.stack([step.unitary().matrix for step in seq.steps])

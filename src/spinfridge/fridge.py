@@ -17,6 +17,7 @@ cooling of spin 1 shows up as dQ1 < 0.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -65,7 +66,8 @@ def check_spin(spin: int, gap, temp) -> None:
     """
     check_positive(f"E{spin}", gap)
     check_positive(f"T{spin}", temp)
-    ratio = gap / temp
+    with np.errstate(over="ignore"):  # an E/T of inf fails the rule below, by name
+        ratio = gap / temp
     if isinstance(ratio, np.ndarray):
         ratio = ratio.max()  # the largest E/T has the smallest e^(-E/T)
     if math.exp(-ratio) < sys.float_info.min:
@@ -131,8 +133,7 @@ class ExchangeReport:
 def exchange_generator(g: float = 1.0) -> Operator:
     """The bare two-entry exchange coupling g(|010><101| + |101><010|)."""
     mat = np.zeros((8, 8), dtype=complex)
-    mat[IDX_010, IDX_101] = g
-    mat[IDX_101, IDX_010] = g
+    mat[[IDX_010, IDX_101], [IDX_101, IDX_010]] = g
     return Operator(mat)
 
 
@@ -154,10 +155,8 @@ def exchange_pauli_terms(g: float = 1.0) -> tuple[PauliString, ...]:
 
 def system_hamiltonian(cfg: FridgeConfig) -> Operator:
     """Sum of the single-spin Hamiltonians E_i |1><1|_i on the 8-dim space."""
-    diag = np.zeros(8)
-    for idx in range(8):
-        bits = ((idx >> 2) & 1, (idx >> 1) & 1, idx & 1)
-        diag[idx] = bits[0] * cfg.E1 + bits[1] * cfg.E2 + bits[2] * cfg.E3
+    diag = [b1 * cfg.E1 + b2 * cfg.E2 + b3 * cfg.E3
+            for b1, b2, b3 in itertools.product((0, 1), repeat=3)]  # qubit 0 most significant
     return Operator(np.diag(diag).astype(complex))
 
 
@@ -305,17 +304,7 @@ def carnot_sweep(T1, T2, T3) -> np.ndarray:
     return np.where((T1 <= T2) & (T2 < T3), limit, math.nan)
 
 
-_SWAP_2 = Operator(
-    np.array(
-        [
-            [1, 0, 0, 0],
-            [0, 0, 1, 0],
-            [0, 1, 0, 0],
-            [0, 0, 0, 1],
-        ],
-        dtype=complex,
-    )
-)
+_SWAP_2 = Operator(np.eye(4, dtype=complex)[[0, 2, 1, 3]])  # |01> <-> |10>
 
 
 def two_spin_swap(E1: float, E2: float, T0: float) -> tuple[float, float]:

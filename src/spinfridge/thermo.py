@@ -129,15 +129,9 @@ def internal_energy(rho: DensityMatrix, h_sys: Operator) -> float:
     return float(np.real(np.einsum("ij,ji->", rho.matrix, h_sys.matrix)))
 
 
-def ledger_step(
-    rho_before: DensityMatrix,
-    generator: Operator,
-    duration: float,
-    h_sys: Operator,
-    *,
-    step_index: int = 0,
-    cumulative_before: float = 0.0,
-) -> tuple[DensityMatrix, WorkLedgerEntry]:
+def ledger_step(rho_before: DensityMatrix, generator: Operator, duration: float, h_sys: Operator,
+                *, step_index: int = 0,
+                cumulative_before: float = 0.0) -> tuple[DensityMatrix, WorkLedgerEntry]:
     """Apply one pulse exp(-i*generator) and book its work and heat.
 
     The pulse runs for ``duration`` under the constant total Hamiltonian
@@ -167,12 +161,4 @@ def ledger_step(
     dq1 = internal_energy(rho_after, h_total) - internal_energy(rho_before, h_total)
     dw2 = -internal_energy(rho_after, h_control)
     net = dw1 + dq1 + dw2
-    entry = WorkLedgerEntry(
-        step_index=step_index,
-        dW1=dw1,
-        dQ1=dq1,
-        dW2=dw2,
-        net_work=net,
-        cumulative_work=cumulative_before + net,
-    )
-    return rho_after, entry
+    return rho_after, WorkLedgerEntry(step_index, dw1, dq1, dw2, net, cumulative_before + net)

@@ -5,10 +5,14 @@ import contextlib
 import io
 import json
 import math
+import os
+import tempfile
 import warnings
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spinfridge.cli as cli
 from spinfridge import FridgeConfig
@@ -419,3 +423,96 @@ def test_bcs_all_ones_pool_reports_bias_minus_one(tmp_path):
     _, rows = read_csv(out)
     assert [row["retained_bits"] for row in rows] == ["2", "1"]
     assert [float(row["empirical_bias"]) for row in rows] == [-1.0, -1.0]
+
+
+@pytest.mark.parametrize("args, column", [
+    (["ledger", "--delta-scale=1e308"], "dW1"),  # overflowed to -inf and inf
+    (["cycles", "--delta-scale=1.7976931348623157e308"], "T1"),  # overflowed to inf
+    (["cycles", "--cycles=2", "--delta-scale=5e-324"], "T1"),  # underflowed, energy_q1 to 0.0
+])
+def test_a_delta_scale_that_takes_a_value_out_of_the_normal_range_is_rejected(args, column, capsys):
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"error: delta-scale {float(args[-1].split('=')[1])!r} takes {column} = ")
+    assert line.endswith(" out of the normal float range")
+
+
+def test_a_delta_scale_inside_the_normal_range_passes(capsys):
+    for args in (["ledger", "--delta-scale=1e290"], ["cycles", "--cycles=2", "--delta-scale=1e-290"]):
+        assert main(args) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["phase-diagram", "cop"])
+def test_an_overflowing_grid_ratio_prints_one_line(command, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # outside the test run a warning prints its own lines
+        assert main([command, "--grid=5e-324,1e-12,0.5,0.6,2"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: spin 2: E2/T2 = inf exceeds about 708.4, where e^(-E/T) underflows"]
+
+
+CONTRACT_POSITIVE = ("5e-324", "1e-300", "1e-12", "0.5", "1", "2", "3", "1e12", "1e300", "1e308",
+                     "1.7976931348623157e308", "1.8e308")
+CONTRACT_VALUES = CONTRACT_POSITIVE + ("0", "-0.0", "inf", "-inf", "nan", "-1", "-1e300", "abc", "")
+CONTRACT_KEYS = [f.name for f in fields(RunConfig)[1:] if f.name != "out"]
+# the documented non-finite outputs: temperatures at +inf from spin_temperature
+# (its 0.0 and -0.0 are finite), and the Carnot ceiling inf or nan outside T1 < T2 < T3
+CONTRACT_MARKERS = {"T1_after": ("inf",), "T2_after": ("inf",), "T3_after": ("inf",),
+                    "T1": ("inf",), "carnot_limit": ("inf", "nan")}
+
+
+def contract_value(data, key):
+    count = data.draw(st.integers(1, 3)) if key == "theta" else 5 if key == "grid" else 1
+    # half the draws from the positive values, so that more runs get past parsing
+    value = st.sampled_from(CONTRACT_POSITIVE) | st.sampled_from(CONTRACT_VALUES)
+    return ",".join(data.draw(st.lists(value, min_size=count, max_size=count)))
+
+
+def assert_finite(name, value):
+    number = float(value)
+    assert math.isfinite(number) or repr(number) in CONTRACT_MARKERS.get(name, ()), (name, value)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(COMMANDS),
+       st.lists(st.sampled_from(CONTRACT_KEYS), min_size=1, max_size=3, unique=True),
+       st.sampled_from(["flags", "file"]), st.sampled_from(["csv", "json"]), st.data())
+def test_the_cli_contract_holds_for_any_key_value(command, keys, source, fmt, data):
+    """Exit 0, 1 or 2; exit 1 with one error line (verify-decomposition's
+    fidelity lines aside); an exit-0 artifact finite but for the documented
+    markers; and no RuntimeWarning, which the test run turns into an error."""
+    setting = {key: contract_value(data, key) for key in keys}
+    setting.setdefault("format", fmt)
+    with tempfile.TemporaryDirectory() as tmp:
+        if source == "file":
+            path = os.path.join(tmp, "run.cfg")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.writelines(f"{key} = {value}\n" for key, value in setting.items())
+            argv = [command, "--config", path]
+        else:
+            argv = [command, *(f"--{key.replace('_', '-')}={value}" for key, value in setting.items())]
+        with contextlib.redirect_stdout(io.StringIO()) as out, \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(argv)
+    lines = err.getvalue().splitlines()
+    fidelities = [line for line in lines if command == "verify-decomposition"
+                  and line.startswith("theta=")]
+    others = [line for line in lines if line not in fidelities]
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert (len(others) == 1 and others[0].startswith("error: ")) or (fidelities and not others)
+    if code != 0:
+        return
+    assert others == []
+    if setting["format"] == "json":
+        rows = json.loads(out.getvalue())["data"]
+    else:
+        header, *body = out.getvalue().splitlines()
+        rows = [dict(zip(header.split(","), line.split(","))) for line in body]
+    for row in rows:
+        for name, value in row.items():
+            if name != "label":
+                assert_finite(name, value)

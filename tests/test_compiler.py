@@ -34,7 +34,7 @@ from spinfridge import (
     system_hamiltonian,
     verify,
 )
-from spinfridge.linalg import canonical_density
+from spinfridge.linalg import canonical_density, eigh_exp, pauli_matrix, positivity_certified
 
 THETAS = (0.0, math.pi / 8.0, math.pi / 4.0, math.pi / 2.0)
 CORE = 5  # position of the theta-dependent ZZ core within each ten-step block
@@ -328,12 +328,14 @@ def fold_matches_the_loop(cfg, theta):
         want = [getattr(entry, name) for entry in want_entries]
         assert column.tolist() == want and repr(column.tolist()) == repr(want)
     assert final.matrix.tobytes() == want_final.matrix.tobytes()
-    # one stacked check of the 39 states and the final state's own; the
-    # fallback checks again, one at a time, the states from the first that
-    # needs a clamp on
+    # the final state's own check, and one stacked check of the 39 states
+    # unless the positivity certificate holds; the fallback checks again, one
+    # at a time, the states from the first that needs a clamp on
+    units = np.stack([step.unitary().matrix for step in seq.steps[:-1]])
+    stacked = 0 if positivity_certified(rho0.matrix, units) else 1
     per_state = sum(call.args[0].ndim == 2 for call in checks.call_args_list)
     first = first_clamped_state(seq, rho0)
-    assert checks.call_count == per_state + 1 and per_state == 1 + 39 - first
+    assert checks.call_count == per_state + stacked and per_state == 1 + 39 - first
     return clamps.call_count, first < 39
 
 
@@ -393,21 +395,66 @@ def test_ledger_fold_takes_the_per_state_fallback_only_for_a_clamp():
 
 
 def test_ledger_rejects_each_pulse_as_the_per_pulse_loop():
-    # GateStep checks each generator and duration where the step is built, so
-    # the dimensions are what the ledger has left to check
+    # GateStep checks each generator and duration where the step is built, and
+    # CompiledSequence their shared dimension, so the state's and h_sys's
+    # dimensions are what the ledger has left to check
     seq, rho0 = compile_exchange(0.7), initial_state(FridgeConfig())
     h_sys = system_hamiltonian(FridgeConfig())
-    small = GateStep(label="small", generator=Operator(np.zeros((4, 4))))
-    mixed = spinfridge.CompiledSequence(seq.steps[:5] + (small,), 0.7, (6,))
     for pulses, state, hamiltonian in ((seq, DensityMatrix(np.eye(4) / 4.0), h_sys),
-                                       (seq, rho0, Operator(np.eye(2))),
-                                       (mixed, rho0, h_sys)):
+                                       (seq, rho0, Operator(np.eye(2)))):
         with pytest.raises(ValueError) as loop:
             fresh_ledger(pulses, state, hamiltonian)
         with pytest.raises(ValueError) as fold:
             run_with_ledger(pulses, state, hamiltonian)
         assert str(fold.value) == str(loop.value) == \
             "generator, state, and system Hamiltonian dimensions must agree"
+
+
+def test_a_sequence_of_mixed_dimensions_fails_at_construction():
+    seq = compile_exchange(0.7)
+    small = GateStep(label="small", generator=Operator(np.zeros((4, 4))))
+    with pytest.raises(ValueError, match=r"^sequence steps must share one dimension, got \[4, 8\]$"):
+        spinfridge.CompiledSequence(seq.steps[:5] + (small,), 0.7, (6,))
+    with pytest.raises(ValueError, match="^sequence steps must share one dimension"):
+        spinfridge.CompiledSequence((small,) + seq.steps, 0.7, (41,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-12.0, 12.0), st.sampled_from([1.0, -1.0]), st.sampled_from([0.25, -0.25]))
+def test_the_closed_form_core_is_the_eigendecomposition_bytes(log_theta, sign, coeff):
+    """herm_exp exponentiates a diagonal generator in closed form; at the
+    compiler's cores, +-theta/4 IZZ with |theta| from 1e-12 to 1e12, its bytes
+    are those of the eigendecomposition every generator went through before."""
+    generator = Operator(coeff * (sign * 10.0**log_theta) * pauli_matrix("IZZ"))
+    want = eigh_exp(np.linalg.eigh(generator.matrix), 1.0)
+    assert herm_exp(generator, 1.0).matrix.tobytes() == want.matrix.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.floats(0.2, 4.0), st.floats(0.2, 4.0),
+       st.tuples(*[st.floats(-3.0, math.log10(700.0))] * 3), st.floats(-math.pi, math.pi))
+def test_the_positivity_certificate_never_covers_a_negative_eigenvalue(e1, e3, log_ratios, theta):
+    """E/T per spin from 1e-3 to 700: wherever the certificate lets the chain
+    skip its stacked eigvalsh, no symmetrized state has a negative one."""
+    gaps = (e1, e1 + e3, e3)
+    temps = [gap / 10.0**ratio for gap, ratio in zip(gaps, log_ratios)]
+    seq, rho0 = compile_exchange(theta), initial_state(FridgeConfig(*gaps, *temps))
+    units = np.stack([step.unitary().matrix for step in seq.steps[:-1]])
+    if positivity_certified(rho0.matrix, units):
+        assert first_clamped_state(seq, rho0) == 39
+
+
+def test_the_positivity_certificate_needs_a_diagonal_state_unitaries_and_a_margin():
+    units = np.stack([step.unitary().matrix for step in compile_exchange(0.7).steps[:-1]])
+    rho = initial_state(FridgeConfig()).matrix
+    assert positivity_certified(rho, units)
+    coherent = rho.copy()
+    coherent[0, 1] = coherent[1, 0] = 1e-3
+    assert not positivity_certified(coherent, units)
+    assert not positivity_certified(rho, np.concatenate((units, 1.001 * units[:1])))
+    # 2.5e-12 at d = 8 and n = 39, and a 1000-fold margin on top
+    assert positivity_certified(np.diag([2.6e-9] * 7 + [1.0 - 7 * 2.6e-9]), units)
+    assert not positivity_certified(np.diag([2.4e-9] * 7 + [1.0 - 7 * 2.4e-9]), units)
 
 
 def test_compiles_share_every_theta_independent_step():
