@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .cooling import PRNG_ID, check_bias, check_bits, check_rounds, check_seed, simulate_bcs
 from .compiler import compile_exchange, run_with_ledger, verify
-from .cycles import check_cycles, check_grid, run_cycles, scan_phase_diagram
+from .cycles import check_cycles, check_grid, check_rows, run_cycles, scan_phase_diagram
 from .fridge import (
     FridgeConfig, carnot_sweep, check_theta, cop, exchange, exchange_sweep, initial_state,
     system_hamiltonian,
@@ -35,6 +35,9 @@ from .fridge import (
 from .thermo import check_positive
 
 FIDELITY_GATE = 1.0 - 1e-8
+# below this many rows np.unique costs more than the repeats of a column save,
+# unless it is constant (measured: 64 rows, half of them repeats, break even)
+SHORT_COLUMN = 64
 
 
 def _key(default, help: str, bcs_only: bool = False):
@@ -203,6 +206,8 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
     # the rules across keys, E2 = E1 + E3 and the E/T underflow, do not depend on
     # theta, and _parse_theta has checked every angle
     cfg.fridge
+    if cfg.command == "cycles":  # one row per angle and cycle, from cycle 0
+        check_rows(len(cfg.theta), cfg.cycles)
     return cfg
 
 
@@ -243,11 +248,15 @@ def _json_value(value):
 
 def _array_texts(values: np.ndarray, quote_nonfinite: bool) -> list[str]:
     """repr of each number of a float64 or int64 array; a column that repeats a
-    value formats each distinct value once (one with no repeat skips the table)."""
+    value formats each distinct value once, unless it is short and not constant
+    or has no repeat, where the table of distinct values cannot pay."""
     floats = values.dtype == np.float64
     text = float.__repr__ if floats else int.__repr__
-    distinct, inverse = np.unique(values, return_inverse=True)
-    if len(distinct) == len(values):
+    plain = len(values) < SHORT_COLUMN and not (values == values[:1]).all()
+    if not plain:
+        distinct, inverse = np.unique(values, return_inverse=True)
+        plain = len(distinct) == len(values)
+    if plain:
         texts = list(map(text, values.tolist()))
     else:
         texts = np.array(list(map(text, distinct.tolist())), dtype=object)[inverse].tolist()

@@ -91,6 +91,20 @@ class CompiledSequence:
         if any(b - a <= 0 for a, b in zip((0,) + self.term_boundaries, self.term_boundaries)):
             raise ValueError("term boundaries must be strictly increasing")
 
+    @functools.cached_property
+    def distinct(self) -> tuple[GateStep, ...]:
+        """Each step object once, in order of first use: a compiled exchange
+        has 11 (4 basis changes, 5 frame pulses and 2 cores)."""
+        return tuple({id(step): step for step in self.steps}.values())
+
+    @functools.cached_property
+    def layout(self) -> np.ndarray:
+        """The index of every step in ``distinct``: steps[k] is distinct[layout[k]]."""
+        position = {id(step): index for index, step in enumerate(self.distinct)}
+        layout = np.array([position[id(step)] for step in self.steps])
+        layout.setflags(write=False)
+        return layout
+
     def blocks(self) -> list[tuple[GateStep, ...]]:
         starts = (0,) + self.term_boundaries[:-1]
         return [self.steps[a:b] for a, b in zip(starts, self.term_boundaries)]
@@ -249,20 +263,26 @@ def run_with_ledger(
     pulse, bit for bit.  GateStep has checked every generator and duration
     where the step was built (its unitary is herm_exp's), CompiledSequence
     their shared dimension, so only the state's and h_sys's are checked here.
-    The states go through linalg.canonical_chain (canonical_density per
-    state, as DensityMatrix would, with the checks stacked), and the four
-    traces of every pulse are taken over the stacked states at once.
+    The distinct steps are stacked once and laid out per pulse by the
+    sequence's layout.  The states go through linalg.canonical_chain
+    (canonical_density per state, as DensityMatrix would, with the checks
+    stacked), and the four traces of every pulse are taken over the stacked
+    states at once.
     """
     if h_sys.dim != rho0.dim or seq.steps[0].generator.dim != rho0.dim:
         raise ValueError("generator, state, and system Hamiltonian dimensions must agree")
-    gens = np.stack([step.generator.matrix for step in seq.steps])
-    units = np.stack([step.unitary().matrix for step in seq.steps])
-    states = canonical_chain(rho0.matrix, units[:-1])
-    final = DensityMatrix(units[-1] @ states[-1] @ units[-1].conj().T)
+    # one stack of each distinct step's generator and unitary, laid out per pulse by index
+    gens, units = np.array([step.generator.matrix for step in seq.distinct]
+                           + [step.unitary().matrix for step in seq.distinct]
+                           ).reshape(2, -1, rho0.dim, rho0.dim)
+    states = canonical_chain(rho0.matrix, units, seq.layout[:-1])
+    last = units[seq.layout[-1]]
+    final = DensityMatrix(last @ states[-1] @ last.conj().T)
     rhos = np.concatenate((states, final.matrix[None]))
-    durations = np.array([step.duration for step in seq.steps])
+    durations = np.array([step.duration for step in seq.distinct])
     h_total = gens * (1.0 / durations).astype(complex)[:, None, None]
     h_control = h_total - h_sys.matrix
+    h_total, h_control = h_total[seq.layout], h_control[seq.layout]
 
     def traces(rho, h):  # internal_energy of every pulse, summed in the same order
         return np.einsum("kij,kji->k", rho, h).real

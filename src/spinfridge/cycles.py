@@ -20,6 +20,7 @@ from .thermo import binary_entropy, check_count, check_positive, spin_temperatur
 
 MAX_GRID_STEPS = 1000  # per axis
 MAX_CYCLES = 100_000
+MAX_ROWS = MAX_GRID_STEPS**2  # the rows of the largest phase diagram
 
 
 class CycleColumns(NamedTuple):
@@ -38,6 +39,14 @@ def check_cycles(n_cycles: int) -> None:
     check_count("cycles", n_cycles)
     if not 1 <= n_cycles <= MAX_CYCLES:
         raise ValueError(f"cycles must lie in [1, {MAX_CYCLES}], got {n_cycles}")
+
+
+def check_rows(n_angles: int, n_cycles: int) -> None:
+    """The row rule of a cycles run: n_angles x (n_cycles + 1) rows, at most MAX_ROWS."""
+    rows = n_angles * (n_cycles + 1)
+    if rows > MAX_ROWS:
+        raise ValueError(f"{n_angles} angles x ({n_cycles} + 1) cycles is {rows} rows, "
+                         f"above the row limit of {MAX_ROWS}")
 
 
 def run_cycles(cfg: FridgeConfig, n_cycles: int,

@@ -167,7 +167,8 @@ def initial_state(cfg: FridgeConfig) -> DensityMatrix:
     tau_i = thermal_state(SpinSpec(E_i, T_i)): each spin's populations
     [1, b]/(1 + b), b = e^(-E/T), are divided by their own sum, as tau_i's
     DensityMatrix divides by its trace (its symmetrization and positivity
-    check leave a positive diagonal as it is).
+    check leave a positive diagonal as it is), and their outer products are
+    the kron's, in its order.
     """
     spins = []
     for gap, temp in zip(cfg.gaps, cfg.temps):
@@ -175,7 +176,8 @@ def initial_state(cfg: FridgeConfig) -> DensityMatrix:
         z = 1.0 + boltzmann
         populations = np.array([1.0 / z, boltzmann / z], dtype=complex)
         spins.append(populations / populations.sum().real)
-    return DensityMatrix(np.diag(np.kron(np.kron(spins[0], spins[1]), spins[2])))
+    return DensityMatrix(np.diag(np.multiply.outer(np.multiply.outer(spins[0], spins[1]),
+                                                   spins[2]).ravel()))
 
 
 def boltzmann_margin(gaps, temps) -> tuple:

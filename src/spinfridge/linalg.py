@@ -90,12 +90,19 @@ class Operator:
         return f"Operator(dim={self.dim})"
 
 
+def _is_diagonal(mat: np.ndarray) -> bool:
+    """True when the square matrix has no nonzero (or nan) off-diagonal entry."""
+    return np.count_nonzero(mat) == np.count_nonzero(mat.diagonal())
+
+
 def canonical_density(mat: np.ndarray) -> np.ndarray:
     """The canonical form of a density matrix, as DensityMatrix stores it.
 
     Rejects hermiticity or trace errors above 1e-12 and eigenvalues below
     -1e-10; otherwise symmetrizes, clamps eigenvalue drift in [-1e-10, 0)
-    to zero and renormalizes the trace to exactly one.
+    to zero and renormalizes the trace to exactly one.  The positivity check
+    takes a matrix with no off-diagonal entry in closed form, any other
+    through eigvalsh; a clamp goes through eigh either way.
     """
     adjoint = mat.conj().T
     herm_err = float(np.abs(mat - adjoint).max())
@@ -105,62 +112,73 @@ def canonical_density(mat: np.ndarray) -> np.ndarray:
     if not abs(tr - 1.0) <= TRACE_TOL:
         raise ValueError(f"density matrix trace {tr} differs from 1 beyond tolerance")
     mat = (mat + adjoint) / 2.0
-    eigs = np.linalg.eigvalsh(mat)
-    if eigs[0] < -PSD_TOL:
-        raise ValueError(f"density matrix not PSD: min eigenvalue {eigs[0]:.3e}")
-    if eigs[0] < 0.0:
+    # the smallest eigenvalue of a diagonal matrix is its smallest entry, exactly
+    smallest = mat.diagonal().real.min() if _is_diagonal(mat) else np.linalg.eigvalsh(mat)[0]
+    if smallest < -PSD_TOL:
+        raise ValueError(f"density matrix not PSD: min eigenvalue {smallest:.3e}")
+    if smallest < 0.0:
         # clamp harmless floating-point negativity
         w, v = np.linalg.eigh(mat)
         mat = (v * np.clip(w, 0.0, None)) @ v.conj().T
     return mat / mat.trace().real
 
 
-def canonical_chain(rho: np.ndarray, unitaries: Sequence[np.ndarray]) -> np.ndarray:
-    """The stack [rho, rho_1, ..., rho_n] with rho_k = canonical_density(u_k rho_(k-1) u_k^dag).
+def canonical_chain(rho: np.ndarray, unitaries: Sequence[np.ndarray],
+                    layout: Sequence[int]) -> np.ndarray:
+    """The stack [rho, rho_1, ..., rho_n], n = len(layout), with
+    rho_k = canonical_density(u rho_(k-1) u^dag) for u = unitaries[layout[k - 1]].
 
     Bit for bit that loop.  The loop here only conjugates, symmetrizes and
     divides by the trace, which is all canonical_density does to a state that
-    passes its checks; the hermiticity, trace and positivity checks then run
-    stacked over the n raw and symmetrized states (numpy's stacked eigvalsh
-    equals the per-matrix call bit for bit, which the test suite guards), the
-    positivity check only where positivity_certified cannot rule out a clamp.
-    The states before the first one that fails a check, or needs a clamp, are
-    exact; from that one on the chain runs again through canonical_density,
-    which applies the clamps and raises the errors exactly.  States after a
-    failing one are thrown away, so the arithmetic on them (a zero or
-    non-finite trace) raises no floating-point warning.
+    passes its checks, into preallocated buffers (np.dot into a scratch matrix
+    and against contiguous adjoints equals the @ of the per-state loop bit for
+    bit, which the test suite guards); the hermiticity, trace and positivity
+    checks then run stacked over the n raw and symmetrized states (numpy's
+    stacked eigvalsh equals the per-matrix call bit for bit, which the test
+    suite guards too), the positivity check only where positivity_certified
+    cannot rule out a clamp.  The states before the first one that fails a
+    check, or needs a clamp, are exact; from that one on the chain runs again
+    through canonical_density, which applies the clamps and raises the errors
+    exactly.  States after a failing one are thrown away, so the arithmetic on
+    them (a zero or non-finite trace) raises no floating-point warning.
     """
-    n, dim = len(unitaries), rho.shape[0]
-    unitaries = np.asarray(unitaries, dtype=complex).reshape(n, dim, dim)
-    adjoints = unitaries.conj().transpose(0, 2, 1)
+    n, dim = len(layout), rho.shape[0]
+    unitaries = np.asarray(unitaries, dtype=complex).reshape(-1, dim, dim)
+    steps = unitaries[layout]
+    adjoints = unitaries.conj().transpose(0, 2, 1)[layout]  # indexing makes them contiguous
     raw = np.empty((n, dim, dim), dtype=complex)
     symmetrized = np.empty_like(raw)
     states = np.empty((n + 1, dim, dim), dtype=complex)
+    scratch = np.empty((dim, dim), dtype=complex)
     states[0] = rho
     with np.errstate(all="ignore"):
-        for k, (u, adjoint) in enumerate(zip(unitaries, adjoints)):
+        for k in range(n):
             mat, sym = raw[k], symmetrized[k]
-            np.matmul(u @ states[k], adjoint, out=mat)
-            np.add(mat, mat.conj().T, out=sym)
+            np.dot(steps[k], states[k], out=scratch)
+            np.dot(scratch, adjoints[k], out=mat)
+            np.conjugate(mat.T, out=scratch)
+            np.add(mat, scratch, out=sym)
             sym /= 2.0
             np.divide(sym, sym.trace().real, out=states[k + 1])
         herm_err = np.abs(raw - raw.conj().transpose(0, 2, 1)).max(axis=(1, 2))
         trace_err = np.abs(np.trace(raw, axis1=1, axis2=2) - 1.0)
     failed = np.flatnonzero(~((herm_err <= HERMITIAN_TOL) & (trace_err <= TRACE_TOL)))
     first = int(failed[0]) if failed.size else n  # the first state that is not yet exact
-    if first and not positivity_certified(rho, unitaries[:first]):
+    if first and not positivity_certified(rho, unitaries, first):
         negative = np.flatnonzero(np.linalg.eigvalsh(symmetrized[:first])[:, 0] < 0.0)
         first = int(negative[0]) if negative.size else first
     for k in range(first, n):
-        states[k + 1] = canonical_density(unitaries[k] @ states[k] @ adjoints[k])
+        states[k + 1] = canonical_density(steps[k] @ states[k] @ steps[k].conj().T)
     return states
 
 
-def positivity_certified(rho: np.ndarray, unitaries: np.ndarray) -> bool:
-    """True only if no symmetrized state of canonical_chain(rho, unitaries) whose
-    raw states pass the trace check can have a negative eigvalsh: rho is real
-    diagonal with its smallest entry 1000 times the bound below, and every
-    unitary is within UNITARY_TOL of unitary (max |U^H U - I|, checked stacked).
+def positivity_certified(rho: np.ndarray, unitaries: np.ndarray, n: int) -> bool:
+    """True only if no symmetrized state of an n-step canonical_chain from rho,
+    each step one of the unitaries, whose raw states pass the trace check can
+    have a negative eigvalsh: rho is real diagonal with its smallest entry 1000
+    times the bound below, and every unitary is within UNITARY_TOL of unitary
+    (max |U^H U - I|, checked stacked, so a chain that repeats a step checks
+    it once).
 
     Derivation.  Let u = 2^-53, d the dimension, n the number of steps,
     gamma_m = m u / (1 - m u) and delta = d * UNITARY_TOL, so every U has
@@ -196,7 +214,7 @@ def positivity_certified(rho: np.ndarray, unitaries: np.ndarray) -> bool:
     d = 8 and n = 39 the bound is 2.5e-12.  The 1000-fold margin covers a
     p(d) above d^2; underflow adds at most 2^-1074 per entry, far below it.
     """
-    n, dim = len(unitaries), rho.shape[0]
+    dim = rho.shape[0]
     diagonal = rho.diagonal().real
     bound = 2 * n * (3 * (dim + 2) * math.sqrt(dim) + 3 * dim**2 + 8) * 2.0**-53
     if np.count_nonzero(rho - np.diag(diagonal)) or not diagonal.min() > 1000.0 * bound:
@@ -348,7 +366,7 @@ def herm_exp(h: Operator, t: float) -> Operator:
     if not h.is_hermitian():
         raise ValueError("herm_exp requires a Hermitian generator")
     mat = h.matrix
-    if np.count_nonzero(mat) == np.count_nonzero(mat.diagonal()):
+    if _is_diagonal(mat):
         return Operator(np.diag(np.exp(-1j * t * mat.diagonal().real)))
     return eigh_exp(np.linalg.eigh(mat), t)
 

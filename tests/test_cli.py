@@ -454,6 +454,19 @@ def test_an_overflowing_grid_ratio_prints_one_line(command, capsys):
         "error: spin 2: E2/T2 = inf exceeds about 708.4, where e^(-E/T) underflows"]
 
 
+def test_a_cycles_run_above_the_row_limit_is_rejected_before_it_runs(monkeypatch, capsys):
+    # 10 angles x (100000 + 1) cycles is 1,000,010 rows; 99999 cycles make 10^6,
+    # the rows of the largest phase diagram.  Neither is run.
+    monkeypatch.setattr(cli, "run_cycles", None)
+    thetas = "--theta=" + ",".join(["0.1"] * 10)
+    assert main(["cycles", "--cycles=100000", thetas]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: 10 angles x (100000 + 1) cycles is 1000010 rows, above the row limit of 1000000"]
+    assert parse_config(["cycles", "--cycles=99999", thetas]).cycles == 99999
+    # the rule counts the rows of cycles alone, which writes one per angle and cycle
+    assert parse_config(["ledger", "--cycles=100000", thetas]).theta == (0.1,) * 10
+
+
 CONTRACT_POSITIVE = ("5e-324", "1e-300", "1e-12", "0.5", "1", "2", "3", "1e12", "1e300", "1e308",
                      "1.7976931348623157e308", "1.8e308")
 CONTRACT_VALUES = CONTRACT_POSITIVE + ("0", "-0.0", "inf", "-inf", "nan", "-1", "-1e300", "abc", "")

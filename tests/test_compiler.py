@@ -331,8 +331,8 @@ def fold_matches_the_loop(cfg, theta):
     # the final state's own check, and one stacked check of the 39 states
     # unless the positivity certificate holds; the fallback checks again, one
     # at a time, the states from the first that needs a clamp on
-    units = np.stack([step.unitary().matrix for step in seq.steps[:-1]])
-    stacked = 0 if positivity_certified(rho0.matrix, units) else 1
+    distinct = np.stack([step.unitary().matrix for step in seq.distinct])
+    stacked = 0 if positivity_certified(rho0.matrix, distinct, 39) else 1
     per_state = sum(call.args[0].ndim == 2 for call in checks.call_args_list)
     first = first_clamped_state(seq, rho0)
     assert checks.call_count == per_state + stacked and per_state == 1 + 39 - first
@@ -435,26 +435,33 @@ def test_the_closed_form_core_is_the_eigendecomposition_bytes(log_theta, sign, c
        st.tuples(*[st.floats(-3.0, math.log10(700.0))] * 3), st.floats(-math.pi, math.pi))
 def test_the_positivity_certificate_never_covers_a_negative_eigenvalue(e1, e3, log_ratios, theta):
     """E/T per spin from 1e-3 to 700: wherever the certificate lets the chain
-    skip its stacked eigvalsh, no symmetrized state has a negative one."""
+    skip its stacked eigvalsh, no symmetrized state has a negative one.  Over
+    the 11 distinct unitaries of the sequence, as the chain checks them, it
+    decides as over the 39 the chain applies."""
     gaps = (e1, e1 + e3, e3)
     temps = [gap / 10.0**ratio for gap, ratio in zip(gaps, log_ratios)]
     seq, rho0 = compile_exchange(theta), initial_state(FridgeConfig(*gaps, *temps))
     units = np.stack([step.unitary().matrix for step in seq.steps[:-1]])
-    if positivity_certified(rho0.matrix, units):
+    distinct = np.stack([step.unitary().matrix for step in seq.distinct])
+    certified = positivity_certified(rho0.matrix, distinct, 39)
+    assert len(distinct) == 11 and positivity_certified(rho0.matrix, units, 39) == certified
+    if certified:
         assert first_clamped_state(seq, rho0) == 39
 
 
 def test_the_positivity_certificate_needs_a_diagonal_state_unitaries_and_a_margin():
     units = np.stack([step.unitary().matrix for step in compile_exchange(0.7).steps[:-1]])
     rho = initial_state(FridgeConfig()).matrix
-    assert positivity_certified(rho, units)
+    assert positivity_certified(rho, units, 39)
     coherent = rho.copy()
     coherent[0, 1] = coherent[1, 0] = 1e-3
-    assert not positivity_certified(coherent, units)
-    assert not positivity_certified(rho, np.concatenate((units, 1.001 * units[:1])))
+    assert not positivity_certified(coherent, units, 39)
+    assert not positivity_certified(rho, np.concatenate((units, 1.001 * units[:1])), 39)
     # 2.5e-12 at d = 8 and n = 39, and a 1000-fold margin on top
-    assert positivity_certified(np.diag([2.6e-9] * 7 + [1.0 - 7 * 2.6e-9]), units)
-    assert not positivity_certified(np.diag([2.4e-9] * 7 + [1.0 - 7 * 2.4e-9]), units)
+    assert positivity_certified(np.diag([2.6e-9] * 7 + [1.0 - 7 * 2.6e-9]), units, 39)
+    assert not positivity_certified(np.diag([2.4e-9] * 7 + [1.0 - 7 * 2.4e-9]), units, 39)
+    # the bound grows with the number of steps, not with the unitaries checked
+    assert not positivity_certified(np.diag([2.6e-9] * 7 + [1.0 - 7 * 2.6e-9]), units[:11], 43)
 
 
 def test_compiles_share_every_theta_independent_step():
@@ -467,6 +474,9 @@ def test_compiles_share_every_theta_independent_step():
             assert x is y, (index, x.label)
     # 4 basis changes and 5 distinct fixed rotations or ZZ pulses
     assert len({id(step) for index, step in enumerate(a.steps) if index % 10 != CORE}) == 9
+    # each step object once, in order of first use, and the index that lays them out
+    assert len(a.distinct) == 11 and a.distinct[0] is a.steps[0]
+    assert all(a.distinct[index] is step for index, step in zip(a.layout, a.steps, strict=True))
     # within a compile, the three +theta/4 blocks share one core and YXY has the other
     cores = a.steps[CORE::10]
     assert cores[0] is cores[1] is cores[3] and cores[2] is not cores[0]

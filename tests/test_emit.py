@@ -84,9 +84,15 @@ int64s = st.integers(-2**63, 2**63 - 1)
 texts = st.text(alphabet=st.sampled_from(list('ab ,"\n\r%\\é€ ')), max_size=6)
 
 
+# row counts on both sides of cli.SHORT_COLUMN, below which only a constant
+# column goes through the table of distinct values
+row_counts = st.one_of(st.integers(0, 10), st.integers(cli.SHORT_COLUMN - 3, cli.SHORT_COLUMN + 2),
+                       st.integers(0, 200))
+
+
 @st.composite
 def columns(draw):
-    n_rows = draw(st.integers(0, 10))
+    n_rows = draw(row_counts)
     names = draw(st.lists(st.one_of(texts, st.sampled_from(["T2", "dQ1", "n"])),
                           min_size=1, max_size=4, unique=True))
     table = {}
@@ -122,20 +128,22 @@ def twin(value):
 @st.composite
 def repeat_columns(draw):
     """A float64 or int64 array column with no repeat, exactly one repeat, or one
-    value throughout (a zero or nan with either sign), by np.unique's count."""
+    value throughout (a zero or nan with either sign), by np.unique's count, of
+    up to 200 rows."""
     kind = draw(st.sampled_from(["float", "int"]))
     if kind == "float":
         values = st.one_of(floats, st.sampled_from(SPECIAL_FLOATS))
     else:
         values = st.one_of(int64s, st.sampled_from([-2**63, 2**63 - 1, 0, -1]))
-    distinct = draw(st.lists(values, min_size=1, max_size=40, unique_by=distinct_key))
+    size = draw(row_counts.filter(lambda n: n >= 1))
+    distinct = draw(st.lists(values, min_size=size, max_size=size, unique_by=distinct_key))
     shape = draw(st.sampled_from(["no repeat", "one repeat", "one value"]))
     if shape == "one repeat":
         index = draw(st.integers(0, len(distinct) - 1))
         repeat = twin(distinct[index]) if kind == "float" and draw(st.booleans()) else distinct[index]
         distinct.insert(draw(st.integers(0, len(distinct))), repeat)
     elif shape == "one value":
-        count = draw(st.integers(2, 40))
+        count = draw(row_counts.filter(lambda n: n >= 2))
         distinct = [twin(distinct[0]) if kind == "float" and draw(st.booleans()) else distinct[0]
                     for _ in range(count)]
     return np.array(distinct, dtype=np.float64 if kind == "float" else np.int64)

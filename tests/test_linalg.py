@@ -1,5 +1,6 @@
 """Core operator, state, and Pauli-string primitives."""
 
+import contextlib
 import math
 from unittest import mock
 
@@ -27,6 +28,7 @@ from spinfridge.linalg import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    PSD_TOL,
     canonical_chain,
     canonical_density,
 )
@@ -85,6 +87,22 @@ def test_stacked_eigvalsh_is_the_per_matrix_eigvalsh(rng):
     assert (per_matrix[:, 0] < 0.0).any()
 
 
+def test_dot_into_a_buffer_is_the_matmul(rng):
+    """canonical_chain conjugates with np.dot into preallocated buffers, against
+    contiguous adjoints, where evolve and thermo.ledger_step, its per-pulse
+    reference, use @ against the transposed view; this guard fails, rather than
+    the ledger drifting, if a numpy or BLAS update makes the two differ."""
+    out = np.empty((8, 8), dtype=complex)
+    for _ in range(200):
+        u = oracles.random_unitary(rng, 8)
+        rho = oracles.random_density(rng, 8) * 10.0 ** rng.uniform(-300.0, 300.0)
+        np.dot(u, rho, out=out)
+        assert out.tobytes() == (u @ rho).tobytes()
+        left = u @ rho
+        np.dot(left, np.ascontiguousarray(u.conj().T), out=out)
+        assert out.tobytes() == (left @ u.conj().T).tobytes()
+
+
 def test_stacked_trace_and_hermiticity_error_are_the_per_matrix_ones(rng):
     """canonical_chain takes canonical_density's trace and hermiticity checks
     over the stack of raw states, which is the per-state rule only while
@@ -101,15 +119,19 @@ def test_stacked_trace_and_hermiticity_error_are_the_per_matrix_ones(rng):
     assert stacked_herm.tobytes() == per_herm.tobytes()
 
 
-@pytest.mark.parametrize("case", ["clean", "clamp", "late clamp", "not PSD", "trace",
-                                  "not Hermitian", "trace, then zero", "not Hermitian, then inf"])
+@pytest.mark.parametrize("case", ["clean", "repeated steps", "clamp", "late clamp", "not PSD",
+                                  "trace", "not Hermitian", "trace, then zero",
+                                  "not Hermitian, then inf"])
 def test_canonical_chain_is_the_canonical_density_loop(rng, case):
     """Errors and states of the loop; the chain checks after it has formed every
     state, so a failing state's successors (a zero trace, an infinity) must
     raise no floating-point warning, which the test run turns into an error."""
     unitaries = [oracles.random_unitary(rng, 8) for _ in range(12)]
     rho = oracles.random_density(rng, 8)
-    if case in ("clamp", "not PSD"):  # a negative eigenvalue in the clamp window or beyond it
+    if case == "repeated steps":  # four unitaries laid out to twelve steps, as a compile does
+        distinct, layout = unitaries[:4], rng.integers(0, 4, 12)
+        unitaries = [distinct[index] for index in layout]
+    elif case in ("clamp", "not PSD"):  # a negative eigenvalue in the clamp window or beyond it
         drift = 5e-11 if case == "clamp" else 1e-6
         rho = np.diag([1.0 + drift, -drift, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]).astype(complex)
     elif case == "late clamp":  # a pure state stays exact through 5 identities, then drifts
@@ -125,24 +147,60 @@ def test_canonical_chain_is_the_canonical_density_loop(rng, case):
         unitaries[6:] = [np.zeros((8, 8), dtype=complex)] * 6
     elif case.endswith("inf"):
         unitaries[6:] = [np.full((8, 8), np.inf, dtype=complex)] * 6
+    if case != "repeated steps":
+        distinct, layout = unitaries, np.arange(12)
     want = [rho]
     try:
         for u in unitaries:
             want.append(canonical_density(u @ want[-1] @ u.conj().T))
     except ValueError as loop:
         with pytest.raises(ValueError) as chain:
-            canonical_chain(rho, unitaries)
+            canonical_chain(rho, distinct, layout)
         assert str(chain.value) == str(loop)
         assert case.split(",")[0] in ("not PSD", "trace", "not Hermitian")
         return
     with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as clamps, \
             mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as checks:
-        got = canonical_chain(rho, unitaries)
+        got = canonical_chain(rho, distinct, layout)
     assert [state.tobytes() for state in got] == [state.tobytes() for state in want]
     assert (clamps.call_count > 0) == (case in ("clamp", "late clamp"))
     # the per-state checks run again from the first state that needs a clamp on
     per_state = sum(call.args[0].ndim == 2 for call in checks.call_args_list)
-    assert per_state == {"clean": 0, "clamp": 12, "late clamp": 12 - 5}[case]
+    assert per_state == {"clean": 0, "repeated steps": 0, "clamp": 12, "late clamp": 12 - 5}[case]
+
+
+# diagonal entries: populations from 1e-300 to 1, exact zeros, drift that
+# canonical_density clamps, and negatives it rejects
+DIAGONAL_ENTRIES = st.one_of(
+    st.floats(-300.0, 0.0).map(lambda exponent: 10.0**exponent),
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-PSD_TOL, 0.0, exclude_max=True),
+    st.floats(-1.0, -PSD_TOL, exclude_max=True),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from([2, 4, 8]), st.data())
+def test_a_diagonal_density_is_checked_in_closed_form_as_through_eigvalsh(dim, data):
+    """canonical_density takes the smallest eigenvalue of a diagonal matrix from
+    its smallest entry; the bytes, clamps and errors are those of eigvalsh."""
+    entries = data.draw(st.lists(DIAGONAL_ENTRIES, min_size=dim - 1, max_size=dim - 1))
+    entries.insert(data.draw(st.integers(0, dim - 1)), 1.0 - math.fsum(entries))
+    mat = np.diag(entries).astype(complex)
+    outcomes = []
+    for closed_form in (True, False):
+        # the eigvalsh path, which every matrix took before, once the diagonal test is off
+        path = (contextlib.nullcontext() if closed_form else
+                mock.patch("spinfridge.linalg._is_diagonal", return_value=False))
+        with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as checks, \
+                mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as clamps, path:
+            try:
+                outcome = canonical_density(mat).tobytes()
+            except ValueError as exc:
+                outcome = str(exc)
+        outcomes.append((outcome, clamps.call_count))
+        assert checks.call_count == (0 if closed_form else 1)
+    assert outcomes[0] == outcomes[1]
 
 
 def test_kron_identity_and_sigma_z():
