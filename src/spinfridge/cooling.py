@@ -19,9 +19,10 @@ import numpy as np
 
 from .thermo import check_count, check_positive
 
-PRNG_ID = "numpy-pcg64"  # np.random.default_rng; seeded runs are bit-reproducible
+# np.random.default_rng read a byte per bit (_sample_pool); seeded runs are bit-reproducible
+PRNG_ID = "numpy-pcg64-byte-threshold"
 MAX_BITS = 10**9  # a pool holds one byte per bit; a compression round adds about half a byte
-SAMPLE_CHUNK = 2**15  # uniforms drawn per rng.random call while sampling a pool
+SAMPLE_CHUNK = 2**15  # bits per primary draw while sampling a pool, a multiple of 8
 COMPRESS_CHUNK = 2**16  # pairs compacted per np.compress call in a compression round
 
 
@@ -155,20 +156,46 @@ def check_seed(seed: int) -> None:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
 
 
+def _threshold(epsilon: float) -> int:
+    """K << 3 for K = ceil((1 + epsilon)/2 * 2^53), the least 56-bit integer of a 1 bit.
+
+    PCG64's rng.random() is k * 2^-53 for a uniform 53-bit k, and that is at least
+    (1 + epsilon)/2 iff k >= K; for a 56-bit k56 with k56 >> 3 == k, iff k56 >= K << 3.
+    The threshold is 2^56, which no 56-bit integer reaches, when (1 + epsilon)/2
+    rounds to 1.0.
+    """
+    return math.ceil((1.0 + epsilon) / 2.0 * 2.0**53) << 3
+
+
 def _sample_pool(rng: np.random.Generator, n_bits: int, epsilon: float) -> np.ndarray:
     """n_bits bools, each True (a 1 bit) with probability (1 - epsilon)/2.
 
-    Bit i is rng.random() >= (1 + epsilon)/2 for the i-th uniform of the
-    stream.  PCG64 spends one raw draw per double, so drawing the uniforms
-    SAMPLE_CHUNK at a time gives the same bits as one rng.random(n_bits).
+    Bit i is 1 iff the 56-bit integer (byte_i << 48) | rest_i reaches _threshold(epsilon).
+    byte_i is byte i, little-endian, of the ceil(n_bits/8) raw words drawn first.  Where
+    byte_i equals the threshold's top byte (a tie, about one bit in 256), rest_i is the
+    top 48 bits of one further raw word, drawn in ascending bit order after every
+    primary word; elsewhere byte_i alone settles the bit.  The 56-bit integer shifted
+    right by 3 is uniform on [0, 2^53), so each bit has exactly the law of
+    rng.random() >= (1 + epsilon)/2, which spends a raw word per bit, from an eighth
+    of the words.  The primary words come SAMPLE_CHUNK/8 at a time, and the bits do
+    not depend on SAMPLE_CHUNK.
     """
-    threshold = (1.0 + epsilon) / 2.0
+    threshold = _threshold(epsilon)
+    top, rest = threshold >> 48, threshold & (2**48 - 1)
+    if top > 0xFF:  # threshold 2^56: no byte reaches it
+        return np.zeros(n_bits, dtype=bool)
+    raw = rng.bit_generator.random_raw
     bits = np.empty(n_bits, dtype=bool)
-    buffer = np.empty(min(n_bits, SAMPLE_CHUNK))
+    ties = []
     for start in range(0, n_bits, SAMPLE_CHUNK):
-        uniforms = buffer[:min(SAMPLE_CHUNK, n_bits - start)]
-        rng.random(out=uniforms)
-        np.greater_equal(uniforms, threshold, out=bits[start:start + uniforms.size])
+        count = min(SAMPLE_CHUNK, n_bits - start)
+        head = raw(-(-count // 8)).astype("<u8", copy=False).view(np.uint8)[:count]
+        np.greater(head, top, out=bits[start:start + count])
+        ties.append(np.flatnonzero(head == top) + start)
+    ties = np.concatenate(ties)
+    rests = raw(ties.size)
+    np.right_shift(rests, 16, out=rests)
+    bits[ties] = rests >= rest
     return bits
 
 

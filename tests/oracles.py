@@ -7,12 +7,14 @@ quantities through closed-form expressions instead of operator algebra.
 ``loop_cycles`` and ``loop_bcs`` are the exceptions: they are the
 per-cycle loop that ``spinfridge.cycles`` ran before its closed form, step
 for step on products of excited populations, and the uint8 pool that
-``spinfridge.cooling.simulate_bcs`` sampled and compressed before its
-bit-pool kernel.  ``decimal_flow`` and ``decimal_cycles`` redo the
-population products at DECIMAL_DIGITS significant digits, from the exact
-values of the float inputs.
+``spinfridge.cooling.simulate_bcs`` compressed before its bit-pool kernel,
+sampled bit by bit with Python ints from the raw PCG64 words.
+``decimal_flow`` and ``decimal_cycles`` redo the population products at
+DECIMAL_DIGITS significant digits, from the exact values of the float
+inputs.
 """
 
+import functools
 import math
 from decimal import Context, Decimal, localcontext
 
@@ -182,14 +184,36 @@ def _empirical_bias(bits: np.ndarray) -> float:
     return float(1.0 - 2.0 * bits.mean())
 
 
+@functools.lru_cache(maxsize=1)  # the rounds of one case share its pool
+def loop_pool(n_bits: int, epsilon: float, seed: int) -> np.ndarray:
+    """The sampled pool as uint8, one Python int per bit.
+
+    Bit i is 1 iff its 56-bit integer reaches ceil((1 + eps)/2 * 2^53) << 3.
+    The integer's top byte is byte i, least significant first, of the first
+    ceil(n/8) raw words; a bit whose byte equals the threshold's top byte takes
+    its low 48 bits from the top of one further raw word, those words drawn in
+    bit order after the first ones.  Any other bit keeps low bits 0, which
+    cannot change its comparison.
+    """
+    threshold = math.ceil((1.0 + epsilon) / 2.0 * 2**53) << 3
+    raw = np.random.default_rng(seed).bit_generator.random_raw
+    words = raw(-(-n_bits // 8)).tolist()
+    k56 = [(word >> shift & 0xFF) << 48 for word in words for shift in range(0, 64, 8)][:n_bits]
+    ties = [i for i, k in enumerate(k56) if k >> 48 == threshold >> 48]
+    for i, word in zip(ties, raw(len(ties)).tolist()):
+        k56[i] |= word >> 16
+    pool = np.array([k >= threshold for k in k56], dtype=np.uint8)
+    pool.flags.writeable = False
+    return pool
+
+
 def loop_bcs(n_bits: int, epsilon: float, rounds: int, seed: int) -> BcsResult:
-    """One float64 draw of the whole pool, a strided boolean-mask gather per
-    round, and the pool's mean as its bias."""
+    """The pool of loop_pool, a strided boolean-mask gather per round, and the
+    pool's mean as its bias."""
     check_bits(n_bits)
     check_bias(epsilon)
     check_rounds(rounds)
-    rng = np.random.default_rng(seed)
-    bits = (rng.random(n_bits) >= (1.0 + epsilon) / 2.0).astype(np.uint8)
+    bits = loop_pool(n_bits, epsilon, seed)
     analytic = epsilon
     history = [BcsRound(0, analytic, _empirical_bias(bits), int(bits.size))]
     for round_index in range(1, rounds + 1):

@@ -2,9 +2,11 @@
 
 import itertools
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -19,7 +21,8 @@ from spinfridge import (
     simulate_bcs,
     thermal_state,
 )
-from spinfridge.cooling import MAX_BITS, SAMPLE_CHUNK
+from spinfridge import cooling
+from spinfridge.cooling import MAX_BITS, PRNG_ID, SAMPLE_CHUNK, _sample_pool, _threshold
 
 
 def test_bcs_bias_examples():
@@ -125,7 +128,7 @@ def test_simulate_bcs_is_deterministic_per_seed():
     c = simulate_bcs(10_000, 0.3, 3, seed=8)
     assert a == b
     assert a != c
-    assert a.prng == "numpy-pcg64"
+    assert a.prng == PRNG_ID == "numpy-pcg64-byte-threshold"
 
 
 def test_simulate_bcs_validation():
@@ -182,6 +185,60 @@ def test_simulate_bcs_equals_the_uint8_loop():
 )
 def test_simulate_bcs_equals_the_uint8_loop_on_random_cases(n_bits, eps, rounds, seed):
     assert simulate_bcs(n_bits, eps, rounds, seed) == oracles.loop_bcs(n_bits, eps, rounds, seed)
+
+
+def test_threshold_edges():
+    assert _threshold(0.0) == 2**55
+    assert _threshold(1.0 - 2.0**-53) == 2**56  # (1 + eps)/2 rounds to 1.0
+
+
+@st.composite
+def bias_and_word(draw):
+    """A bias and a 56-bit integer, anywhere or within 8 of the bias's threshold."""
+    eps = draw(st.floats(0.0, 1.0, exclude_max=True))
+    threshold = _threshold(eps)
+    near = st.integers(threshold - 8, min(threshold + 8, 2**56 - 1))
+    return eps, draw(st.integers(0, 2**56 - 1) | near)
+
+
+@settings(max_examples=500, deadline=None)
+@given(bias_and_word())
+@example((0.0, 2**55 - 1))
+@example((0.0, 2**55))
+@example((0.0, 2**55 + 7))
+@example((0.3, _threshold(0.3) - 1))
+@example((0.3, _threshold(0.3)))
+@example((0.3, _threshold(0.3) + 7))
+@example((1.0 - 2.0**-53, 2**56 - 1))  # threshold 2^56: below it, as is every 56-bit integer
+@example((1.0 - 2.0**-53, 0))
+def test_threshold_rule_is_the_float_rule(case):
+    # a 56-bit integer reaches the threshold iff the double rng.random() makes of
+    # its top 53 bits reaches (1 + eps)/2, so each bit keeps that law exactly
+    eps, k56 = case
+    assert (k56 >= _threshold(eps)) == ((k56 >> 3) * 2.0**-53 >= (1.0 + eps) / 2.0)
+
+
+@pytest.mark.parametrize("chunk", [8, 16, 24])
+def test_sampled_bits_do_not_depend_on_the_chunk(chunk, monkeypatch):
+    sizes = (2, 6, 2**15 - 2, 2**15 + 2, 3 * 2**15 + 6)
+    cases = list(itertools.product(sizes, (0.0, 0.3, 0.99), (0, 9)))
+    default = [_sample_pool(np.random.default_rng(seed), n, eps) for n, eps, seed in cases]
+    monkeypatch.setattr(cooling, "SAMPLE_CHUNK", chunk)
+    for case, bits in zip(cases, default):
+        n, eps, seed = case
+        assert np.array_equal(_sample_pool(np.random.default_rng(seed), n, eps), bits), case
+
+
+def test_sampling_peaks_below_1_1_bytes_per_bit():
+    n_bits = 4_000_000
+    tracemalloc.start()
+    try:
+        bits = _sample_pool(np.random.default_rng(4), n_bits, 0.3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert bits.size == n_bits
+    assert peak < 1.1 * n_bits
 
 
 def test_simulate_bcs_unbiased_pool_stays_unbiased():
