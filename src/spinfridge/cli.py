@@ -35,9 +35,14 @@ from .fridge import (
 from .thermo import check_positive
 
 FIDELITY_GATE = 1.0 - 1e-8
-# below this many rows np.unique costs more than the repeats of a column save,
-# unless it is constant (measured: 64 rows, half of them repeats, break even)
-SHORT_COLUMN = 64
+# np.unique's table of distinct values and its take break even with one repr
+# per row at about this many repeats plus a twelfth of the rows (measured on
+# float64 columns with 17-digit texts: 29 repeats of 40 rows, 34 of 121, 60 of
+# 361, 140 of 1681)
+TABLE_REPEATS = 24
+
+# an emit column: an array, a factored column (values, index), or strings
+Column = np.ndarray | tuple[np.ndarray, np.ndarray] | list[str]
 
 
 def _key(default, help: str, bcs_only: bool = False):
@@ -161,16 +166,47 @@ def _read_config_file(path: str) -> list[tuple[str, str, str]]:
     return entries
 
 
+# each command's full option strings and the namespace key of each: --config,
+# the keys every command takes, then the bcs-only keys (bcs alone takes those).
+# _parser() adds them in this order, which is the order argparse fills the
+# namespace in, so _exact_flags reads the keys, and reports a first error, alike
+_FLAGS = {"--config": "config"} | {"--" + key.name.replace("_", "-"): key.name
+                                   for key in fields(RunConfig)[1:]
+                                   if not key.metadata.get("bcs_only")}
+_BCS_FLAGS = _FLAGS | {"--" + key.name.replace("_", "-"): key.name
+                       for key in fields(RunConfig)[1:] if key.metadata.get("bcs_only")}
+
+
+def _exact_flags(command: str, args: list[str]) -> dict[str, str | None] | None:
+    """The namespace the command's parser would fill from args, read without
+    argparse when every argument is --flag=value, or --flag value with a value
+    that does not start with '-', for a full option string of the command (the
+    last repeat of a flag wins, as in argparse); None for any other args."""
+    flags = _BCS_FLAGS if command == "bcs" else _FLAGS
+    namespace = {"command": command} | dict.fromkeys(flags.values())
+    args = iter(args)
+    for arg in args:
+        option, equals, text = arg.partition("=")
+        if option not in flags or text == "--":  # argparse reads --flag=-- as no value
+            return None
+        if not equals:
+            text = next(args, "-")  # a flag with no value left is for argparse to report
+            if text.startswith("-"):
+                return None
+        namespace[flags[option]] = text
+    return namespace
+
+
 @functools.cache
 def _parser() -> tuple[_Parser, dict[str, _Parser]]:
     """The top-level parser and each command's own, generated from RunConfig
-    once per process."""
+    once per process, for the args that _exact_flags does not read."""
+    helps = {"config": "flat key=value config file"}
+    helps |= {key.name: key.metadata.get("help") for key in fields(RunConfig)[1:]}
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="flat key=value config file")
     bcs = argparse.ArgumentParser(add_help=False)
-    for key in fields(RunConfig)[1:]:  # the keys, after the command
-        owner = bcs if key.metadata.get("bcs_only") else common
-        owner.add_argument("--" + key.name.replace("_", "-"), help=key.metadata.get("help"))
+    for option, key in _BCS_FLAGS.items():
+        (common if option in _FLAGS else bcs).add_argument(option, help=helps[key])
 
     parser = _Parser(prog="spinfridge",
                      description="three-spin self-contained refrigerator simulator")
@@ -184,16 +220,19 @@ def _parser() -> tuple[_Parser, dict[str, _Parser]]:
 def parse_config(argv: list[str] | None = None) -> RunConfig:
     """Resolve defaults, config file, and flags into a validated RunConfig."""
     argv = sys.argv[1:] if argv is None else argv
-    parser, commands = _parser()
-    if argv and argv[0] in commands:
-        # all the top-level parser would do is hand the rest to this subparser;
-        # it runs only when argv[0] is no command (usage, -h, an unknown command)
-        namespace = commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
-    else:
-        namespace = parser.parse_args(argv)
-    entries = _read_config_file(namespace.config) if namespace.config else []
+    namespace = _exact_flags(argv[0], argv[1:]) if argv and argv[0] in _COMMANDS else None
+    if namespace is None:
+        parser, commands = _parser()
+        if argv and argv[0] in commands:
+            # all the top-level parser would do is hand the rest to this subparser;
+            # it runs only when argv[0] is no command (usage, -h, an unknown command)
+            namespace = vars(commands[argv[0]].parse_args(argv[1:],
+                                                          argparse.Namespace(command=argv[0])))
+        else:
+            namespace = vars(parser.parse_args(argv))
+    entries = _read_config_file(namespace["config"]) if namespace["config"] else []
     entries += [(key, "argument --" + key.replace("_", "-"), text)
-                for key, text in vars(namespace).items() if key in _READERS and text is not None]
+                for key, text in namespace.items() if key in _READERS and text is not None]
     values = {}
     for key, source, text in entries:  # flags come last, so they win
         try:
@@ -202,7 +241,7 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
                 _RULES[key](values[key])
         except ValueError as exc:
             raise ValueError(f"{source}: {exc}") from None
-    cfg = RunConfig(command=namespace.command, **values)
+    cfg = RunConfig(command=namespace["command"], **values)
     # the rules across keys, E2 = E1 + E3 and the E/T underflow, do not depend on
     # theta, and _parse_theta has checked every angle
     cfg.fridge
@@ -211,21 +250,26 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
     return cfg
 
 
-def _scaled(columns: dict[str, np.ndarray], names: set[str],
-            scale: float) -> dict[str, np.ndarray]:
+def _scaled(columns: dict[str, Column], names: set[str], scale: float) -> dict[str, Column]:
     """The columns, those in ``names`` times scale, which must keep every value of
-    the normal float range inside it (zeros, markers and subnormals pass)."""
+    the normal float range inside it (zeros, markers and subnormals pass); the
+    error names the value of the first row that leaves it."""
     if scale == 1.0:
         return columns
     scaled = dict(columns)
     for name in (k for k in columns if k in names):
+        column = columns[name]
+        values = column[0] if isinstance(column, tuple) else column
         with np.errstate(over="ignore", under="ignore"):
-            scaled[name] = np.multiply(columns[name], scale)
-        magnitude = np.abs([columns[name], scaled[name]])
+            product = np.multiply(values, scale)
+        scaled[name] = (product, column[1]) if isinstance(column, tuple) else product
+        magnitude = np.abs([values, product])
         normal = (magnitude >= sys.float_info.min) & (magnitude <= sys.float_info.max)
-        left = np.flatnonzero(normal[0] & ~normal[1])
-        if left.size:
-            value = float(columns[name][left[0]])
+        left = normal[0] & ~normal[1]
+        if isinstance(column, tuple) and left.any():  # the rows' values, in row order
+            values, left = values[column[1]], left[column[1]]
+        if left.any():
+            value = float(values[np.argmax(left)])
             raise ValueError(f"delta-scale {scale!r} takes {name} = {value!r} out of the "
                              "normal float range")
     return scaled
@@ -246,48 +290,71 @@ def _json_value(value):
     return str(value)
 
 
-def _array_texts(values: np.ndarray, quote_nonfinite: bool) -> list[str]:
-    """repr of each number of a float64 or int64 array; a column that repeats a
-    value formats each distinct value once, unless it is short and not constant
-    or has no repeat, where the table of distinct values cannot pay."""
+def _value_texts(values: np.ndarray, quote_nonfinite: bool) -> list[str]:
+    """repr of each number of a float64 or int64 array, each non-finite one in
+    quotes if asked."""
     floats = values.dtype == np.float64
-    text = float.__repr__ if floats else int.__repr__
-    plain = len(values) < SHORT_COLUMN and not (values == values[:1]).all()
-    if not plain:
-        distinct, inverse = np.unique(values, return_inverse=True)
-        plain = len(distinct) == len(values)
-    if plain:
-        texts = list(map(text, values.tolist()))
-    else:
-        texts = np.array(list(map(text, distinct.tolist())), dtype=object)[inverse].tolist()
-        if floats:
-            # -0.0 and 0.0 are one distinct value, so each zero gets its own text
-            for index in np.flatnonzero(values == 0.0).tolist():
-                texts[index] = float.__repr__(values[index])
+    texts = list(map(float.__repr__ if floats else int.__repr__, values.tolist()))
     if quote_nonfinite and floats:
         for index in np.flatnonzero(~np.isfinite(values)).tolist():
             texts[index] = f'"{texts[index]}"'
     return texts
 
 
-def _column_texts(column: np.ndarray | list[str], fmt: str) -> tuple[list[str], bool]:
+def _laid_out(values: np.ndarray, index: np.ndarray, quote_nonfinite: bool) -> list[str]:
+    """The texts of a factored column: each value formatted once, then taken
+    into row order by an object-array take."""
+    return np.array(_value_texts(values, quote_nonfinite), dtype=object)[index].tolist()
+
+
+def _table_pays(values: np.ndarray) -> bool:
+    """Whether np.unique's table of distinct values costs less than it saves: it
+    costs about the repr of TABLE_REPEATS values plus a twelfth of the rows, so
+    a column needs more repeats (equal neighbours once sorted) than that."""
+    needed = TABLE_REPEATS + len(values) // 12
+    if len(values) <= needed:
+        return False
+    ordered = np.sort(values)
+    return int(np.count_nonzero(ordered[1:] == ordered[:-1])) > needed
+
+
+def _array_texts(values: np.ndarray, quote_nonfinite: bool) -> list[str]:
+    """repr of each number of a float64 or int64 array; a column that repeats
+    enough values for the table to pay formats each distinct value once."""
+    if not _table_pays(values):
+        return _value_texts(values, quote_nonfinite)
+    texts = _laid_out(*np.unique(values, return_inverse=True), quote_nonfinite)
+    if values.dtype == np.float64:
+        # -0.0 and 0.0 are one distinct value, so each zero gets its own text
+        for index in np.flatnonzero(values == 0.0).tolist():
+            texts[index] = float.__repr__(values[index])
+    return texts
+
+
+def _column_texts(column: Column, fmt: str) -> tuple[list[str], bool]:
     """The text of each value of one column in fmt, and whether a CSV field of it
     may need quoting (only a string's may)."""
     if isinstance(column, np.ndarray):
         return _array_texts(column, quote_nonfinite=fmt == "json"), False
+    if isinstance(column, tuple):
+        return _laid_out(*column, quote_nonfinite=fmt == "json"), False
     return (list(column) if fmt == "csv" else list(map(json.dumps, column))), True
 
 
-def emit(columns: dict[str, np.ndarray | list[str]], fmt: str, path: str | None,
-         meta: dict) -> int:
-    """Write equal-length columns, each a float64 or int64 array or a list of
-    strings, as CSV or JSON rows; byte-identical for identical inputs.
+def _rows(column: Column) -> int:
+    return len(column[1]) if isinstance(column, tuple) else len(column)
+
+
+def emit(columns: dict[str, Column], fmt: str, path: str | None, meta: dict) -> int:
+    """Write equal-length columns as CSV or JSON rows; byte-identical for
+    identical inputs.  A column is a float64 or int64 array, a factored column
+    (values, index) whose row i holds values[index[i]], or a list of strings.
 
     A float's text is repr(float(v)); JSON writes 'inf', '-inf' and 'nan' as
     strings.  Each column is formatted as a whole, and only columns whose
     fields may need quoting go through csv.writer.
     """
-    if len(set(map(len, columns.values()))) > 1:
+    if len(set(map(_rows, columns.values()))) > 1:
         raise ValueError("columns must have equal lengths")
     formatted = [_column_texts(col, fmt) for col in columns.values()]
     texts = [column_texts for column_texts, _ in formatted]
@@ -357,24 +424,31 @@ def _columns_ledger(cfg: RunConfig) -> dict[str, np.ndarray]:
     return ledger._asdict()
 
 
-def _columns_cycles(cfg: RunConfig) -> dict[str, np.ndarray]:
+def _columns_cycles(cfg: RunConfig) -> dict[str, Column]:
     columns = run_cycles(cfg.fridge, cfg.cycles, cfg.theta)._asdict()
-    return {"n": columns.pop("n"), "theta": np.repeat(cfg.theta, cfg.cycles + 1), **columns}
+    n, rows = columns.pop("n"), cfg.cycles + 1
+    # n is 0..cycles once per angle, so it indexes its own first block of rows
+    return {"n": (n[:rows], n),
+            "theta": (np.array(cfg.theta), np.arange(len(cfg.theta)).repeat(rows)), **columns}
 
 
-def _columns_phase_diagram(cfg: RunConfig) -> dict[str, np.ndarray]:
+def _columns_phase_diagram(cfg: RunConfig) -> dict[str, Column]:
     t2_min, t2_max, t3_min, t3_max, steps = cfg.grid
     t2s, t3s, dq1 = scan_phase_diagram((t2_min, t2_max), (t3_min, t3_max), steps,
                                        base=cfg.fridge)
-    return {"T2": t2s, "T3": t3s, "dQ1": dq1}
+    # cells run by T2 then T3: each T2 holds for a block of steps rows, and the
+    # T3 axis repeats once per block
+    axis = np.arange(steps)
+    return {"T2": (t2s[::steps], axis.repeat(steps)), "T3": (t3s[:steps], np.tile(axis, steps)),
+            "dQ1": dq1}
 
 
-def _columns_cop(cfg: RunConfig) -> dict[str, np.ndarray]:
+def _columns_cop(cfg: RunConfig) -> dict[str, Column]:
     t2_min, t2_max, _, _, steps = cfg.grid
     base = cfg.fridge
     t2s = t2_min + (t2_max - t2_min) * np.arange(steps) / (steps - 1)
     flow = exchange_sweep(base, t2s, base.T3)
-    return {"T2": t2s, "cop": np.full(steps, cop(base)),
+    return {"T2": t2s, "cop": (np.array([cop(base)]), np.zeros(steps, dtype=np.intp)),
             "carnot_limit": carnot_sweep(base.T1, t2s, base.T3),
             "dQ1": base.E1 * flow, "dQ3": base.E3 * flow}
 

@@ -129,8 +129,9 @@ def bias_from_temperature(E: float, T: float) -> float:
 def _empirical_bias(bits: np.ndarray) -> float:
     if bits.size == 0:
         return 0.0
-    # a count of ones is exact, so this equals 1 - 2 * mean() bit for bit
-    return 1.0 - 2.0 * (np.count_nonzero(bits) / bits.size)
+    # a count of ones is exact, so this equals 1 - 2 * mean() bit for bit; the
+    # count is an np.int64, so it is read as an int to return a Python float
+    return 1.0 - 2.0 * (int(np.count_nonzero(bits)) / bits.size)
 
 
 def check_bits(n_bits: int) -> None:

@@ -149,7 +149,8 @@ PARSE_CASES = (
     (["--epsilon0", "0.2", "--rounds=2"], "bcs"), (["--t1"], 1), (["--t1=3", "--cycles"], 1),
     (["--nope"], 1), (["--nope=1", "--t1=3"], 1), (["--e=1"], 1), (["stray"], 1),
     (["--", "stray"], 1), (["-h"], 0), (["--he"], 0), (["--t1=3", "-h"], 0), (["--config"], 1),
-    (["--t3=8", "--t3=9", "--format", "json"], None),
+    (["--t3=8", "--t3=9", "--format", "json"], None), (["--theta", "-2.4"], None), (["--out="], None),
+    (["--config="], None), (["--out=--"], None),
 )
 
 
@@ -161,8 +162,8 @@ def outcome(parse):
             result = parse()
         except SystemExit as exc:
             result = ("exit", exc.code)
-        except ValueError as exc:
-            result = ("error", str(exc))
+        except (ValueError, OSError) as exc:
+            result = (type(exc).__name__, str(exc))
     return result, out.getvalue(), err.getvalue()
 
 
@@ -182,12 +183,91 @@ def test_each_command_parses_as_the_top_level_parser_would(command, monkeypatch)
             assert own[0][0] != "exit", argv
         else:
             assert own[0] == ("exit", code), argv
-        # parse_config dispatches to the command's parser; with none to
-        # dispatch to it runs the top-level one, and either way it ends alike
+        # parse_config reads exact flags itself and dispatches the rest to the
+        # command's parser; with neither it runs the top-level parser, and
+        # every way it ends alike
         dispatched = outcome(lambda: parse_config(argv))
         with monkeypatch.context() as patch:
+            patch.setattr(cli, "_exact_flags", lambda command, args: None)
             patch.setattr(cli, "_parser", lambda: (parser, {}))
             assert outcome(lambda: parse_config(argv)) == dispatched, argv
+
+
+@pytest.fixture(scope="module")
+def config_files(tmp_path_factory):
+    """The paths of a config file of valid keys, one with an invalid key, and
+    one that does not exist, by name."""
+    folder = tmp_path_factory.mktemp("configs")
+    (folder / "good.cfg").write_text("t3 = 8\ncycles = 5\nrounds = 2\n")
+    (folder / "bad.cfg").write_text("seed = -1\n")
+    return {name: str(folder / f"{name}.cfg") for name in ("good", "bad", "missing")}
+
+
+# per flag, values that parse, values that the key's reader or rule rejects,
+# an empty value, and values that start with '-'
+FLAG_VALUES = {
+    "--e1": ["1", "0.5", "-1"], "--e2": ["3", "2.5", "x"], "--e3": ["2", "0"],
+    "--t1": ["3", "-3", "inf"], "--t2": ["2.5", "nan"], "--t3": ["8", "12", "-0.5"],
+    "--g": ["2", "0"], "--theta": ["0.5", "0.3,1.1", "-2.4", "-2.4,0.7", "inf", ","],
+    "--cycles": ["3", "12", "0", "1.5"], "--grid": ["2,6,2,10,5", "1,5,3,9", "2,6,2,10,1"],
+    "--seed": ["4", "-1"], "--out": ["a.csv", "-", "--", "b c"], "--format": ["json", "csv", "xml"],
+    "--delta-scale": ["2.5", "inf", "-2"], "--bits": ["4000", "3"], "--epsilon0": ["0.2", "1.0"],
+    "--rounds": ["2", "-1"], "--config": ["good", "bad", "missing"],
+}
+# arguments that are no exact flag: an abbreviation, an unknown or a bare
+# option, help, a stray word and the end of options
+OTHER_ARGS = ["--thet=0.5", "--cyc", "--nope=1", "--e=1", "-h", "stray", "--", "--t1"]
+
+
+@st.composite
+def flag_args(draw, config_files):
+    """0-4 flags, each --flag=value or --flag value, keys repeating and
+    bcs-only flags on any command, with now and then an argument of another form."""
+    args = []
+    for _ in range(draw(st.integers(0, 4))):
+        flag = draw(st.sampled_from(list(FLAG_VALUES)))
+        value = draw(st.sampled_from(FLAG_VALUES[flag] + [""]))
+        if flag == "--config" and value:
+            value = config_files[value]
+        args += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+        if draw(st.integers(0, 9)) == 0:
+            args.append(draw(st.sampled_from(OTHER_ARGS)))
+    return args
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(COMMANDS), st.data())
+def test_exact_flags_parse_as_argparse_does(config_files, command, data):
+    """Whatever the arguments, parse_config ends as it does on the argparse path:
+    the same RunConfig or error, stdout, stderr and exit code."""
+    argv = [command, *data.draw(flag_args(config_files))]
+    read = outcome(lambda: parse_config(argv))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_exact_flags", lambda command, args: None)
+        assert outcome(lambda: parse_config(argv)) == read, argv
+
+
+def test_two_invalid_flags_report_the_first_key_in_argparse_order():
+    # argparse fills the shared keys first, so bcs reports seed before bits
+    for argv, key in ((["bcs", "--bits=3", "--seed=-1"], "seed"),
+                      (["bcs", "--rounds", "-1", "--t1=-3"], "t1"),
+                      (["cycles", "--cycles=0", "--e1=x"], "e1")):
+        (kind, message), _, _ = outcome(lambda: parse_config(argv))
+        assert kind == "ValueError" and message.startswith(f"argument --{key}: "), argv
+
+
+def test_exact_flags_never_build_the_argparse_parser(monkeypatch):
+    def no_parser():
+        raise AssertionError("_parser() called")
+
+    monkeypatch.setattr(cli, "_parser", no_parser)
+    for argv in (["exchange"], ["cycles", "--cycles", "3", "--theta=0.3,0.7"],
+                 ["bcs", "--bits=4000", "--rounds", "2", "--t1=3", "--t1", "4"],
+                 ["phase-diagram", "--grid=2,6,2,10,5", "--format", "json", "--out="],
+                 ["cop", "--config=", "--delta-scale", "2.5"]):
+        assert isinstance(parse_config(argv), RunConfig)
+    with pytest.raises(AssertionError, match="_parser"):
+        parse_config(["cycles", "--cyc=3"])  # an abbreviation is argparse's to read
 
 
 def test_exchange_csv_contract(tmp_path):

@@ -131,6 +131,14 @@ def test_simulate_bcs_is_deterministic_per_seed():
     assert a.prng == PRNG_ID == "numpy-pcg64-byte-threshold"
 
 
+def test_empirical_biases_are_python_floats():
+    # the all-ones 2-bit pool, a pool that empties and one of 10000 bits
+    for result in (simulate_bcs(2, 0.0, 1, 1), simulate_bcs(2, 0.5, 3, 0),
+                   simulate_bcs(10_000, 0.3, 3, seed=7)):
+        assert all(type(entry.empirical_bias) is float for entry in result.rounds)
+        assert type(result.final.epsilon) is float
+
+
 def test_simulate_bcs_validation():
     with pytest.raises(ValueError):
         simulate_bcs(101, 0.5, 1, seed=0)  # odd pool

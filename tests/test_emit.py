@@ -18,7 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinfridge.cli as cli
-from spinfridge import FridgeConfig, carnot_limit, cop, exchange_sweep, scan_phase_diagram
+from spinfridge import (
+    FridgeConfig, carnot_limit, cop, exchange_sweep, run_cycles, scan_phase_diagram,
+)
 from spinfridge.cli import emit, main
 
 META = {"command": "test", "delta_scale": 2.5, "config": {"theta": [0.5, math.inf], "n": 3}}
@@ -65,9 +67,16 @@ def row_emit(rows: list[dict], fmt: str, path, meta: dict) -> int:
     return 0
 
 
+def expanded(column):
+    """The column's values in row order: a factored (values, index) column laid out."""
+    if isinstance(column, tuple):
+        values, index = column
+        return values[index].tolist()
+    return column.tolist() if isinstance(column, np.ndarray) else list(column)
+
+
 def as_rows(columns: dict) -> list[dict]:
-    values = [col.tolist() if isinstance(col, np.ndarray) else list(col) for col in columns.values()]
-    return [dict(zip(columns, row)) for row in zip(*values)]
+    return [dict(zip(columns, row)) for row in zip(*map(expanded, columns.values()))]
 
 
 def written(writer, data, fmt: str, path=None) -> str:
@@ -84,9 +93,10 @@ int64s = st.integers(-2**63, 2**63 - 1)
 texts = st.text(alphabet=st.sampled_from(list('ab ,"\n\r%\\é€ ')), max_size=6)
 
 
-# row counts on both sides of cli.SHORT_COLUMN, below which only a constant
-# column goes through the table of distinct values
-row_counts = st.one_of(st.integers(0, 10), st.integers(cli.SHORT_COLUMN - 3, cli.SHORT_COLUMN + 2),
+# row counts from none to 200, and the columns of 24 to 44 rows, where the
+# table rule's cut (more than cli.TABLE_REPEATS + rows // 12 repeats) is
+# nearly all the rows
+row_counts = st.one_of(st.integers(0, 10), st.integers(cli.TABLE_REPEATS, cli.TABLE_REPEATS + 20),
                        st.integers(0, 200))
 
 
@@ -97,14 +107,20 @@ def columns(draw):
                           min_size=1, max_size=4, unique=True))
     table = {}
     for name in names:
-        # what emit takes: a float64 or int64 array, or a list of strings
+        # what emit takes: a float64 or int64 array, a factored column of one
+        # (values, index), or a list of strings
         kind = draw(st.sampled_from([floats, st.integers(-5, 5), int64s, texts]))
         pool = draw(st.lists(kind, min_size=1, max_size=12))
-        column = draw(st.lists(st.sampled_from(pool), min_size=n_rows, max_size=n_rows))
-        if kind is floats:
-            column = np.array(column, dtype=np.float64)
-        elif kind is not texts:
-            column = np.array(column, dtype=np.int64)
+        if kind is not texts and draw(st.booleans()):
+            index = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n_rows, max_size=n_rows))
+            column = (np.array(pool, dtype=np.float64 if kind is floats else np.int64),
+                      np.array(index, dtype=np.intp))
+        else:
+            column = draw(st.lists(st.sampled_from(pool), min_size=n_rows, max_size=n_rows))
+            if kind is floats:
+                column = np.array(column, dtype=np.float64)
+            elif kind is not texts:
+                column = np.array(column, dtype=np.int64)
         table[name] = column
     return table
 
@@ -160,21 +176,76 @@ SPECIAL_COLUMN = [-0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324]
 
 
 def assert_special_texts(column, fmt):
-    table = {"array": np.array(column)}
+    table = {"column": column}
     text = written(emit, table, fmt)
     assert text == written(row_emit, as_rows(table), fmt)
-    for marker in ("-0.0", "5e-324", '"nan"' if fmt == "json" else "nan"):
+    for marker in ("-0.0", "5e-324", '"nan"' if fmt == "json" else "nan",
+                   '"-inf"' if fmt == "json" else "-inf"):
         assert marker in text
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_a_nearly_all_distinct_column_keeps_zero_signs_and_nonfinite_texts(fmt):
-    assert_special_texts(SPECIAL_COLUMN + [1.0 + k / 7.0 for k in range(20)] + SPECIAL_COLUMN, fmt)
+    assert_special_texts(np.array(SPECIAL_COLUMN + [1.0 + k / 7.0 for k in range(20)]
+                                  + SPECIAL_COLUMN), fmt)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_a_mostly_repeated_column_keeps_zero_signs_and_nonfinite_texts(fmt):
-    assert_special_texts((SPECIAL_COLUMN + [1.5]) * 5, fmt)
+    assert_special_texts(np.array((SPECIAL_COLUMN + [1.5]) * 5), fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_factored_column_keeps_zero_signs_and_nonfinite_texts(fmt):
+    # both zeros and both nans are values of their own, each repeated out of order
+    index = np.array([6, 0, 1, 1, 0, 2, 3, 4, 5, 2, 0, 3, 7, 7])
+    assert_special_texts((np.array(SPECIAL_COLUMN + [1.5]), index), fmt)
+
+
+def column_at_the_cut(rows: int, extra: int) -> np.ndarray:
+    """A float column of rows values with cli.TABLE_REPEATS + rows // 12 + extra
+    repeats by the sorted-neighbour count: -0.0 repeats 0.0, the others repeat
+    random distinct values, and a nan repeats nothing."""
+    repeats = cli.TABLE_REPEATS + rows // 12 + extra
+    rng = np.random.default_rng(rows)
+    distinct = np.concatenate([[0.0, math.nan], rng.uniform(-3.0, 3.0, rows - repeats - 2)])
+    column = np.concatenate([distinct, [-0.0], rng.choice(distinct[2:], repeats - 1)])
+    rng.shuffle(column)
+    return column
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("rows", [30, 40, 64, 121, 361, 1681])
+def test_columns_on_each_side_of_the_table_cut_write_the_row_writer_bytes(rows, fmt):
+    for extra, pays in ((0, False), (1, True)):
+        column = column_at_the_cut(rows, extra)
+        assert cli._table_pays(column) is pays
+        table = {"x": column, "n": np.arange(rows)}
+        assert written(emit, table, fmt) == written(row_emit, as_rows(table), fmt)
+    # too few rows to hold the cut's repeats, and repeated nans, which the count
+    # does not see as repeats
+    assert not cli._table_pays(np.zeros(cli.TABLE_REPEATS))
+    assert not cli._table_pays(np.full(200, math.nan))
+    assert cli._table_pays(np.zeros(cli.TABLE_REPEATS + 4))  # 27 repeats of 28 rows
+
+
+def scaled_outcome(columns, scale):
+    try:
+        return [repr(value) for value in expanded(cli._scaled(columns, {"x"}, scale)["x"])]
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(floats, min_size=1, max_size=8), st.data(),
+       st.sampled_from([2.5, 0.5, 1e300, 1e-300, 5e-324, 1.7976931348623157e308]))
+def test_a_scaled_factored_column_names_the_value_of_its_first_row_out_of_range(values, data,
+                                                                               scale):
+    index = np.array(data.draw(st.lists(st.integers(0, len(values) - 1), min_size=1,
+                                        max_size=30)), dtype=np.intp)
+    values = np.array(values, dtype=np.float64)
+    factored = scaled_outcome({"x": (values, index)}, scale)
+    assert factored == scaled_outcome({"x": values[index]}, scale)
 
 
 def test_emit_rejects_columns_of_unequal_length():
@@ -237,6 +308,29 @@ def test_every_command_writes_its_columns_as_the_row_writer_would(args, fmt, tmp
     assert out.read_bytes() == expected.read_bytes()
 
 
+def is_normal(value: float) -> bool:
+    return sys.float_info.min <= abs(value) <= sys.float_info.max
+
+
+@pytest.mark.parametrize("grid, scale", [
+    ("1,1e10,1,2,5", 1e300),  # T2 overflows from its second value on
+    ("1,2,1,1e10,5", 1e300),  # T3 overflows in each block of rows, T2 nowhere
+    ("2,6,2,10,5", 5e-324),  # every temperature turns subnormal
+])
+def test_a_rejected_delta_scale_on_phase_diagram_names_its_first_row_out_of_range(grid, scale,
+                                                                                 capsys):
+    """The first column with a row that leaves the normal float range, and the
+    value of its first such row, as the row-by-row check named them."""
+    assert main(["phase-diagram", f"--grid={grid}", f"--delta-scale={scale!r}"]) == 1
+    t2_min, t2_max, t3_min, t3_max, steps = (float(part) for part in grid.split(","))
+    columns = scan_phase_diagram((t2_min, t2_max), (t3_min, t3_max), int(steps))
+    name, value = next((name, value) for name, column in zip(("T2", "T3", "dQ1"), columns)
+                       for value in column.tolist()
+                       if is_normal(value) and not is_normal(value * scale))
+    assert capsys.readouterr().err == (f"error: delta-scale {scale!r} takes {name} = {value!r} "
+                                       "out of the normal float range\n")
+
+
 def phase_diagram_rows(t2_range, t3_range, steps, base):
     """The rows the phase-diagram command wrote from scan_phase_diagram's cells."""
     columns = scan_phase_diagram(t2_range, t3_range, steps, base=base)
@@ -270,3 +364,20 @@ def test_sweeps_write_the_rows_of_the_per_cell_builders(grid, fmt, tmp_path):
         assert main([command, *argv, "--out", str(out)]) == 0
         row_emit(rows, fmt, str(expected), cli._meta(cli.parse_config([command, *argv])))
         assert out.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cycles_writes_each_angle_in_a_block_of_rows_from_cycle_0(fmt, tmp_path):
+    thetas, n_cycles = (0.3, -0.0, 1.1, 0.3), 7
+    base = FridgeConfig(T1=2.5)
+    columns = run_cycles(base, n_cycles, thetas)._asdict()
+    del columns["n"]
+    rows = [{"n": row % (n_cycles + 1), "theta": thetas[row // (n_cycles + 1)],
+             **{name: column[row] for name, column in columns.items()}}
+            for row in range(len(thetas) * (n_cycles + 1))]
+    argv = ["cycles", f"--cycles={n_cycles}", "--t1=2.5",
+            "--theta=" + ",".join(map(repr, thetas)), "--format", fmt]
+    out, expected = tmp_path / "artifact", tmp_path / "expected"
+    assert main([*argv, "--out", str(out)]) == 0
+    row_emit(rows, fmt, str(expected), cli._meta(cli.parse_config(argv)))
+    assert out.read_bytes() == expected.read_bytes()
