@@ -230,6 +230,12 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
                                                           argparse.Namespace(command=argv[0])))
         else:
             namespace = vars(parser.parse_args(argv))
+        # argparse reads --flag=-- as an empty list, not a value: report it as
+        # argparse reports a flag given none
+        empty = [key for key, text in namespace.items() if isinstance(text, list)]
+        if empty:
+            option = next(flag for flag, key in _BCS_FLAGS.items() if key == empty[0])
+            parser.error(f"argument {option}: expected one argument")
     entries = _read_config_file(namespace["config"]) if namespace["config"] else []
     entries += [(key, "argument --" + key.replace("_", "-"), text)
                 for key, text in namespace.items() if key in _READERS and text is not None]
@@ -475,7 +481,7 @@ COMMANDS = tuple(_COMMANDS)
 def run(cfg: RunConfig) -> int:
     """Dispatch one command; returns the process exit code."""
     if cfg.command == "verify-decomposition":
-        sequences = [compile_exchange(theta, cfg.g) for theta in cfg.theta]
+        sequences = compile_exchange(cfg.theta, cfg.g)
         fidelities = verify(sequences)
         for theta, fidelity in zip(cfg.theta, fidelities):
             print(f"theta={theta!r} fidelity={fidelity!r}", file=sys.stderr)

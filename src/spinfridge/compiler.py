@@ -16,16 +16,19 @@ pairwise couplings.
 
 Only the four core pulses depend on theta, and they take two generators:
 three terms carry +1/4 and one -1/4, so a compile builds two core steps,
-diagonal (+-theta/4 IZZ) and so exponentiated in closed form by herm_exp,
-and places each in every block of its sign.  The basis changes and the
-fixed rotations and ZZ pulses around each core are built once per process,
-on first use, and every compiled sequence shares them.
+diagonal (+-theta/4 IZZ) and so exponentiated in closed form, and places
+each in every block of its sign.  The basis changes and the fixed rotations
+and ZZ pulses around each core are built once per process, on first use,
+as a template sequence with its distinct steps and layout; every compiled
+sequence shares them, and a compile of many angles builds all their cores
+in one stacked pass.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -34,11 +37,12 @@ import numpy as np
 from .linalg import (
     HADAMARD,
     HADAMARD_Y,
+    HERMITIAN_TOL,
     DensityMatrix,
     Operator,
     PauliString,
     canonical_chain,
-    eigh_exp,
+    diagonal_exp,
     embed_single,
     herm_exp,
     pauli_matrix,
@@ -68,6 +72,15 @@ class GateStep:
         if not self.duration > 0.0:
             raise ValueError("gate duration must be positive")
         object.__setattr__(self, "_unitary", unitary)
+
+    @classmethod
+    def _exponentiated(cls, label: str, generator: Operator, unitary: Operator) -> GateStep:
+        """A unit-duration step whose generator the caller has checked and
+        exponentiated as __post_init__ would (compile_exchange does both for
+        all its cores at once)."""
+        step = object.__new__(cls)
+        step.__dict__.update(label=label, generator=generator, duration=1.0, _unitary=unitary)
+        return step
 
     def unitary(self) -> Operator:
         """exp(-i*generator), computed once when the step is built."""
@@ -105,6 +118,24 @@ class CompiledSequence:
         layout.setflags(write=False)
         return layout
 
+    def _with_distinct(self, theta: float, swaps: dict[int, GateStep]) -> CompiledSequence:
+        """This sequence at another theta, with distinct[i] replaced by swaps[i],
+        new step objects of the same dimension: the checks of __post_init__,
+        and the layout, hold as they are."""
+        distinct = list(self.distinct)
+        for index, step in swaps.items():
+            distinct[index] = step
+        seq = object.__new__(CompiledSequence)
+        seq.__dict__.update(steps=self._lay_out(distinct), theta=theta,
+                            term_boundaries=self.term_boundaries,
+                            distinct=tuple(distinct), layout=self.layout)
+        return seq
+
+    @functools.cached_property
+    def _lay_out(self) -> operator.itemgetter:
+        """The steps of any list of distinct steps, laid out as this sequence's."""
+        return operator.itemgetter(*self.layout.tolist())
+
     def blocks(self) -> list[tuple[GateStep, ...]]:
         starts = (0,) + self.term_boundaries[:-1]
         return [self.steps[a:b] for a, b in zip(starts, self.term_boundaries)]
@@ -133,9 +164,11 @@ def _pauli_step(label: str, letters: str, angle: float) -> GateStep:
 
 
 @functools.lru_cache(maxsize=1)
-def _core_frame() -> tuple[tuple[GateStep, ...], tuple[GateStep, ...], np.ndarray]:
-    """The fixed pulses before and after the ZZ core of every block, and the
-    unscaled Z@2 Z@3 product that the core scales by its angle."""
+def _template() -> tuple[CompiledSequence, list[tuple[int, str, float]], np.ndarray]:
+    """The sequence at theta = 0, built and checked as any, with its distinct
+    steps and layout formed; for each of its two cores, its index in distinct,
+    its label and the coefficient of the unit coupling (+-1/4, so the core's
+    generator is coeff * theta * IZZ); and the unscaled Z@2 Z@3 product."""
     quarter = math.pi / 4.0
     zz = _pauli_step("ZZ(pi/2)@12", "ZZI", quarter)
     ry = _pauli_step("Ry(pi/2)@2", "IYI", quarter)
@@ -148,33 +181,59 @@ def _core_frame() -> tuple[tuple[GateStep, ...], tuple[GateStep, ...], np.ndarra
     after = (ry, zz, _pauli_step("Rx(pi/2)@2", "IXI", quarter))
     izz = pauli_matrix("IZZ")
     izz.setflags(write=False)
-    return before, after, izz
-
-
-def compile_exchange(theta: float, g: float = 1.0) -> CompiledSequence:
-    """Forty-step pulse sequence realizing exp(-i*theta*exchange).
-
-    theta = g*t is the dimensionless evolution angle; pi/2 is a complete
-    population exchange and larger values simply wind further.  g only
-    fixes the physical time t = theta/g and does not enter the sequence.
-    """
-    check_theta(theta)
-    check_positive("coupling g", g)
-    before, after, izz = _core_frame()
     terms = exchange_pauli_terms(1.0)
-    # one core per distinct coeff of the unit coupling: +-1/4 makes it +-theta/4;
-    # its generator is pauli_to_operator(PauliString("IZZ", coeff * theta)), bit for bit
-    cores = {
-        coeff: GateStep(label=f"ZZ({'-' if coeff < 0 else ''}theta/2)@23",
-                        generator=Operator(coeff * theta * izz))
-        for coeff in dict.fromkeys(term.coeff for term in terms)
-    }
+    cores = {coeff: GateStep(label=f"ZZ({'-' if coeff < 0 else ''}theta/2)@23",
+                             generator=Operator(0.0 * izz))
+             for coeff in dict.fromkeys(term.coeff for term in terms)}
     steps: list[GateStep] = []
     for term in terms:  # one block per Pauli term
         basis = _basis_step(term.letters)
         steps.extend((basis, *before, cores[term.coeff], *after, basis))
     boundaries = tuple(BLOCK_SIZE * (k + 1) for k in range(N_BLOCKS))
-    return CompiledSequence(steps=tuple(steps), theta=theta, term_boundaries=boundaries)
+    template = CompiledSequence(steps=tuple(steps), theta=0.0, term_boundaries=boundaries)
+    slots = [(index, step.label, coeff) for index, step in enumerate(template.distinct)
+             for coeff, core in cores.items() if step is core]
+    return template, slots, izz
+
+
+def compile_exchange(theta: float | Sequence[float], g: float = 1.0):
+    """Forty-step pulse sequence realizing exp(-i*theta*exchange).
+
+    theta = g*t is the dimensionless evolution angle; pi/2 is a complete
+    population exchange and larger values simply wind further.  g only
+    fixes the physical time t = theta/g and does not enter the sequence.
+
+    ``theta`` is one angle, whose sequence comes back, or a list of angles,
+    whose sequences come back as a list.  Every angle's two cores are built
+    in one stacked pass, and each sequence is the template's with its cores
+    swapped in, so it shares the template's other steps and its layout.
+    """
+    single = np.ndim(theta) == 0
+    angles = [theta] if single else list(theta)
+    for angle in angles:
+        check_theta(angle)
+    check_positive("coupling g", g)
+    template, cores, izz = _template()
+    # gens[a, c] is core c's generator at angle a, coeff * theta * IZZ as
+    # pauli_to_operator(PauliString("IZZ", coeff * theta)) forms it, bit for bit
+    coeffs = np.array([coeff for _, _, coeff in cores])
+    gens = np.multiply.outer(np.array(angles, dtype=float), coeffs)[..., None, None] * izz
+    diagonals = gens.diagonal(axis1=-2, axis2=-1)
+    # GateStep's hermiticity check, stacked; a diagonal generator's exact
+    # exponential is herm_exp's closed form
+    herm_err = np.abs(gens - gens.conj().swapaxes(-2, -1)).max(initial=0.0)
+    if not (herm_err <= HERMITIAN_TOL and np.count_nonzero(gens) == np.count_nonzero(diagonals)):
+        raise ValueError("core generators must be Hermitian and diagonal")
+    units = diagonal_exp(diagonals.real, 1.0)
+    gens.setflags(write=False)
+    units.setflags(write=False)
+    sequences = []
+    for angle, angle_gens, angle_units in zip(angles, gens, units):
+        swaps = {index: GateStep._exponentiated(label, Operator._shared(gen),
+                                                Operator._shared(unit))
+                 for (index, label, _), gen, unit in zip(cores, angle_gens, angle_units)}
+        sequences.append(template._with_distinct(angle, swaps))
+    return sequences[0] if single else sequences
 
 
 @functools.lru_cache(maxsize=1)
@@ -192,12 +251,21 @@ def sequence_unitary(seqs: CompiledSequence | Sequence[CompiledSequence]):
 
     ``seqs`` is one sequence, whose product comes back as an Operator, or a
     list of sequences with equally many steps, whose products come back as a
-    list.  One loop runs over the steps of the whole list: a step object that
-    every sequence holds at a position multiplies all the products at once,
+    list.
+    """
+    batch = [seqs] if isinstance(seqs, CompiledSequence) else list(seqs)
+    products = [Operator(product) for product in _products(batch)]
+    return products[0] if isinstance(seqs, CompiledSequence) else products
+
+
+def _products(batch: list[CompiledSequence]) -> np.ndarray:
+    """The stack of the sequences' products, shape (len(batch), dim, dim).
+
+    One loop runs over the steps of the whole list: a step object that every
+    sequence holds at a position multiplies all the products at once,
     broadcast, and the others go stacked (numpy's broadcast and stacked matmul
     equal the per-matrix product bit for bit, which the test suite guards).
     """
-    batch = [seqs] if isinstance(seqs, CompiledSequence) else list(seqs)
     if len({len(seq.steps) for seq in batch}) != 1:
         raise ValueError("sequence_unitary needs one or more sequences of equal length")
     dim = batch[0].steps[0].generator.dim
@@ -207,8 +275,7 @@ def sequence_unitary(seqs: CompiledSequence | Sequence[CompiledSequence]):
             total = column[0].unitary().matrix @ total
         else:
             total = np.stack([step.unitary().matrix for step in column]) @ total
-    products = [Operator(product) for product in np.broadcast_to(total, (len(batch), dim, dim))]
-    return products[0] if isinstance(seqs, CompiledSequence) else products
+    return np.broadcast_to(total, (len(batch), dim, dim))
 
 
 def verify(seqs: CompiledSequence | Sequence[CompiledSequence]):
@@ -216,15 +283,19 @@ def verify(seqs: CompiledSequence | Sequence[CompiledSequence]):
 
     1.0 means the sequence equals the target up to a global phase.  As for
     sequence_unitary, ``seqs`` is one sequence (a float comes back) or a list
-    (a list of floats comes back), and one sequence_unitary call forms every
-    product.
+    (a list of floats comes back).  The products, the direct exponentials
+    (from one eigendecomposition of the coupling) and the overlap traces are
+    formed for the whole list as stacks, which equal the per-sequence
+    calls bit for bit (the test suite guards that).
     """
     batch = [seqs] if isinstance(seqs, CompiledSequence) else list(seqs)
-    fidelities = []
-    for seq, u_seq in zip(batch, sequence_unitary(batch)):
-        u_direct = eigh_exp(_exchange_eigh(), seq.theta)
-        overlap = np.trace(u_seq.matrix.conj().T @ u_direct.matrix)
-        fidelities.append(float(abs(overlap)) / u_seq.dim)
+    products = _products(batch)
+    w, v = _exchange_eigh()
+    thetas = np.array([seq.theta for seq in batch], dtype=float)
+    # eigh_exp at every angle: (v * exp(-i w theta)) @ v^H
+    direct = (v * np.exp(-1j * w * thetas[:, None])[:, None, :]) @ v.conj().T
+    overlaps = np.trace(products.conj().transpose(0, 2, 1) @ direct, axis1=1, axis2=2)
+    fidelities = [float(abs(overlap)) / products.shape[-1] for overlap in overlaps]
     return fidelities[0] if isinstance(seqs, CompiledSequence) else fidelities
 
 
@@ -264,10 +335,10 @@ def run_with_ledger(
     where the step was built (its unitary is herm_exp's), CompiledSequence
     their shared dimension, so only the state's and h_sys's are checked here.
     The distinct steps are stacked once and laid out per pulse by the
-    sequence's layout.  The states go through linalg.canonical_chain
-    (canonical_density per state, as DensityMatrix would, with the checks
-    stacked), and the four traces of every pulse are taken over the stacked
-    states at once.
+    sequence's layout.  Every state after rho0, the final one too, goes
+    through linalg.canonical_chain (canonical_density per state, as
+    DensityMatrix would, with the checks stacked), and the four traces of
+    every pulse are taken over the stacked states at once.
     """
     if h_sys.dim != rho0.dim or seq.steps[0].generator.dim != rho0.dim:
         raise ValueError("generator, state, and system Hamiltonian dimensions must agree")
@@ -275,10 +346,7 @@ def run_with_ledger(
     gens, units = np.array([step.generator.matrix for step in seq.distinct]
                            + [step.unitary().matrix for step in seq.distinct]
                            ).reshape(2, -1, rho0.dim, rho0.dim)
-    states = canonical_chain(rho0.matrix, units, seq.layout[:-1])
-    last = units[seq.layout[-1]]
-    final = DensityMatrix(last @ states[-1] @ last.conj().T)
-    rhos = np.concatenate((states, final.matrix[None]))
+    rhos = canonical_chain(rho0.matrix, units, seq.layout)
     durations = np.array([step.duration for step in seq.distinct])
     h_total = gens * (1.0 / durations).astype(complex)[:, None, None]
     h_control = h_total - h_sys.matrix
@@ -293,4 +361,5 @@ def run_with_ledger(
     dw2 = -traces(after, h_control)
     net = dw1 + dq1 + dw2
     cumulative = np.cumsum(np.concatenate(([0.0], net)))[1:]  # 0.0 + net first, as the loop
+    final = DensityMatrix._of_canonical(rhos[-1])  # canonical_chain has checked it
     return final, LedgerColumns(np.arange(1, len(seq.steps) + 1), dw1, dq1, dw2, net, cumulative)

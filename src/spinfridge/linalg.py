@@ -49,6 +49,14 @@ class Operator:
         mat.setflags(write=False)
         self._mat = mat
 
+    @classmethod
+    def _shared(cls, mat: np.ndarray) -> Operator:
+        """An Operator over mat itself, not a copy: a read-only complex square
+        array of a valid dimension, such as one matrix of a read-only stack."""
+        op = object.__new__(cls)
+        op._mat = mat
+        return op
+
     @property
     def matrix(self) -> np.ndarray:
         """Read-only view of the underlying matrix."""
@@ -211,7 +219,7 @@ def positivity_certified(rho: np.ndarray, unitaries: np.ndarray, n: int) -> bool
         a > 2 n (3 (d + 2) sqrt(d) + 3 d^2 + 8) u
     keeps every state PD with trace below (1 + gamma_2)/(1 - gamma_d) <
     1.01, as supposed, and every computed smallest eigenvalue positive.  At
-    d = 8 and n = 39 the bound is 2.5e-12.  The 1000-fold margin covers a
+    d = 8 and n = 40 the bound is 2.5e-12.  The 1000-fold margin covers a
     p(d) above d^2; underflow adds at most 2^-1074 per entry, far below it.
     """
     dim = rho.shape[0]
@@ -232,6 +240,14 @@ class DensityMatrix:
     def __init__(self, matrix) -> None:
         op = matrix if isinstance(matrix, Operator) else Operator(matrix)
         self._op = Operator(canonical_density(op.matrix))
+
+    @classmethod
+    def _of_canonical(cls, mat: np.ndarray) -> DensityMatrix:
+        """The DensityMatrix of a matrix that canonical_density or
+        canonical_chain has already put in canonical form, not checked again."""
+        rho = object.__new__(cls)
+        rho._op = Operator(mat)
+        return rho
 
     @property
     def op(self) -> Operator:
@@ -367,8 +383,18 @@ def herm_exp(h: Operator, t: float) -> Operator:
         raise ValueError("herm_exp requires a Hermitian generator")
     mat = h.matrix
     if _is_diagonal(mat):
-        return Operator(np.diag(np.exp(-1j * t * mat.diagonal().real)))
+        return Operator(diagonal_exp(mat.diagonal().real, t))
     return eigh_exp(np.linalg.eigh(mat), t)
+
+
+def diagonal_exp(diagonals: np.ndarray, t: float) -> np.ndarray:
+    """diag(exp(-i*t*d)) for each real diagonal d of a stack, shape (..., dim):
+    the exact exponential of each generator with no off-diagonal entry."""
+    phases = np.exp(-1j * t * diagonals)
+    dim = phases.shape[-1]
+    unitaries = np.zeros(phases.shape + (dim,), dtype=complex)
+    unitaries[..., np.arange(dim), np.arange(dim)] = phases
+    return unitaries
 
 
 def evolve(rho: DensityMatrix, u: Operator) -> DensityMatrix:

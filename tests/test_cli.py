@@ -150,7 +150,9 @@ PARSE_CASES = (
     (["--nope"], 1), (["--nope=1", "--t1=3"], 1), (["--e=1"], 1), (["stray"], 1),
     (["--", "stray"], 1), (["-h"], 0), (["--he"], 0), (["--t1=3", "-h"], 0), (["--config"], 1),
     (["--t3=8", "--t3=9", "--format", "json"], None), (["--theta", "-2.4"], None), (["--out="], None),
-    (["--config="], None), (["--out=--"], None),
+    (["--config="], None),
+    # argparse reads --flag=-- as an empty list, for every key
+    *(([f"{flag}=--"], None if flag in cli._FLAGS else "bcs") for flag in cli._BCS_FLAGS),
 )
 
 
@@ -191,6 +193,25 @@ def test_each_command_parses_as_the_top_level_parser_would(command, monkeypatch)
             patch.setattr(cli, "_exact_flags", lambda command, args: None)
             patch.setattr(cli, "_parser", lambda: (parser, {}))
             assert outcome(lambda: parse_config(argv)) == dispatched, argv
+        if code is None and args and args[0].endswith("=--"):  # a flag of the command given no value
+            flag = args[0][:-len("=--")]
+            assert dispatched == (("exit", 1), "", f"error: argument {flag}: expected one argument\n")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_flag_read_as_no_value_exits_1_with_one_line(command, tmp_path, monkeypatch):
+    """--flag=-- fails as --flag with no value does, on the exact-flag path and
+    the argparse path alike, and writes no artifact."""
+    monkeypatch.chdir(tmp_path)
+    for flag in cli._BCS_FLAGS if command == "bcs" else cli._FLAGS:
+        other = "--g=2" if flag != "--g" else "--t1=3"  # an exact flag of another key
+        want = outcome(lambda: main([command, flag]))
+        assert want == (1, "", f"error: argument {flag}: expected one argument\n")
+        assert outcome(lambda: main([command, other, f"{flag}=--"])) == want, flag
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_exact_flags", lambda command, args: None)
+            assert outcome(lambda: main([command, f"{flag}=--", other])) == want, flag
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.fixture(scope="module")
@@ -204,13 +225,13 @@ def config_files(tmp_path_factory):
 
 
 # per flag, values that parse, values that the key's reader or rule rejects,
-# an empty value, and values that start with '-'
+# and values that start with '-' (flag_args adds an empty value and '--')
 FLAG_VALUES = {
     "--e1": ["1", "0.5", "-1"], "--e2": ["3", "2.5", "x"], "--e3": ["2", "0"],
     "--t1": ["3", "-3", "inf"], "--t2": ["2.5", "nan"], "--t3": ["8", "12", "-0.5"],
     "--g": ["2", "0"], "--theta": ["0.5", "0.3,1.1", "-2.4", "-2.4,0.7", "inf", ","],
     "--cycles": ["3", "12", "0", "1.5"], "--grid": ["2,6,2,10,5", "1,5,3,9", "2,6,2,10,1"],
-    "--seed": ["4", "-1"], "--out": ["a.csv", "-", "--", "b c"], "--format": ["json", "csv", "xml"],
+    "--seed": ["4", "-1"], "--out": ["a.csv", "-", "b c"], "--format": ["json", "csv", "xml"],
     "--delta-scale": ["2.5", "inf", "-2"], "--bits": ["4000", "3"], "--epsilon0": ["0.2", "1.0"],
     "--rounds": ["2", "-1"], "--config": ["good", "bad", "missing"],
 }
@@ -226,8 +247,8 @@ def flag_args(draw, config_files):
     args = []
     for _ in range(draw(st.integers(0, 4))):
         flag = draw(st.sampled_from(list(FLAG_VALUES)))
-        value = draw(st.sampled_from(FLAG_VALUES[flag] + [""]))
-        if flag == "--config" and value:
+        value = draw(st.sampled_from(FLAG_VALUES[flag] + ["", "--"]))
+        if flag == "--config" and value in config_files:
             value = config_files[value]
         args += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
         if draw(st.integers(0, 9)) == 0:

@@ -138,6 +138,29 @@ def test_broadcast_and_stacked_matmul_are_the_per_matrix_matmul(rng):
         assert (left @ right).tobytes() == np.stack([a @ b for a, b in zip(left, right)]).tobytes()
 
 
+def test_stacked_exponentials_and_traces_are_the_per_matrix_calls(rng):
+    """verify forms the direct exponentials (v * exp(-i w theta)) @ v^H, the
+    products U^H D and their traces for a whole list as stacks, which is verify
+    per sequence only while numpy's stacked calls equal the per-matrix ones bit
+    for bit; this guard fails, rather than verify drifting, if a numpy or BLAS
+    update breaks that."""
+    w, v = np.linalg.eigh(oracles.random_hermitian(rng, 8))
+    for count in range(1, 9):
+        thetas = rng.normal(size=count) * 10.0 ** rng.uniform(-3.0, 3.0, size=count)
+        phases = np.exp(-1j * w * thetas[:, None])
+        assert phases.tobytes() == np.stack([np.exp(-1j * w * float(t)) for t in thetas]).tobytes()
+        direct = (v * phases[:, None, :]) @ v.conj().T
+        assert direct.tobytes() == np.stack([(v * p) @ v.conj().T for p in phases]).tobytes()
+        shared = oracles.random_unitary(rng, 8)
+        for products in (np.stack([oracles.random_unitary(rng, 8) for _ in range(count)]),
+                         np.broadcast_to(shared, (count, 8, 8))):
+            overlaps = products.conj().transpose(0, 2, 1) @ direct
+            assert overlaps.tobytes() == np.stack(
+                [np.array(u).conj().T @ d for u, d in zip(products, direct)]).tobytes()
+            traces = np.trace(overlaps, axis1=1, axis2=2)
+            assert traces.tobytes() == np.array([np.trace(m) for m in overlaps]).tobytes()
+
+
 @pytest.mark.parametrize("count", range(1, 9))
 def test_verify_over_a_list_is_verify_per_sequence(count):
     thetas = (0.0, -0.0, math.pi, -math.pi, 0.7, -2.4, 12.5, math.pi / 2.0)[-count:]
@@ -158,6 +181,9 @@ def test_verify_over_a_list_is_verify_per_sequence(count):
     assert [sequence_unitary(seq).matrix.tobytes() for seq in seqs] == [
         loop_product(seq).tobytes() for seq in seqs]
     assert isinstance(verify(seqs[0]), float) and got[0] == verify(seqs[0])
+    # the sequences of one list compile verify as those compiled one at a time
+    batch = compile_exchange(thetas)
+    assert repr(verify(batch)) == repr([verify(compile_exchange(theta)) for theta in thetas])
 
 
 def test_verify_takes_sequences_of_equal_length():
@@ -301,16 +327,16 @@ def fresh_ledger(seq, rho0, h_sys):
 
 
 def first_clamped_state(seq, rho0):
-    """Index of the first of the 39 intermediate states of the per-pulse loop
-    whose symmetrized matrix has a negative eigenvalue (39 if none has)."""
+    """Index of the first of the 40 states after rho0 of the per-pulse loop
+    whose symmetrized matrix has a negative eigenvalue (40 if none has)."""
     rho = rho0.matrix
-    for index, step in enumerate(seq.steps[:-1]):
+    for index, step in enumerate(seq.steps):
         u = step.unitary().matrix
         mat = u @ rho @ u.conj().T
         if np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)[0] < 0.0:
             return index
         rho = canonical_density(mat)
-    return len(seq.steps) - 1
+    return len(seq.steps)
 
 
 def fold_matches_the_loop(cfg, theta):
@@ -328,15 +354,15 @@ def fold_matches_the_loop(cfg, theta):
         want = [getattr(entry, name) for entry in want_entries]
         assert column.tolist() == want and repr(column.tolist()) == repr(want)
     assert final.matrix.tobytes() == want_final.matrix.tobytes()
-    # the final state's own check, and one stacked check of the 39 states
-    # unless the positivity certificate holds; the fallback checks again, one
-    # at a time, the states from the first that needs a clamp on
+    # one stacked check of the 40 states, the final one too, unless the
+    # positivity certificate holds; the fallback checks again, one at a time,
+    # the states from the first that needs a clamp on
     distinct = np.stack([step.unitary().matrix for step in seq.distinct])
-    stacked = 0 if positivity_certified(rho0.matrix, distinct, 39) else 1
+    stacked = 0 if positivity_certified(rho0.matrix, distinct, 40) else 1
     per_state = sum(call.args[0].ndim == 2 for call in checks.call_args_list)
     first = first_clamped_state(seq, rho0)
-    assert checks.call_count == per_state + stacked and per_state == 1 + 39 - first
-    return clamps.call_count, first < 39
+    assert checks.call_count == per_state + stacked and per_state == 40 - first
+    return clamps.call_count, first < 40
 
 
 def high_e_over_t_configs(count, seed):
@@ -437,16 +463,16 @@ def test_the_positivity_certificate_never_covers_a_negative_eigenvalue(e1, e3, l
     """E/T per spin from 1e-3 to 700: wherever the certificate lets the chain
     skip its stacked eigvalsh, no symmetrized state has a negative one.  Over
     the 11 distinct unitaries of the sequence, as the chain checks them, it
-    decides as over the 39 the chain applies."""
+    decides as over the 40 the chain applies."""
     gaps = (e1, e1 + e3, e3)
     temps = [gap / 10.0**ratio for gap, ratio in zip(gaps, log_ratios)]
     seq, rho0 = compile_exchange(theta), initial_state(FridgeConfig(*gaps, *temps))
-    units = np.stack([step.unitary().matrix for step in seq.steps[:-1]])
+    units = np.stack([step.unitary().matrix for step in seq.steps])
     distinct = np.stack([step.unitary().matrix for step in seq.distinct])
-    certified = positivity_certified(rho0.matrix, distinct, 39)
-    assert len(distinct) == 11 and positivity_certified(rho0.matrix, units, 39) == certified
+    certified = positivity_certified(rho0.matrix, distinct, 40)
+    assert len(distinct) == 11 and positivity_certified(rho0.matrix, units, 40) == certified
     if certified:
-        assert first_clamped_state(seq, rho0) == 39
+        assert first_clamped_state(seq, rho0) == 40
 
 
 def test_the_positivity_certificate_needs_a_diagonal_state_unitaries_and_a_margin():
@@ -504,9 +530,78 @@ def test_compiling_many_angles_grows_no_cache():
 
     verify(compile_exchange(0.0))
     before = cache_sizes()
-    # the four basis changes, the one frame of fixed pulses around the core and
-    # the one eigendecomposition verify exponentiates
+    # the four basis changes, the one template of fixed pulses around the cores
+    # and the one eigendecomposition verify exponentiates
     assert sum(before.values()) == 6
     for theta in np.linspace(-10.0, 10.0, 1000):
         verify(compile_exchange(float(theta)))
     assert cache_sizes() == before
+    assert len(verify(compile_exchange(np.linspace(-10.0, 10.0, 1000)))) == 1000
+    assert cache_sizes() == before
+
+
+EDGE_ANGLES = (0.0, -0.0, math.pi, -math.pi, 12.5, 1e-300, 5e-324, -5e-324)
+
+
+def stepwise_compile(theta):
+    """compile_exchange(theta) with each core built as a GateStep, which
+    exponentiates pauli_to_operator's generator through herm_exp."""
+    seq = compile_exchange(theta)
+    cores = {}
+    for step in seq.steps[CORE::10]:
+        coeff = -0.25 if step.label.startswith("ZZ(-") else 0.25
+        cores[id(step)] = GateStep(label=step.label,
+                                   generator=pauli_to_operator(PauliString("IZZ", coeff * theta)))
+    steps = tuple(cores.get(id(step), step) for step in seq.steps)
+    return spinfridge.CompiledSequence(steps, theta, seq.term_boundaries)
+
+
+def step_bytes(seq):
+    return [(step.label, step.duration, step.generator.matrix.tobytes(),
+             step.unitary().matrix.tobytes()) for step in seq.steps]
+
+
+def identity_pattern(seq):
+    """For each step, the position of its first occurrence in the sequence."""
+    first = {}
+    return [first.setdefault(id(step), index) for index, step in enumerate(seq.steps)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(EDGE_ANGLES),
+                          st.floats(allow_nan=False, allow_infinity=False)),
+                min_size=1, max_size=8))
+def test_a_list_compile_is_the_per_angle_compile(angles):
+    """compile_exchange of a list builds every core stacked, in closed form, and
+    swaps them into the template; each sequence equals the per-angle compile
+    and the one built a GateStep at a time, byte for byte."""
+    batch = compile_exchange(angles)
+    assert isinstance(batch, list) and len(batch) == len(angles)
+    for angle, seq in zip(angles, batch):
+        single = compile_exchange(angle)
+        assert seq.theta is angle and seq.term_boundaries == single.term_boundaries
+        assert step_bytes(seq) == step_bytes(single) == step_bytes(stepwise_compile(angle))
+        assert identity_pattern(seq) == identity_pattern(single)
+        for index, (step, other) in enumerate(zip(seq.steps, single.steps)):
+            assert (step is other) == (index % 10 != CORE)  # the frame is shared, the cores not
+        # distinct and layout carried over from the template are those formed afresh
+        fresh = spinfridge.CompiledSequence(seq.steps, seq.theta, seq.term_boundaries)
+        assert all(a is b for a, b in zip(seq.distinct, fresh.distinct, strict=True))
+        assert seq.layout.tolist() == fresh.layout.tolist() == single.layout.tolist()
+        assert not seq.layout.flags.writeable
+    # every entry has cores of its own, repeated angles too
+    cores = [id(step) for seq in batch for step in seq.distinct if step.label.startswith("ZZ(")
+             and "theta" in step.label]
+    assert len(set(cores)) == len(cores) == 2 * len(angles)
+
+
+def test_a_bad_angle_in_a_list_is_rejected_by_name():
+    for bad, text in ((math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")):
+        with pytest.raises(ValueError, match=f"^theta must be finite, got {text}$"):
+            compile_exchange([0.3, bad, 0.7])
+    # the first bad angle is named, and the angles are checked before the coupling
+    with pytest.raises(ValueError, match="^theta must be finite, got inf$"):
+        compile_exchange([0.1, math.inf, math.nan], g=0.0)
+    with pytest.raises(ValueError, match="^coupling g must be positive and finite, got 0.0$"):
+        compile_exchange([0.1, 0.2], g=0.0)
+    assert compile_exchange([]) == []
