@@ -485,10 +485,9 @@ def run(cfg: RunConfig) -> int:
         fidelities = verify(sequences)
         for theta, fidelity in zip(cfg.theta, fidelities):
             print(f"theta={theta!r} fidelity={fidelity!r}", file=sys.stderr)
-        steps = sequences[0].steps
-        listing = {"index": np.arange(1, len(steps) + 1),
-                   "label": [s.label for s in steps],
-                   "duration": np.array([s.duration for s in steps])}
+        seq = sequences[0]
+        listing = {"index": np.arange(1, len(seq.labels) + 1), "label": list(seq.labels),
+                   "duration": seq.durations[seq.layout]}
         emit(listing, cfg.format, cfg.out, _meta(cfg))
         return 0 if min(fidelities) >= FIDELITY_GATE else 1
 

@@ -9,26 +9,24 @@ around a central ZZ(theta/2) pulse on qubits 2 and 3, and the basis change
 again.  Four blocks of ten give the forty-step sequence; the blocks
 commute, so their order is irrelevant.
 
-Every step stores a Hermitian generator G with unit duration, realizing
-the unitary exp(-i G), which it computes once.  All generators are sums of
-one- and two-qubit terms, so the sequence is directly implementable with
-pairwise couplings.
+Every pulse has a Hermitian generator G with unit duration, realizing the
+unitary exp(-i G).  All generators are sums of one- and two-qubit terms,
+so the sequence is directly implementable with pairwise couplings.
 
+A compiled sequence holds read-only stacks of its 11 distinct pulses'
+generators and unitaries, and lays them out over its 40 steps by index.
 Only the four core pulses depend on theta, and they take two generators:
-three terms carry +1/4 and one -1/4, so a compile builds two core steps,
-diagonal (+-theta/4 IZZ) and so exponentiated in closed form, and places
-each in every block of its sign.  The basis changes and the fixed rotations
-and ZZ pulses around each core are built once per process, on first use,
-as a template sequence with its distinct steps and layout; every compiled
-sequence shares them, and a compile of many angles builds all their cores
-in one stacked pass.
+three terms carry +1/4 and one -1/4, so two rows of the stacks are cores,
+diagonal (+-theta/4 IZZ) and so exponentiated in closed form.  The other
+rows come from a template built once per process, on first use, from
+checked GateSteps; a compile copies its stacks and writes the core rows of
+every angle, formed in one stacked pass.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -73,72 +71,69 @@ class GateStep:
             raise ValueError("gate duration must be positive")
         object.__setattr__(self, "_unitary", unitary)
 
-    @classmethod
-    def _exponentiated(cls, label: str, generator: Operator, unitary: Operator) -> GateStep:
-        """A unit-duration step whose generator the caller has checked and
-        exponentiated as __post_init__ would (compile_exchange does both for
-        all its cores at once)."""
-        step = object.__new__(cls)
-        step.__dict__.update(label=label, generator=generator, duration=1.0, _unitary=unitary)
-        return step
-
     def unitary(self) -> Operator:
         """exp(-i*generator), computed once when the step is built."""
         return self._unitary
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class CompiledSequence:
-    """Ordered pulse list with the block structure of the four Pauli terms."""
+    """Ordered pulse list with the block structure of the four Pauli terms.
 
-    steps: tuple[GateStep, ...]
+    Its pulses are rows of read-only stacks: ``generators`` and ``unitaries``,
+    shape (rows, dim, dim), each unitary herm_exp's of its generator, and
+    ``durations``.  Step k applies row ``layout[k]`` and is named
+    ``labels[k]``.  Built from GateSteps, each step has a row of its own; a
+    compiled exchange has 11 rows (4 basis changes, 5 frame pulses and 2
+    cores) laid out over 40 steps.
+    """
+
+    generators: np.ndarray = field(repr=False)
+    unitaries: np.ndarray = field(repr=False)
+    durations: np.ndarray = field(repr=False)
+    layout: np.ndarray = field(repr=False)
+    labels: tuple[str, ...]
     theta: float
     term_boundaries: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        dims = sorted({step.generator.dim for step in self.steps})
+    def __init__(self, steps: Sequence[GateStep], theta: float,
+                 term_boundaries: Sequence[int]) -> None:
+        steps, boundaries = tuple(steps), tuple(term_boundaries)
+        dims = sorted({step.generator.dim for step in steps})
         if len(dims) > 1:
             raise ValueError(f"sequence steps must share one dimension, got {dims}")
-        if self.term_boundaries[-1] != len(self.steps):
+        if not boundaries or boundaries[-1] != len(steps):
             raise ValueError("term boundaries must end at the final step")
-        if any(b - a <= 0 for a, b in zip((0,) + self.term_boundaries, self.term_boundaries)):
+        if any(b - a <= 0 for a, b in zip((0,) + boundaries, boundaries)):
             raise ValueError("term boundaries must be strictly increasing")
+        stacks = (np.array([step.generator.matrix for step in steps]),
+                  np.array([step.unitary().matrix for step in steps]),
+                  np.array([step.duration for step in steps], dtype=float),
+                  np.arange(len(steps)))
+        for stack in stacks:
+            stack.setflags(write=False)
+        self.__dict__.update(zip(("generators", "unitaries", "durations", "layout"), stacks),
+                             labels=tuple(step.label for step in steps), theta=theta,
+                             term_boundaries=boundaries)
 
-    @functools.cached_property
-    def distinct(self) -> tuple[GateStep, ...]:
-        """Each step object once, in order of first use: a compiled exchange
-        has 11 (4 basis changes, 5 frame pulses and 2 cores)."""
-        return tuple({id(step): step for step in self.steps}.values())
-
-    @functools.cached_property
-    def layout(self) -> np.ndarray:
-        """The index of every step in ``distinct``: steps[k] is distinct[layout[k]]."""
-        position = {id(step): index for index, step in enumerate(self.distinct)}
-        layout = np.array([position[id(step)] for step in self.steps])
-        layout.setflags(write=False)
-        return layout
-
-    def _with_distinct(self, theta: float, swaps: dict[int, GateStep]) -> CompiledSequence:
-        """This sequence at another theta, with distinct[i] replaced by swaps[i],
-        new step objects of the same dimension: the checks of __post_init__,
-        and the layout, hold as they are."""
-        distinct = list(self.distinct)
-        for index, step in swaps.items():
-            distinct[index] = step
+    def _with(self, **changes) -> CompiledSequence:
+        """This sequence with some fields replaced, unchecked: every row of the
+        stacks must stay a generator and its herm_exp unitary, as the rows of a
+        built sequence or the cores compile_exchange has checked stacked."""
         seq = object.__new__(CompiledSequence)
-        seq.__dict__.update(steps=self._lay_out(distinct), theta=theta,
-                            term_boundaries=self.term_boundaries,
-                            distinct=tuple(distinct), layout=self.layout)
+        seq.__dict__.update(self.__dict__, **changes)
         return seq
 
-    @functools.cached_property
-    def _lay_out(self) -> operator.itemgetter:
-        """The steps of any list of distinct steps, laid out as this sequence's."""
-        return operator.itemgetter(*self.layout.tolist())
+    @property
+    def steps(self) -> tuple[GateStep, ...]:
+        """The steps as GateSteps, built afresh on every call."""
+        return tuple(GateStep(label, Operator(self.generators[row]), float(self.durations[row]))
+                     for label, row in zip(self.labels, self.layout))
 
     def blocks(self) -> list[tuple[GateStep, ...]]:
+        steps = self.steps
         starts = (0,) + self.term_boundaries[:-1]
-        return [self.steps[a:b] for a, b in zip(starts, self.term_boundaries)]
+        return [steps[a:b] for a, b in zip(starts, self.term_boundaries)]
 
 
 # exp(-i * _H_GEN) equals the Hadamard exactly (phase included); same for H_y
@@ -146,7 +141,6 @@ _H_GEN = (math.pi / 2.0) * Operator(HADAMARD.matrix - np.eye(2))
 _HY_GEN = (math.pi / 2.0) * Operator(HADAMARD_Y.matrix - np.eye(2))
 
 
-@functools.lru_cache(maxsize=N_BLOCKS)  # one per Pauli term
 def _basis_step(letters: str) -> GateStep:
     """Simultaneous single-qubit basis changes mapping each Pauli to Z."""
     gen = None
@@ -164,36 +158,37 @@ def _pauli_step(label: str, letters: str, angle: float) -> GateStep:
 
 
 @functools.lru_cache(maxsize=1)
-def _template() -> tuple[CompiledSequence, list[tuple[int, str, float]], np.ndarray]:
-    """The sequence at theta = 0, built and checked as any, with its distinct
-    steps and layout formed; for each of its two cores, its index in distinct,
-    its label and the coefficient of the unit coupling (+-1/4, so the core's
-    generator is coeff * theta * IZZ); and the unscaled Z@2 Z@3 product."""
-    quarter = math.pi / 4.0
-    zz = _pauli_step("ZZ(pi/2)@12", "ZZI", quarter)
-    ry = _pauli_step("Ry(pi/2)@2", "IYI", quarter)
-    before = (
-        _pauli_step("Rx(-pi/2)@2", "IXI", -quarter),
-        _pauli_step("Ry(-pi)@2", "IYI", -math.pi / 2.0),
-        zz,
-        ry,
-    )
-    after = (ry, zz, _pauli_step("Rx(pi/2)@2", "IXI", quarter))
+def _template() -> tuple[CompiledSequence, np.ndarray, np.ndarray]:
+    """The sequence at theta = 0, built from checked GateSteps, whose first two
+    rows are its cores; the coefficient of the unit coupling in each core (+-1/4,
+    so the core's generator is coeff * theta * IZZ); and the unscaled IZZ."""
     izz = pauli_matrix("IZZ")
     izz.setflags(write=False)
     terms = exchange_pauli_terms(1.0)
-    cores = {coeff: GateStep(label=f"ZZ({'-' if coeff < 0 else ''}theta/2)@23",
-                             generator=Operator(0.0 * izz))
-             for coeff in dict.fromkeys(term.coeff for term in terms)}
-    steps: list[GateStep] = []
-    for term in terms:  # one block per Pauli term
-        basis = _basis_step(term.letters)
-        steps.extend((basis, *before, cores[term.coeff], *after, basis))
-    boundaries = tuple(BLOCK_SIZE * (k + 1) for k in range(N_BLOCKS))
-    template = CompiledSequence(steps=tuple(steps), theta=0.0, term_boundaries=boundaries)
-    slots = [(index, step.label, coeff) for index, step in enumerate(template.distinct)
-             for coeff, core in cores.items() if step is core]
-    return template, slots, izz
+    coeffs = list(dict.fromkeys(term.coeff for term in terms))
+    quarter = math.pi / 4.0
+    pulses = [
+        *(GateStep(label=f"ZZ({'-' if coeff < 0 else ''}theta/2)@23", generator=Operator(0.0 * izz))
+          for coeff in coeffs),
+        _pauli_step("Rx(-pi/2)@2", "IXI", -quarter),
+        _pauli_step("Ry(-pi)@2", "IYI", -math.pi / 2.0),
+        _pauli_step("ZZ(pi/2)@12", "ZZI", quarter),
+        _pauli_step("Ry(pi/2)@2", "IYI", quarter),
+        _pauli_step("Rx(pi/2)@2", "IXI", quarter),
+        *(_basis_step(term.letters) for term in terms),
+    ]
+    # rows: the two cores, Rx(-pi/2), Ry(-pi), ZZ(pi/2), Ry(pi/2), Rx(pi/2) and
+    # the basis changes; one block per Pauli term
+    layout = []
+    for block, term in enumerate(terms):
+        basis, core = 7 + block, coeffs.index(term.coeff)
+        layout.extend((basis, 2, 3, 4, 5, core, 5, 4, 6, basis))
+    layout = np.array(layout)
+    layout.setflags(write=False)
+    rows = CompiledSequence(pulses, 0.0, (len(pulses),))
+    template = rows._with(layout=layout, labels=tuple(rows.labels[row] for row in layout),
+                          term_boundaries=tuple(BLOCK_SIZE * (k + 1) for k in range(N_BLOCKS)))
+    return template, np.array(coeffs), izz
 
 
 def compile_exchange(theta: float | Sequence[float], g: float = 1.0):
@@ -205,18 +200,17 @@ def compile_exchange(theta: float | Sequence[float], g: float = 1.0):
 
     ``theta`` is one angle, whose sequence comes back, or a list of angles,
     whose sequences come back as a list.  Every angle's two cores are built
-    in one stacked pass, and each sequence is the template's with its cores
-    swapped in, so it shares the template's other steps and its layout.
+    in one stacked pass and written over the template's core rows; each
+    sequence shares the template's layout and labels.
     """
     single = np.ndim(theta) == 0
     angles = [theta] if single else list(theta)
     for angle in angles:
         check_theta(angle)
     check_positive("coupling g", g)
-    template, cores, izz = _template()
+    template, coeffs, izz = _template()
     # gens[a, c] is core c's generator at angle a, coeff * theta * IZZ as
     # pauli_to_operator(PauliString("IZZ", coeff * theta)) forms it, bit for bit
-    coeffs = np.array([coeff for _, _, coeff in cores])
     gens = np.multiply.outer(np.array(angles, dtype=float), coeffs)[..., None, None] * izz
     diagonals = gens.diagonal(axis1=-2, axis2=-1)
     # GateStep's hermiticity check, stacked; a diagonal generator's exact
@@ -224,15 +218,13 @@ def compile_exchange(theta: float | Sequence[float], g: float = 1.0):
     herm_err = np.abs(gens - gens.conj().swapaxes(-2, -1)).max(initial=0.0)
     if not (herm_err <= HERMITIAN_TOL and np.count_nonzero(gens) == np.count_nonzero(diagonals)):
         raise ValueError("core generators must be Hermitian and diagonal")
-    units = diagonal_exp(diagonals.real, 1.0)
-    gens.setflags(write=False)
-    units.setflags(write=False)
-    sequences = []
-    for angle, angle_gens, angle_units in zip(angles, gens, units):
-        swaps = {index: GateStep._exponentiated(label, Operator._shared(gen),
-                                                Operator._shared(unit))
-                 for (index, label, _), gen, unit in zip(cores, angle_gens, angle_units)}
-        sequences.append(template._with_distinct(angle, swaps))
+    rows = np.stack((template.generators, template.unitaries))
+    stacks = np.repeat(rows[None], len(angles), axis=0)  # (angles, 2, 11, 8, 8)
+    stacks[:, 0, :len(coeffs)] = gens
+    stacks[:, 1, :len(coeffs)] = diagonal_exp(diagonals.real, 1.0)
+    stacks.setflags(write=False)
+    sequences = [template._with(generators=generators, unitaries=unitaries, theta=angle)
+                 for angle, (generators, unitaries) in zip(angles, stacks)]
     return sequences[0] if single else sequences
 
 
@@ -261,21 +253,17 @@ def sequence_unitary(seqs: CompiledSequence | Sequence[CompiledSequence]):
 def _products(batch: list[CompiledSequence]) -> np.ndarray:
     """The stack of the sequences' products, shape (len(batch), dim, dim).
 
-    One loop runs over the steps of the whole list: a step object that every
-    sequence holds at a position multiplies all the products at once,
-    broadcast, and the others go stacked (numpy's broadcast and stacked matmul
-    equal the per-matrix product bit for bit, which the test suite guards).
+    One loop runs over the steps, multiplying every product at once by the
+    stack of its sequence's unitary at that step (numpy's stacked matmul
+    equals the per-matrix product bit for bit, which the test suite guards).
     """
-    if len({len(seq.steps) for seq in batch}) != 1:
+    if len({len(seq.layout) for seq in batch}) != 1:
         raise ValueError("sequence_unitary needs one or more sequences of equal length")
-    dim = batch[0].steps[0].generator.dim
-    total = np.eye(dim, dtype=complex)
-    for column in zip(*(seq.steps for seq in batch)):
-        if all(step is column[0] for step in column):
-            total = column[0].unitary().matrix @ total
-        else:
-            total = np.stack([step.unitary().matrix for step in column]) @ total
-    return np.broadcast_to(total, (len(batch), dim, dim))
+    steps = np.stack([seq.unitaries[seq.layout] for seq in batch], axis=1)
+    total = np.eye(steps.shape[-1], dtype=complex)
+    for step in steps:
+        total = step @ total
+    return total
 
 
 def verify(seqs: CompiledSequence | Sequence[CompiledSequence]):
@@ -301,15 +289,20 @@ def verify(seqs: CompiledSequence | Sequence[CompiledSequence]):
 
 def permute_blocks(seq: CompiledSequence, order: Sequence[int]) -> CompiledSequence:
     """Reorder the four term blocks; the compiled unitary is unchanged."""
-    blocks = seq.blocks()
-    if sorted(order) != list(range(len(blocks))):
-        raise ValueError(f"order must be a permutation of 0..{len(blocks) - 1}")
-    steps: list[GateStep] = []
+    order = list(order)
+    spans = list(zip((0,) + seq.term_boundaries[:-1], seq.term_boundaries))
+    if (not all(isinstance(index, (int, np.integer)) for index in order)
+            or sorted(order) != list(range(len(spans)))):
+        raise ValueError(f"order must be a permutation of 0..{len(spans) - 1}")
+    positions: list[int] = []
     boundaries: list[int] = []
-    for idx in order:
-        steps.extend(blocks[idx])
-        boundaries.append(len(steps))
-    return CompiledSequence(steps=tuple(steps), theta=seq.theta, term_boundaries=tuple(boundaries))
+    for index in order:
+        positions.extend(range(*spans[index]))
+        boundaries.append(len(positions))
+    layout = seq.layout[positions]
+    layout.setflags(write=False)
+    return seq._with(layout=layout, labels=tuple(seq.labels[k] for k in positions),
+                     term_boundaries=tuple(boundaries))
 
 
 class LedgerColumns(NamedTuple):
@@ -331,24 +324,18 @@ def run_with_ledger(
     """Fold the work ledger over the sequence, as columns.
 
     The columns and the final state are those of a thermo.ledger_step per
-    pulse, bit for bit.  GateStep has checked every generator and duration
-    where the step was built (its unitary is herm_exp's), CompiledSequence
-    their shared dimension, so only the state's and h_sys's are checked here.
-    The distinct steps are stacked once and laid out per pulse by the
-    sequence's layout.  Every state after rho0, the final one too, goes
-    through linalg.canonical_chain (canonical_density per state, as
+    pulse, bit for bit.  Every row of the sequence's stacks was checked where
+    it was built (its unitary is herm_exp's of its generator) and
+    CompiledSequence has checked their shared dimension, so only the state's
+    and h_sys's are checked here.  Every state after rho0, the final one too,
+    goes through linalg.canonical_chain (canonical_density per state, as
     DensityMatrix would, with the checks stacked), and the four traces of
     every pulse are taken over the stacked states at once.
     """
-    if h_sys.dim != rho0.dim or seq.steps[0].generator.dim != rho0.dim:
+    if h_sys.dim != rho0.dim or seq.generators.shape[-1] != rho0.dim:
         raise ValueError("generator, state, and system Hamiltonian dimensions must agree")
-    # one stack of each distinct step's generator and unitary, laid out per pulse by index
-    gens, units = np.array([step.generator.matrix for step in seq.distinct]
-                           + [step.unitary().matrix for step in seq.distinct]
-                           ).reshape(2, -1, rho0.dim, rho0.dim)
-    rhos = canonical_chain(rho0.matrix, units, seq.layout)
-    durations = np.array([step.duration for step in seq.distinct])
-    h_total = gens * (1.0 / durations).astype(complex)[:, None, None]
+    rhos = canonical_chain(rho0.matrix, seq.unitaries, seq.layout)
+    h_total = seq.generators * (1.0 / seq.durations).astype(complex)[:, None, None]
     h_control = h_total - h_sys.matrix
     h_total, h_control = h_total[seq.layout], h_control[seq.layout]
 
@@ -362,4 +349,4 @@ def run_with_ledger(
     net = dw1 + dq1 + dw2
     cumulative = np.cumsum(np.concatenate(([0.0], net)))[1:]  # 0.0 + net first, as the loop
     final = DensityMatrix._of_canonical(rhos[-1])  # canonical_chain has checked it
-    return final, LedgerColumns(np.arange(1, len(seq.steps) + 1), dw1, dq1, dw2, net, cumulative)
+    return final, LedgerColumns(np.arange(1, len(seq.layout) + 1), dw1, dq1, dw2, net, cumulative)

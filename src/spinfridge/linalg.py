@@ -49,14 +49,6 @@ class Operator:
         mat.setflags(write=False)
         self._mat = mat
 
-    @classmethod
-    def _shared(cls, mat: np.ndarray) -> Operator:
-        """An Operator over mat itself, not a copy: a read-only complex square
-        array of a valid dimension, such as one matrix of a read-only stack."""
-        op = object.__new__(cls)
-        op._mat = mat
-        return op
-
     @property
     def matrix(self) -> np.ndarray:
         """Read-only view of the underlying matrix."""

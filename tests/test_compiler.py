@@ -1,6 +1,5 @@
 """Forty-step pulse decomposition of the exchange evolution."""
 
-import dataclasses
 import itertools
 import math
 import sys
@@ -106,13 +105,14 @@ def fresh_fidelity(seq, theta):
 @pytest.mark.parametrize("theta", (*THETAS, -2.4, 0.9321, 12.5))
 def test_verify_reuses_one_eigendecomposition(theta, monkeypatch):
     seq = compile_exchange(theta)
-    expected = (fresh_fidelity(seq, theta), fresh_fidelity(seq, theta + 0.25))
+    wound = spinfridge.CompiledSequence(seq.steps, theta + 0.25, seq.term_boundaries)
+    expected = (fresh_fidelity(seq, theta), fresh_fidelity(wound, theta + 0.25))
     verify(seq)
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda *args: calls.append(1) or eigh(*args))
     # bit-identical to a fresh exponential, and no eigendecomposition per angle
-    assert (verify(seq), verify(dataclasses.replace(seq, theta=theta + 0.25))) == expected
+    assert (verify(seq), verify(wound)) == expected
     assert calls == []
 
 
@@ -125,16 +125,17 @@ def loop_product(seq):
 
 
 def test_broadcast_and_stacked_matmul_are_the_per_matrix_matmul(rng):
-    """sequence_unitary multiplies a list of sequences at once, broadcasting each
-    shared step over the stack and stacking the rest, which is the per-sequence
-    product only while numpy's broadcast and stacked matmul equal the per-matrix
-    one bit for bit; this guard fails, rather than verify drifting, if a numpy
-    or BLAS update breaks that."""
+    """sequence_unitary multiplies a list of sequences at once, the stack of
+    their unitaries at each step into the stack of products, which is the
+    per-sequence product only while numpy's broadcast and stacked matmul equal
+    the per-matrix one bit for bit; this guard fails, rather than verify
+    drifting, if a numpy or BLAS update breaks that."""
     for count in range(1, 9):
         left, right = (np.stack([oracles.random_unitary(rng, 8) for _ in range(count)])
                        for _ in range(2))
         shared = oracles.random_unitary(rng, 8)
         assert (shared @ right).tobytes() == np.stack([shared @ m for m in right]).tobytes()
+        assert (left @ shared).tobytes() == np.stack([m @ shared for m in left]).tobytes()
         assert (left @ right).tobytes() == np.stack([a @ b for a, b in zip(left, right)]).tobytes()
 
 
@@ -237,8 +238,16 @@ def test_every_compiled_pulse_is_unitary_at_extreme_angles(theta):
 
 def test_permute_blocks_validates_order():
     seq = compile_exchange(0.5)
-    with pytest.raises(ValueError):
-        permute_blocks(seq, (0, 1, 2, 2))
+    for order in ((0, 1, 2, 2), (0, 1, 2), [0, 1, 2, 3.0]):
+        with pytest.raises(ValueError, match=r"^order must be a permutation of 0\.\.3$"):
+            permute_blocks(seq, order)
+    # the layout and labels of the blocks, reordered; the stacks are the sequence's
+    permuted = permute_blocks(seq, [np.int64(3), 2, 1, 0])
+    reordered = np.concatenate([np.arange(a, a + 10) for a in (30, 20, 10, 0)])
+    assert permuted.layout.tolist() == seq.layout[reordered].tolist()
+    assert permuted.labels == tuple(seq.labels[k] for k in reordered)
+    assert permuted.term_boundaries == (10, 20, 30, 40) and not permuted.layout.flags.writeable
+    assert permuted.unitaries is seq.unitaries and permuted.theta is seq.theta
 
 
 def test_ledger_on_maximally_mixed_state_is_flat():
@@ -357,8 +366,7 @@ def fold_matches_the_loop(cfg, theta):
     # one stacked check of the 40 states, the final one too, unless the
     # positivity certificate holds; the fallback checks again, one at a time,
     # the states from the first that needs a clamp on
-    distinct = np.stack([step.unitary().matrix for step in seq.distinct])
-    stacked = 0 if positivity_certified(rho0.matrix, distinct, 40) else 1
+    stacked = 0 if positivity_certified(rho0.matrix, seq.unitaries, 40) else 1
     per_state = sum(call.args[0].ndim == 2 for call in checks.call_args_list)
     first = first_clamped_state(seq, rho0)
     assert checks.call_count == per_state + stacked and per_state == 40 - first
@@ -445,6 +453,39 @@ def test_a_sequence_of_mixed_dimensions_fails_at_construction():
         spinfridge.CompiledSequence((small,) + seq.steps, 0.7, (41,))
 
 
+def test_term_boundaries_must_split_one_or_more_steps():
+    steps = compile_exchange(0.7).steps[:3]
+    for pulses, boundaries, text in (
+            ((), (), "end at the final step"), ((), (0,), "be strictly increasing"),
+            (steps, (2,), "end at the final step"), (steps, (2, 2, 3), "be strictly increasing"),
+            (steps, (-1, 3), "be strictly increasing")):
+        with pytest.raises(ValueError, match=f"^term boundaries must {text}$"):
+            spinfridge.CompiledSequence(pulses, 0.7, boundaries)
+    seq = spinfridge.CompiledSequence(steps, 0.7, [1, 3])
+    assert seq.term_boundaries == (1, 3) and seq.layout.tolist() == [0, 1, 2]
+    assert seq.labels == tuple(step.label for step in steps)
+    assert not any(stack.flags.writeable for stack in (seq.generators, seq.unitaries,
+                                                       seq.durations, seq.layout))
+
+
+def test_per_op_calls_build_no_gate_step_and_read_no_step():
+    """After the template is built, a compile, a ledger fold and a verify (of
+    one angle and of eight) read the stacks: no GateStep is built, no step is
+    read and no step object is looked up by id()."""
+    rho0, h_sys = initial_state(FridgeConfig()), system_hamiltonian(FridgeConfig())
+    compile_exchange(0.0)
+    with mock.patch.object(GateStep, "__post_init__", side_effect=AssertionError) as built, \
+            mock.patch.object(spinfridge.CompiledSequence, "steps", new_callable=mock.PropertyMock,
+                              side_effect=AssertionError) as read, \
+            mock.patch.object(spinfridge.compiler, "id", create=True, wraps=id) as ids:
+        for thetas in ([0.7], [0.1 * k - 0.3 for k in range(8)]):
+            seqs = compile_exchange(thetas)
+            run_with_ledger(seqs[0], rho0, h_sys)
+            verify(seqs)
+            verify(permute_blocks(seqs[-1], (3, 2, 1, 0)))
+    assert built.call_count == read.call_count == ids.call_count == 0
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.floats(-12.0, 12.0), st.sampled_from([1.0, -1.0]), st.sampled_from([0.25, -0.25]))
 def test_the_closed_form_core_is_the_eigendecomposition_bytes(log_theta, sign, coeff):
@@ -468,9 +509,8 @@ def test_the_positivity_certificate_never_covers_a_negative_eigenvalue(e1, e3, l
     temps = [gap / 10.0**ratio for gap, ratio in zip(gaps, log_ratios)]
     seq, rho0 = compile_exchange(theta), initial_state(FridgeConfig(*gaps, *temps))
     units = np.stack([step.unitary().matrix for step in seq.steps])
-    distinct = np.stack([step.unitary().matrix for step in seq.distinct])
-    certified = positivity_certified(rho0.matrix, distinct, 40)
-    assert len(distinct) == 11 and positivity_certified(rho0.matrix, units, 40) == certified
+    certified = positivity_certified(rho0.matrix, seq.unitaries, 40)
+    assert len(seq.unitaries) == 11 and positivity_certified(rho0.matrix, units, 40) == certified
     if certified:
         assert first_clamped_state(seq, rho0) == 40
 
@@ -492,22 +532,25 @@ def test_the_positivity_certificate_needs_a_diagonal_state_unitaries_and_a_margi
 
 def test_compiles_share_every_theta_independent_step():
     a, b = compile_exchange(0.3), compile_exchange(-1.7, 2.0)
-    for index, (x, y) in enumerate(zip(a.steps, b.steps)):
-        if index % 10 == CORE:
-            assert x is not y and x.label == y.label
-            assert not np.array_equal(x.generator.matrix, y.generator.matrix)
-        else:
-            assert x is y, (index, x.label)
-    # 4 basis changes and 5 distinct fixed rotations or ZZ pulses
-    assert len({id(step) for index, step in enumerate(a.steps) if index % 10 != CORE}) == 9
-    # each step object once, in order of first use, and the index that lays them out
-    assert len(a.distinct) == 11 and a.distinct[0] is a.steps[0]
-    assert all(a.distinct[index] is step for index, step in zip(a.layout, a.steps, strict=True))
-    # within a compile, the three +theta/4 blocks share one core and YXY has the other
-    cores = a.steps[CORE::10]
-    assert cores[0] is cores[1] is cores[3] and cores[2] is not cores[0]
-    assert cores[0].label == "ZZ(theta/2)@23" and cores[2].label == "ZZ(-theta/2)@23"
-    assert len({id(step) for step in cores}) == 2
+    assert a.generators.shape == a.unitaries.shape == (11, 8, 8) and a.durations.shape == (11,)
+    # the 9 rows after the two cores (5 fixed rotations or ZZ pulses and 4 basis
+    # changes) are the template's, byte for byte, and the cores are the angle's
+    for stack in ("generators", "unitaries"):
+        x, y = getattr(a, stack), getattr(b, stack)
+        assert x[2:].tobytes() == y[2:].tobytes()
+        assert not np.array_equal(x[0], y[0]) and not np.array_equal(x[1], y[1])
+        assert not x.flags.writeable and not y.flags.writeable
+    assert a.layout is b.layout and a.labels is b.labels and not a.layout.flags.writeable
+    # steps[k] is row layout[k]; each row has one label
+    assert [(s.label, s.generator.matrix.tobytes(), s.unitary().matrix.tobytes())
+            for s in a.steps] == [(label, a.generators[row].tobytes(), a.unitaries[row].tobytes())
+                                  for label, row in zip(a.labels, a.layout, strict=True)]
+    assert all(len({a.labels[k] for k in np.flatnonzero(a.layout == row)}) == 1
+               for row in range(11))
+    # the three +theta/4 blocks use one core row and YXY the other
+    assert a.layout[CORE::10].tolist() == [0, 0, 1, 0]
+    assert a.labels[CORE] == "ZZ(theta/2)@23" and a.labels[20 + CORE] == "ZZ(-theta/2)@23"
+    assert sorted(set(a.layout.tolist())) == list(range(11))
 
 
 def test_step_unitary_is_the_exponential_of_its_generator():
@@ -530,9 +573,9 @@ def test_compiling_many_angles_grows_no_cache():
 
     verify(compile_exchange(0.0))
     before = cache_sizes()
-    # the four basis changes, the one template of fixed pulses around the cores
-    # and the one eigendecomposition verify exponentiates
-    assert sum(before.values()) == 6
+    # the one template of fixed pulses around the cores and the one
+    # eigendecomposition verify exponentiates
+    assert sum(before.values()) == 2
     for theta in np.linspace(-10.0, 10.0, 1000):
         verify(compile_exchange(float(theta)))
     assert cache_sizes() == before
@@ -545,26 +588,20 @@ EDGE_ANGLES = (0.0, -0.0, math.pi, -math.pi, 12.5, 1e-300, 5e-324, -5e-324)
 
 def stepwise_compile(theta):
     """compile_exchange(theta) with each core built as a GateStep, which
-    exponentiates pauli_to_operator's generator through herm_exp."""
-    seq = compile_exchange(theta)
-    cores = {}
-    for step in seq.steps[CORE::10]:
-        coeff = -0.25 if step.label.startswith("ZZ(-") else 0.25
-        cores[id(step)] = GateStep(label=step.label,
-                                   generator=pauli_to_operator(PauliString("IZZ", coeff * theta)))
-    steps = tuple(cores.get(id(step), step) for step in seq.steps)
-    return spinfridge.CompiledSequence(steps, theta, seq.term_boundaries)
+    exponentiates pauli_to_operator's generator through herm_exp, and every
+    step given a row of its own by the public constructor."""
+    steps = list(compile_exchange(theta).steps)
+    for index in range(CORE, len(steps), 10):
+        coeff = -0.25 if steps[index].label.startswith("ZZ(-") else 0.25
+        steps[index] = GateStep(label=steps[index].label,
+                                generator=pauli_to_operator(PauliString("IZZ", coeff * theta)))
+    return spinfridge.CompiledSequence(steps, theta, (10, 20, 30, 40))
 
 
 def step_bytes(seq):
-    return [(step.label, step.duration, step.generator.matrix.tobytes(),
-             step.unitary().matrix.tobytes()) for step in seq.steps]
-
-
-def identity_pattern(seq):
-    """For each step, the position of its first occurrence in the sequence."""
-    first = {}
-    return [first.setdefault(id(step), index) for index, step in enumerate(seq.steps)]
+    """Each step's label, duration, generator and unitary, read from the stacks."""
+    return [(label, seq.durations[row], seq.generators[row].tobytes(), seq.unitaries[row].tobytes())
+            for label, row in zip(seq.labels, seq.layout, strict=True)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -573,26 +610,23 @@ def identity_pattern(seq):
                 min_size=1, max_size=8))
 def test_a_list_compile_is_the_per_angle_compile(angles):
     """compile_exchange of a list builds every core stacked, in closed form, and
-    swaps them into the template; each sequence equals the per-angle compile
-    and the one built a GateStep at a time, byte for byte."""
+    writes them over the template's core rows; each sequence equals the
+    per-angle compile and the one built a GateStep at a time, byte for byte."""
     batch = compile_exchange(angles)
     assert isinstance(batch, list) and len(batch) == len(angles)
     for angle, seq in zip(angles, batch):
         single = compile_exchange(angle)
         assert seq.theta is angle and seq.term_boundaries == single.term_boundaries
         assert step_bytes(seq) == step_bytes(single) == step_bytes(stepwise_compile(angle))
-        assert identity_pattern(seq) == identity_pattern(single)
-        for index, (step, other) in enumerate(zip(seq.steps, single.steps)):
-            assert (step is other) == (index % 10 != CORE)  # the frame is shared, the cores not
-        # distinct and layout carried over from the template are those formed afresh
-        fresh = spinfridge.CompiledSequence(seq.steps, seq.theta, seq.term_boundaries)
-        assert all(a is b for a, b in zip(seq.distinct, fresh.distinct, strict=True))
-        assert seq.layout.tolist() == fresh.layout.tolist() == single.layout.tolist()
-        assert not seq.layout.flags.writeable
-    # every entry has cores of its own, repeated angles too
-    cores = [id(step) for seq in batch for step in seq.distinct if step.label.startswith("ZZ(")
-             and "theta" in step.label]
-    assert len(set(cores)) == len(cores) == 2 * len(angles)
+        # the template's rows, layout and labels, with the angle's two core rows
+        assert seq.generators[2:].tobytes() == single.generators[2:].tobytes()
+        assert seq.unitaries[2:].tobytes() == single.unitaries[2:].tobytes()
+        assert seq.layout is single.layout and seq.labels is single.labels
+        assert not (seq.layout.flags.writeable or seq.generators.flags.writeable
+                    or seq.unitaries.flags.writeable)
+    # every entry has core rows of its own, repeated angles too
+    cores = [stack[:2] for seq in batch for stack in (seq.generators, seq.unitaries)]
+    assert not any(np.shares_memory(x, y) for x, y in itertools.combinations(cores, 2))
 
 
 def test_a_bad_angle_in_a_list_is_rejected_by_name():
