@@ -177,11 +177,22 @@ _BCS_FLAGS = _FLAGS | {"--" + key.name.replace("_", "-"): key.name
                        for key in fields(RunConfig)[1:] if key.metadata.get("bcs_only")}
 
 
+def _is_numbers(text: str) -> bool:
+    """Whether float() reads text, or each comma-separated part of it."""
+    try:
+        for part in text.split(","):
+            float(part)
+    except ValueError:
+        return False
+    return True
+
+
 def _exact_flags(command: str, args: list[str]) -> dict[str, str | None] | None:
     """The namespace the command's parser would fill from args, read without
     argparse when every argument is --flag=value, or --flag value with a value
-    that does not start with '-', for a full option string of the command (the
-    last repeat of a flag wins, as in argparse); None for any other args."""
+    that does not start with '-' or reads as numbers, for a full option string
+    of the command (the last repeat of a flag wins, as in argparse); None for
+    any other args."""
     flags = _BCS_FLAGS if command == "bcs" else _FLAGS
     namespace = {"command": command} | dict.fromkeys(flags.values())
     args = iter(args)
@@ -191,10 +202,28 @@ def _exact_flags(command: str, args: list[str]) -> dict[str, str | None] | None:
             return None
         if not equals:
             text = next(args, "-")  # a flag with no value left is for argparse to report
-            if text.startswith("-"):
+            if text.startswith("-") and not _is_numbers(text):
                 return None
         namespace[flags[option]] = text
     return namespace
+
+
+def _numbers_joined(command: str, args: list[str]) -> list[str]:
+    """args with each full option string of the command that a value reading as
+    numbers follows after a space joined to it as --flag=value, up to any '--'.
+
+    argparse takes a value that starts with '-' as an option unless it looks
+    like -N or -N.N, so it would report --theta -1e-3 as a flag given none."""
+    flags = _BCS_FLAGS if command == "bcs" else _FLAGS
+    joined = []
+    for index, arg in enumerate(args):
+        if arg == "--":
+            return joined + args[index:]
+        if joined and joined[-1] in flags and arg.startswith("-") and _is_numbers(arg):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
 
 
 @functools.cache
@@ -223,6 +252,8 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
     namespace = _exact_flags(argv[0], argv[1:]) if argv and argv[0] in _COMMANDS else None
     if namespace is None:
         parser, commands = _parser()
+        if argv and argv[0] in _COMMANDS:
+            argv = [argv[0], *_numbers_joined(argv[0], argv[1:])]
         if argv and argv[0] in commands:
             # all the top-level parser would do is hand the rest to this subparser;
             # it runs only when argv[0] is no command (usage, -h, an unknown command)

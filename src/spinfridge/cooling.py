@@ -19,11 +19,10 @@ import numpy as np
 
 from .thermo import check_count, check_positive
 
-# np.random.default_rng read a byte per bit (_sample_pool); seeded runs are bit-reproducible
+# np.random.default_rng read a byte per bit (_sample); seeded runs are bit-reproducible
 PRNG_ID = "numpy-pcg64-byte-threshold"
-MAX_BITS = 10**9  # a pool holds one byte per bit; a compression round adds about half a byte
-SAMPLE_CHUNK = 2**15  # bits per primary draw while sampling a pool, a multiple of 8
-COMPRESS_CHUNK = 2**16  # pairs compacted per np.compress call in a compression round
+MAX_BITS = 10**9  # a pool streams through CHUNK bits at a time, so memory does not grow with it
+CHUNK = 2**18  # bits sampled at a time, and the bits each round's queue holds; a multiple of 8
 
 
 @dataclass(frozen=True)
@@ -126,14 +125,6 @@ def bias_from_temperature(E: float, T: float) -> float:
     return math.tanh(E / (2.0 * T))
 
 
-def _empirical_bias(bits: np.ndarray) -> float:
-    if bits.size == 0:
-        return 0.0
-    # a count of ones is exact, so this equals 1 - 2 * mean() bit for bit; the
-    # count is an np.int64, so it is read as an int to return a Python float
-    return 1.0 - 2.0 * (int(np.count_nonzero(bits)) / bits.size)
-
-
 def check_bits(n_bits: int) -> None:
     """The rule for a pool's size: an even integer, at least 2 and at most MAX_BITS."""
     check_count("bit count", n_bits)
@@ -168,55 +159,62 @@ def _threshold(epsilon: float) -> int:
     return math.ceil((1.0 + epsilon) / 2.0 * 2.0**53) << 3
 
 
-def _sample_pool(rng: np.random.Generator, n_bits: int, epsilon: float) -> np.ndarray:
-    """n_bits bools, each True (a 1 bit) with probability (1 - epsilon)/2.
+def _sample(bits: np.ndarray, threshold: int, primary: np.random.PCG64, ties: np.random.PCG64,
+            tie_mask: np.ndarray) -> None:
+    """The pool's next bits.size bits, in order, into bits; each is True (a 1) with
+    probability (1 - epsilon)/2 for threshold = _threshold(epsilon).
 
-    Bit i is 1 iff the 56-bit integer (byte_i << 48) | rest_i reaches _threshold(epsilon).
-    byte_i is byte i, little-endian, of the ceil(n_bits/8) raw words drawn first.  Where
-    byte_i equals the threshold's top byte (a tie, about one bit in 256), rest_i is the
-    top 48 bits of one further raw word, drawn in ascending bit order after every
-    primary word; elsewhere byte_i alone settles the bit.  The 56-bit integer shifted
-    right by 3 is uniform on [0, 2^53), so each bit has exactly the law of
-    rng.random() >= (1 + epsilon)/2, which spends a raw word per bit, from an eighth
-    of the words.  The primary words come SAMPLE_CHUNK/8 at a time, and the bits do
-    not depend on SAMPLE_CHUNK.
+    Bit i is 1 iff the 56-bit integer (byte_i << 48) | rest_i reaches the threshold.
+    byte_i is byte i, little-endian, of the ceil(n_bits/8) raw words drawn first, from
+    primary.  Where byte_i equals the threshold's top byte (a tie, about one bit in
+    256), rest_i is the top 48 bits of one further raw word; elsewhere byte_i alone
+    settles the bit.  The tie words come in ascending bit order after every primary
+    word: ties is a copy of primary moved on past all of them, so each chunk settles
+    its own ties.  The bits do not depend on the chunks as long as every chunk but a
+    pool's last is a whole number of words, a multiple of 8 bits.  The 56-bit
+    integer shifted right by 3 is uniform on [0, 2^53), so each bit has exactly the
+    law of rng.random() >= (1 + epsilon)/2, which spends a raw word per bit, from an
+    eighth of the words.
     """
-    threshold = _threshold(epsilon)
     top, rest = threshold >> 48, threshold & (2**48 - 1)
     if top > 0xFF:  # threshold 2^56: no byte reaches it
-        return np.zeros(n_bits, dtype=bool)
-    raw = rng.bit_generator.random_raw
-    bits = np.empty(n_bits, dtype=bool)
-    ties = []
-    for start in range(0, n_bits, SAMPLE_CHUNK):
-        count = min(SAMPLE_CHUNK, n_bits - start)
-        head = raw(-(-count // 8)).astype("<u8", copy=False).view(np.uint8)[:count]
-        np.greater(head, top, out=bits[start:start + count])
-        ties.append(np.flatnonzero(head == top) + start)
-    ties = np.concatenate(ties)
-    rests = raw(ties.size)
+        bits.fill(False)
+        return
+    words = primary.random_raw(-(-bits.size // 8))
+    head = words.astype("<u8", copy=False).view(np.uint8)[:bits.size]
+    np.greater(head, top, out=bits)
+    tied = np.flatnonzero(np.equal(head, top, out=tie_mask[:bits.size]))
+    rests = ties.random_raw(tied.size)
     np.right_shift(rests, 16, out=rests)
-    bits[ties] = rests >= rest
-    return bits
+    bits[tied] = rests >= rest
 
 
-def _compress_round(bits: np.ndarray) -> np.ndarray:
-    """The control bit of every agreeing (control, target) pair of an even-sized pool, in order.
+def _compress(bits: np.ndarray, out: np.ndarray | None, scratch: np.ndarray) -> tuple[int, int]:
+    """One round over an even number of bits: how many it keeps and how many of those are 1.
 
     A pair of bools read as one uint16 agrees iff it is 0x0000 or 0x0101, when the
-    CNOT target reads 0; the kept control bit is then the pair's bit.  np.compress
-    forms an int64 index of the kept pairs, so it runs COMPRESS_CHUNK pairs at a
-    time into one output of a byte per pair.
+    CNOT target reads 0; the kept control bit is then 1 iff the pair is 0x0101.  Unless
+    out is None, np.compress writes the kept bits, in order, to its start.  It forms
+    an int64 index of the kept pairs, so it runs CHUNK/2 bits at a time.
     """
-    pairs = bits.view(np.uint16)
-    kept = np.empty(pairs.size, dtype=bool)
-    count = 0
-    for start in range(0, pairs.size, COMPRESS_CHUNK):
-        chunk = pairs[start:start + COMPRESS_CHUNK]
-        agreeing = np.compress((chunk == 0) | (chunk == 0x0101), chunk)
-        np.not_equal(agreeing, 0, out=kept[count:count + agreeing.size])
-        count += agreeing.size
-    return kept[:count]
+    kept = kept_ones = 0
+    for start in range(0, bits.size, CHUNK // 2):
+        pairs = bits[start:start + CHUNK // 2].view(np.uint16)
+        agree, both_ones = scratch[:pairs.size], scratch[pairs.size:2 * pairs.size]
+        np.equal(pairs, 0, out=agree)
+        np.equal(pairs, 0x0101, out=both_ones)
+        np.logical_or(agree, both_ones, out=agree)
+        count = int(np.count_nonzero(agree))
+        if out is not None:
+            np.compress(agree, both_ones, out=out[kept:kept + count])
+        kept += count
+        kept_ones += int(np.count_nonzero(both_ones))
+    return kept, kept_ones
+
+
+def _bias(ones: int, size: int) -> float:
+    # exact int counts, so this equals 1 - 2 * mean() of the bits, bit for bit
+    return 1.0 - 2.0 * (ones / size) if size else 0.0
 
 
 def simulate_bcs(n_bits: int, epsilon: float, rounds: int, seed: int) -> BcsResult:
@@ -225,22 +223,69 @@ def simulate_bcs(n_bits: int, epsilon: float, rounds: int, seed: int) -> BcsResu
     Round 0 records the sampled pool; each further round pairs adjacent
     bits (dropping a trailing unpaired bit), keeps the control bit of every
     agreeing pair, and discards the rest.  Deterministic for a given seed.
+
+    The pool is never held whole.  It is sampled CHUNK bits at a time into
+    round 0's queue, and round r + 1 pairs the bits in round r's queue once at
+    least CHUNK/2 wait (every sampled chunk but a pool's last) and once more at
+    the end.  An odd bit left in a queue is carried to its front, to pair with
+    the first bit of the next batch, or is dropped at the end.  Each round keeps
+    only its bit count and its count of ones, and the history and the final
+    state come from those counts.
     """
     check_bits(n_bits)
     check_bias(epsilon)
     check_rounds(rounds)
     check_seed(seed)
-    bits = _sample_pool(np.random.default_rng(seed), n_bits, epsilon)
+    # round r keeps at most n_bits >> r bits, and runs only if round r - 1 left 2
+    last = min(rounds, int(n_bits).bit_length() - 1)
+    sizes = [0] * (last + 1)
+    ones = [0] * (last + 1)
+    # round r's bits that round r + 1 has not paired yet: never more than it makes
+    queues = [np.empty(min(CHUNK, n_bits >> r), dtype=bool) for r in range(max(last, 1))]
+    waiting = [0] * len(queues)
+    scratch = np.empty(min(CHUNK, n_bits), dtype=bool)  # a chunk's ties, or two masks of pairs
+
+    def pair_rounds(flush: bool) -> None:
+        # a queue below CHUNK/2 takes at most CHUNK/2 more from one batch, so it
+        # never overflows; every chunk but the last is CHUNK, so round 1 pairs
+        # each one before the next is sampled over it
+        for r in range(last):
+            count = waiting[r]
+            if count < CHUNK // 2 and not flush:
+                return
+            out = queues[r + 1][waiting[r + 1]:] if r + 1 < last else None
+            kept, kept_ones = _compress(queues[r][:count - count % 2], out, scratch)
+            sizes[r + 1] += kept
+            ones[r + 1] += kept_ones
+            if out is not None:
+                waiting[r + 1] += kept
+            if count % 2:  # the odd bit pairs with the next batch's first
+                queues[r][0] = queues[r][count - 1]
+            waiting[r] = count % 2
+
+    threshold = _threshold(epsilon)
+    primary = np.random.default_rng(seed).bit_generator
+    ties = primary.jumped(0).advance(-(-n_bits // 8))
+    for start in range(0, n_bits, CHUNK):
+        bits = queues[0][:min(CHUNK, n_bits - start)]
+        _sample(bits, threshold, primary, ties, scratch)
+        sizes[0] += bits.size
+        ones[0] += int(np.count_nonzero(bits))
+        waiting[0] = bits.size
+        pair_rounds(flush=False)
+    pair_rounds(flush=True)
+
     analytic = epsilon
-    history = [BcsRound(0, analytic, _empirical_bias(bits), int(bits.size))]
-    for round_index in range(1, rounds + 1):
-        if bits.size % 2:
-            bits = bits[:-1]
-        if bits.size == 0:
+    history = [BcsRound(0, analytic, _bias(ones[0], sizes[0]), sizes[0])]
+    for round_index in range(1, last + 1):
+        if sizes[round_index - 1] < 2:
             break  # pool exhausted; remaining rounds are vacuous
-        bits = _compress_round(bits)
         if analytic < 1.0:  # a bias that rounded to 1.0 is a fixed point of the map
             analytic = bcs_bias(analytic)
-        history.append(BcsRound(round_index, analytic, _empirical_bias(bits), int(bits.size)))
-    final = BiasState(epsilon=_empirical_bias(bits), n_bits=int(bits.size))
+        history.append(BcsRound(round_index, analytic, _bias(ones[round_index], sizes[round_index]),
+                                sizes[round_index]))
+    if len(history) <= rounds:  # exhausted before the last round
+        final = BiasState(epsilon=0.0, n_bits=0)
+    else:
+        final = BiasState(epsilon=history[-1].empirical_bias, n_bits=history[-1].retained_bits)
     return BcsResult(rounds=tuple(history), final=final, seed=seed)

@@ -151,6 +151,10 @@ PARSE_CASES = (
     (["--", "stray"], 1), (["-h"], 0), (["--he"], 0), (["--t1=3", "-h"], 0), (["--config"], 1),
     (["--t3=8", "--t3=9", "--format", "json"], None), (["--theta", "-2.4"], None), (["--out="], None),
     (["--config="], None),
+    # a value after a space that reads as numbers, exponent form included, is
+    # the flag's value on both paths; '-' and any value after '--' are not
+    (["--theta", "-1e-3"], None), (["--theta", "-0.5,0.7"], None), (["--t1", "-1e300"], None),
+    (["--theta", "-1e-3", "--cyc=3"], None), (["--out", "-"], None), (["--", "--t1", "-1e300"], 1),
     # argparse reads --flag=-- as an empty list, for every key
     *(([f"{flag}=--"], None if flag in cli._FLAGS else "bcs") for flag in cli._BCS_FLAGS),
 )
@@ -174,11 +178,13 @@ def test_each_command_parses_as_the_top_level_parser_would(command, monkeypatch)
     parser, commands = cli._parser()
     for args, code in PARSE_CASES:
         argv = [command, *args]
-        # the command's own parser, given the arguments after the command,
-        # fills the namespace of the top-level parser in the same key order
+        # the command's own parser, given the arguments after the command with
+        # their number values joined to their flags, as parse_config hands them
+        # over, fills the namespace of the top-level parser in the same key order
+        joined = cli._numbers_joined(command, args)
         own = outcome(lambda: list(vars(commands[command].parse_args(
-            args, argparse.Namespace(command=command))).items()))
-        assert own == outcome(lambda: list(vars(parser.parse_args(argv)).items())), argv
+            joined, argparse.Namespace(command=command))).items()))
+        assert own == outcome(lambda: list(vars(parser.parse_args([command, *joined])).items())), argv
         if code == "bcs":
             code = None if command == "bcs" else 1
         if code is None:
@@ -196,6 +202,8 @@ def test_each_command_parses_as_the_top_level_parser_would(command, monkeypatch)
         if code is None and args and args[0].endswith("=--"):  # a flag of the command given no value
             flag = args[0][:-len("=--")]
             assert dispatched == (("exit", 1), "", f"error: argument {flag}: expected one argument\n")
+        elif code is None:  # parse_config hands argparse what it parses
+            assert not isinstance(dispatched[0], tuple) or dispatched[0][0] != "exit", argv
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -228,8 +236,8 @@ def config_files(tmp_path_factory):
 # and values that start with '-' (flag_args adds an empty value and '--')
 FLAG_VALUES = {
     "--e1": ["1", "0.5", "-1"], "--e2": ["3", "2.5", "x"], "--e3": ["2", "0"],
-    "--t1": ["3", "-3", "inf"], "--t2": ["2.5", "nan"], "--t3": ["8", "12", "-0.5"],
-    "--g": ["2", "0"], "--theta": ["0.5", "0.3,1.1", "-2.4", "-2.4,0.7", "inf", ","],
+    "--t1": ["3", "-3", "inf", "-1e300"], "--t2": ["2.5", "nan"], "--t3": ["8", "12", "-0.5"],
+    "--g": ["2", "0"], "--theta": ["0.5", "0.3,1.1", "-2.4", "-2.4,0.7", "-1e-3", "-0.5,0.7", "inf", ","],
     "--cycles": ["3", "12", "0", "1.5"], "--grid": ["2,6,2,10,5", "1,5,3,9", "2,6,2,10,1"],
     "--seed": ["4", "-1"], "--out": ["a.csv", "-", "b c"], "--format": ["json", "csv", "xml"],
     "--delta-scale": ["2.5", "inf", "-2"], "--bits": ["4000", "3"], "--epsilon0": ["0.2", "1.0"],
@@ -283,12 +291,37 @@ def test_exact_flags_never_build_the_argparse_parser(monkeypatch):
 
     monkeypatch.setattr(cli, "_parser", no_parser)
     for argv in (["exchange"], ["cycles", "--cycles", "3", "--theta=0.3,0.7"],
+                 ["ledger", "--theta", "-1e-3,-0.5", "--t1", "2"],
                  ["bcs", "--bits=4000", "--rounds", "2", "--t1=3", "--t1", "4"],
                  ["phase-diagram", "--grid=2,6,2,10,5", "--format", "json", "--out="],
                  ["cop", "--config=", "--delta-scale", "2.5"]):
         assert isinstance(parse_config(argv), RunConfig)
     with pytest.raises(AssertionError, match="_parser"):
         parse_config(["cycles", "--cyc=3"])  # an abbreviation is argparse's to read
+
+
+def test_number_values_join_only_full_flags_of_the_command_before_the_end_of_options():
+    args = ["--t1", "-1e300", "--theta", "-0.5,0.7", "--thet", "-1e-3", "--out", "-", "--bits", "-2",
+            "--", "--t1", "-1"]
+    assert cli._numbers_joined("cycles", args) == [
+        "--t1=-1e300", "--theta=-0.5,0.7", "--thet", "-1e-3", "--out", "-", "--bits", "-2",
+        "--", "--t1", "-1"]
+    assert cli._numbers_joined("bcs", ["--bits", "-2"]) == ["--bits=-2"]
+    for value in ("-", "-1,x", "-0.5,", "-x", "--"):  # no numbers
+        assert cli._numbers_joined("ledger", ["--theta", value]) == ["--theta", value]
+
+
+def test_equals_flags_never_read_a_value_as_numbers(monkeypatch):
+    # --key=value argvs, the form the benchmark's ops use, read no value as numbers
+    def no_numbers(text):
+        raise AssertionError("_is_numbers called")
+
+    monkeypatch.setattr(cli, "_is_numbers", no_numbers)
+    for argv in (["bcs", "--bits=4000", "--epsilon0=0.2", "--rounds=2", "--seed=3", "--format=json"],
+                 ["ledger", "--theta=-1e-3,0.5", "--t1=-1e300", "--out=-"]):
+        outcome(lambda: parse_config(argv))  # lets the AssertionError through
+    with pytest.raises(AssertionError, match="_is_numbers"):
+        parse_config(["ledger", "--theta", "-1e-3"])
 
 
 def test_exchange_csv_contract(tmp_path):

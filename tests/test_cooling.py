@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -22,7 +23,7 @@ from spinfridge import (
     thermal_state,
 )
 from spinfridge import cooling
-from spinfridge.cooling import MAX_BITS, PRNG_ID, SAMPLE_CHUNK, _sample_pool, _threshold
+from spinfridge.cooling import CHUNK, MAX_BITS, PRNG_ID, _threshold
 
 
 def test_bcs_bias_examples():
@@ -165,18 +166,21 @@ def test_simulate_bcs_counts_follow_the_integer_rule_of_cycles(n_bits, rounds, s
         simulate_bcs(n_bits, 0.3, rounds, seed)
 
 
-def test_simulate_bcs_equals_the_uint8_loop():
-    # pools one bit pair, two pairs, and around one and three sampling chunks;
+def test_simulate_bcs_equals_the_uint8_loop(monkeypatch):
+    # pools of one and two bit pairs, and pools across the boundaries of 8- to
+    # 64-bit chunks, where each round's queue carries odd bits between batches;
     # the bias 1 - 2^-53 rounds the sampling threshold (1 + eps)/2 to 1.0
-    sizes = (2, 4, SAMPLE_CHUNK - 2, SAMPLE_CHUNK + 2, 3 * SAMPLE_CHUNK + 2)
+    sizes = (2, 4, 6, 10, 26, 66, 198, 1030)
     biases = (0.0, 0.3, 0.99, 1.0 - 2.0**-53)
     finals = []
     for n_bits, eps, seed in itertools.product(sizes, biases, range(8)):
         for rounds in range(9):
             case = (n_bits, eps, rounds, seed)
-            result = simulate_bcs(*case)
-            assert result == oracles.loop_bcs(*case), case
-            finals.append(result)
+            expected = oracles.loop_bcs(*case)
+            for chunk in (8, 16, 24, 64):
+                monkeypatch.setattr(cooling, "CHUNK", chunk)
+                assert simulate_bcs(*case) == expected, (case, chunk)
+            finals.append(expected)
     # the cases reach every kind of pool the loop can leave
     assert any(r.final.epsilon == -1.0 and r.final.n_bits > 1 for r in finals)  # all ones
     assert any(r.final.epsilon == 1.0 and r.final.n_bits > 1 for r in finals)  # pure
@@ -186,13 +190,28 @@ def test_simulate_bcs_equals_the_uint8_loop():
 
 @settings(max_examples=100, deadline=None)
 @given(
-    st.integers(1, 2 * SAMPLE_CHUNK).map(lambda pairs: 2 * pairs),
+    st.integers(1, 2**15).map(lambda pairs: 2 * pairs),
     st.floats(0.0, 1.0, exclude_max=True),
     st.integers(0, 8),
     st.integers(0, 2**64),
 )
 def test_simulate_bcs_equals_the_uint8_loop_on_random_cases(n_bits, eps, rounds, seed):
     assert simulate_bcs(n_bits, eps, rounds, seed) == oracles.loop_bcs(n_bits, eps, rounds, seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 2**12).map(lambda pairs: 2 * pairs),
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.integers(0, 14),
+    st.integers(0, 2**64),
+    st.sampled_from([8, 16, 24, 64]) | st.integers(1, 2**10).map(lambda words: 8 * words),
+)
+def test_simulate_bcs_does_not_depend_on_the_chunk(n_bits, eps, rounds, seed, chunk):
+    default = simulate_bcs(n_bits, eps, rounds, seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cooling, "CHUNK", chunk)
+        assert simulate_bcs(n_bits, eps, rounds, seed) == default
 
 
 def test_threshold_edges():
@@ -228,25 +247,42 @@ def test_threshold_rule_is_the_float_rule(case):
 
 @pytest.mark.parametrize("chunk", [8, 16, 24])
 def test_sampled_bits_do_not_depend_on_the_chunk(chunk, monkeypatch):
-    sizes = (2, 6, 2**15 - 2, 2**15 + 2, 3 * 2**15 + 6)
-    cases = list(itertools.product(sizes, (0.0, 0.3, 0.99), (0, 9)))
-    default = [_sample_pool(np.random.default_rng(seed), n, eps) for n, eps, seed in cases]
-    monkeypatch.setattr(cooling, "SAMPLE_CHUNK", chunk)
-    for case, bits in zip(cases, default):
-        n, eps, seed = case
-        assert np.array_equal(_sample_pool(np.random.default_rng(seed), n, eps), bits), case
+    # pools across the boundaries of the patched chunk, and across those of the
+    # default chunk with a patched chunk 2^10 times larger, so the tie words of
+    # every chunk come from the second generator; 12 rounds pair every bit
+    small = [(n, chunk) for n in (2, 6, chunk - 2, chunk + 2, 3 * chunk + 6)]
+    large = [(n, chunk << 10) for n in (CHUNK - 2, CHUNK + 2, 3 * CHUNK + 6)]
+    for (n, patched), eps, seed in itertools.product(small + large, (0.0, 0.3, 0.99), (0, 9)):
+        default = simulate_bcs(n, eps, 12, seed)
+        with monkeypatch.context() as patch:
+            patch.setattr(cooling, "CHUNK", patched)
+            assert simulate_bcs(n, eps, 12, seed) == default, (n, eps, seed, patched)
 
 
-def test_sampling_peaks_below_1_1_bytes_per_bit():
-    n_bits = 4_000_000
-    tracemalloc.start()
-    try:
-        bits = _sample_pool(np.random.default_rng(4), n_bits, 0.3)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert bits.size == n_bits
-    assert peak < 1.1 * n_bits
+def test_simulate_bcs_peak_memory_is_flat_in_the_pool_size():
+    def peak(n_bits):
+        tracemalloc.start()
+        try:
+            simulate_bcs(n_bits, 0.3, 6, 4)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    simulate_bcs(1000, 0.3, 6, 4)  # first-call imports are not the pool's
+    small, large = peak(4_000_000), peak(16_000_000)
+    # the pool streams through queues of at most CHUNK bits, one per round
+    assert large < 4_000_000
+    assert large <= small + CHUNK
+
+
+def test_a_billion_rounds_end_as_64_on_an_exhausted_pool():
+    # the rounds that can run are bounded by the pool, each keeping at most half
+    for n_bits, eps in ((2, 0.3), (1000, 0.3), (2**20, 0.99), (2**20, 1.0 - 2.0**-53)):
+        start = time.perf_counter()
+        result = simulate_bcs(n_bits, eps, 10**9, 5)
+        assert time.perf_counter() - start < 0.19
+        assert result == simulate_bcs(n_bits, eps, 64, 5)
+        assert result.final == BiasState(0.0, 0) and len(result.rounds) <= n_bits.bit_length()
 
 
 def test_simulate_bcs_unbiased_pool_stays_unbiased():
