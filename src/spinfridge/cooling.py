@@ -12,7 +12,9 @@ bridges these bit-pool statements to the refrigerator's thermal states.
 
 from __future__ import annotations
 
+import itertools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,18 +177,29 @@ def _sample(bits: np.ndarray, threshold: int, primary: np.random.PCG64, ties: np
     integer shifted right by 3 is uniform on [0, 2^53), so each bit has exactly the
     law of rng.random() >= (1 + epsilon)/2, which spends a raw word per bit, from an
     eighth of the words.
+
+    tie_mask holds at least 8 * ceil(bits.size/8) bools.  The ties are found a word
+    at a time: the mask's 8-byte words that hold one, about one word in 32, and then
+    the tied bytes of those words only.
     """
     top, rest = threshold >> 48, threshold & (2**48 - 1)
     if top > 0xFF:  # threshold 2^56: no byte reaches it
         bits.fill(False)
         return
     words = primary.random_raw(-(-bits.size // 8))
-    head = words.astype("<u8", copy=False).view(np.uint8)[:bits.size]
-    np.greater(head, top, out=bits)
-    tied = np.flatnonzero(np.equal(head, top, out=tie_mask[:bits.size]))
-    rests = ties.random_raw(tied.size)
+    head = words.astype("<u8", copy=False).view(np.uint8)
+    np.greater(head[:bits.size], top, out=bits)
+    tied = tie_mask[:head.size]
+    np.equal(head, top, out=tied)
+    tied[bits.size:] = False  # the bytes of a ragged last word past the pool's end
+    tied_words = np.flatnonzero(tied.view(np.uint64) != 0)  # flatnonzero runs fastest on bools
+    in_word = np.flatnonzero(tied.view(np.uint64)[tied_words].view(bool))
+    at = tied_words[in_word >> 3]
+    at <<= 3
+    at |= in_word & 7
+    rests = ties.random_raw(at.size)
     np.right_shift(rests, 16, out=rests)
-    bits[tied] = rests >= rest
+    bits[at] = rests >= rest
 
 
 def _compress(bits: np.ndarray, out: np.ndarray | None, scratch: np.ndarray) -> tuple[int, int]:
@@ -217,6 +230,50 @@ def _bias(ones: int, size: int) -> float:
     return 1.0 - 2.0 * (ones / size) if size else 0.0
 
 
+def _sample_ahead(n_bits: int, sample, take, buffers: tuple[np.ndarray, np.ndarray]) -> None:
+    """take(bits, ones) on each chunk of the pool in order, while a helper thread
+    samples the chunks after it: sample(bits) fills bits with the pool's next
+    bits.size bits and returns how many are 1.
+
+    The chunks alternate between the two buffers.  Semaphore free counts the
+    buffers the helper may fill and full those take may read, so the helper
+    refills a buffer only after take has returned from it.  Only the helper
+    samples, in chunk order, so the bits are those of an inline loop.  A failure
+    on either side, an interrupt of the caller included, stops and joins the
+    helper, and is raised here.
+    """
+    free, full = threading.Semaphore(2), threading.Semaphore(0)
+    counts = [0, 0]
+    failure: list[BaseException] = []
+    stop = threading.Event()
+
+    def helper() -> None:
+        try:
+            for k, start in enumerate(range(0, n_bits, CHUNK)):
+                free.acquire()
+                if stop.is_set():
+                    return
+                counts[k % 2] = sample(buffers[k % 2][:min(CHUNK, n_bits - start)])
+                full.release()
+        except BaseException as error:  # the caller raises it
+            failure.append(error)
+            full.release()
+
+    thread = threading.Thread(target=helper, name="bcs-sampler", daemon=True)
+    thread.start()
+    try:
+        for k, start in enumerate(range(0, n_bits, CHUNK)):
+            full.acquire()
+            if failure:
+                raise failure[0]
+            take(buffers[k % 2][:min(CHUNK, n_bits - start)], counts[k % 2])
+            free.release()
+    finally:
+        stop.set()
+        free.release()  # a helper waiting for a buffer wakes, sees stop and returns
+        thread.join()
+
+
 def simulate_bcs(n_bits: int, epsilon: float, rounds: int, seed: int) -> BcsResult:
     """Stochastic compression of a freshly sampled pool, seeded and exact.
 
@@ -231,6 +288,11 @@ def simulate_bcs(n_bits: int, epsilon: float, rounds: int, seed: int) -> BcsResu
     the first bit of the next batch, or is dropped at the end.  Each round keeps
     only its bit count and its count of ones, and the history and the final
     state come from those counts.
+
+    Over 2 rounds or more, a pool of more than 4 chunks is sampled a chunk
+    ahead: a helper thread, one per call, samples chunk k + 1 while the caller
+    runs the rounds on chunk k, so the call may use two cores.  Only the helper
+    draws, in chunk order, so a seed gives the same bits, bit for bit, either way.
     """
     check_bits(n_bits)
     check_bias(epsilon)
@@ -240,15 +302,26 @@ def simulate_bcs(n_bits: int, epsilon: float, rounds: int, seed: int) -> BcsResu
     last = min(rounds, int(n_bits).bit_length() - 1)
     sizes = [0] * (last + 1)
     ones = [0] * (last + 1)
-    # round r's bits that round r + 1 has not paired yet: never more than it makes
-    queues = [np.empty(min(CHUNK, n_bits >> r), dtype=bool) for r in range(max(last, 1))]
+    # a helper takes about 0.2 ms to start and to hand over its first chunk; with
+    # 2 rounds or more to compress it pays that back from a pool of 5 chunks on
+    ahead = last >= 2 and n_bits > 4 * CHUNK
+    # round r's bits that round r + 1 has not paired yet, never more than it makes;
+    # a chunk's ties, in whole words, or two masks of pairs; and to sample ahead,
+    # round 0's second buffer and the helper's ties.  Each is whole cache lines of
+    # one block: freed whole, the block stays in glibc's heap for the next call,
+    # where parts freed one by one went back to the system and faulted in again
+    lengths = [min(CHUNK, n_bits >> r) for r in range(max(last, 1))]
+    lengths += [lengths[0]] * (3 if ahead else 1)
+    lines = [-(-length // 64) * 64 for length in lengths]
+    block = np.empty(sum(lines), dtype=bool)
+    parts = [block[end - line:end] for end, line in zip(itertools.accumulate(lines), lines)]
+    queues, (scratch, *spare) = parts[:max(last, 1)], parts[max(last, 1):]
     waiting = [0] * len(queues)
-    scratch = np.empty(min(CHUNK, n_bits), dtype=bool)  # a chunk's ties, or two masks of pairs
 
     def pair_rounds(flush: bool) -> None:
         # a queue below CHUNK/2 takes at most CHUNK/2 more from one batch, so it
         # never overflows; every chunk but the last is CHUNK, so round 1 pairs
-        # each one before the next is sampled over it
+        # each one before its buffer is sampled over
         for r in range(last):
             count = waiting[r]
             if count < CHUNK // 2 and not flush:
@@ -266,13 +339,26 @@ def simulate_bcs(n_bits: int, epsilon: float, rounds: int, seed: int) -> BcsResu
     threshold = _threshold(epsilon)
     primary = np.random.default_rng(seed).bit_generator
     ties = primary.jumped(0).advance(-(-n_bits // 8))
-    for start in range(0, n_bits, CHUNK):
-        bits = queues[0][:min(CHUNK, n_bits - start)]
-        _sample(bits, threshold, primary, ties, scratch)
+
+    def sample(bits: np.ndarray, tie_mask: np.ndarray) -> int:
+        _sample(bits, threshold, primary, ties, tie_mask)
+        return int(np.count_nonzero(bits))
+
+    def take(bits: np.ndarray, bits_ones: int) -> None:
+        queues[0] = bits  # every chunk is even, so round 0's queue never carries a bit
         sizes[0] += bits.size
-        ones[0] += int(np.count_nonzero(bits))
+        ones[0] += bits_ones
         waiting[0] = bits.size
         pair_rounds(flush=False)
+
+    pool = queues[0]
+    if ahead:
+        second, tie_mask = spare
+        _sample_ahead(n_bits, lambda bits: sample(bits, tie_mask), take, (pool, second))
+    else:
+        for start in range(0, n_bits, CHUNK):
+            bits = pool[:min(CHUNK, n_bits - start)]
+            take(bits, sample(bits, scratch))
     pair_rounds(flush=True)
 
     analytic = epsilon

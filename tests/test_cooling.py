@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import threading
 import time
 import tracemalloc
 
@@ -23,7 +24,23 @@ from spinfridge import (
     thermal_state,
 )
 from spinfridge import cooling
-from spinfridge.cooling import CHUNK, MAX_BITS, PRNG_ID, _threshold
+from spinfridge.cooling import CHUNK, MAX_BITS, PRNG_ID, _sample, _threshold
+
+
+def simulate_bcs_on_a_side(*case):
+    """simulate_bcs(*case), and whether a helper thread sampled its chunks
+    (True) or the caller did (False)."""
+    samplers = set()
+
+    def recording(*args):
+        samplers.add(threading.current_thread())
+        _sample(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cooling, "_sample", recording)
+        result = simulate_bcs(*case)
+    assert len(samplers) == 1  # one thread samples every chunk of a pool
+    return result, samplers.pop() is not threading.current_thread()
 
 
 def test_bcs_bias_examples():
@@ -173,14 +190,20 @@ def test_simulate_bcs_equals_the_uint8_loop(monkeypatch):
     sizes = (2, 4, 6, 10, 26, 66, 198, 1030)
     biases = (0.0, 0.3, 0.99, 1.0 - 2.0**-53)
     finals = []
+    sides = set()
     for n_bits, eps, seed in itertools.product(sizes, biases, range(8)):
         for rounds in range(9):
             case = (n_bits, eps, rounds, seed)
             expected = oracles.loop_bcs(*case)
             for chunk in (8, 16, 24, 64):
                 monkeypatch.setattr(cooling, "CHUNK", chunk)
-                assert simulate_bcs(*case) == expected, (case, chunk)
+                result, threaded = simulate_bcs_on_a_side(*case)
+                assert result == expected, (case, chunk)
+                # a helper samples only a pool of 5 chunks or more, over 2 rounds or more
+                assert threaded == (rounds >= 2 and n_bits > 4 * chunk), (case, chunk)
+                sides.add(threaded)
             finals.append(expected)
+    assert sides == {False, True}
     # the cases reach every kind of pool the loop can leave
     assert any(r.final.epsilon == -1.0 and r.final.n_bits > 1 for r in finals)  # all ones
     assert any(r.final.epsilon == 1.0 and r.final.n_bits > 1 for r in finals)  # pure
@@ -188,30 +211,143 @@ def test_simulate_bcs_equals_the_uint8_loop(monkeypatch):
     assert any(row.retained_bits % 2 for r in finals for row in r.rounds[:-1])  # odd, trimmed
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    st.integers(1, 2**15).map(lambda pairs: 2 * pairs),
-    st.floats(0.0, 1.0, exclude_max=True),
-    st.integers(0, 8),
-    st.integers(0, 2**64),
-)
-def test_simulate_bcs_equals_the_uint8_loop_on_random_cases(n_bits, eps, rounds, seed):
-    assert simulate_bcs(n_bits, eps, rounds, seed) == oracles.loop_bcs(n_bits, eps, rounds, seed)
+def test_simulate_bcs_equals_the_uint8_loop_on_random_cases():
+    # at the default chunk the pool is one chunk, sampled inline; split into 1 to
+    # 64 chunks of whole words, 8 bits or more, a helper samples it from 5 chunks
+    # on over 2 rounds or more
+    sides = set()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 2**15).map(lambda pairs: 2 * pairs),
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.integers(0, 8),
+        st.integers(0, 2**64),
+        st.integers(1, 64),
+    )
+    @example(2, 0.0, 0, 0, 1)
+    @example(80, 0.3, 3, 0, 10)
+    def check(n_bits, eps, rounds, seed, chunks):
+        expected = oracles.loop_bcs(n_bits, eps, rounds, seed)
+        assert simulate_bcs_on_a_side(n_bits, eps, rounds, seed) == (expected, False)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cooling, "CHUNK", 8 * -(-n_bits // (8 * chunks)))
+            result, threaded = simulate_bcs_on_a_side(n_bits, eps, rounds, seed)
+        assert result == expected
+        sides.add(threaded)
+
+    check()
+    assert sides == {False, True}
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    st.integers(1, 2**12).map(lambda pairs: 2 * pairs),
-    st.floats(0.0, 1.0, exclude_max=True),
-    st.integers(0, 14),
-    st.integers(0, 2**64),
-    st.sampled_from([8, 16, 24, 64]) | st.integers(1, 2**10).map(lambda words: 8 * words),
-)
-def test_simulate_bcs_does_not_depend_on_the_chunk(n_bits, eps, rounds, seed, chunk):
-    default = simulate_bcs(n_bits, eps, rounds, seed)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cooling, "CHUNK", chunk)
-        assert simulate_bcs(n_bits, eps, rounds, seed) == default
+def test_simulate_bcs_does_not_depend_on_the_chunk():
+    sides = set()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 2**12).map(lambda pairs: 2 * pairs),
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.integers(0, 14),
+        st.integers(0, 2**64),
+        st.sampled_from([8, 16, 24, 64]) | st.integers(1, 2**10).map(lambda words: 8 * words),
+    )
+    @example(2, 0.0, 0, 0, 8)
+    @example(66, 0.3, 3, 0, 8)
+    def check(n_bits, eps, rounds, seed, chunk):
+        default = simulate_bcs(n_bits, eps, rounds, seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cooling, "CHUNK", chunk)
+            result, threaded = simulate_bcs_on_a_side(n_bits, eps, rounds, seed)
+        assert result == default
+        sides.add(threaded)
+
+    check()
+    assert sides == {False, True}
+
+
+class RawWords:
+    """A stand-in for a bit generator that hands out given raw words in order."""
+
+    def __init__(self, words):
+        self.words = np.array(words, dtype=np.uint64)
+        self.drawn = 0
+
+    def random_raw(self, size):
+        self.drawn += size
+        return self.words[self.drawn - size:self.drawn].copy()
+
+
+@pytest.mark.parametrize("n_bits, tied", [
+    (64, [0]),  # the first byte
+    (64, [63]),  # the last byte
+    (64, [7, 8, 15, 16, 31, 32, 33]),  # on both sides of word boundaries
+    (64, range(64)),  # every byte
+    (10, [1, 9]),  # a ragged last word, whose bytes 10-15 tie too but are past the pool
+    (2, [0, 1]),
+    (18, []),
+])
+def test_sample_settles_each_tie_with_the_next_tie_word(n_bits, tied):
+    eps = 0.3
+    threshold = _threshold(eps)
+    top, rest = threshold >> 48, threshold & (2**48 - 1)
+    words = -(-n_bits // 8)
+    head = np.random.default_rng(n_bits).integers(0, 255, 8 * words, dtype=np.uint8)
+    head[head >= top] += 1  # no byte ties but those set here
+    head[list(tied)] = top
+    head[n_bits:] = top
+    # tie words that settle 1, 0, 1, ...: their top 48 bits at rest and just below it
+    rests = [(rest - i % 2) << 16 | 0xFFFF for i in range(len(tied))] + [0] * 8
+    primary, ties = RawWords(head.view("<u8")), RawWords(rests)
+    bits = np.empty(n_bits, dtype=bool)
+    _sample(bits, threshold, primary, ties, np.empty(8 * words, dtype=bool))
+    expected = head[:n_bits] > top
+    expected[list(tied)] = [i % 2 == 0 for i in range(len(tied))]
+    assert bits.tolist() == expected.tolist()
+    assert (primary.drawn, ties.drawn) == (words, len(tied))
+
+
+@pytest.mark.parametrize("chunk", [8, 16, 24, 64])
+@pytest.mark.parametrize("name, error", [
+    ("_sample", RuntimeError("no bits")),
+    ("_compress", RuntimeError("no round")),
+    ("_compress", KeyboardInterrupt("stopped")),
+])
+def test_a_failure_on_either_side_stops_and_joins_the_helper(name, error, chunk, monkeypatch):
+    # the third call fails; a round waits first, so that the helper has filled
+    # both buffers and blocks on a free one until the failing caller frees it
+    calls, samplers, outcome = [], set(), []
+    fails = getattr(cooling, name)
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) == 3:
+            if name == "_compress":
+                time.sleep(0.05)
+            raise error
+        return fails(*args)
+
+    def recording(*args):
+        samplers.add(threading.current_thread())
+        return sample(*args)
+
+    def call():
+        try:
+            simulate_bcs(40 * chunk, 0.3, 6, 1)
+        except BaseException as raised:
+            outcome.append(raised)
+
+    monkeypatch.setattr(cooling, "CHUNK", chunk)
+    monkeypatch.setattr(cooling, name, failing)
+    sample = cooling._sample
+    monkeypatch.setattr(cooling, "_sample", recording)
+    threads = threading.active_count()
+    caller = threading.Thread(target=call, daemon=True)  # not to outlive a failed test
+    caller.start()
+    caller.join(timeout=30)
+    assert not caller.is_alive()
+    assert outcome == [error]  # the same exception, with its type and message
+    assert threading.active_count() == threads
+    assert len(samplers) == 1 and caller not in samplers  # a helper sampled
 
 
 def test_threshold_edges():
