@@ -187,80 +187,68 @@ def _is_numbers(text: str) -> bool:
     return True
 
 
-def _exact_flags(command: str, args: list[str]) -> dict[str, str | None] | None:
-    """The namespace the command's parser would fill from args, read without
-    argparse when every argument is --flag=value, or --flag value with a value
-    that does not start with '-' or reads as numbers, for a full option string
-    of the command (the last repeat of a flag wins, as in argparse); None for
-    any other args."""
-    flags = _BCS_FLAGS if command == "bcs" else _FLAGS
-    namespace = {"command": command} | dict.fromkeys(flags.values())
-    args = iter(args)
-    for arg in args:
-        option, equals, text = arg.partition("=")
-        if option not in flags or text == "--":  # argparse reads --flag=-- as no value
-            return None
-        if not equals:
-            text = next(args, "-")  # a flag with no value left is for argparse to report
-            if text.startswith("-") and not _is_numbers(text):
-                return None
-        namespace[flags[option]] = text
-    return namespace
+def _joined(command: str, args: list[str]) -> list[str]:
+    """args with each full option string of the command joined to the value
+    after it as --flag=value, when that value does not start with '-' or reads
+    as numbers, up to any '--': the one rule for a flag's value after a space.
 
-
-def _numbers_joined(command: str, args: list[str]) -> list[str]:
-    """args with each full option string of the command that a value reading as
-    numbers follows after a space joined to it as --flag=value, up to any '--'.
-
-    argparse takes a value that starts with '-' as an option unless it looks
-    like -N or -N.N, so it would report --theta -1e-3 as a flag given none."""
+    argparse reads a value that does not start with '-' as the flag's either
+    way; one that does it takes for an option unless it looks like -N or -N.N,
+    so it would report --theta -1e-3 as a flag given none."""
     flags = _BCS_FLAGS if command == "bcs" else _FLAGS
     joined = []
     for index, arg in enumerate(args):
         if arg == "--":
             return joined + args[index:]
-        if joined and joined[-1] in flags and arg.startswith("-") and _is_numbers(arg):
+        if joined and joined[-1] in flags and (not arg.startswith("-") or _is_numbers(arg)):
             joined[-1] += "=" + arg
         else:
             joined.append(arg)
     return joined
 
 
+def _exact_flags(command: str, args: list[str]) -> dict[str, str | None] | None:
+    """The namespace the command's parser would fill from args, read without
+    argparse when every argument is --flag=value for a full option string of
+    the command (the last repeat of a flag wins, as in argparse); None for any
+    other args."""
+    flags = _BCS_FLAGS if command == "bcs" else _FLAGS
+    namespace = {"command": command} | dict.fromkeys(flags.values())
+    for arg in args:
+        option, equals, text = arg.partition("=")
+        if not equals or option not in flags or text == "--":  # argparse reads --flag=-- as no value
+            return None
+        namespace[flags[option]] = text
+    return namespace
+
+
 @functools.cache
-def _parser() -> tuple[_Parser, dict[str, _Parser]]:
-    """The top-level parser and each command's own, generated from RunConfig
-    once per process, for the args that _exact_flags does not read."""
+def _parser() -> _Parser:
+    """The parser of the args that _exact_flags does not read, with one
+    subparser per command built from its option table, generated from
+    RunConfig once per process."""
     helps = {"config": "flat key=value config file"}
     helps |= {key.name: key.metadata.get("help") for key in fields(RunConfig)[1:]}
-    common = argparse.ArgumentParser(add_help=False)
-    bcs = argparse.ArgumentParser(add_help=False)
-    for option, key in _BCS_FLAGS.items():
-        (common if option in _FLAGS else bcs).add_argument(option, help=helps[key])
-
     parser = _Parser(prog="spinfridge",
                      description="three-spin self-contained refrigerator simulator")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {command: sub.add_parser(command,
-                                        parents=[common, bcs] if command == "bcs" else [common])
-                for command in COMMANDS}
-    return parser, commands
+    for command in COMMANDS:
+        own = sub.add_parser(command)
+        for option, key in (_BCS_FLAGS if command == "bcs" else _FLAGS).items():
+            own.add_argument(option, help=helps[key])
+    return parser
 
 
 def parse_config(argv: list[str] | None = None) -> RunConfig:
     """Resolve defaults, config file, and flags into a validated RunConfig."""
     argv = sys.argv[1:] if argv is None else argv
-    namespace = _exact_flags(argv[0], argv[1:]) if argv and argv[0] in _COMMANDS else None
+    namespace = None
+    if argv and argv[0] in _COMMANDS:
+        argv = [argv[0], *_joined(argv[0], argv[1:])]
+        namespace = _exact_flags(argv[0], argv[1:])
     if namespace is None:
-        parser, commands = _parser()
-        if argv and argv[0] in _COMMANDS:
-            argv = [argv[0], *_numbers_joined(argv[0], argv[1:])]
-        if argv and argv[0] in commands:
-            # all the top-level parser would do is hand the rest to this subparser;
-            # it runs only when argv[0] is no command (usage, -h, an unknown command)
-            namespace = vars(commands[argv[0]].parse_args(argv[1:],
-                                                          argparse.Namespace(command=argv[0])))
-        else:
-            namespace = vars(parser.parse_args(argv))
+        parser = _parser()
+        namespace = vars(parser.parse_args(argv))
         # argparse reads --flag=-- as an empty list, not a value: report it as
         # argparse reports a flag given none
         empty = [key for key, text in namespace.items() if isinstance(text, list)]
@@ -518,7 +506,7 @@ def run(cfg: RunConfig) -> int:
             print(f"theta={theta!r} fidelity={fidelity!r}", file=sys.stderr)
         seq = sequences[0]
         listing = {"index": np.arange(1, len(seq.labels) + 1), "label": list(seq.labels),
-                   "duration": seq.durations[seq.layout]}
+                   "duration": (seq.durations, seq.layout)}
         emit(listing, cfg.format, cfg.out, _meta(cfg))
         return 0 if min(fidelities) >= FIDELITY_GATE else 1
 

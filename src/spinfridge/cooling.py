@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import queue
 import threading
 from dataclasses import dataclass
 
@@ -235,42 +236,36 @@ def _sample_ahead(n_bits: int, sample, take, buffers: tuple[np.ndarray, np.ndarr
     samples the chunks after it: sample(bits) fills bits with the pool's next
     bits.size bits and returns how many are 1.
 
-    The chunks alternate between the two buffers.  Semaphore free counts the
-    buffers the helper may fill and full those take may read, so the helper
-    refills a buffer only after take has returned from it.  Only the helper
-    samples, in chunk order, so the bits are those of an inline loop.  A failure
-    on either side, an interrupt of the caller included, stops and joins the
-    helper, and is raised here.
+    The chunks alternate between the two buffers.  The helper puts each chunk's
+    count of ones, or the exception it raised, on one queue; before it refills a
+    buffer, it takes the caller's word from the other that take has returned
+    from that buffer, and a word of None stops it.  Only the helper samples, in
+    chunk order, so the bits are those of an inline loop.  A failure on either
+    side, an interrupt of the caller included, stops and joins the helper, and
+    is raised here.
     """
-    free, full = threading.Semaphore(2), threading.Semaphore(0)
-    counts = [0, 0]
-    failure: list[BaseException] = []
-    stop = threading.Event()
+    counts, returned = queue.SimpleQueue(), queue.SimpleQueue()
 
     def helper() -> None:
         try:
             for k, start in enumerate(range(0, n_bits, CHUNK)):
-                free.acquire()
-                if stop.is_set():
+                if k >= 2 and returned.get() is None:
                     return
-                counts[k % 2] = sample(buffers[k % 2][:min(CHUNK, n_bits - start)])
-                full.release()
+                counts.put(sample(buffers[k % 2][:min(CHUNK, n_bits - start)]))
         except BaseException as error:  # the caller raises it
-            failure.append(error)
-            full.release()
+            counts.put(error)
 
     thread = threading.Thread(target=helper, name="bcs-sampler", daemon=True)
     thread.start()
     try:
         for k, start in enumerate(range(0, n_bits, CHUNK)):
-            full.acquire()
-            if failure:
-                raise failure[0]
-            take(buffers[k % 2][:min(CHUNK, n_bits - start)], counts[k % 2])
-            free.release()
+            count = counts.get()
+            if isinstance(count, BaseException):
+                raise count
+            take(buffers[k % 2][:min(CHUNK, n_bits - start)], count)
+            returned.put(k)
     finally:
-        stop.set()
-        free.release()  # a helper waiting for a buffer wakes, sees stop and returns
+        returned.put(None)
         thread.join()
 
 

@@ -1,6 +1,5 @@
 """Command-line interface: parsing, emission, determinism, exit codes."""
 
-import argparse
 import contextlib
 import io
 import json
@@ -175,35 +174,30 @@ def outcome(parse):
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_each_command_parses_as_the_top_level_parser_would(command, monkeypatch):
-    parser, commands = cli._parser()
+    parser = cli._parser()
     for args, code in PARSE_CASES:
         argv = [command, *args]
-        # the command's own parser, given the arguments after the command with
-        # their number values joined to their flags, as parse_config hands them
-        # over, fills the namespace of the top-level parser in the same key order
-        joined = cli._numbers_joined(command, args)
-        own = outcome(lambda: list(vars(commands[command].parse_args(
-            joined, argparse.Namespace(command=command))).items()))
-        assert own == outcome(lambda: list(vars(parser.parse_args([command, *joined])).items())), argv
+        # the top-level parser, given the arguments after the command with their
+        # values joined to their flags, as parse_config hands them over
+        joined = [command, *cli._joined(command, args)]
+        parsed = outcome(lambda: list(vars(parser.parse_args(joined)).items()))
         if code == "bcs":
             code = None if command == "bcs" else 1
         if code is None:
-            assert own[0][0] != "exit", argv
+            assert parsed[0][0] != "exit", argv
         else:
-            assert own[0] == ("exit", code), argv
-        # parse_config reads exact flags itself and dispatches the rest to the
-        # command's parser; with neither it runs the top-level parser, and
-        # every way it ends alike
-        dispatched = outcome(lambda: parse_config(argv))
+            assert parsed[0] == ("exit", code), argv
+        # parse_config reads exact flags itself and hands the rest to that
+        # parser; with no exact-flag reader, every way it ends alike
+        read = outcome(lambda: parse_config(argv))
         with monkeypatch.context() as patch:
             patch.setattr(cli, "_exact_flags", lambda command, args: None)
-            patch.setattr(cli, "_parser", lambda: (parser, {}))
-            assert outcome(lambda: parse_config(argv)) == dispatched, argv
+            assert outcome(lambda: parse_config(argv)) == read, argv
         if code is None and args and args[0].endswith("=--"):  # a flag of the command given no value
             flag = args[0][:-len("=--")]
-            assert dispatched == (("exit", 1), "", f"error: argument {flag}: expected one argument\n")
+            assert read == (("exit", 1), "", f"error: argument {flag}: expected one argument\n")
         elif code is None:  # parse_config hands argparse what it parses
-            assert not isinstance(dispatched[0], tuple) or dispatched[0][0] != "exit", argv
+            assert not isinstance(read[0], tuple) or read[0][0] != "exit", argv
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -300,15 +294,35 @@ def test_exact_flags_never_build_the_argparse_parser(monkeypatch):
         parse_config(["cycles", "--cyc=3"])  # an abbreviation is argparse's to read
 
 
-def test_number_values_join_only_full_flags_of_the_command_before_the_end_of_options():
+def test_values_join_only_full_flags_of_the_command_before_the_end_of_options():
     args = ["--t1", "-1e300", "--theta", "-0.5,0.7", "--thet", "-1e-3", "--out", "-", "--bits", "-2",
             "--", "--t1", "-1"]
-    assert cli._numbers_joined("cycles", args) == [
+    assert cli._joined("cycles", args) == [
         "--t1=-1e300", "--theta=-0.5,0.7", "--thet", "-1e-3", "--out", "-", "--bits", "-2",
         "--", "--t1", "-1"]
-    assert cli._numbers_joined("bcs", ["--bits", "-2"]) == ["--bits=-2"]
+    assert cli._joined("bcs", ["--bits", "-2"]) == ["--bits=-2"]
     for value in ("-", "-1,x", "-0.5,", "-x", "--"):  # no numbers
-        assert cli._numbers_joined("ledger", ["--theta", value]) == ["--theta", value]
+        assert cli._joined("ledger", ["--theta", value]) == ["--theta", value]
+    # a value that does not start with '-' joins too, once, and only to a full
+    # option string of the command
+    assert cli._joined("cycles", ["--t1", "3"]) == ["--t1=3"]
+    assert cli._joined("cycles", ["--t1=3", "4"]) == ["--t1=3", "4"]
+    assert cli._joined("cycles", ["--out", "a", "b"]) == ["--out=a", "b"]
+    assert cli._joined("cycles", ["--out", ""]) == ["--out="]
+    assert cli._joined("cycles", ["--thet", "0.5", "--bits", "5", "--out", "-"]) == [
+        "--thet", "0.5", "--bits", "5", "--out", "-"]
+    assert cli._joined("bcs", ["--bits", "5"]) == ["--bits=5"]
+    assert cli._joined("cycles", ["--", "--t1", "3", "--out", "a"]) == ["--", "--t1", "3", "--out", "a"]
+    assert cli._joined("cycles", ["--t1", "3", "--", "--t1", "3"]) == ["--t1=3", "--", "--t1", "3"]
+
+
+def test_exact_flags_read_only_flag_equals_value_arguments():
+    assert cli._exact_flags("bcs", ["--bits=4", "--out=", "--t1=3", "--t1=4"]) == {
+        "command": "bcs", **dict.fromkeys(cli._BCS_FLAGS.values()), "bits": "4", "out": "",
+        "t1": "4"}
+    for args in (["--t1"], ["--t1", "3"], ["--t1=3", "4"], ["--out", "-"], ["stray"], ["--"],
+                 ["-h"], ["--t1=3", "--"], ["--thet=0.5"], ["--bits=4"], ["--t1=--"]):
+        assert cli._exact_flags("cycles", args) is None, args
 
 
 def test_equals_flags_never_read_a_value_as_numbers(monkeypatch):

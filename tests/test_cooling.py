@@ -308,22 +308,28 @@ def test_sample_settles_each_tie_with_the_next_tie_word(n_bits, tied):
 
 @pytest.mark.parametrize("chunk", [8, 16, 24, 64])
 @pytest.mark.parametrize("name, error", [
-    ("_sample", RuntimeError("no bits")),
-    ("_compress", RuntimeError("no round")),
-    ("_compress", KeyboardInterrupt("stopped")),
+    # each error with the chunk, of the pool's 40, on which it is raised
+    ("_sample", (RuntimeError("no bits"), 2)),
+    ("_compress", (RuntimeError("no round"), 2)),
+    ("_compress", (KeyboardInterrupt("stopped"), 2)),
+    ("_sample", (RuntimeError("no first bits"), 0)),
+    ("_compress", (RuntimeError("no last round"), 39)),
 ])
 def test_a_failure_on_either_side_stops_and_joins_the_helper(name, error, chunk, monkeypatch):
-    # the third call fails; a round waits first, so that the helper has filled
-    # both buffers and blocks on a free one until the failing caller frees it
-    calls, samplers, outcome = [], set(), []
+    # a chunk fails as it is sampled or in its first round, the one _compress
+    # call a whole chunk goes to; a round waits first, so that on chunk 2 the
+    # helper has filled both buffers and waits for the failing caller's word
+    error, failing_chunk = error
+    chunks, samplers, outcome = [], set(), []
     fails = getattr(cooling, name)
 
     def failing(*args):
-        calls.append(None)
-        if len(calls) == 3:
-            if name == "_compress":
-                time.sleep(0.05)
-            raise error
+        if name == "_sample" or args[0].size == chunk:
+            chunks.append(None)
+            if len(chunks) == failing_chunk + 1:
+                if name == "_compress":
+                    time.sleep(0.05)
+                raise error
         return fails(*args)
 
     def recording(*args):
@@ -409,6 +415,12 @@ def test_simulate_bcs_peak_memory_is_flat_in_the_pool_size():
     # the pool streams through queues of at most CHUNK bits, one per round
     assert large < 4_000_000
     assert large <= small + CHUNK
+    # and nothing is kept per chunk: with 20 times the chunks, sampled ahead, the
+    # peak grows by less than a list slot (8 bytes) per added chunk
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cooling, "CHUNK", 64)
+        small, large = peak(100 * 64), peak(2000 * 64)
+    assert large < small + 1900 * 8
 
 
 def test_a_billion_rounds_end_as_64_on_an_exhausted_pool():
