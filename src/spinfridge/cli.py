@@ -15,11 +15,11 @@ import argparse
 import csv
 import functools
 import io
-import json
 import math
 import operator
 import sys
 from dataclasses import dataclass, field, fields
+from json.encoder import encode_basestring_ascii
 from typing import Sequence, get_type_hints
 
 import numpy as np
@@ -37,9 +37,10 @@ from .thermo import check_positive
 FIDELITY_GATE = 1.0 - 1e-8
 # np.unique's table of distinct values and its take break even with one repr
 # per row at about this many repeats plus a twelfth of the rows (measured on
-# float64 columns with 17-digit texts: 29 repeats of 40 rows, 34 of 121, 60 of
-# 361, 140 of 1681)
-TABLE_REPEATS = 24
+# float64 columns of 17-digit texts whose repeats follow their twins, as in a
+# converged cycle tail: 30 repeats of 40 rows, 33 of 61, 40 of 121, 46 of 201,
+# 60 of 361, 100 of 841, 168 of 1681)
+TABLE_REPEATS = 30
 
 # an emit column: an array, a factored column (values, index), or strings
 Column = np.ndarray | tuple[np.ndarray, np.ndarray] | list[str]
@@ -300,19 +301,36 @@ def _scaled(columns: dict[str, Column], names: set[str], scale: float) -> dict[s
     return scaled
 
 
-def _json_value(value):
+def _json_text(value, indent: str) -> str:
+    """value as json.dumps(indent=2) lays it out at indent: a float as its repr
+    ('inf', '-inf' and 'nan' as strings), an int as its repr, a string escaped
+    to ASCII, None, True and False as null, true and false, each item of a
+    non-empty dict (str keys) or list or tuple on a line of its own, and any
+    other value as the string of its str()."""
     if isinstance(value, float):
-        value = float(value)
-        if not math.isfinite(value):
-            return repr(value)  # 'inf', '-inf', 'nan'
-        return value
+        text = float.__repr__(value)
+        return text if math.isfinite(value) else f'"{text}"'
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
     if isinstance(value, dict):
-        return {k: _json_value(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_value(v) for v in value]
-    if isinstance(value, (int, str)) or value is None:
-        return value
-    return str(value)
+        items = [f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}"
+                 for key, item in value.items()]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        items = [_json_text(item, inner) for item in value]
+        brackets = "[]"
+    else:
+        return encode_basestring_ascii(str(value))
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
 
 
 def _value_texts(values: np.ndarray, quote_nonfinite: bool) -> list[str]:
@@ -333,14 +351,12 @@ def _laid_out(values: np.ndarray, index: np.ndarray, quote_nonfinite: bool) -> l
 
 
 def _table_pays(values: np.ndarray) -> bool:
-    """Whether np.unique's table of distinct values costs less than it saves: it
-    costs about the repr of TABLE_REPEATS values plus a twelfth of the rows, so
-    a column needs more repeats (equal neighbours once sorted) than that."""
+    """Whether np.unique's table of distinct values surely costs less than it
+    saves: it costs about the repr of TABLE_REPEATS values plus a twelfth of the
+    rows, so a column needs more repeats than that.  Its equal neighbours in row
+    order, never more than its repeats, must show them, so no sort runs."""
     needed = TABLE_REPEATS + len(values) // 12
-    if len(values) <= needed:
-        return False
-    ordered = np.sort(values)
-    return int(np.count_nonzero(ordered[1:] == ordered[:-1])) > needed
+    return len(values) > needed and int(np.count_nonzero(values[1:] == values[:-1])) > needed
 
 
 def _array_texts(values: np.ndarray, quote_nonfinite: bool) -> list[str]:
@@ -363,11 +379,18 @@ def _column_texts(column: Column, fmt: str) -> tuple[list[str], bool]:
         return _array_texts(column, quote_nonfinite=fmt == "json"), False
     if isinstance(column, tuple):
         return _laid_out(*column, quote_nonfinite=fmt == "json"), False
-    return (list(column) if fmt == "csv" else list(map(json.dumps, column))), True
+    return (list(column) if fmt == "csv" else list(map(encode_basestring_ascii, column))), True
 
 
 def _rows(column: Column) -> int:
     return len(column[1]) if isinstance(column, tuple) else len(column)
+
+
+def _csv_written(rows) -> str:
+    """The rows as csv.writer writes them, quoting the fields that need it."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
 
 
 def emit(columns: dict[str, Column], fmt: str, path: str | None, meta: dict) -> int:
@@ -376,31 +399,36 @@ def emit(columns: dict[str, Column], fmt: str, path: str | None, meta: dict) -> 
     (values, index) whose row i holds values[index[i]], or a list of strings.
 
     A float's text is repr(float(v)); JSON writes 'inf', '-inf' and 'nan' as
-    strings.  Each column is formatted as a whole, and only columns whose
-    fields may need quoting go through csv.writer.
+    strings.  Each column is formatted as a whole.  CSV rows are joined with
+    commas and JSON rows, after the meta, are laid out in one join, as
+    csv.writer and json.dumps(indent=2) would write them; only a table with a
+    column of strings, or a header of names that may need quoting, goes
+    through csv.writer.
     """
     if len(set(map(_rows, columns.values()))) > 1:
         raise ValueError("columns must have equal lengths")
     formatted = [_column_texts(col, fmt) for col in columns.values()]
     texts = [column_texts for column_texts, _ in formatted]
     has_rows = bool(texts and texts[0])
+    names = list(columns)
     if fmt == "csv":
-        buffer = io.StringIO()
-        if has_rows:
-            writer = csv.writer(buffer, lineterminator="\n")
-            writer.writerow(columns.keys())
-            if any(quote for _, quote in formatted):
-                writer.writerows(zip(*texts))
-            else:
-                buffer.write("\n".join(map(",".join, zip(*texts))) + "\n")
-        payload = buffer.getvalue()
+        if not has_rows:
+            payload = ""
+        elif any(quote for _, quote in formatted):
+            payload = _csv_written([names, *zip(*texts)])
+        else:
+            # csv.writer quotes no identifier: none holds a comma, quote or line break
+            header = (",".join(names) + "\n" if all(map(str.isidentifier, names))
+                      else _csv_written([names]))
+            payload = header + "\n".join(map(",".join, zip(*texts))) + "\n"
     else:
-        document = {"meta": {k: _json_value(v) for k, v in meta.items()}, "data": []}
-        payload = json.dumps(document, indent=2)
-        if has_rows:
+        head = f'{{\n  "meta": {_json_text(meta, "  ")},\n  "data": '
+        if not has_rows:
+            payload = head + "[]\n}\n"
+        else:
             # each row as json.dumps(indent=2) lays out a dict inside the data
             # list: every text after its key's prefix, all in one join
-            keys = [json.dumps(name) for name in columns]
+            keys = list(map(encode_basestring_ascii, names))
             prefixes = [f"\n    }},\n    {{\n      {keys[0]}: "]
             prefixes += [f",\n      {key}: " for key in keys[1:]]
             width = 2 * len(keys)
@@ -408,14 +436,14 @@ def emit(columns: dict[str, Column], fmt: str, path: str | None, meta: dict) -> 
             for index, (prefix, column_texts) in enumerate(zip(prefixes, texts)):
                 parts[2 * index::width] = [prefix] * len(column_texts)
                 parts[2 * index + 1::width] = column_texts
-            parts[0] = f"[\n    {{\n      {keys[0]}: "  # the first row follows no row
-            payload = payload[:-len("[]\n}")] + "".join(parts) + "\n    }\n  ]\n}"
-        payload += "\n"
+            parts[0] = f"{head}[\n    {{\n      {keys[0]}: "  # the first row follows no row
+            parts.append("\n    }\n  ]\n}\n")
+            payload = "".join(parts)
     if path is None or path == "-":
         sys.stdout.write(payload)
     else:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(payload)
+        with open(path, "wb") as handle:
+            handle.write(payload.encode())
     return 0
 
 

@@ -284,7 +284,7 @@ def simulate_bcs(n_bits: int, epsilon: float, rounds: int, seed: int) -> BcsResu
     only its bit count and its count of ones, and the history and the final
     state come from those counts.
 
-    Over 2 rounds or more, a pool of more than 4 chunks is sampled a chunk
+    Over 2 rounds or more, a pool of more than 3.5 chunks is sampled a chunk
     ahead: a helper thread, one per call, samples chunk k + 1 while the caller
     runs the rounds on chunk k, so the call may use two cores.  Only the helper
     draws, in chunk order, so a seed gives the same bits, bit for bit, either way.
@@ -298,8 +298,9 @@ def simulate_bcs(n_bits: int, epsilon: float, rounds: int, seed: int) -> BcsResu
     sizes = [0] * (last + 1)
     ones = [0] * (last + 1)
     # a helper takes about 0.2 ms to start and to hand over its first chunk; with
-    # 2 rounds or more to compress it pays that back from a pool of 5 chunks on
-    ahead = last >= 2 and n_bits > 4 * CHUNK
+    # 2 rounds or more to compress it pays that back from about 3.25 chunks on
+    # (3.05 chunks ran 4-24% slower with it over 2 rounds, 3.81 chunks 4-7% faster)
+    ahead = last >= 2 and n_bits > 7 * CHUNK // 2
     # round r's bits that round r + 1 has not paired yet, never more than it makes;
     # a chunk's ties, in whole words, or two masks of pairs; and to sample ahead,
     # round 0's second buffer and the helper's ties.  Each is whole cache lines of

@@ -199,8 +199,8 @@ def test_simulate_bcs_equals_the_uint8_loop(monkeypatch):
                 monkeypatch.setattr(cooling, "CHUNK", chunk)
                 result, threaded = simulate_bcs_on_a_side(*case)
                 assert result == expected, (case, chunk)
-                # a helper samples only a pool of 5 chunks or more, over 2 rounds or more
-                assert threaded == (rounds >= 2 and n_bits > 4 * chunk), (case, chunk)
+                # a helper samples only a pool of more than 3.5 chunks, over 2 rounds or more
+                assert threaded == (rounds >= 2 and n_bits > 7 * chunk // 2), (case, chunk)
                 sides.add(threaded)
             finals.append(expected)
     assert sides == {False, True}
@@ -213,8 +213,8 @@ def test_simulate_bcs_equals_the_uint8_loop(monkeypatch):
 
 def test_simulate_bcs_equals_the_uint8_loop_on_random_cases():
     # at the default chunk the pool is one chunk, sampled inline; split into 1 to
-    # 64 chunks of whole words, 8 bits or more, a helper samples it from 5 chunks
-    # on over 2 rounds or more
+    # 64 chunks of whole words, 8 bits or more, a helper samples it from more than
+    # 3.5 chunks on over 2 rounds or more
     sides = set()
 
     @settings(max_examples=100, deadline=None)
@@ -227,12 +227,16 @@ def test_simulate_bcs_equals_the_uint8_loop_on_random_cases():
     )
     @example(2, 0.0, 0, 0, 1)
     @example(80, 0.3, 3, 0, 10)
+    @example(28, 0.3, 2, 0, 4)  # 3.5 chunks of 8 bits: inline
+    @example(30, 0.3, 2, 0, 4)  # 3.75 chunks of 8 bits: a helper
     def check(n_bits, eps, rounds, seed, chunks):
         expected = oracles.loop_bcs(n_bits, eps, rounds, seed)
         assert simulate_bcs_on_a_side(n_bits, eps, rounds, seed) == (expected, False)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(cooling, "CHUNK", 8 * -(-n_bits // (8 * chunks)))
             result, threaded = simulate_bcs_on_a_side(n_bits, eps, rounds, seed)
+            rounds_run = min(rounds, n_bits.bit_length() - 1)
+            assert threaded == (rounds_run >= 2 and n_bits > 7 * cooling.CHUNK // 2)
         assert result == expected
         sides.add(threaded)
 

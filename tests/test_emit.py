@@ -79,9 +79,9 @@ def as_rows(columns: dict) -> list[dict]:
     return [dict(zip(columns, row)) for row in zip(*map(expanded, columns.values()))]
 
 
-def written(writer, data, fmt: str, path=None) -> str:
+def written(writer, data, fmt: str, meta=META) -> str:
     with contextlib.redirect_stdout(io.StringIO()) as out:
-        writer(data, fmt, path, META)
+        writer(data, fmt, None, meta)
     return out.getvalue()
 
 
@@ -125,10 +125,25 @@ def columns(draw):
     return table
 
 
+# what a meta holds: nested dicts, lists and tuples, empty ones included, of
+# strings that need JSON escapes or are not ASCII, floats, ints, None and
+# bools, and numpy scalars, which JSON writes as a number or as the string of
+# their str()
+meta_leaves = st.one_of(st.none(), st.booleans(), st.integers(), int64s.map(np.int64), floats,
+                        floats.map(np.float64), texts, st.text(max_size=4))
+metas = st.dictionaries(
+    st.one_of(texts, st.text(max_size=4)),
+    st.recursive(meta_leaves, lambda items: st.one_of(
+        st.lists(items, max_size=3), st.lists(items, max_size=3).map(tuple),
+        st.dictionaries(st.one_of(texts, st.text(max_size=4)), items, max_size=3)),
+        max_leaves=12),
+    max_size=4)
+
+
 @settings(max_examples=400, deadline=None)
-@given(columns(), st.sampled_from(["csv", "json"]))
-def test_emit_writes_the_bytes_of_the_row_writer(table, fmt):
-    assert written(emit, table, fmt) == written(row_emit, as_rows(table), fmt)
+@given(columns(), st.sampled_from(["csv", "json"]), st.one_of(st.just(META), metas))
+def test_emit_writes_the_bytes_of_the_row_writer(table, fmt, meta):
+    assert written(emit, table, fmt, meta) == written(row_emit, as_rows(table), fmt, meta)
 
 
 def distinct_key(value):
@@ -202,31 +217,55 @@ def test_a_factored_column_keeps_zero_signs_and_nonfinite_texts(fmt):
     assert_special_texts((np.array(SPECIAL_COLUMN + [1.5]), index), fmt)
 
 
-def column_at_the_cut(rows: int, extra: int) -> np.ndarray:
+def column_at_the_cut(rows: int, extra: int, apart: bool = False) -> np.ndarray:
     """A float column of rows values with cli.TABLE_REPEATS + rows // 12 + extra
-    repeats by the sorted-neighbour count: -0.0 repeats 0.0, the others repeat
-    random distinct values, and a nan repeats nothing."""
+    repeats: -0.0 repeats 0.0, the others repeat random distinct values, and a
+    nan repeats nothing.  Each copy of a value follows the one before it, so
+    the repeats are equal neighbours in row order; apart, the k-th copy of each
+    value is in the k-th pass over the values, so few of them are."""
     repeats = cli.TABLE_REPEATS + rows // 12 + extra
     rng = np.random.default_rng(rows)
     distinct = np.concatenate([[0.0, math.nan], rng.uniform(-3.0, 3.0, rows - repeats - 2)])
-    column = np.concatenate([distinct, [-0.0], rng.choice(distinct[2:], repeats - 1)])
-    rng.shuffle(column)
+    copies = 1 + np.bincount(rng.integers(2, len(distinct), repeats - 1), minlength=len(distinct))
+    copies[0] = 2
+    order = rng.permutation(len(distinct))
+    column = np.repeat(distinct[order], copies[order])
+    column[np.flatnonzero(column == 0.0)[1]] = -0.0
+    if apart:
+        rank = np.arange(rows) - np.repeat(np.cumsum(copies[order]) - copies[order], copies[order])
+        column = column[np.argsort(rank, kind="stable")]
     return column
+
+
+def sorted_repeats(column: np.ndarray) -> int:
+    ordered = np.sort(column)
+    return int(np.count_nonzero(ordered[1:] == ordered[:-1]))
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("rows", [30, 40, 64, 121, 361, 1681])
 def test_columns_on_each_side_of_the_table_cut_write_the_row_writer_bytes(rows, fmt):
-    for extra, pays in ((0, False), (1, True)):
-        column = column_at_the_cut(rows, extra)
-        assert cli._table_pays(column) is pays
-        table = {"x": column, "n": np.arange(rows)}
-        assert written(emit, table, fmt) == written(row_emit, as_rows(table), fmt)
+    needed = cli.TABLE_REPEATS + rows // 12
+    # one value throughout (rows - 1 repeats) pays only where the rows hold the cut
+    column = np.zeros(rows)
+    assert cli._table_pays(column) is (rows - 1 > needed)
+    assert written(emit, {"x": column}, fmt) == written(row_emit, as_rows({"x": column}), fmt)
+    # room for the cut's repeats beside a zero, a nan and a random value; the
+    # repeats count only as equal neighbours in row order, so the same values
+    # apart take no table
+    sides = ((0, False), (1, True)) if needed + 4 <= rows else ()
+    for extra, pays in sides:
+        for apart in (False, True):
+            column = column_at_the_cut(rows, extra, apart)
+            assert sorted_repeats(column) == needed + extra
+            assert cli._table_pays(column) is (pays and not apart)
+            table = {"x": column, "n": np.arange(rows)}
+            assert written(emit, table, fmt) == written(row_emit, as_rows(table), fmt)
     # too few rows to hold the cut's repeats, and repeated nans, which the count
     # does not see as repeats
     assert not cli._table_pays(np.zeros(cli.TABLE_REPEATS))
     assert not cli._table_pays(np.full(200, math.nan))
-    assert cli._table_pays(np.zeros(cli.TABLE_REPEATS + 4))  # 27 repeats of 28 rows
+    assert cli._table_pays(np.zeros(cli.TABLE_REPEATS + 4))  # 33 repeats of 34 rows
 
 
 def scaled_outcome(columns, scale):
