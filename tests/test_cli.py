@@ -80,9 +80,11 @@ def test_config_file_roundtrip_and_flag_override(tmp_path):
 
 def test_config_file_unknown_key_names_the_key(tmp_path, capsys):
     config = tmp_path / "run.cfg"
-    # an unknown key, then bad values of known keys: each error names line and key
+    # an unknown key, a line without '=', then bad values of known keys: each
+    # error names line and key
     for text, lineno, key in [
         ("tee3 = 8.0\n", 1, "tee3"),
+        ("t1 = 3\n\nt3 8.0\n", 3, "t3 8.0"),
         ("# cycles\ncycles = 1.5\n", 2, "cycles"),
         ("delta_scale = inf\n", 1, "delta_scale"),
     ]:

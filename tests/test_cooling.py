@@ -113,6 +113,9 @@ def test_rounds_to_bias():
     assert rounds_to_bias(0.01, 0.99) > 3
     with pytest.raises(ValueError, match="unreachable"):
         rounds_to_bias(0.0, 0.5)
+    for target in (0.0, 1.0, -0.5, 1.5, math.nan):
+        with pytest.raises(ValueError, match=r"^target bias must lie in \(0, 1\), got"):
+            rounds_to_bias(0.5, target)
 
 
 def test_bias_bridges_to_thermal_populations():

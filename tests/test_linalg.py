@@ -31,6 +31,7 @@ from spinfridge.linalg import (
     PSD_TOL,
     canonical_chain,
     canonical_density,
+    embed_single,
 )
 
 
@@ -308,6 +309,21 @@ def test_evolve_rejects_non_unitary():
     rho = DensityMatrix(np.eye(2) / 2.0)
     with pytest.raises(ValueError):
         evolve(rho, Operator(np.diag([1.0, 2.0])))
+
+
+def test_evolve_rejects_a_unitary_of_another_dimension():
+    with pytest.raises(ValueError, match="^dimension mismatch: state 2, unitary 4$"):
+        evolve(DensityMatrix(np.eye(2) / 2.0), Operator(np.eye(4)))
+
+
+@pytest.mark.parametrize("a, qubit, n_qubits, message", [
+    (Operator(np.eye(4)), 0, 2, "embed_single expects a single-qubit operator"),
+    (PAULI_X, 3, 3, "qubit index 3 out of range for 3 qubits"),
+    (PAULI_X, -1, 3, "qubit index -1 out of range for 3 qubits"),
+])
+def test_embed_single_rejects_a_wide_operator_and_a_qubit_out_of_range(a, qubit, n_qubits, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        embed_single(a, qubit, n_qubits)
 
 
 def test_dephase_fixes_diagonal_and_crushes_plus():
