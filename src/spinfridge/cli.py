@@ -11,15 +11,10 @@ stderr), 2 I/O failure.
 
 from __future__ import annotations
 
-import argparse
-import csv
 import functools
-import io
 import math
-import operator
 import sys
 from dataclasses import dataclass, field, fields
-from json.encoder import encode_basestring_ascii
 from typing import Sequence, get_type_hints
 
 import numpy as np
@@ -44,6 +39,8 @@ TABLE_REPEATS = 30
 
 # an emit column: an array, a factored column (values, index), or strings
 Column = np.ndarray | tuple[np.ndarray, np.ndarray] | list[str]
+# the reference operating point, whose values are RunConfig's defaults
+_REFERENCE = FridgeConfig()
 
 
 def _key(default, help: str, bcs_only: bool = False):
@@ -57,14 +54,14 @@ class RunConfig:
     key, with its type (read by ``_READERS``), its default and its flag help."""
 
     command: str
-    e1: float = FridgeConfig.E1
-    e2: float = FridgeConfig.E2
-    e3: float = FridgeConfig.E3
-    t1: float = FridgeConfig.T1
-    t2: float = FridgeConfig.T2
-    t3: float = FridgeConfig.T3
-    g: float = FridgeConfig.g
-    theta: tuple[float, ...] = _key((FridgeConfig.theta,), "comma-separated angles in radians")
+    e1: float = _REFERENCE.E1
+    e2: float = _REFERENCE.E2
+    e3: float = _REFERENCE.E3
+    t1: float = _REFERENCE.T1
+    t2: float = _REFERENCE.T2
+    t3: float = _REFERENCE.T3
+    g: float = _REFERENCE.g
+    theta: tuple[float, ...] = _key((_REFERENCE.theta,), "comma-separated angles in radians")
     cycles: int = _key(60, "number of refrigeration cycles")
     grid: tuple[float, float, float, float, int] = _key(
         (2.0, 6.0, 2.0, 10.0, 41), "T2_min,T2_max,T3_min,T3_max,steps"
@@ -86,23 +83,19 @@ class RunConfig:
 
 
 # the config keys that are FridgeConfig fields other than theta: e1 is E1, g is g
-_FRIDGE_KEYS = {f.name.lower(): f.name for f in fields(FridgeConfig) if f.name != "theta"}
+_FRIDGE_KEYS = {name.lower(): name for name in FridgeConfig._fields if name != "theta"}
 # the config keys that JSON meta echoes under "config": all but the output keys
 _META_KEYS = [f.name for f in fields(RunConfig)[1:]
               if f.name not in ("out", "format", "delta_scale")]
 
 
-class _Parser(argparse.ArgumentParser):
-    # keep exit code 1 for all validation problems (argparse defaults to 2)
-    def error(self, message: str) -> None:  # type: ignore[override]
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(1)
-
-
 def _parse_theta(text: str) -> tuple[float, ...]:
-    values = tuple(float(part) for part in text.split(",") if part.strip())
-    if not values:
+    parts = [part.strip() for part in text.split(",")]
+    if not any(parts):
         raise ValueError("theta list must not be empty")
+    if not all(parts):
+        raise ValueError(f"theta list has an empty part: {text!r}")
+    values = tuple(map(float, parts))
     for theta in values:
         check_theta(theta)
     return values
@@ -224,10 +217,18 @@ def _exact_flags(command: str, args: list[str]) -> dict[str, str | None] | None:
 
 
 @functools.cache
-def _parser() -> _Parser:
+def _parser() -> argparse.ArgumentParser:
     """The parser of the args that _exact_flags does not read, with one
     subparser per command built from its option table, generated from
-    RunConfig once per process."""
+    RunConfig once per process; argparse loads here, on first use."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        # keep exit code 1 for all validation problems (argparse defaults to 2)
+        def error(self, message: str) -> None:  # type: ignore[override]
+            print(f"error: {message}", file=sys.stderr)
+            raise SystemExit(1)
+
     helps = {"config": "flat key=value config file"}
     helps |= {key.name: key.metadata.get("help") for key in fields(RunConfig)[1:]}
     parser = _Parser(prog="spinfridge",
@@ -301,17 +302,18 @@ def _scaled(columns: dict[str, Column], names: set[str], scale: float) -> dict[s
     return scaled
 
 
-def _json_text(value, indent: str) -> str:
+def _json_text(value, indent: str, escape) -> str:
     """value as json.dumps(indent=2) lays it out at indent: a float as its repr
     ('inf', '-inf' and 'nan' as strings), an int as its repr, a string escaped
-    to ASCII, None, True and False as null, true and false, each item of a
-    non-empty dict (str keys) or list or tuple on a line of its own, and any
-    other value as the string of its str()."""
+    to ASCII by escape (json.encoder's encode_basestring_ascii), None, True and
+    False as null, true and false, each item of a non-empty dict (str keys) or
+    list or tuple on a line of its own, and any other value as the string of
+    its str()."""
     if isinstance(value, float):
         text = float.__repr__(value)
         return text if math.isfinite(value) else f'"{text}"'
     if isinstance(value, str):
-        return encode_basestring_ascii(value)
+        return escape(value)
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -320,14 +322,13 @@ def _json_text(value, indent: str) -> str:
         return int.__repr__(value)
     inner = indent + "  "
     if isinstance(value, dict):
-        items = [f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}"
-                 for key, item in value.items()]
+        items = [f"{escape(key)}: {_json_text(item, inner, escape)}" for key, item in value.items()]
         brackets = "{}"
     elif isinstance(value, (list, tuple)):
-        items = [_json_text(item, inner) for item in value]
+        items = [_json_text(item, inner, escape) for item in value]
         brackets = "[]"
     else:
-        return encode_basestring_ascii(str(value))
+        return escape(str(value))
     if not items:
         return brackets
     return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
@@ -372,14 +373,15 @@ def _array_texts(values: np.ndarray, quote_nonfinite: bool) -> list[str]:
     return texts
 
 
-def _column_texts(column: Column, fmt: str) -> tuple[list[str], bool]:
-    """The text of each value of one column in fmt, and whether a CSV field of it
-    may need quoting (only a string's may)."""
+def _column_texts(column: Column, escape) -> tuple[list[str], bool]:
+    """The text of each value of one column, in JSON given JSON's string escaper
+    and in CSV given None, and whether a CSV field of it may need quoting (only
+    a string's may)."""
     if isinstance(column, np.ndarray):
-        return _array_texts(column, quote_nonfinite=fmt == "json"), False
+        return _array_texts(column, quote_nonfinite=escape is not None), False
     if isinstance(column, tuple):
-        return _laid_out(*column, quote_nonfinite=fmt == "json"), False
-    return (list(column) if fmt == "csv" else list(map(encode_basestring_ascii, column))), True
+        return _laid_out(*column, quote_nonfinite=escape is not None), False
+    return (list(column) if escape is None else list(map(escape, column))), True
 
 
 def _rows(column: Column) -> int:
@@ -388,6 +390,9 @@ def _rows(column: Column) -> int:
 
 def _csv_written(rows) -> str:
     """The rows as csv.writer writes them, quoting the fields that need it."""
+    import csv
+    import io
+
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\n").writerows(rows)
     return buffer.getvalue()
@@ -407,7 +412,10 @@ def emit(columns: dict[str, Column], fmt: str, path: str | None, meta: dict) -> 
     """
     if len(set(map(_rows, columns.values()))) > 1:
         raise ValueError("columns must have equal lengths")
-    formatted = [_column_texts(col, fmt) for col in columns.values()]
+    escape = None
+    if fmt == "json":  # its string escaper, imported once per emit and passed down
+        from json.encoder import encode_basestring_ascii as escape
+    formatted = [_column_texts(col, escape) for col in columns.values()]
     texts = [column_texts for column_texts, _ in formatted]
     has_rows = bool(texts and texts[0])
     names = list(columns)
@@ -422,13 +430,13 @@ def emit(columns: dict[str, Column], fmt: str, path: str | None, meta: dict) -> 
                       else _csv_written([names]))
             payload = header + "\n".join(map(",".join, zip(*texts))) + "\n"
     else:
-        head = f'{{\n  "meta": {_json_text(meta, "  ")},\n  "data": '
+        head = f'{{\n  "meta": {_json_text(meta, "  ", escape)},\n  "data": '
         if not has_rows:
             payload = head + "[]\n}\n"
         else:
             # each row as json.dumps(indent=2) lays out a dict inside the data
             # list: every text after its key's prefix, all in one join
-            keys = list(map(encode_basestring_ascii, names))
+            keys = list(map(escape, names))
             prefixes = [f"\n    }},\n    {{\n      {keys[0]}: "]
             prefixes += [f",\n      {key}: " for key in keys[1:]]
             width = 2 * len(keys)
@@ -460,10 +468,9 @@ def _meta(cfg: RunConfig) -> dict:
     return meta
 
 
-def _record_columns(records: Sequence) -> dict[str, np.ndarray]:
-    """One array column per field of the dataclass records (at least one)."""
-    names = [f.name for f in fields(records[0])]
-    return dict(zip(names, map(np.array, zip(*map(operator.attrgetter(*names), records)))))
+def _record_columns(records: Sequence[tuple]) -> dict[str, np.ndarray]:
+    """One array column per field of the NamedTuple records (at least one)."""
+    return dict(zip(records[0]._fields, map(np.array, zip(*records))))
 
 
 def _columns_exchange(cfg: RunConfig) -> dict[str, np.ndarray]:

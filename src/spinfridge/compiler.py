@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -38,6 +37,7 @@ from .linalg import (
     DensityMatrix,
     Operator,
     PauliString,
+    Record,
     canonical_chain,
     diagonal_exp,
     embed_single,
@@ -52,22 +52,22 @@ BLOCK_SIZE = 10
 N_BLOCKS = 4
 
 
-@dataclass(frozen=True)
-class GateStep:
+class GateStep(Record):
     """One pulse: exp(-i*generator) applied for a normalized unit duration."""
 
-    label: str
-    generator: Operator
-    duration: float = 1.0
-    _unitary: Operator = field(init=False, repr=False, compare=False)
+    _fields = ("label", "generator", "duration")
+    __slots__ = (*_fields, "_unitary")
 
-    def __post_init__(self) -> None:
+    def __init__(self, label: str, generator: Operator, duration: float = 1.0) -> None:
         try:  # herm_exp's hermiticity check is the step's only one (closed form if diagonal)
-            unitary = herm_exp(self.generator, 1.0)
+            unitary = herm_exp(generator, 1.0)
         except ValueError:
-            raise ValueError(f"gate generator for {self.label!r} must be Hermitian") from None
-        if not self.duration > 0.0:
+            raise ValueError(f"gate generator for {label!r} must be Hermitian") from None
+        if not duration > 0.0:
             raise ValueError("gate duration must be positive")
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "generator", generator)
+        object.__setattr__(self, "duration", duration)
         object.__setattr__(self, "_unitary", unitary)
 
     def unitary(self) -> Operator:
@@ -75,7 +75,6 @@ class GateStep:
         return self._unitary
 
 
-@dataclass(frozen=True, init=False, eq=False)
 class CompiledSequence:
     """Ordered pulse list with the block structure of the four Pauli terms.
 
@@ -84,16 +83,19 @@ class CompiledSequence:
     ``durations``.  Step k applies row ``layout[k]`` and is named
     ``labels[k]``.  Built from GateSteps, each step has a row of its own; a
     compiled exchange has 11 rows (4 basis changes, 5 frame pulses and 2
-    cores) laid out over 40 steps.
+    cores) laid out over 40 steps.  A sequence is immutable, and equal only
+    to itself.
     """
 
-    generators: np.ndarray = field(repr=False)
-    unitaries: np.ndarray = field(repr=False)
-    durations: np.ndarray = field(repr=False)
-    layout: np.ndarray = field(repr=False)
+    generators: np.ndarray
+    unitaries: np.ndarray
+    durations: np.ndarray
+    layout: np.ndarray
     labels: tuple[str, ...]
     theta: float
     term_boundaries: tuple[int, ...]
+
+    __setattr__ = __delattr__ = Record.__setattr__
 
     def __init__(self, steps: Sequence[GateStep], theta: float,
                  term_boundaries: Sequence[int]) -> None:

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import queue
-import threading
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from .linalg import Record
 from .thermo import check_count, check_positive
 
 # np.random.default_rng read a byte per bit (_sample); seeded runs are bit-reproducible
@@ -28,8 +27,7 @@ MAX_BITS = 10**9  # a pool streams through CHUNK bits at a time, so memory does 
 CHUNK = 2**18  # bits sampled at a time, and the bits each round's queue holds; a multiple of 8
 
 
-@dataclass(frozen=True)
-class BiasState:
+class BiasState(Record):
     """A pool of n_bits i.i.d. bits at a common bias.
 
     Compression drives eps toward 1 and a pure pool has eps = 1; an
@@ -37,18 +35,18 @@ class BiasState:
     -1 for a pool whose bits are all 1, so [-1, 1] is accepted.
     """
 
-    epsilon: float
-    n_bits: int
+    __slots__ = _fields = ("epsilon", "n_bits")
 
-    def __post_init__(self) -> None:
-        if not (-1.0 <= self.epsilon <= 1.0):
-            raise ValueError(f"bias must lie in [-1, 1], got {self.epsilon}")
-        if self.n_bits < 0:
-            raise ValueError(f"bit count must be nonnegative, got {self.n_bits}")
+    def __init__(self, epsilon: float, n_bits: int) -> None:
+        if not (-1.0 <= epsilon <= 1.0):
+            raise ValueError(f"bias must lie in [-1, 1], got {epsilon}")
+        if n_bits < 0:
+            raise ValueError(f"bit count must be nonnegative, got {n_bits}")
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "n_bits", n_bits)
 
 
-@dataclass(frozen=True)
-class BcsRound:
+class BcsRound(NamedTuple):
     """Per-round statistics of a stochastic compression run."""
 
     round_index: int
@@ -57,8 +55,7 @@ class BcsRound:
     retained_bits: int
 
 
-@dataclass(frozen=True)
-class BcsResult:
+class BcsResult(NamedTuple):
     rounds: tuple[BcsRound, ...]
     final: BiasState
     seed: int
@@ -244,6 +241,9 @@ def _sample_ahead(n_bits: int, sample, take, buffers: tuple[np.ndarray, np.ndarr
     side, an interrupt of the caller included, stops and joins the helper, and
     is raised here.
     """
+    import queue
+    import threading
+
     counts, returned = queue.SimpleQueue(), queue.SimpleQueue()
 
     def helper() -> None:

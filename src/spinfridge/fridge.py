@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .linalg import (
     DensityMatrix,
     Operator,
     PauliString,
+    Record,
     evolve,
     kron,
     partial_trace,
@@ -81,29 +82,31 @@ def check_theta(theta: float) -> None:
         raise ValueError(f"theta must be finite, got {theta}")
 
 
-@dataclass(frozen=True)
-class FridgeConfig:
+class FridgeConfig(Record):
     """Gaps, bath temperatures, coupling, and evolution angle theta = g*t.
 
     Defaults reproduce the reference operating point E = (1, 3, 2) delta,
     T = (2, 2, 10) delta/k_B, theta = pi/2 (a complete exchange).
     """
 
-    E1: float = 1.0
-    E2: float = 3.0
-    E3: float = 2.0
-    T1: float = 2.0
-    T2: float = 2.0
-    T3: float = 10.0
-    g: float = 1.0
-    theta: float = math.pi / 2
+    __slots__ = _fields = ("E1", "E2", "E3", "T1", "T2", "T3", "g", "theta")
 
-    def __post_init__(self) -> None:
-        check_gaps(*self.gaps)
-        for spin, (gap, temp) in enumerate(zip(self.gaps, self.temps), start=1):
+    def __init__(self, E1: float = 1.0, E2: float = 3.0, E3: float = 2.0, T1: float = 2.0,
+                 T2: float = 2.0, T3: float = 10.0, g: float = 1.0,
+                 theta: float = math.pi / 2) -> None:
+        check_gaps(E1, E2, E3)
+        for spin, (gap, temp) in enumerate(((E1, T1), (E2, T2), (E3, T3)), start=1):
             check_spin(spin, gap, temp)
-        check_positive("g", self.g)
-        check_theta(self.theta)
+        check_positive("g", g)
+        check_theta(theta)
+        object.__setattr__(self, "E1", E1)
+        object.__setattr__(self, "E2", E2)
+        object.__setattr__(self, "E3", E3)
+        object.__setattr__(self, "T1", T1)
+        object.__setattr__(self, "T2", T2)
+        object.__setattr__(self, "T3", T3)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "theta", theta)
 
     @property
     def gaps(self) -> tuple[float, float, float]:
@@ -114,8 +117,7 @@ class FridgeConfig:
         return (self.T1, self.T2, self.T3)
 
 
-@dataclass(frozen=True)
-class ExchangeReport:
+class ExchangeReport(NamedTuple):
     """Populations, per-spin heats, and temperatures for one exchange."""
 
     P010_before: float

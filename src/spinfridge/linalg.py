@@ -19,7 +19,6 @@ a series or scaling-and-squaring scheme.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -30,6 +29,48 @@ TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
 
 MAX_DIM = 16  # four qubits
+
+
+class Record:
+    """Base of the package's checked immutable records.
+
+    A subclass names its fields in ``_fields``, and in ``__slots__`` with any
+    value it derives; its ``__init__`` checks the values and sets each slot
+    once with ``object.__setattr__``.  Records of one class are equal when
+    their fields are, and ``_replace`` builds (and so checks) a new record, as
+    for a NamedTuple.  Unlike a frozen dataclass, a subclass is made with no
+    generated code, which keeps the package's import short.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"a {type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        pairs = (f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({', '.join(pairs)})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def _replace(self, **changes) -> Record:
+        """This record with some fields replaced, checked as a new one."""
+        return type(self)(**dict(zip(self._fields, self._values())) | changes)
 
 
 class Operator:
@@ -287,24 +328,24 @@ HADAMARD = Operator(np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0))
 HADAMARD_Y = Operator(np.array([[1, -1j], [1j, -1]], dtype=complex) / np.sqrt(2.0))
 
 
-@dataclass(frozen=True)
-class PauliString:
+class PauliString(Record):
     """Tensor product of single-qubit Paulis with a real coefficient.
 
     ``letters`` holds one of I, X, Y, Z per qubit, qubit 0 first.
     """
 
-    letters: str
-    coeff: float = 1.0
+    __slots__ = _fields = ("letters", "coeff")
 
-    def __post_init__(self) -> None:
-        if not (1 <= len(self.letters) <= 4):
-            raise ValueError(f"pauli string must cover 1..4 qubits, got {self.letters!r}")
-        bad = set(self.letters) - set("IXYZ")
+    def __init__(self, letters: str, coeff: float = 1.0) -> None:
+        if not (1 <= len(letters) <= 4):
+            raise ValueError(f"pauli string must cover 1..4 qubits, got {letters!r}")
+        bad = set(letters) - set("IXYZ")
         if bad:
-            raise ValueError(f"unknown pauli letters {sorted(bad)} in {self.letters!r}")
-        if not np.isfinite(self.coeff):
+            raise ValueError(f"unknown pauli letters {sorted(bad)} in {letters!r}")
+        if not np.isfinite(coeff):
             raise ValueError("pauli coefficient must be finite")
+        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "coeff", coeff)
 
 
 def pauli_matrix(letters: str) -> np.ndarray:

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityMatrix, Operator, evolve, herm_exp
+from .linalg import DensityMatrix, Operator, Record, evolve, herm_exp
 
 
 def check_positive(name: str, value) -> None:
@@ -40,8 +39,7 @@ def check_count(name: str, value, rule: str = "an integer") -> None:
         raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
-@dataclass(frozen=True)
-class SpinSpec:
+class SpinSpec(Record):
     """A two-level spin: excited-state gap E > 0 at temperature T > 0.
 
     Units: E in delta, T in delta/k_B with k_B = 1.  Negative or infinite
@@ -49,28 +47,30 @@ class SpinSpec:
     effective_temperature.
     """
 
-    E: float
-    T: float
+    __slots__ = _fields = ("E", "T")
 
-    def __post_init__(self) -> None:
-        check_positive("energy gap", self.E)
-        check_positive("temperature", self.T)
+    def __init__(self, E: float, T: float) -> None:
+        check_positive("energy gap", E)
+        check_positive("temperature", T)
+        object.__setattr__(self, "E", E)
+        object.__setattr__(self, "T", T)
 
 
-@dataclass(frozen=True)
-class WorkLedgerEntry:
+class WorkLedgerEntry(Record):
     """Four-phase work/heat record for one pulse, in units of delta."""
 
-    step_index: int
-    dW1: float
-    dQ1: float
-    dW2: float
-    net_work: float
-    cumulative_work: float
+    __slots__ = _fields = ("step_index", "dW1", "dQ1", "dW2", "net_work", "cumulative_work")
 
-    def __post_init__(self) -> None:
-        if not abs(self.net_work - (self.dW1 + self.dQ1 + self.dW2)) <= 1e-12:  # a nan fails
+    def __init__(self, step_index: int, dW1: float, dQ1: float, dW2: float, net_work: float,
+                 cumulative_work: float) -> None:
+        if not abs(net_work - (dW1 + dQ1 + dW2)) <= 1e-12:  # a nan fails
             raise ValueError("net_work must equal dW1 + dQ1 + dW2")
+        object.__setattr__(self, "step_index", step_index)
+        object.__setattr__(self, "dW1", dW1)
+        object.__setattr__(self, "dQ1", dQ1)
+        object.__setattr__(self, "dW2", dW2)
+        object.__setattr__(self, "net_work", net_work)
+        object.__setattr__(self, "cumulative_work", cumulative_work)
 
 
 def spin_hamiltonian(E: float) -> Operator:

@@ -41,19 +41,20 @@ def test_defaults_are_the_reference_operating_point():
 def test_theta_list_parsing():
     cfg = parse_config(["cycles", "--theta", "0.3927,0.7854,1.1781,1.5708"])
     assert cfg.theta == (0.3927, 0.7854, 1.1781, 1.5708)
+    assert parse_config(["cycles", "--theta= 0.3 , 0.5"]).theta == (0.3, 0.5)
 
 
 @pytest.mark.parametrize("thetas", ["0.7", "0.1,0.2,0.3,0.4,0.5,0.6"])
 def test_parse_config_checks_the_rules_across_keys_once_whatever_the_angle_count(thetas, monkeypatch, tmp_path):
     """One FridgeConfig validation in parse_config, whatever the angle count."""
     checks = []
-    validate = FridgeConfig.__post_init__
+    build = FridgeConfig.__init__  # which checks the values
 
-    def counted(self):
+    def counted(self, *args, **kwargs):
         checks.append(self)
-        validate(self)
+        build(self, *args, **kwargs)
 
-    monkeypatch.setattr(FridgeConfig, "__post_init__", counted)
+    monkeypatch.setattr(FridgeConfig, "__init__", counted)
     parse_config(["cycles", f"--theta={thetas}", "--t1=3"])
     assert len(checks) == 1
     assert run_cli(["cycles", f"--theta={thetas}", "--t1=3"], tmp_path / "cycles.csv") == 0
@@ -156,6 +157,8 @@ PARSE_CASES = (
     # the flag's value on both paths; '-' and any value after '--' are not
     (["--theta", "-1e-3"], None), (["--theta", "-0.5,0.7"], None), (["--t1", "-1e300"], None),
     (["--theta", "-1e-3", "--cyc=3"], None), (["--out", "-"], None), (["--", "--t1", "-1e300"], 1),
+    # a theta list with an empty part parses, and its reader rejects it
+    (["--theta=0.3,,0.5"], None), (["--theta", "0.3,"], None), (["--thet", ",0.3"], None),
     # argparse reads --flag=-- as an empty list, for every key
     *(([f"{flag}=--"], None if flag in cli._FLAGS else "bcs") for flag in cli._BCS_FLAGS),
 )
@@ -497,6 +500,10 @@ def test_exit_codes(capsys, tmp_path):
         ("t1", "-3", "T1 must be positive and finite, got -3.0"),
         ("g", "0", "g must be positive and finite, got 0.0"),
         ("theta", "0.5,inf", "theta must be finite, got inf"),
+        ("theta", "0.3,,0.5", "theta list has an empty part: '0.3,,0.5'"),
+        ("theta", "0.3,", "theta list has an empty part: '0.3,'"),
+        ("theta", ",0.3", "theta list has an empty part: ',0.3'"),
+        ("theta", ",", "theta list must not be empty"),
         ("cycles", "0", "cycles must lie in [1, 100000], got 0"),
         ("bits", "3", "bit count must be even and at least 2, got 3"),
         ("epsilon0", "1.0", "bias must lie in [0, 1), got 1.0"),

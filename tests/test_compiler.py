@@ -474,7 +474,7 @@ def test_per_op_calls_build_no_gate_step_and_read_no_step():
     read and no step object is looked up by id()."""
     rho0, h_sys = initial_state(FridgeConfig()), system_hamiltonian(FridgeConfig())
     compile_exchange(0.0)
-    with mock.patch.object(GateStep, "__post_init__", side_effect=AssertionError) as built, \
+    with mock.patch.object(GateStep, "__init__", side_effect=AssertionError) as built, \
             mock.patch.object(spinfridge.CompiledSequence, "steps", new_callable=mock.PropertyMock,
                               side_effect=AssertionError) as read, \
             mock.patch.object(spinfridge.compiler, "id", create=True, wraps=id) as ids:

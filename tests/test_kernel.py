@@ -7,7 +7,6 @@ against the closed-form oracle built on oracles.exchanged_level_populations.
 """
 
 import math
-from dataclasses import fields, replace
 from decimal import Decimal
 
 import numpy as np
@@ -133,16 +132,16 @@ def configs(draw):
 def test_exchange_matches_the_dense_path(cfg):
     kernel, dense = exchange(cfg), dense_exchange(cfg)
     expected_temps = closed_form_temperatures(cfg)
-    for field in fields(ExchangeReport):
-        got, want = getattr(kernel, field.name), getattr(dense, field.name)
-        if field.name in TEMPERATURE_FIELDS:
+    for name in ExchangeReport._fields:
+        got, want = getattr(kernel, name), getattr(dense, name)
+        if name in TEMPERATURE_FIELDS:
             # same marker (sign, zero, infinity) as the dense path
-            assert math.copysign(1.0, got) == math.copysign(1.0, want), field.name
-            assert math.isinf(got) == math.isinf(want), field.name
-            expected = expected_temps[TEMPERATURE_FIELDS.index(field.name)]
-            assert close_temperature(got, expected), (field.name, got, expected)
+            assert math.copysign(1.0, got) == math.copysign(1.0, want), name
+            assert math.isinf(got) == math.isinf(want), name
+            expected = expected_temps[TEMPERATURE_FIELDS.index(name)]
+            assert close_temperature(got, expected), (name, got, expected)
         else:
-            assert abs(got - want) <= POP_TOL, (field.name, got, want)
+            assert abs(got - want) <= POP_TOL, (name, got, want)
 
 
 @settings(max_examples=300, deadline=None)
@@ -213,7 +212,7 @@ def test_scan_phase_diagram_equals_per_cell_dense_exchange(e1, e3, t1, theta, t2
     cells = [(t2, t3) for t2 in np.linspace(*t2_range, 4) for t3 in np.linspace(*t3_range, 3)]
     assert list(zip(t2s.tolist(), t3s.tolist())) == cells
     for t2, t3, heat in zip(t2s.tolist(), t3s.tolist(), dq1.tolist()):
-        cfg = replace(base, T2=t2, T3=t3)
+        cfg = base._replace(T2=t2, T3=t3)
         assert abs(heat - dense_exchange(cfg).dQ1) <= POP_TOL
 
 
@@ -224,7 +223,7 @@ CYCLE_ANGLES = (math.pi / 8.0, 0.9, math.pi / 2.0, 2.5, 4.0)
 @pytest.mark.parametrize("cfg", CYCLE_CONFIGS)
 @pytest.mark.parametrize("theta", CYCLE_ANGLES)
 def test_run_cycles_matches_the_dense_loop(cfg, theta):
-    kernel, dense = run_cycles(replace(cfg, theta=theta), 200), dense_cycles(cfg, 200, theta)
+    kernel, dense = run_cycles(cfg._replace(theta=theta), 200), dense_cycles(cfg, 200, theta)
     assert len(kernel.n) == len(dense.n) == 201
     assert kernel.n.tolist() == dense.n.tolist()
     for n, got, want in zip(kernel.n.tolist(), kernel.T1.tolist(), dense.T1.tolist()):
@@ -247,7 +246,7 @@ def contraction(cfg: FridgeConfig, theta: float) -> tuple[float, float]:
 @pytest.mark.parametrize("theta", CYCLE_ANGLES)
 def test_cycle_contraction_rate_is_closed_form(cfg, theta):
     r, fixed = contraction(cfg, theta)
-    p1 = (run_cycles(replace(cfg, theta=theta), 200).energy_q1 / cfg.E1).tolist()
+    p1 = (run_cycles(cfg._replace(theta=theta), 200).energy_q1 / cfg.E1).tolist()
     checked = 0
     for before, after in zip(p1[:-1], p1[1:]):
         if abs(before - fixed) < 1e-5:
@@ -270,8 +269,8 @@ def test_detect_convergence_agrees_with_the_contraction_rate(cfg, theta):
     # keep clear of the threshold, so that rounding cannot decide the count
     assert diffs[first] < tol * (1.0 - 1e-6) and (first == 0 or diffs[first - 1] > tol * (1.0 + 1e-6))
     cycles = max(first + 5, 5)  # the first cycle whose last five steps are all below tol
-    assert detect_convergence(run_cycles(replace(cfg, theta=theta), cycles).T1, tol)[0]
-    assert not detect_convergence(run_cycles(replace(cfg, theta=theta), cycles - 1).T1, tol)[0]
+    assert detect_convergence(run_cycles(cfg._replace(theta=theta), cycles).T1, tol)[0]
+    assert not detect_convergence(run_cycles(cfg._replace(theta=theta), cycles - 1).T1, tol)[0]
 
 
 @pytest.mark.parametrize(
@@ -313,7 +312,7 @@ def test_run_cycles_over_angles_is_the_one_angle_runs_concatenated(cfg, thetas, 
     cycles put each angle's row on every offset of the SIMD lanes."""
     assume(working_condition(cfg) == cooling)
     batched = run_cycles(cfg, cycles, thetas)
-    runs = [run_cycles(replace(cfg, theta=theta), cycles) for theta in thetas]
+    runs = [run_cycles(cfg._replace(theta=theta), cycles) for theta in thetas]
     for name, column in zip(CycleColumns._fields, batched):
         expected = np.concatenate([getattr(run, name) for run in runs])
         assert column.dtype == expected.dtype and column.tobytes() == expected.tobytes(), name
@@ -322,7 +321,7 @@ def test_run_cycles_over_angles_is_the_one_angle_runs_concatenated(cfg, thetas, 
 @settings(max_examples=200, deadline=None)
 @given(configs(), cycle_angles)
 def test_run_cycles_matches_the_loop(cfg, theta):
-    cfg = replace(cfg, theta=theta)
+    cfg = cfg._replace(theta=theta)
     n, t1, entropy, energy, dq1 = run_cycles(cfg, 200)
     loop = oracles.loop_cycles(cfg, 200)
     assert n.tolist() == loop.n.tolist() == list(range(201))
@@ -340,7 +339,7 @@ def test_run_cycles_matches_the_loop(cfg, theta):
 @settings(max_examples=200, deadline=None)
 @given(configs(), cycle_angles)
 def test_cycle_heats_add_up_to_the_energy_change(cfg, theta):
-    _, _, _, energy, dq1 = run_cycles(replace(cfg, theta=theta), 200)
+    _, _, _, energy, dq1 = run_cycles(cfg._replace(theta=theta), 200)
     assert np.max(np.abs(np.cumsum(dq1) - (energy - energy[0]))) <= 1e-12
 
 

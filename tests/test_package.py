@@ -1,5 +1,7 @@
 """The package's export table: names resolve on first use, in fresh processes."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -52,6 +54,45 @@ def test_the_cli_loads_every_module_the_benchmark_traces():
     # perfbench's tracer reads each traced module from sys.modules when it
     # installs, after importing spinfridge.cli
     assert loaded_by("import spinfridge.cli") >= {f"spinfridge.{name}" for name in MODULES}
+
+
+def test_the_cli_imports_argparse_csv_json_and_queue_only_where_a_call_needs_them(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # the width argparse lays help out at, here and in the child
+    # the child imports json last, after every check, to print its report
+    report = fresh("""
+import contextlib, io, sys
+import spinfridge.cli as cli
+OPTIONAL = ("argparse", "csv", "json", "queue")
+
+def loaded():
+    return [name for name in OPTIONAL if name in sys.modules]
+
+def call(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return [code, out.getvalue(), loaded()]
+
+report = {"traced": sorted(m for m in sys.modules if m.startswith("spinfridge.")),
+          "import": loaded(), "csv": call(["exchange", "--t1=3"]),
+          "json": call(["exchange", "--t1=3", "--format=json"]), "help": call(["cycles", "-h"])}
+import json
+print(json.dumps(report))
+""")
+    assert set(report["traced"]) >= {f"spinfridge.{name}" for name in MODULES}
+    assert report["import"] == []
+    import spinfridge.cli as cli
+
+    for key, argv, modules in (("csv", ["exchange", "--t1=3"], []),
+                               ("json", ["exchange", "--t1=3", "--format=json"], ["json"]),
+                               ("help", ["cycles", "-h"], ["argparse", "json"])):
+        code, text, now_loaded = report[key]
+        assert now_loaded == modules, key
+        # the same exit code and bytes as in this process, which has every module
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv) == code == 0
+        assert text == out.getvalue() and text, key
 
 
 def test_every_exported_name_resolves_in_a_fresh_process():
