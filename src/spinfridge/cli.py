@@ -1,7 +1,7 @@
 """Command-line front end emitting deterministic CSV/JSON artifacts.
 
-Configuration comes from the RunConfig defaults (the reference operating
-point), overridden by a flat key=value config file, overridden by flags.
+Configuration comes from the defaults of the config-key table (the reference
+operating point), overridden by a flat key=value config file, overridden by flags.
 All emitted numbers are in internal units (delta = k_B = 1) unless a
 --delta-scale multiplier is given; the scale is recorded in JSON metadata.
 
@@ -14,8 +14,8 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, field, fields
-from typing import Sequence, get_type_hints
+import types
+from typing import Sequence
 
 import numpy as np
 
@@ -39,54 +39,19 @@ TABLE_REPEATS = 30
 
 # an emit column: an array, a factored column (values, index), or strings
 Column = np.ndarray | tuple[np.ndarray, np.ndarray] | list[str]
-# the reference operating point, whose values are RunConfig's defaults
+# the reference operating point, whose values are the physics keys' defaults
 _REFERENCE = FridgeConfig()
-
-
-def _key(default, help: str, bcs_only: bool = False):
-    """A config key with the help text of its flag, which bcs_only keeps to bcs."""
-    return field(default=default, metadata={"help": help, "bcs_only": bcs_only})
-
-
-@dataclass
-class RunConfig:
-    """The resolved configuration; each field after ``command`` is one config
-    key, with its type (read by ``_READERS``), its default and its flag help."""
-
-    command: str
-    e1: float = _REFERENCE.E1
-    e2: float = _REFERENCE.E2
-    e3: float = _REFERENCE.E3
-    t1: float = _REFERENCE.T1
-    t2: float = _REFERENCE.T2
-    t3: float = _REFERENCE.T3
-    g: float = _REFERENCE.g
-    theta: tuple[float, ...] = _key((_REFERENCE.theta,), "comma-separated angles in radians")
-    cycles: int = _key(60, "number of refrigeration cycles")
-    grid: tuple[float, float, float, float, int] = _key(
-        (2.0, 6.0, 2.0, 10.0, 41), "T2_min,T2_max,T3_min,T3_max,steps"
-    )
-    bits: int = _key(1_000_000, "pool size (even)", bcs_only=True)
-    epsilon0: float = _key(0.5, "bath bias", bcs_only=True)
-    rounds: int = _key(1, "compression rounds", bcs_only=True)
-    seed: int = _key(0, "PRNG seed")
-    out: str | None = _key(None, "output path (default: stdout)")
-    format: str = _key("csv", "output format: csv or json")
-    delta_scale: float = _key(1.0, "display multiplier for delta-unit columns")
-
-    @functools.cached_property
-    def fridge(self) -> FridgeConfig:
-        """The physics keys and the first angle as a FridgeConfig, built and
-        checked on first use; parse_config builds it and the builders reuse it."""
-        return FridgeConfig(**{name: getattr(self, key) for key, name in _FRIDGE_KEYS.items()},
-                            theta=self.theta[0])
-
-
 # the config keys that are FridgeConfig fields other than theta: e1 is E1, g is g
 _FRIDGE_KEYS = {name.lower(): name for name in FridgeConfig._fields if name != "theta"}
-# the config keys that JSON meta echoes under "config": all but the output keys
-_META_KEYS = [f.name for f in fields(RunConfig)[1:]
-              if f.name not in ("out", "format", "delta_scale")]
+
+
+def _checked(read, rule):
+    """A key's reader: its text read by read, then its value checked by rule."""
+    def reader(text: str):
+        value = read(text)
+        rule(value)
+        return value
+    return reader
 
 
 def _parse_theta(text: str) -> tuple[float, ...]:
@@ -117,29 +82,43 @@ def _parse_format(text: str) -> str:
     return text
 
 
-_PARSERS = {
-    "theta": _parse_theta,
-    "grid": _parse_grid,
-    "format": _parse_format,
-    "out": str,
+# each config key once, as (default, reader, flag help, bcs only): the reader
+# applies the key's own rule, so that an error names its flag or file line, and
+# bcs alone takes a bcs-only key.  JSON meta echoes the keys, and a command's
+# help lists them, in this order; the three output keys come last
+_KEYS = {
+    **{key: (getattr(_REFERENCE, name), _checked(float, functools.partial(check_positive, name)),
+             None, False) for key, name in _FRIDGE_KEYS.items()},
+    "theta": ((_REFERENCE.theta,), _parse_theta, "comma-separated angles in radians", False),
+    "cycles": (60, _checked(int, check_cycles), "number of refrigeration cycles", False),
+    "grid": ((2.0, 6.0, 2.0, 10.0, 41), _parse_grid, "T2_min,T2_max,T3_min,T3_max,steps", False),
+    "bits": (1_000_000, _checked(int, check_bits), "pool size (even)", True),
+    "epsilon0": (0.5, _checked(float, check_bias), "bath bias", True),
+    "rounds": (1, _checked(int, check_rounds), "compression rounds", True),
+    "seed": (0, _checked(int, check_seed), "PRNG seed", False),
+    "out": (None, str, "output path (default: stdout)", False),
+    "format": ("csv", _parse_format, "output format: csv or json", False),
+    "delta_scale": (1.0, _checked(float, functools.partial(check_positive, "delta-scale")),
+                    "display multiplier for delta-unit columns", False),
 }
-# every key reads its text with its _PARSERS entry, else with its annotated type
-_READERS = {name: _PARSERS.get(name, hint)
-            for name, hint in get_type_hints(RunConfig).items() if name != "command"}
+_DEFAULTS = {key: default for key, (default, *_) in _KEYS.items()}
+# the config keys that JSON meta echoes under "config": all but the output keys
+_META_KEYS = list(_KEYS)[:-3]
 
 
-# the rules of one key each, applied where the key is read so that an error
-# names its flag or file line; the rules across keys (E2 = E1 + E3, the E/T
-# underflow) run on the resolved config
-_RULES = {
-    **{key: functools.partial(check_positive, name) for key, name in _FRIDGE_KEYS.items()},
-    "cycles": check_cycles,
-    "bits": check_bits,
-    "epsilon0": check_bias,
-    "rounds": check_rounds,
-    "seed": check_seed,
-    "delta_scale": functools.partial(check_positive, "delta-scale"),
-}
+class RunConfig(types.SimpleNamespace):
+    """The resolved configuration: ``command``, each config key (its default
+    unless given), and ``fridge``, the physics keys and the first angle as a
+    FridgeConfig, built here, so that the rules across keys (E2 = E1 + E3, the
+    E/T underflow) are checked once; the builders reuse it."""
+
+    def __init__(self, command: str, **values) -> None:
+        super().__init__(command=command, **(_DEFAULTS | values))
+        physics = {name: getattr(self, key) for key, name in _FRIDGE_KEYS.items()}
+        self.fridge = FridgeConfig(**physics, theta=self.theta[0])
+
+    def __reduce__(self):  # a copy or an unpickled config: built for its command, then filled in
+        return type(self), (self.command,), vars(self)
 
 
 def _read_config_file(path: str) -> list[tuple[str, str, str]]:
@@ -154,7 +133,7 @@ def _read_config_file(path: str) -> list[tuple[str, str, str]]:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
             key = key.strip().lower()
-            if key not in _READERS:
+            if key not in _KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             entries.append((key, f"{path}:{lineno}: {key}", value.strip()))
     return entries
@@ -164,11 +143,10 @@ def _read_config_file(path: str) -> list[tuple[str, str, str]]:
 # the keys every command takes, then the bcs-only keys (bcs alone takes those).
 # _parser() adds them in this order, which is the order argparse fills the
 # namespace in, so _exact_flags reads the keys, and reports a first error, alike
-_FLAGS = {"--config": "config"} | {"--" + key.name.replace("_", "-"): key.name
-                                   for key in fields(RunConfig)[1:]
-                                   if not key.metadata.get("bcs_only")}
-_BCS_FLAGS = _FLAGS | {"--" + key.name.replace("_", "-"): key.name
-                       for key in fields(RunConfig)[1:] if key.metadata.get("bcs_only")}
+_FLAGS = {"--config": "config"} | {"--" + key.replace("_", "-"): key
+                                   for key, (*_, bcs_only) in _KEYS.items() if not bcs_only}
+_BCS_FLAGS = _FLAGS | {"--" + key.replace("_", "-"): key
+                       for key, (*_, bcs_only) in _KEYS.items() if bcs_only}
 
 
 def _is_numbers(text: str) -> bool:
@@ -220,7 +198,7 @@ def _exact_flags(command: str, args: list[str]) -> dict[str, str | None] | None:
 def _parser() -> argparse.ArgumentParser:
     """The parser of the args that _exact_flags does not read, with one
     subparser per command built from its option table, generated from
-    RunConfig once per process; argparse loads here, on first use."""
+    _KEYS once per process; argparse loads here, on first use."""
     import argparse
 
     class _Parser(argparse.ArgumentParser):
@@ -229,8 +207,7 @@ def _parser() -> argparse.ArgumentParser:
             print(f"error: {message}", file=sys.stderr)
             raise SystemExit(1)
 
-    helps = {"config": "flat key=value config file"}
-    helps |= {key.name: key.metadata.get("help") for key in fields(RunConfig)[1:]}
+    helps = {"config": "flat key=value config file"} | {key: row[2] for key, row in _KEYS.items()}
     parser = _Parser(prog="spinfridge",
                      description="three-spin self-contained refrigerator simulator")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -259,19 +236,16 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
             parser.error(f"argument {option}: expected one argument")
     entries = _read_config_file(namespace["config"]) if namespace["config"] else []
     entries += [(key, "argument --" + key.replace("_", "-"), text)
-                for key, text in namespace.items() if key in _READERS and text is not None]
+                for key, text in namespace.items() if key in _KEYS and text is not None]
     values = {}
     for key, source, text in entries:  # flags come last, so they win
         try:
-            values[key] = _READERS[key](text)
-            if key in _RULES:
-                _RULES[key](values[key])
+            values[key] = _KEYS[key][1](text)
         except ValueError as exc:
             raise ValueError(f"{source}: {exc}") from None
-    cfg = RunConfig(command=namespace["command"], **values)
-    # the rules across keys, E2 = E1 + E3 and the E/T underflow, do not depend on
-    # theta, and _parse_theta has checked every angle
-    cfg.fridge
+    # RunConfig checks the rules across keys, which do not depend on theta, and
+    # _parse_theta has checked every angle
+    cfg = RunConfig(namespace["command"], **values)
     if cfg.command == "cycles":  # one row per angle and cycle, from cycle 0
         check_rows(len(cfg.theta), cfg.cycles)
     return cfg

@@ -65,9 +65,7 @@ class GateStep(Record):
             raise ValueError(f"gate generator for {label!r} must be Hermitian") from None
         if not duration > 0.0:
             raise ValueError("gate duration must be positive")
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "generator", generator)
-        object.__setattr__(self, "duration", duration)
+        self._set(label, generator, duration)
         object.__setattr__(self, "_unitary", unitary)
 
     def unitary(self) -> Operator:

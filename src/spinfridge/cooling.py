@@ -40,10 +40,10 @@ class BiasState(Record):
     def __init__(self, epsilon: float, n_bits: int) -> None:
         if not (-1.0 <= epsilon <= 1.0):
             raise ValueError(f"bias must lie in [-1, 1], got {epsilon}")
+        check_count("bit count", n_bits)
         if n_bits < 0:
             raise ValueError(f"bit count must be nonnegative, got {n_bits}")
-        object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "n_bits", n_bits)
+        self._set(epsilon, n_bits)
 
 
 class BcsRound(NamedTuple):
@@ -89,8 +89,10 @@ def bcs_outcome_probs(epsilon: float) -> tuple[float, float, float, float]:
 
 def expected_purified(l: int, m: int, epsilon0: float) -> float:
     """Expected purified-bit yield l*m*(1 + eps0^2)/4 after l compression cycles."""
+    check_count("cycle count", l)
     if l < 1:
         raise ValueError(f"cycle count must be at least 1, got {l}")
+    check_count("segment size", m)
     if m < 2 or m % 2:
         raise ValueError(f"segment size must be even and at least 2, got {m}")
     check_bias(epsilon0)
@@ -366,8 +368,7 @@ def simulate_bcs(n_bits: int, epsilon: float, rounds: int, seed: int) -> BcsResu
             analytic = bcs_bias(analytic)
         history.append(BcsRound(round_index, analytic, _bias(ones[round_index], sizes[round_index]),
                                 sizes[round_index]))
-    if len(history) <= rounds:  # exhausted before the last round
-        final = BiasState(epsilon=0.0, n_bits=0)
-    else:
-        final = BiasState(epsilon=history[-1].empirical_bias, n_bits=history[-1].retained_bits)
+    # a pool exhausted before the last round ends with no bits
+    final = (BiasState(history[-1].empirical_bias, history[-1].retained_bits)
+             if len(history) > rounds else BiasState(0.0, 0))
     return BcsResult(rounds=tuple(history), final=final, seed=seed)

@@ -99,14 +99,7 @@ class FridgeConfig(Record):
             check_spin(spin, gap, temp)
         check_positive("g", g)
         check_theta(theta)
-        object.__setattr__(self, "E1", E1)
-        object.__setattr__(self, "E2", E2)
-        object.__setattr__(self, "E3", E3)
-        object.__setattr__(self, "T1", T1)
-        object.__setattr__(self, "T2", T2)
-        object.__setattr__(self, "T3", T3)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "theta", theta)
+        self._set(E1, E2, E3, T1, T2, T3, g, theta)
 
     @property
     def gaps(self) -> tuple[float, float, float]:
@@ -320,8 +313,6 @@ def two_spin_swap(E1: float, E2: float, T0: float) -> tuple[float, float]:
     """
     if not (0.0 < E1 < E2):
         raise ValueError(f"gaps must satisfy 0 < E1 < E2, got {(E1, E2)}")
-    if not T0 > 0.0:
-        raise ValueError("temperature must be positive")
     rho = DensityMatrix(
         kron(thermal_state(SpinSpec(E1, T0)).op, thermal_state(SpinSpec(E2, T0)).op)
     )

@@ -35,11 +35,11 @@ class Record:
     """Base of the package's checked immutable records.
 
     A subclass names its fields in ``_fields``, and in ``__slots__`` with any
-    value it derives; its ``__init__`` checks the values and sets each slot
-    once with ``object.__setattr__``.  Records of one class are equal when
-    their fields are, and ``_replace`` builds (and so checks) a new record, as
-    for a NamedTuple.  Unlike a frozen dataclass, a subclass is made with no
-    generated code, which keeps the package's import short.
+    value it derives; its ``__init__`` checks the values and sets the fields
+    once with ``_set``.  Records of one class are equal when their fields
+    are, and ``_replace`` builds (and so checks) a new record, as for a
+    NamedTuple.  A subclass is made with no generated code, which keeps the
+    package's import short.
     """
 
     __slots__ = ()
@@ -49,6 +49,11 @@ class Record:
         raise AttributeError(f"a {type(self).__name__} is immutable: cannot set or delete {name!r}")
 
     __delattr__ = __setattr__
+
+    def _set(self, *values) -> None:
+        """Set the fields to values, in the order of ``_fields``, once at construction."""
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -344,8 +349,7 @@ class PauliString(Record):
             raise ValueError(f"unknown pauli letters {sorted(bad)} in {letters!r}")
         if not np.isfinite(coeff):
             raise ValueError("pauli coefficient must be finite")
-        object.__setattr__(self, "letters", letters)
-        object.__setattr__(self, "coeff", coeff)
+        self._set(letters, coeff)
 
 
 def pauli_matrix(letters: str) -> np.ndarray:

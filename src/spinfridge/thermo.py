@@ -52,8 +52,7 @@ class SpinSpec(Record):
     def __init__(self, E: float, T: float) -> None:
         check_positive("energy gap", E)
         check_positive("temperature", T)
-        object.__setattr__(self, "E", E)
-        object.__setattr__(self, "T", T)
+        self._set(E, T)
 
 
 class WorkLedgerEntry(Record):
@@ -65,12 +64,7 @@ class WorkLedgerEntry(Record):
                  cumulative_work: float) -> None:
         if not abs(net_work - (dW1 + dQ1 + dW2)) <= 1e-12:  # a nan fails
             raise ValueError("net_work must equal dW1 + dQ1 + dW2")
-        object.__setattr__(self, "step_index", step_index)
-        object.__setattr__(self, "dW1", dW1)
-        object.__setattr__(self, "dQ1", dQ1)
-        object.__setattr__(self, "dW2", dW2)
-        object.__setattr__(self, "net_work", net_work)
-        object.__setattr__(self, "cumulative_work", cumulative_work)
+        self._set(step_index, dW1, dQ1, dW2, net_work, cumulative_work)
 
 
 def spin_hamiltonian(E: float) -> Operator:

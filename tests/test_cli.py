@@ -1,13 +1,15 @@
 """Command-line interface: parsing, emission, determinism, exit codes."""
 
 import contextlib
+import copy
 import io
 import json
 import math
 import os
+import pickle
+import re
 import tempfile
 import warnings
-from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,12 @@ def test_defaults_are_the_reference_operating_point():
     assert cfg.theta == (math.pi / 2.0,)
     assert cfg.format == "csv"
     assert cfg.delta_scale == 1.0
+
+
+def test_a_run_config_copies_and_pickles_equal():
+    cfg = parse_config(["cycles", "--t1=3", "--theta=0.3,0.7"])
+    for copied in (copy.copy(cfg), copy.deepcopy(cfg), pickle.loads(pickle.dumps(cfg))):
+        assert type(copied) is RunConfig and copied == cfg and copied.fridge == cfg.fridge
 
 
 def test_theta_list_parsing():
@@ -130,7 +138,7 @@ def as_config_file(setting, path):
     return ["--config", str(path)]
 
 
-@pytest.mark.parametrize("key", [f.name for f in fields(RunConfig) if f.name != "command"])
+@pytest.mark.parametrize("key", list(cli._KEYS))
 def test_every_key_reads_alike_from_flag_and_file(key, tmp_path):
     first, second = KEY_SETTINGS[key]
     by_flag = parse_config(["bcs", *as_flags(first)])
@@ -444,6 +452,42 @@ def test_json_output_carries_metadata(tmp_path):
     assert len(document["data"]) == 4
 
 
+# a small run of each command, and the config keys its JSON meta echoes, in order
+SMALL_RUNS = {"exchange": [], "ledger": [], "cycles": ["--cycles=1"],
+              "phase-diagram": ["--grid=2,6,2,10,2"], "cop": ["--grid=2,6,2,10,2"],
+              "bcs": ["--bits=1000"], "verify-decomposition": []}
+META_KEYS = ["E1", "E2", "E3", "T1", "T2", "T3", "g", "theta", "cycles", "grid", "bits", "epsilon0",
+             "rounds", "seed"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_json_meta_echoes_the_config_keys_in_table_order(command, tmp_path):
+    out = tmp_path / "run.json"
+    assert run_cli([command, *SMALL_RUNS[command], "--format=json"], out) == 0
+    config = json.loads(out.read_text())["meta"]["config"]
+    assert list(config) == META_KEYS
+    if command == "exchange":  # every default
+        assert config == {"E1": 1.0, "E2": 3.0, "E3": 2.0, "T1": 2.0, "T2": 2.0, "T3": 10.0,
+                          "g": 1.0, "theta": [math.pi / 2], "cycles": 60,
+                          "grid": [2.0, 6.0, 2.0, 10.0, 41], "bits": 1_000_000, "epsilon0": 0.5,
+                          "rounds": 1, "seed": 0}
+
+
+SHARED_FLAGS = ["--e1", "--e2", "--e3", "--t1", "--t2", "--t3", "--g", "--theta", "--cycles",
+                "--grid", "--seed", "--out", "--format", "--delta-scale"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_command_help_lists_config_then_the_shared_then_the_bcs_flags(command, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, text, err = outcome(lambda: main([command, "-h"]))
+    assert (code, err) == (0, "") and text.startswith(f"usage: spinfridge {command} ")
+    listed = re.findall(r"^  (?:-h, )?(--[\w-]+)", text, flags=re.MULTILINE)
+    bcs_only = ["--bits", "--epsilon0", "--rounds"] if command == "bcs" else []
+    assert listed == ["--help", "--config", *SHARED_FLAGS, *bcs_only]
+    assert "  --theta THETA         comma-separated angles in radians\n" in text
+
+
 def test_delta_scale_multiplies_energy_columns_only(tmp_path):
     plain = tmp_path / "plain.csv"
     scaled = tmp_path / "scaled.csv"
@@ -627,7 +671,7 @@ def test_a_cycles_run_above_the_row_limit_is_rejected_before_it_runs(monkeypatch
 CONTRACT_POSITIVE = ("5e-324", "1e-300", "1e-12", "0.5", "1", "2", "3", "1e12", "1e300", "1e308",
                      "1.7976931348623157e308", "1.8e308")
 CONTRACT_VALUES = CONTRACT_POSITIVE + ("0", "-0.0", "inf", "-inf", "nan", "-1", "-1e300", "abc", "")
-CONTRACT_KEYS = [f.name for f in fields(RunConfig)[1:] if f.name != "out"]
+CONTRACT_KEYS = [key for key in cli._KEYS if key != "out"]
 # the documented non-finite outputs: temperatures at +inf from spin_temperature
 # (its 0.0 and -0.0 are finite), and the Carnot ceiling inf or nan outside T1 < T2 < T3
 CONTRACT_MARKERS = {"T1_after": ("inf",), "T2_after": ("inf",), "T3_after": ("inf",),

@@ -103,6 +103,11 @@ def test_expected_purified_examples():
         expected_purified(0, 100, 0.5)
     with pytest.raises(ValueError):
         expected_purified(4, 7, 0.5)
+    # the counts follow the count rule: an integer, and not a bool
+    for l, m, name in ((1.5, 4, "cycle count"), (True, 4, "cycle count"), (1, 4.0, "segment size"),
+                       (1, True, "segment size")):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            expected_purified(l, m, 0.5)
 
 
 def test_rounds_to_bias():

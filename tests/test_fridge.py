@@ -402,3 +402,7 @@ def test_two_spin_swap_validation():
         two_spin_swap(2.0, 1.0, 4.0)
     with pytest.raises(ValueError):
         two_spin_swap(1.0, 2.0, -1.0)
+    # SpinSpec's temperature rule is the only one
+    for T0 in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="temperature must be positive and finite"):
+            two_spin_swap(1.0, 2.0, T0)

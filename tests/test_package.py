@@ -74,13 +74,15 @@ def call(argv):
     return [code, out.getvalue(), loaded()]
 
 report = {"traced": sorted(m for m in sys.modules if m.startswith("spinfridge.")),
-          "import": loaded(), "csv": call(["exchange", "--t1=3"]),
+          "import": loaded(), "never": [m for m in ("dataclasses", "copy") if m in sys.modules],
+          "csv": call(["exchange", "--t1=3"]),
           "json": call(["exchange", "--t1=3", "--format=json"]), "help": call(["cycles", "-h"])}
 import json
 print(json.dumps(report))
 """)
     assert set(report["traced"]) >= {f"spinfridge.{name}" for name in MODULES}
     assert report["import"] == []
+    assert report["never"] == []  # no dataclass, so neither module loads with the cli
     import spinfridge.cli as cli
 
     for key, argv, modules in (("csv", ["exchange", "--t1=3"], []),

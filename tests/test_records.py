@@ -80,6 +80,14 @@ def test_replace_checks_the_new_record():
         BiasState(0.5, 10)._replace(epsilon=2.0)
 
 
+def test_a_bias_state_bit_count_follows_the_count_rule():
+    for n_bits in (2.5, True, 10.0):
+        with pytest.raises(ValueError, match="^bit count must be an integer, got "):
+            BiasState(0.5, n_bits)
+    with pytest.raises(ValueError, match="^bit count must be nonnegative"):
+        BiasState(0.5, -2)
+
+
 def test_a_record_of_another_class_is_never_equal():
     assert SpinSpec(1.0, 2.0) != BiasState(1.0, 2)
     assert SpinSpec(1.0, 2.0) != (1.0, 2.0)
