@@ -230,47 +230,6 @@ def _bias(ones: int, size: int) -> float:
     return 1.0 - 2.0 * (ones / size) if size else 0.0
 
 
-def _sample_ahead(n_bits: int, sample, take, buffers: tuple[np.ndarray, np.ndarray]) -> None:
-    """take(bits, ones) on each chunk of the pool in order, while a helper thread
-    samples the chunks after it: sample(bits) fills bits with the pool's next
-    bits.size bits and returns how many are 1.
-
-    The chunks alternate between the two buffers.  The helper puts each chunk's
-    count of ones, or the exception it raised, on one queue; before it refills a
-    buffer, it takes the caller's word from the other that take has returned
-    from that buffer, and a word of None stops it.  Only the helper samples, in
-    chunk order, so the bits are those of an inline loop.  A failure on either
-    side, an interrupt of the caller included, stops and joins the helper, and
-    is raised here.
-    """
-    import queue
-    import threading
-
-    counts, returned = queue.SimpleQueue(), queue.SimpleQueue()
-
-    def helper() -> None:
-        try:
-            for k, start in enumerate(range(0, n_bits, CHUNK)):
-                if k >= 2 and returned.get() is None:
-                    return
-                counts.put(sample(buffers[k % 2][:min(CHUNK, n_bits - start)]))
-        except BaseException as error:  # the caller raises it
-            counts.put(error)
-
-    thread = threading.Thread(target=helper, name="bcs-sampler", daemon=True)
-    thread.start()
-    try:
-        for k, start in enumerate(range(0, n_bits, CHUNK)):
-            count = counts.get()
-            if isinstance(count, BaseException):
-                raise count
-            take(buffers[k % 2][:min(CHUNK, n_bits - start)], count)
-            returned.put(k)
-    finally:
-        returned.put(None)
-        thread.join()
-
-
 def simulate_bcs(n_bits: int, epsilon: float, rounds: int, seed: int) -> BcsResult:
     """Stochastic compression of a freshly sampled pool, seeded and exact.
 
@@ -285,11 +244,6 @@ def simulate_bcs(n_bits: int, epsilon: float, rounds: int, seed: int) -> BcsResu
     the first bit of the next batch, or is dropped at the end.  Each round keeps
     only its bit count and its count of ones, and the history and the final
     state come from those counts.
-
-    Over 2 rounds or more, a pool of more than 3.5 chunks is sampled a chunk
-    ahead: a helper thread, one per call, samples chunk k + 1 while the caller
-    runs the rounds on chunk k, so the call may use two cores.  Only the helper
-    draws, in chunk order, so a seed gives the same bits, bit for bit, either way.
     """
     check_bits(n_bits)
     check_bias(epsilon)
@@ -299,21 +253,17 @@ def simulate_bcs(n_bits: int, epsilon: float, rounds: int, seed: int) -> BcsResu
     last = min(rounds, int(n_bits).bit_length() - 1)
     sizes = [0] * (last + 1)
     ones = [0] * (last + 1)
-    # a helper takes about 0.2 ms to start and to hand over its first chunk; with
-    # 2 rounds or more to compress it pays that back from about 3.25 chunks on
-    # (3.05 chunks ran 4-24% slower with it over 2 rounds, 3.81 chunks 4-7% faster)
-    ahead = last >= 2 and n_bits > 7 * CHUNK // 2
-    # round r's bits that round r + 1 has not paired yet, never more than it makes;
-    # a chunk's ties, in whole words, or two masks of pairs; and to sample ahead,
-    # round 0's second buffer and the helper's ties.  Each is whole cache lines of
-    # one block: freed whole, the block stays in glibc's heap for the next call,
-    # where parts freed one by one went back to the system and faulted in again
+    # round r's bits that round r + 1 has not paired yet, never more than it makes,
+    # and a chunk's ties, in whole words, or two masks of pairs.  Each is whole
+    # cache lines of one block: freed whole, the block stays in glibc's heap for
+    # the next call, where parts freed one by one went back to the system and
+    # faulted in again
     lengths = [min(CHUNK, n_bits >> r) for r in range(max(last, 1))]
-    lengths += [lengths[0]] * (3 if ahead else 1)
+    lengths.append(lengths[0])
     lines = [-(-length // 64) * 64 for length in lengths]
     block = np.empty(sum(lines), dtype=bool)
     parts = [block[end - line:end] for end, line in zip(itertools.accumulate(lines), lines)]
-    queues, (scratch, *spare) = parts[:max(last, 1)], parts[max(last, 1):]
+    *queues, scratch = parts
     waiting = [0] * len(queues)
 
     def pair_rounds(flush: bool) -> None:
@@ -338,25 +288,13 @@ def simulate_bcs(n_bits: int, epsilon: float, rounds: int, seed: int) -> BcsResu
     primary = np.random.default_rng(seed).bit_generator
     ties = primary.jumped(0).advance(-(-n_bits // 8))
 
-    def sample(bits: np.ndarray, tie_mask: np.ndarray) -> int:
-        _sample(bits, threshold, primary, ties, tie_mask)
-        return int(np.count_nonzero(bits))
-
-    def take(bits: np.ndarray, bits_ones: int) -> None:
-        queues[0] = bits  # every chunk is even, so round 0's queue never carries a bit
+    for start in range(0, n_bits, CHUNK):
+        bits = queues[0][:min(CHUNK, n_bits - start)]
+        _sample(bits, threshold, primary, ties, scratch)
         sizes[0] += bits.size
-        ones[0] += bits_ones
-        waiting[0] = bits.size
+        ones[0] += int(np.count_nonzero(bits))
+        waiting[0] = bits.size  # every chunk is even, so round 0's queue never carries a bit
         pair_rounds(flush=False)
-
-    pool = queues[0]
-    if ahead:
-        second, tie_mask = spare
-        _sample_ahead(n_bits, lambda bits: sample(bits, tie_mask), take, (pool, second))
-    else:
-        for start in range(0, n_bits, CHUNK):
-            bits = pool[:min(CHUNK, n_bits - start)]
-            take(bits, sample(bits, scratch))
     pair_rounds(flush=True)
 
     analytic = epsilon

@@ -27,9 +27,8 @@ from spinfridge import cooling
 from spinfridge.cooling import CHUNK, MAX_BITS, PRNG_ID, _sample, _threshold
 
 
-def simulate_bcs_on_a_side(*case):
-    """simulate_bcs(*case), and whether a helper thread sampled its chunks
-    (True) or the caller did (False)."""
+def simulate_bcs_on_the_caller(*case):
+    """simulate_bcs(*case), once it is seen that the calling thread sampled every chunk."""
     samplers = set()
 
     def recording(*args):
@@ -39,8 +38,8 @@ def simulate_bcs_on_a_side(*case):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cooling, "_sample", recording)
         result = simulate_bcs(*case)
-    assert len(samplers) == 1  # one thread samples every chunk of a pool
-    return result, samplers.pop() is not threading.current_thread()
+    assert samplers == {threading.current_thread()}  # no other thread samples a chunk
+    return result
 
 
 def test_bcs_bias_examples():
@@ -198,20 +197,14 @@ def test_simulate_bcs_equals_the_uint8_loop(monkeypatch):
     sizes = (2, 4, 6, 10, 26, 66, 198, 1030)
     biases = (0.0, 0.3, 0.99, 1.0 - 2.0**-53)
     finals = []
-    sides = set()
     for n_bits, eps, seed in itertools.product(sizes, biases, range(8)):
         for rounds in range(9):
             case = (n_bits, eps, rounds, seed)
             expected = oracles.loop_bcs(*case)
             for chunk in (8, 16, 24, 64):
                 monkeypatch.setattr(cooling, "CHUNK", chunk)
-                result, threaded = simulate_bcs_on_a_side(*case)
-                assert result == expected, (case, chunk)
-                # a helper samples only a pool of more than 3.5 chunks, over 2 rounds or more
-                assert threaded == (rounds >= 2 and n_bits > 7 * chunk // 2), (case, chunk)
-                sides.add(threaded)
+                assert simulate_bcs_on_the_caller(*case) == expected, (case, chunk)
             finals.append(expected)
-    assert sides == {False, True}
     # the cases reach every kind of pool the loop can leave
     assert any(r.final.epsilon == -1.0 and r.final.n_bits > 1 for r in finals)  # all ones
     assert any(r.final.epsilon == 1.0 and r.final.n_bits > 1 for r in finals)  # pure
@@ -220,11 +213,8 @@ def test_simulate_bcs_equals_the_uint8_loop(monkeypatch):
 
 
 def test_simulate_bcs_equals_the_uint8_loop_on_random_cases():
-    # at the default chunk the pool is one chunk, sampled inline; split into 1 to
-    # 64 chunks of whole words, 8 bits or more, a helper samples it from more than
-    # 3.5 chunks on over 2 rounds or more
-    sides = set()
-
+    # at the default chunk the pool is one chunk; then it is split into 1 to 64
+    # chunks of whole words, 8 bits or more
     @settings(max_examples=100, deadline=None)
     @given(
         st.integers(1, 2**15).map(lambda pairs: 2 * pairs),
@@ -235,26 +225,19 @@ def test_simulate_bcs_equals_the_uint8_loop_on_random_cases():
     )
     @example(2, 0.0, 0, 0, 1)
     @example(80, 0.3, 3, 0, 10)
-    @example(28, 0.3, 2, 0, 4)  # 3.5 chunks of 8 bits: inline
-    @example(30, 0.3, 2, 0, 4)  # 3.75 chunks of 8 bits: a helper
+    @example(28, 0.3, 2, 0, 4)  # 3.5 chunks of 8 bits: a last chunk of half a word
+    @example(30, 0.3, 2, 0, 4)  # 3.75 chunks of 8 bits: a last chunk of 6 bits
     def check(n_bits, eps, rounds, seed, chunks):
         expected = oracles.loop_bcs(n_bits, eps, rounds, seed)
-        assert simulate_bcs_on_a_side(n_bits, eps, rounds, seed) == (expected, False)
+        assert simulate_bcs_on_the_caller(n_bits, eps, rounds, seed) == expected
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(cooling, "CHUNK", 8 * -(-n_bits // (8 * chunks)))
-            result, threaded = simulate_bcs_on_a_side(n_bits, eps, rounds, seed)
-            rounds_run = min(rounds, n_bits.bit_length() - 1)
-            assert threaded == (rounds_run >= 2 and n_bits > 7 * cooling.CHUNK // 2)
-        assert result == expected
-        sides.add(threaded)
+            assert simulate_bcs_on_the_caller(n_bits, eps, rounds, seed) == expected
 
     check()
-    assert sides == {False, True}
 
 
 def test_simulate_bcs_does_not_depend_on_the_chunk():
-    sides = set()
-
     @settings(max_examples=100, deadline=None)
     @given(
         st.integers(1, 2**12).map(lambda pairs: 2 * pairs),
@@ -269,12 +252,9 @@ def test_simulate_bcs_does_not_depend_on_the_chunk():
         default = simulate_bcs(n_bits, eps, rounds, seed)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(cooling, "CHUNK", chunk)
-            result, threaded = simulate_bcs_on_a_side(n_bits, eps, rounds, seed)
-        assert result == default
-        sides.add(threaded)
+            assert simulate_bcs_on_the_caller(n_bits, eps, rounds, seed) == default
 
     check()
-    assert sides == {False, True}
 
 
 class RawWords:
@@ -329,18 +309,17 @@ def test_sample_settles_each_tie_with_the_next_tie_word(n_bits, tied):
 ])
 def test_a_failure_on_either_side_stops_and_joins_the_helper(name, error, chunk, monkeypatch):
     # a chunk fails as it is sampled or in its first round, the one _compress
-    # call a whole chunk goes to; a round waits first, so that on chunk 2 the
-    # helper has filled both buffers and waits for the failing caller's word
+    # call a whole chunk goes to.  The call raises the failure as it is, from the
+    # thread that sampled every chunk, and starts no thread: the name is from the
+    # sample-ahead helper thread that the module no longer has
     error, failing_chunk = error
-    chunks, samplers, outcome = [], set(), []
+    chunks, samplers = [], set()
     fails = getattr(cooling, name)
 
     def failing(*args):
         if name == "_sample" or args[0].size == chunk:
             chunks.append(None)
             if len(chunks) == failing_chunk + 1:
-                if name == "_compress":
-                    time.sleep(0.05)
                 raise error
         return fails(*args)
 
@@ -348,24 +327,16 @@ def test_a_failure_on_either_side_stops_and_joins_the_helper(name, error, chunk,
         samplers.add(threading.current_thread())
         return sample(*args)
 
-    def call():
-        try:
-            simulate_bcs(40 * chunk, 0.3, 6, 1)
-        except BaseException as raised:
-            outcome.append(raised)
-
     monkeypatch.setattr(cooling, "CHUNK", chunk)
     monkeypatch.setattr(cooling, name, failing)
     sample = cooling._sample
     monkeypatch.setattr(cooling, "_sample", recording)
     threads = threading.active_count()
-    caller = threading.Thread(target=call, daemon=True)  # not to outlive a failed test
-    caller.start()
-    caller.join(timeout=30)
-    assert not caller.is_alive()
-    assert outcome == [error]  # the same exception, with its type and message
+    with pytest.raises(type(error)) as raised:
+        simulate_bcs(40 * chunk, 0.3, 6, 1)
+    assert raised.value is error  # the same exception, with its type and message
     assert threading.active_count() == threads
-    assert len(samplers) == 1 and caller not in samplers  # a helper sampled
+    assert samplers == {threading.current_thread()}
 
 
 def test_threshold_edges():
@@ -427,8 +398,8 @@ def test_simulate_bcs_peak_memory_is_flat_in_the_pool_size():
     # the pool streams through queues of at most CHUNK bits, one per round
     assert large < 4_000_000
     assert large <= small + CHUNK
-    # and nothing is kept per chunk: with 20 times the chunks, sampled ahead, the
-    # peak grows by less than a list slot (8 bytes) per added chunk
+    # and nothing is kept per chunk: with 20 times the chunks, the peak grows by
+    # less than a list slot (8 bytes) per added chunk
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cooling, "CHUNK", 64)
         small, large = peak(100 * 64), peak(2000 * 64)

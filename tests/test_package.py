@@ -75,7 +75,7 @@ def call(argv):
 
 report = {"traced": sorted(m for m in sys.modules if m.startswith("spinfridge.")),
           "import": loaded(), "never": [m for m in ("dataclasses", "copy") if m in sys.modules],
-          "csv": call(["exchange", "--t1=3"]),
+          "csv": call(["exchange", "--t1=3"]), "bcs": call(["bcs", "--bits=1000000", "--rounds=2"]),
           "json": call(["exchange", "--t1=3", "--format=json"]), "help": call(["cycles", "-h"])}
 import json
 print(json.dumps(report))
@@ -85,7 +85,9 @@ print(json.dumps(report))
     assert report["never"] == []  # no dataclass, so neither module loads with the cli
     import spinfridge.cli as cli
 
+    # no call loads queue, bcs on a pool of several chunks over 2 rounds included
     for key, argv, modules in (("csv", ["exchange", "--t1=3"], []),
+                               ("bcs", ["bcs", "--bits=1000000", "--rounds=2"], []),
                                ("json", ["exchange", "--t1=3", "--format=json"], ["json"]),
                                ("help", ["cycles", "-h"], ["argparse", "json"])):
         code, text, now_loaded = report[key]
