@@ -308,23 +308,6 @@ def _json_text(value, indent: str, escape) -> str:
     return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
 
 
-def _value_texts(values: np.ndarray, quote_nonfinite: bool) -> list[str]:
-    """repr of each number of a float64 or int64 array, each non-finite one in
-    quotes if asked."""
-    floats = values.dtype == np.float64
-    texts = list(map(float.__repr__ if floats else int.__repr__, values.tolist()))
-    if quote_nonfinite and floats:
-        for index in np.flatnonzero(~np.isfinite(values)).tolist():
-            texts[index] = f'"{texts[index]}"'
-    return texts
-
-
-def _laid_out(values: np.ndarray, index: np.ndarray, quote_nonfinite: bool) -> list[str]:
-    """The texts of a factored column: each value formatted once, then taken
-    into row order by an object-array take."""
-    return np.array(_value_texts(values, quote_nonfinite), dtype=object)[index].tolist()
-
-
 def _table_pays(values: np.ndarray) -> bool:
     """Whether np.unique's table of distinct values surely costs less than it
     saves: it costs about the repr of TABLE_REPEATS values plus a twelfth of the
@@ -334,28 +317,30 @@ def _table_pays(values: np.ndarray) -> bool:
     return len(values) > needed and int(np.count_nonzero(values[1:] == values[:-1])) > needed
 
 
-def _array_texts(values: np.ndarray, quote_nonfinite: bool) -> list[str]:
-    """repr of each number of a float64 or int64 array; a column that repeats
-    enough values for the table to pay formats each distinct value once."""
-    if not _table_pays(values):
-        return _value_texts(values, quote_nonfinite)
-    texts = _laid_out(*np.unique(values, return_inverse=True), quote_nonfinite)
-    if values.dtype == np.float64:
-        # -0.0 and 0.0 are one distinct value, so each zero gets its own text
-        for index in np.flatnonzero(values == 0.0).tolist():
-            texts[index] = float.__repr__(values[index])
-    return texts
-
-
 def _column_texts(column: Column, escape) -> tuple[list[str], bool]:
     """The text of each value of one column, in JSON given JSON's string escaper
     and in CSV given None, and whether a CSV field of it may need quoting (only
-    a string's may)."""
-    if isinstance(column, np.ndarray):
-        return _array_texts(column, quote_nonfinite=escape is not None), False
-    if isinstance(column, tuple):
-        return _laid_out(*column, quote_nonfinite=escape is not None), False
-    return (list(column) if escape is None else list(map(escape, column))), True
+    a string's may).  A number's text is its repr, a non-finite float's in
+    quotes in JSON.  A numeric column is (values, index), index None for a plain
+    array, which is factored by np.unique where the table pays; each value is
+    formatted once and, given an index, taken into row order."""
+    if isinstance(column, list):
+        return (list(column) if escape is None else list(map(escape, column))), True
+    values, index = column if isinstance(column, tuple) else (column, None)
+    array = values if index is None and _table_pays(values) else None  # factored here
+    if array is not None:
+        values, index = np.unique(array, return_inverse=True)
+    floats = values.dtype == np.float64
+    texts = list(map(float.__repr__ if floats else int.__repr__, values.tolist()))
+    if escape is not None and floats:
+        for row in np.flatnonzero(~np.isfinite(values)).tolist():
+            texts[row] = f'"{texts[row]}"'
+    if index is not None:
+        texts = np.array(texts, dtype=object)[index].tolist()
+    if array is not None and floats:  # -0.0 and 0.0 are one value of the table
+        for row in np.flatnonzero(array == 0.0).tolist():
+            texts[row] = float.__repr__(array[row])
+    return texts, False
 
 
 def _rows(column: Column) -> int:

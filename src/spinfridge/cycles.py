@@ -83,7 +83,9 @@ def run_cycles(cfg: FridgeConfig, n_cycles: int,
         p1, q1 = fixed + decay * gap, start_ground - shrink * gap
     else:  # spin 1 warms: p rises from its start, 1 - p falls to 1 - p*
         p1, q1 = start + shrink * gap, fixed_ground - decay * gap
-    p1[:, 0], q1[:, 0] = start, start_ground  # p* + g and (1 - p*) - g may round away from them
+    # d_n = 1 (n = 0, or sin^2(theta) D = 0): p* + g and (1 - p*) - g may round away from the start
+    still = shrink == 0.0
+    p1[still], q1[still] = start, start_ground
     heat = [cfg.E1 * exchange_flow(boltzmann, margin, theta) for theta in thetas]
     dq1 = np.zeros_like(decay)
     np.multiply(np.reshape(heat, (-1, 1)), decay[:, :-1], out=dq1[:, 1:])

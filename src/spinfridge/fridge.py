@@ -313,9 +313,7 @@ def two_spin_swap(E1: float, E2: float, T0: float) -> tuple[float, float]:
     """
     if not (0.0 < E1 < E2):
         raise ValueError(f"gaps must satisfy 0 < E1 < E2, got {(E1, E2)}")
-    rho = DensityMatrix(
-        kron(thermal_state(SpinSpec(E1, T0)).op, thermal_state(SpinSpec(E2, T0)).op)
-    )
+    rho = DensityMatrix(kron(thermal_state(SpinSpec(E1, T0)), thermal_state(SpinSpec(E2, T0))))
     h_sys = Operator(np.diag([0.0, E2, E1, E1 + E2]).astype(complex))
     rho_after = evolve(rho, _SWAP_2)
     t_after = effective_temperature(partial_trace(rho_after, (0,)), E1)

@@ -133,7 +133,7 @@ class Operator:
         return Operator(self._mat @ other._mat)
 
     def __repr__(self) -> str:
-        return f"Operator(dim={self.dim})"
+        return f"{type(self).__name__}(dim={self.dim})"
 
 
 def _is_diagonal(mat: np.ndarray) -> bool:
@@ -269,50 +269,31 @@ def positivity_certified(rho: np.ndarray, unitaries: np.ndarray, n: int) -> bool
     return bool(defect.max(initial=0.0) <= UNITARY_TOL)
 
 
-class DensityMatrix:
+class DensityMatrix(Operator):
     """Hermitian, unit-trace, positive-semidefinite operator, held in the
     canonical form of canonical_density (which rejects invalid input)."""
 
-    __slots__ = ("_op",)
+    __slots__ = ()
 
     def __init__(self, matrix) -> None:
         op = matrix if isinstance(matrix, Operator) else Operator(matrix)
-        self._op = Operator(canonical_density(op.matrix))
+        super().__init__(canonical_density(op.matrix))
 
     @classmethod
     def _of_canonical(cls, mat: np.ndarray) -> DensityMatrix:
         """The DensityMatrix of a matrix that canonical_density or
         canonical_chain has already put in canonical form, not checked again."""
         rho = object.__new__(cls)
-        rho._op = Operator(mat)
+        Operator.__init__(rho, mat)
         return rho
-
-    @property
-    def op(self) -> Operator:
-        return self._op
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self._op.matrix
-
-    @property
-    def dim(self) -> int:
-        return self._op.dim
-
-    @property
-    def n_qubits(self) -> int:
-        return self._op.n_qubits
 
     @property
     def populations(self) -> np.ndarray:
         """Real diagonal in the computational basis."""
-        return np.real(np.diag(self._op.matrix))
+        return np.real(np.diag(self._mat))
 
     def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self._op.matrix)
-
-    def __repr__(self) -> str:
-        return f"DensityMatrix(dim={self.dim})"
+        return np.linalg.eigvalsh(self._mat)
 
 
 _PAULI = {

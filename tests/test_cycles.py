@@ -74,6 +74,17 @@ def test_run_cycles_reads_the_angle_from_the_config():
     assert full.dQ1[1] == pytest.approx(cols.dQ1[1] / math.sin(0.1) ** 2, rel=1e-12)
 
 
+@pytest.mark.parametrize("cfg", [FridgeConfig(), FridgeConfig(E1=2.0, E2=3.0, E3=1.0,
+                                                              T1=0.5, T2=3.0, T3=4.0)],
+                         ids=["default", "spin1-warms"])
+@pytest.mark.parametrize("theta", [0.0, -0.0, 1e-300], ids=["0", "-0", "1e-300"])
+def test_run_cycles_keeps_spin1_where_sin2_theta_d_is_zero(cfg, theta):
+    # sin^2(theta) D is exactly 0, so no cycle moves a population: every row is row 0
+    cols = run_cycles(cfg, 5, [theta])
+    for column in (cols.T1, cols.entropy_q1, cols.energy_q1):
+        assert column.tolist() == [column[0]] * 6
+
+
 def test_bound_temperature_is_a_fixed_point():
     cfg = FridgeConfig(T1=T_BOUND, theta=math.pi / 2.0)
     for t1 in run_cycles(cfg, 8).T1.tolist():
@@ -121,8 +132,8 @@ def test_reset_preserves_the_reduced_target_state():
     reduced = partial_trace(rho, (0,))
     rebuilt = DensityMatrix(
         kron(
-            kron(reduced.op, thermal_state(SpinSpec(cfg.E2, cfg.T2)).op),
-            thermal_state(SpinSpec(cfg.E3, cfg.T3)).op,
+            kron(reduced, thermal_state(SpinSpec(cfg.E2, cfg.T2))),
+            thermal_state(SpinSpec(cfg.E3, cfg.T3)),
         )
     )
     assert np.max(np.abs(partial_trace(rebuilt, (0,)).matrix - reduced.matrix)) <= 1e-12

@@ -120,7 +120,7 @@ def test_initial_state_populations():
 def product_of_thermal_states(cfg):
     """initial_state as the DensityMatrix of the product of the three thermal-state
     DensityMatrix objects, four canonicalizations in all."""
-    taus = [thermal_state(SpinSpec(gap, temp)).op for gap, temp in zip(cfg.gaps, cfg.temps)]
+    taus = [thermal_state(SpinSpec(gap, temp)) for gap, temp in zip(cfg.gaps, cfg.temps)]
     return DensityMatrix(kron(kron(taus[0], taus[1]), taus[2]))
 
 

@@ -72,8 +72,8 @@ def dense_exchange(cfg: FridgeConfig) -> ExchangeReport:
 def dense_cycles(cfg: FridgeConfig, n_cycles: int, theta: float) -> CycleColumns:
     """Evolve-reset loop through 8x8 matrices: keep spin 1, refresh spins 2 and 3."""
     u = herm_exp(exchange_generator(cfg.g), theta / cfg.g)
-    baths = kron(thermal_state(SpinSpec(cfg.E2, cfg.T2)).op,
-                 thermal_state(SpinSpec(cfg.E3, cfg.T3)).op)
+    baths = kron(thermal_state(SpinSpec(cfg.E2, cfg.T2)),
+                 thermal_state(SpinSpec(cfg.E3, cfg.T3)))
     h1 = spin_hamiltonian(cfg.E1)
     rho = initial_state(cfg)
     rows = []
@@ -91,7 +91,7 @@ def dense_cycles(cfg: FridgeConfig, n_cycles: int, theta: float) -> CycleColumns
             0.0 if n == 0 else energy_after - energy,
         ))
         energy = energy_after
-        rho = DensityMatrix(kron(reduced.op, baths))
+        rho = DensityMatrix(kron(reduced, baths))
     return CycleColumns(*map(np.array, zip(*rows)))
 
 

@@ -1,7 +1,9 @@
 """Core operator, state, and Pauli-string primitives."""
 
 import contextlib
+import copy
 import math
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -12,14 +14,18 @@ from hypothesis import strategies as st
 import oracles
 from spinfridge import (
     DensityMatrix,
+    FridgeConfig,
     Operator,
     PauliString,
+    SpinSpec,
     dephase,
     evolve,
     herm_exp,
+    initial_state,
     kron,
     partial_trace,
     pauli_to_operator,
+    thermal_state,
 )
 from spinfridge.linalg import (
     HADAMARD,
@@ -70,6 +76,42 @@ def test_density_matrix_validation():
     rho = DensityMatrix(np.diag([1.0 + 5e-11, -5e-11]))
     assert rho.eigenvalues()[0] >= 0.0
     assert abs(float(np.trace(rho.matrix).real) - 1.0) < 1e-15
+
+
+def test_a_density_matrix_is_its_own_operator():
+    rho = initial_state(FridgeConfig())
+    assert isinstance(rho, Operator)
+    assert DensityMatrix.__slots__ == ()  # no field of its own
+    assert not {"op", "matrix", "dim", "n_qubits", "__repr__"} & set(vars(DensityMatrix))
+    assert (rho.dim, rho.n_qubits) == (8, 3)
+    assert repr(rho) == "DensityMatrix(dim=8)"
+
+
+def test_kron_takes_thermal_states_as_they_are():
+    taus = [thermal_state(SpinSpec(gap, temp)) for gap, temp in ((1.0, 2.0), (3.0, 4.0))]
+    joint = kron(*taus)
+    assert type(joint) is Operator
+    assert joint.matrix.tobytes() == np.kron(taus[0].matrix, taus[1].matrix).tobytes()
+
+
+@pytest.mark.parametrize("clone", [lambda rho: pickle.loads(pickle.dumps(rho)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_a_copied_density_matrix_keeps_its_type_and_bytes(clone):
+    rho = initial_state(FridgeConfig())
+    copied = clone(rho)
+    assert type(copied) is DensityMatrix
+    assert copied.matrix.tobytes() == rho.matrix.tobytes()
+
+
+def test_of_canonical_keeps_the_bytes_and_decomposes_nothing():
+    mat = initial_state(FridgeConfig()).matrix * (1.0 + 1e-13)  # off canonical form by a hair
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as checks, \
+            mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as clamps:
+        rho = DensityMatrix._of_canonical(mat)
+    assert (checks.call_count, clamps.call_count) == (0, 0)
+    assert type(rho) is DensityMatrix
+    assert rho.matrix.tobytes() == mat.tobytes()
+    assert not rho.matrix.flags.writeable
 
 
 def test_stacked_eigvalsh_is_the_per_matrix_eigvalsh(rng):

@@ -56,7 +56,7 @@ def test_the_cli_loads_every_module_the_benchmark_traces():
     assert loaded_by("import spinfridge.cli") >= {f"spinfridge.{name}" for name in MODULES}
 
 
-def test_the_cli_imports_argparse_csv_json_and_queue_only_where_a_call_needs_them(monkeypatch):
+def test_the_cli_imports_argparse_csv_and_json_only_where_needed_and_never_queue(monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")  # the width argparse lays help out at, here and in the child
     # the child imports json last, after every check, to print its report
     report = fresh("""
