@@ -12,6 +12,7 @@ bridges these bit-pool statements to the refrigerator's thermal states.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import NamedTuple
@@ -24,7 +25,10 @@ from .thermo import check_count, check_positive
 # np.random.default_rng read a byte per bit (_sample); seeded runs are bit-reproducible
 PRNG_ID = "numpy-pcg64-byte-threshold"
 MAX_BITS = 10**9  # a pool streams through CHUNK bits at a time, so memory does not grow with it
-CHUNK = 2**18  # bits sampled at a time, and the bits each round's queue holds; a multiple of 8
+# bits sampled at a time, a multiple of 8.  A round runs once 4 * CHUNK bits wait, so a
+# queue holds fewer than 8 * CHUNK, CHUNK bytes; below 2^22, so that a round's agreeing
+# pairs, at most 4 * CHUNK, fit the 24 bits _tally counts them in
+CHUNK = 2**18
 
 
 class BiasState(Record):
@@ -202,27 +206,103 @@ def _sample(bits: np.ndarray, threshold: int, primary: np.random.PCG64, ties: np
     bits[at] = rests >= rest
 
 
-def _compress(bits: np.ndarray, out: np.ndarray | None, scratch: np.ndarray) -> tuple[int, int]:
-    """One round over an even number of bits: how many it keeps and how many of those are 1.
+_PAD = 0xAAAA_AAAA_AAAA_AAAA  # every pair (control 0, target 1): none agrees, none is kept
 
-    A pair of bools read as one uint16 agrees iff it is 0x0000 or 0x0101, when the
-    CNOT target reads 0; the kept control bit is then 1 iff the pair is 0x0101.  Unless
-    out is None, np.compress writes the kept bits, in order, to its start.  It forms
-    an int64 index of the kept pairs, so it runs CHUNK/2 bits at a time.
+
+@functools.lru_cache(maxsize=1)
+def _tables() -> tuple[np.ndarray, np.ndarray]:
+    """The round's rule for eight pairs read as one little-endian uint16 v, pair k
+    being (bit 2k, bit 2k + 1) = (control, target), as two tables indexed by v.
+
+    A pair agrees iff control == target, and then its control bit is kept.  In
+    fields, a '<u2', entry v is kept | agree << 8: the kept bits, in order from bit
+    0, and how many pairs agree.  In counts, a '<u4', it is agree | ones << 24,
+    where ones is how many kept bits are 1, so a sum of fewer than 2^21 entries
+    holds both counts.  Both come from the rule for the four pairs of a byte, as v's
+    low byte holds its first four pairs.
     """
-    kept = kept_ones = 0
-    for start in range(0, bits.size, CHUNK // 2):
-        pairs = bits[start:start + CHUNK // 2].view(np.uint16)
-        agree, both_ones = scratch[:pairs.size], scratch[pairs.size:2 * pairs.size]
-        np.equal(pairs, 0, out=agree)
-        np.equal(pairs, 0x0101, out=both_ones)
-        np.logical_or(agree, both_ones, out=agree)
-        count = int(np.count_nonzero(agree))
-        if out is not None:
-            np.compress(agree, both_ones, out=out[kept:kept + count])
-        kept += count
-        kept_ones += int(np.count_nonzero(both_ones))
-    return kept, kept_ones
+    quad = np.arange(256, dtype=np.uint16)
+    kept, agree, ones = (np.zeros(256, dtype=np.uint16) for _ in range(3))
+    for k in range(4):
+        control, target = quad >> 2 * k & 1, quad >> 2 * k + 1 & 1
+        keep = control & (control == target)
+        kept |= keep << agree
+        agree += control == target
+        ones += keep
+    low, high = np.s_[None, :], np.s_[:, None]  # entry v = low | high << 8 is [high, low]
+    fields = np.left_shift(kept[high], agree[low], dtype=np.uint16)
+    fields |= kept[low]
+    fields |= (agree[low] + agree[high]) << 8
+    counts = np.add(ones[low], ones[high], dtype=np.uint32)
+    counts <<= 24
+    counts |= agree[low] + agree[high]
+    tables = fields.astype("<u2", copy=False).ravel(), counts.astype("<u4", copy=False).ravel()
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _look_up(queue: np.ndarray, count: int, table: np.ndarray) -> np.ndarray:
+    """The entries of table for the first count bits of queue, eight pairs an entry
+    and a multiple of eight entries, and queue emptied.
+
+    queue holds packed bits, bit i at bit i % 64 of the little-endian uint64 word
+    i // 64, and reads 0 past them.  Pairs past the last whole pair, to the end of
+    a 128-bit block, are padded to keep nothing.  Then every word of queue reads 0
+    but for an odd last bit, which moves to bit 0.
+    """
+    pairs = count - count % 2
+    if not pairs:
+        return table[:0]  # a queue of one bit holds it at bit 0 already
+    odd = int(queue[pairs >> 6]) >> (pairs & 63) & 1 if count % 2 else 0
+    end = -(-pairs // 128) * 2
+    word, offset = divmod(pairs, 64)
+    if offset:
+        below = (1 << offset) - 1
+        queue[word] = int(queue[word]) & below | _PAD & ~below
+        word += 1
+    queue[word:end] = _PAD
+    entries = np.take(table, queue[:end].view("<u2"))
+    queue[:end + 1] = 0  # an odd bit after the last whole block sits in word end
+    queue[0] = odd
+    return entries
+
+
+def _compress(queue: np.ndarray, count: int, out: np.ndarray, at: int) -> int:
+    """One round over the first count bits of queue, which it empties
+    (_look_up), writing the kept bits to out from bit at on: how many it keeps.
+
+    out is packed as queue is and reads 0 from bit at on.  The eight 8-bit fields
+    of a 128-bit block are joined into one 64-bit field in three levels, and
+    np.add.at adds each field to the one or two words of out it lands in; fields
+    do not overlap, so add is or.
+    """
+    entries = _look_up(queue, count, _tables()[0])
+    if not entries.size:
+        return 0
+    # two entries a '<u4': kept0 | agree0 << 8 | kept1 << 16 | agree1 << 24
+    both = entries.view("<u4")
+    lengths = both >> 8 & 0xFF
+    fields = (both >> 16 & 0xFF) << lengths
+    fields |= both & 0xFF
+    lengths += both >> 24
+    for dtype in (np.uint32, np.uint64):
+        joined = np.left_shift(fields[1::2], lengths[0::2], dtype=dtype)
+        joined |= fields[0::2]
+        fields, lengths = joined, lengths[0::2] + lengths[1::2]
+    ends = np.cumsum(lengths, dtype=np.uint64)
+    starts = ends - lengths + at
+    shifts = starts & 63
+    np.add.at(out, starts >> 6, fields << shifts)
+    np.add.at(out, (starts >> 6) + 1, (fields >> 1) >> (63 - shifts))  # the part past the word
+    return int(ends[-1])
+
+
+def _tally(queue: np.ndarray, count: int) -> tuple[int, int]:
+    """The last round over the first count bits of queue, which it empties
+    (_look_up): how many bits it keeps and how many of those are 1."""
+    total = int(np.add.reduce(_look_up(queue, count, _tables()[1]), dtype=np.uint64))
+    return total & (2**24 - 1), total >> 24
 
 
 def _bias(ones: int, size: int) -> float:
@@ -237,13 +317,15 @@ def simulate_bcs(n_bits: int, epsilon: float, rounds: int, seed: int) -> BcsResu
     bits (dropping a trailing unpaired bit), keeps the control bit of every
     agreeing pair, and discards the rest.  Deterministic for a given seed.
 
-    The pool is never held whole.  It is sampled CHUNK bits at a time into
-    round 0's queue, and round r + 1 pairs the bits in round r's queue once at
-    least CHUNK/2 wait (every sampled chunk but a pool's last) and once more at
-    the end.  An odd bit left in a queue is carried to its front, to pair with
-    the first bit of the next batch, or is dropped at the end.  Each round keeps
-    only its bit count and its count of ones, and the history and the final
-    state come from those counts.
+    The pool is never held whole.  It is sampled CHUNK bits at a time and
+    packed into round 0's queue, 64 bits a word, and round r + 1 pairs the bits
+    in round r's queue once at least 4 * CHUNK wait and once more at the end.
+    Each round but the last writes the bits it keeps to its own queue
+    (_compress); the last only counts them (_tally).  An odd bit left in a queue
+    is carried to its front, to pair with the first bit of the next batch, or is
+    dropped at the end.  Each round keeps only its bit count, the last also its
+    count of ones, from which every earlier round's count of ones follows; the
+    history and the final state come from those counts.
     """
     check_bits(n_bits)
     check_bias(epsilon)
@@ -253,49 +335,61 @@ def simulate_bcs(n_bits: int, epsilon: float, rounds: int, seed: int) -> BcsResu
     last = min(rounds, int(n_bits).bit_length() - 1)
     sizes = [0] * (last + 1)
     ones = [0] * (last + 1)
-    # round r's bits that round r + 1 has not paired yet, never more than it makes,
-    # and a chunk's ties, in whole words, or two masks of pairs.  Each is whole
-    # cache lines of one block: freed whole, the block stays in glibc's heap for
-    # the next call, where parts freed one by one went back to the system and
+    # a chunk's bits and ties, in whole words, and round r's packed bits that round
+    # r + 1 has not paired yet.  A queue below 4 * CHUNK bits takes at most half of
+    # one below 8 * CHUNK, so none reaches 8 * CHUNK, and none exceeds n_bits; it
+    # has room to pad its last 128-bit block and a word past that.  Each part is
+    # whole cache lines of one block: freed whole, the block stays in glibc's heap
+    # for the next call, where parts freed one by one went back to the system and
     # faulted in again
-    lengths = [min(CHUNK, n_bits >> r) for r in range(max(last, 1))]
-    lengths.append(lengths[0])
-    lines = [-(-length // 64) * 64 for length in lengths]
-    block = np.empty(sum(lines), dtype=bool)
+    chunk = min(CHUNK, n_bits)
+    words = -(-min(8 * CHUNK, n_bits) // 128) * 2 + 1
+    lines = [-(-length // 64) * 64 for length in [chunk, chunk] + [8 * words] * last]
+    block = np.empty(sum(lines), dtype=np.uint8)
     parts = [block[end - line:end] for end, line in zip(itertools.accumulate(lines), lines)]
-    *queues, scratch = parts
-    waiting = [0] * len(queues)
+    bits, ties_mask = parts[0].view(bool), parts[1].view(bool)
+    queues = [part.view("<u8") for part in parts[2:]]
+    for queue in queues:
+        queue.fill(0)
+    waiting = [0] * last
 
     def pair_rounds(flush: bool) -> None:
-        # a queue below CHUNK/2 takes at most CHUNK/2 more from one batch, so it
-        # never overflows; every chunk but the last is CHUNK, so round 1 pairs
-        # each one before its buffer is sampled over
         for r in range(last):
             count = waiting[r]
-            if count < CHUNK // 2 and not flush:
+            if count < 4 * CHUNK and not flush:
                 return
-            out = queues[r + 1][waiting[r + 1]:] if r + 1 < last else None
-            kept, kept_ones = _compress(queues[r][:count - count % 2], out, scratch)
-            sizes[r + 1] += kept
-            ones[r + 1] += kept_ones
-            if out is not None:
+            if r + 1 < last:
+                kept = _compress(queues[r], count, queues[r + 1], waiting[r + 1])
                 waiting[r + 1] += kept
-            if count % 2:  # the odd bit pairs with the next batch's first
-                queues[r][0] = queues[r][count - 1]
-            waiting[r] = count % 2
+            else:
+                kept, kept_ones = _tally(queues[r], count)
+                ones[last] += kept_ones
+            sizes[r + 1] += kept
+            waiting[r] = count % 2  # the odd bit pairs with the next batch's first
 
     threshold = _threshold(epsilon)
     primary = np.random.default_rng(seed).bit_generator
     ties = primary.jumped(0).advance(-(-n_bits // 8))
 
     for start in range(0, n_bits, CHUNK):
-        bits = queues[0][:min(CHUNK, n_bits - start)]
-        _sample(bits, threshold, primary, ties, scratch)
-        sizes[0] += bits.size
-        ones[0] += int(np.count_nonzero(bits))
-        waiting[0] = bits.size  # every chunk is even, so round 0's queue never carries a bit
-        pair_rounds(flush=False)
+        sampled = bits[:min(CHUNK, n_bits - start)]
+        _sample(sampled, threshold, primary, ties, ties_mask)
+        sizes[0] += sampled.size
+        if last:
+            # every chunk but the last is whole bytes, and round 0's queue never
+            # carries a bit, so each chunk starts a byte
+            packed = np.packbits(sampled, bitorder="little")
+            queues[0].view(np.uint8)[waiting[0] // 8:waiting[0] // 8 + packed.size] = packed
+            waiting[0] += sampled.size
+            pair_rounds(flush=False)
+        else:
+            ones[0] += int(np.count_nonzero(sampled))
     pair_rounds(flush=True)
+    # round r + 1 paired every bit of round r but the odd last one, which is left
+    # at bit 0 of round r's emptied queue; an agreeing pair holds two ones or
+    # none, a disagreeing pair one
+    for r in reversed(range(last)):
+        ones[r] = 2 * ones[r + 1] + sizes[r] // 2 - sizes[r + 1] + int(queues[r][0])
 
     analytic = epsilon
     history = [BcsRound(0, analytic, _bias(ones[0], sizes[0]), sizes[0])]

@@ -257,6 +257,38 @@ def test_simulate_bcs_does_not_depend_on_the_chunk():
     check()
 
 
+def test_each_table_entry_follows_the_pair_rule():
+    # eight pairs read as one uint16, pair k at bits 2k (control) and 2k + 1
+    # (target): a pair agrees iff control == target, and keeps its control bit
+    fields, counts = cooling._tables()
+    assert (fields.dtype, counts.dtype, fields.size, counts.size) == (np.dtype("<u2"), np.dtype("<u4"),
+                                                                      2**16, 2**16)
+    for v in range(2**16):
+        pairs = [(v >> 2 * k & 1, v >> 2 * k + 1 & 1) for k in range(8)]
+        kept = [control for control, target in pairs if control == target]
+        bits = sum(bit << i for i, bit in enumerate(kept))
+        assert int(fields[v]) == bits | len(kept) << 8, v
+        assert int(counts[v]) == len(kept) | sum(kept) << 24, v
+
+
+def test_simulate_bcs_equals_the_uint8_loop_at_every_offset_of_a_queue(monkeypatch):
+    # a round writes its kept bits to the next queue from where that queue's fill
+    # ends, which batch boundaries put at every bit of a word
+    offsets = set()
+    compress = cooling._compress
+
+    def recording(queue, count, out, at):
+        offsets.add(at % 64)
+        return compress(queue, count, out, at)
+
+    monkeypatch.setattr(cooling, "_compress", recording)
+    for chunk, n_bits, eps, seed in itertools.product((8, 16, 24, 64), (1030, 4098), (0.3, 0.9), range(3)):
+        monkeypatch.setattr(cooling, "CHUNK", chunk)
+        case = (n_bits, eps, 6, seed)
+        assert simulate_bcs_on_the_caller(*case) == oracles.loop_bcs(*case), (case, chunk)
+    assert offsets == set(range(64))
+
+
 class RawWords:
     """A stand-in for a bit generator that hands out given raw words in order."""
 
@@ -300,27 +332,26 @@ def test_sample_settles_each_tie_with_the_next_tie_word(n_bits, tied):
 
 @pytest.mark.parametrize("chunk", [8, 16, 24, 64])
 @pytest.mark.parametrize("name, error", [
-    # each error with the chunk, of the pool's 40, on which it is raised
+    # each error with the call that raises it, of the calls a pool of 40 chunks makes
     ("_sample", (RuntimeError("no bits"), 2)),
-    ("_compress", (RuntimeError("no round"), 2)),
+    ("_compress", (RuntimeError("no round"), 2)),  # round 1, on its third batch
     ("_compress", (KeyboardInterrupt("stopped"), 2)),
     ("_sample", (RuntimeError("no first bits"), 0)),
-    ("_compress", (RuntimeError("no last round"), 39)),
+    ("_tally", (RuntimeError("no last round"), -1)),  # the final flush
 ])
-def test_a_failure_on_either_side_stops_and_joins_the_helper(name, error, chunk, monkeypatch):
-    # a chunk fails as it is sampled or in its first round, the one _compress
-    # call a whole chunk goes to.  The call raises the failure as it is, from the
-    # thread that sampled every chunk, and starts no thread: the name is from the
-    # sample-ahead helper thread that the module no longer has
-    error, failing_chunk = error
-    chunks, samplers = [], set()
+def test_a_failure_in_sampling_or_compressing_is_raised_on_the_calling_thread(name, error, chunk, monkeypatch):
+    # a chunk fails as it is sampled, or a batch as a round runs over it.  The call
+    # raises the failure as it is, from the thread that sampled every chunk, and
+    # starts no thread
+    error, call = error
+    calls, samplers = [], set()
     fails = getattr(cooling, name)
+    failing_call = None
 
     def failing(*args):
-        if name == "_sample" or args[0].size == chunk:
-            chunks.append(None)
-            if len(chunks) == failing_chunk + 1:
-                raise error
+        calls.append(None)
+        if len(calls) - 1 == failing_call:
+            raise error
         return fails(*args)
 
     def recording(*args):
@@ -331,6 +362,9 @@ def test_a_failure_on_either_side_stops_and_joins_the_helper(name, error, chunk,
     monkeypatch.setattr(cooling, name, failing)
     sample = cooling._sample
     monkeypatch.setattr(cooling, "_sample", recording)
+    simulate_bcs(40 * chunk, 0.3, 6, 1)
+    failing_call = range(len(calls))[call]
+    calls.clear()
     threads = threading.active_count()
     with pytest.raises(type(error)) as raised:
         simulate_bcs(40 * chunk, 0.3, 6, 1)
@@ -395,7 +429,8 @@ def test_simulate_bcs_peak_memory_is_flat_in_the_pool_size():
 
     simulate_bcs(1000, 0.3, 6, 4)  # first-call imports are not the pool's
     small, large = peak(4_000_000), peak(16_000_000)
-    # the pool streams through queues of at most CHUNK bits, one per round
+    # the pool streams through a chunk's bits and packed queues of CHUNK bytes
+    # (fewer than 8 * CHUNK bits), one per round
     assert large < 4_000_000
     assert large <= small + CHUNK
     # and nothing is kept per chunk: with 20 times the chunks, the peak grows by

@@ -120,6 +120,22 @@ print(json.dumps([code, out.getvalue(), csv_loaded]))
     assert len(lines) == 41 and list(csv.reader(lines)) == [line.split(",") for line in lines]
 
 
+def test_bcs_builds_its_round_tables_once_and_only_when_a_round_runs():
+    # the tables are built on first use, so neither the import nor a pool run
+    # for 0 rounds pays for them, and a call runs every round on one build
+    builds = fresh("""
+import json, os
+import spinfridge.cli as cli
+from spinfridge import cooling
+builds = [cooling._tables.cache_info().misses]
+for rounds in (0, 2):
+    assert cli.main(["bcs", f"--rounds={rounds}", "--out=" + os.devnull]) == 0
+    builds.append(cooling._tables.cache_info().misses)
+print(json.dumps(builds))
+""")
+    assert builds == [0, 0, 1]
+
+
 def test_every_exported_name_resolves_in_a_fresh_process():
     # each name read through the package is its module's object, and a star
     # import binds every name
