@@ -2,6 +2,7 @@
 
 Configuration comes from the defaults of the config-key table (the reference
 operating point), overridden by a flat key=value config file, overridden by flags.
+Each command takes only the keys it reads, by flag and by file line alike.
 All emitted numbers are in internal units (delta = k_B = 1) unless a
 --delta-scale multiplier is given; the scale is recorded in JSON metadata.
 
@@ -41,8 +42,8 @@ TABLE_REPEATS = 30
 Column = np.ndarray | tuple[np.ndarray, np.ndarray] | list[str]
 # the reference operating point, whose values are the physics keys' defaults
 _REFERENCE = FridgeConfig()
-# the config keys that are FridgeConfig fields other than theta: e1 is E1, g is g
-_FRIDGE_KEYS = {name.lower(): name for name in FridgeConfig._fields if name != "theta"}
+# the six physics keys, each a FridgeConfig field: e1 is E1
+_FRIDGE_KEYS = {name.lower(): name for name in FridgeConfig._fields[:6]}
 
 
 def _checked(read, rule):
@@ -82,35 +83,33 @@ def _parse_format(text: str) -> str:
     return text
 
 
-# each config key once, as (default, reader, flag help, bcs only): the reader
-# applies the key's own rule, so that an error names its flag or file line, and
-# bcs alone takes a bcs-only key.  JSON meta echoes the keys, and a command's
-# help lists them, in this order; the three output keys come last
+# each config key once, as (default, reader, flag help): the reader applies the
+# key's own rule, so that an error names its flag or file line.  A command's
+# flags, help and JSON meta list the keys it takes in this order; the three
+# output keys come last
 _KEYS = {
     **{key: (getattr(_REFERENCE, name), _checked(float, functools.partial(check_positive, name)),
-             None, False) for key, name in _FRIDGE_KEYS.items()},
-    "theta": ((_REFERENCE.theta,), _parse_theta, "comma-separated angles in radians", False),
-    "cycles": (60, _checked(int, check_cycles), "number of refrigeration cycles", False),
-    "grid": ((2.0, 6.0, 2.0, 10.0, 41), _parse_grid, "T2_min,T2_max,T3_min,T3_max,steps", False),
-    "bits": (1_000_000, _checked(int, check_bits), "pool size (even)", True),
-    "epsilon0": (0.5, _checked(float, check_bias), "bath bias", True),
-    "rounds": (1, _checked(int, check_rounds), "compression rounds", True),
-    "seed": (0, _checked(int, check_seed), "PRNG seed", False),
-    "out": (None, str, "output path (default: stdout)", False),
-    "format": ("csv", _parse_format, "output format: csv or json", False),
+             None) for key, name in _FRIDGE_KEYS.items()},
+    "theta": ((_REFERENCE.theta,), _parse_theta, "comma-separated angles in radians"),
+    "cycles": (60, _checked(int, check_cycles), "number of refrigeration cycles"),
+    "grid": ((2.0, 6.0, 2.0, 10.0, 41), _parse_grid, "T2_min,T2_max,T3_min,T3_max,steps"),
+    "bits": (1_000_000, _checked(int, check_bits), "pool size (even)"),
+    "epsilon0": (0.5, _checked(float, check_bias), "bath bias"),
+    "rounds": (1, _checked(int, check_rounds), "compression rounds"),
+    "seed": (0, _checked(int, check_seed), "PRNG seed"),
+    "out": (None, str, "output path (default: stdout)"),
+    "format": ("csv", _parse_format, "output format: csv or json"),
     "delta_scale": (1.0, _checked(float, functools.partial(check_positive, "delta-scale")),
-                    "display multiplier for delta-unit columns", False),
+                    "display multiplier for delta-unit columns"),
 }
 _DEFAULTS = {key: default for key, (default, *_) in _KEYS.items()}
-# the config keys that JSON meta echoes under "config": all but the output keys
-_META_KEYS = list(_KEYS)[:-3]
 
 
 class RunConfig(types.SimpleNamespace):
     """The resolved configuration: ``command``, each config key (its default
     unless given), and ``fridge``, the physics keys and the first angle as a
-    FridgeConfig, built here, so that the rules across keys (E2 = E1 + E3, the
-    E/T underflow) are checked once; the builders reuse it."""
+    FridgeConfig (the default g), built here, so that the rules across keys
+    (E2 = E1 + E3, the E/T underflow) are checked once; the builders reuse it."""
 
     def __init__(self, command: str, **values) -> None:
         super().__init__(command=command, **(_DEFAULTS | values))
@@ -121,8 +120,9 @@ class RunConfig(types.SimpleNamespace):
         return type(self), (self.command,), vars(self)
 
 
-def _read_config_file(path: str) -> list[tuple[str, str, str]]:
-    """(key, source, text) of each key = value line, in file order."""
+def _read_config_file(path: str, command: str) -> list[tuple[str, str, str]]:
+    """(key, source, text) of each key = value line, in file order; a key the
+    command does not take is an error that names its line."""
     entries = []
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -133,20 +133,10 @@ def _read_config_file(path: str) -> list[tuple[str, str, str]]:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
             key = key.strip().lower()
-            if key not in _KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if key not in _KEYS or key not in _FLAGS[command].values():
+                raise ValueError(f"{path}:{lineno}: {command} takes no key {key!r}")
             entries.append((key, f"{path}:{lineno}: {key}", value.strip()))
     return entries
-
-
-# each command's full option strings and the namespace key of each: --config,
-# the keys every command takes, then the bcs-only keys (bcs alone takes those).
-# _parser() adds them in this order, which is the order argparse fills the
-# namespace in, so _exact_flags reads the keys, and reports a first error, alike
-_FLAGS = {"--config": "config"} | {"--" + key.replace("_", "-"): key
-                                   for key, (*_, bcs_only) in _KEYS.items() if not bcs_only}
-_BCS_FLAGS = _FLAGS | {"--" + key.replace("_", "-"): key
-                       for key, (*_, bcs_only) in _KEYS.items() if bcs_only}
 
 
 def _is_numbers(text: str) -> bool:
@@ -167,7 +157,7 @@ def _joined(command: str, args: list[str]) -> list[str]:
     argparse reads a value that does not start with '-' as the flag's either
     way; one that does it takes for an option unless it looks like -N or -N.N,
     so it would report --theta -1e-3 as a flag given none."""
-    flags = _BCS_FLAGS if command == "bcs" else _FLAGS
+    flags = _FLAGS[command]
     joined = []
     for index, arg in enumerate(args):
         if arg == "--":
@@ -184,7 +174,7 @@ def _exact_flags(command: str, args: list[str]) -> dict[str, str | None] | None:
     argparse when every argument is --flag=value for a full option string of
     the command (the last repeat of a flag wins, as in argparse); None for any
     other args."""
-    flags = _BCS_FLAGS if command == "bcs" else _FLAGS
+    flags = _FLAGS[command]
     namespace = {"command": command} | dict.fromkeys(flags.values())
     for arg in args:
         option, equals, text = arg.partition("=")
@@ -197,8 +187,8 @@ def _exact_flags(command: str, args: list[str]) -> dict[str, str | None] | None:
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The parser of the args that _exact_flags does not read, with one
-    subparser per command built from its option table, generated from
-    _KEYS once per process; argparse loads here, on first use."""
+    subparser per command built from its _FLAGS row and the helps of _KEYS,
+    once per process; argparse loads here, on first use."""
     import argparse
 
     class _Parser(argparse.ArgumentParser):
@@ -213,7 +203,7 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command in COMMANDS:
         own = sub.add_parser(command)
-        for option, key in (_BCS_FLAGS if command == "bcs" else _FLAGS).items():
+        for option, key in _FLAGS[command].items():
             own.add_argument(option, help=helps[key])
     return parser
 
@@ -226,26 +216,28 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
         argv = [argv[0], *_joined(argv[0], argv[1:])]
         namespace = _exact_flags(argv[0], argv[1:])
     if namespace is None:
-        parser = _parser()
-        namespace = vars(parser.parse_args(argv))
-        # argparse reads --flag=-- as an empty list, not a value: report it as
-        # argparse reports a flag given none
-        empty = [key for key, text in namespace.items() if isinstance(text, list)]
-        if empty:
-            option = next(flag for flag, key in _BCS_FLAGS.items() if key == empty[0])
-            parser.error(f"argument {option}: expected one argument")
-    entries = _read_config_file(namespace["config"]) if namespace["config"] else []
+        namespace = vars(_parser().parse_args(argv))
+    command = namespace["command"]
+    # argparse reads --flag=-- as an empty list, not a value: report it as
+    # argparse reports a flag given none
+    empty = [key for key, text in namespace.items() if isinstance(text, list)]
+    if empty:
+        option = next(flag for flag, key in _FLAGS[command].items() if key == empty[0])
+        _parser().error(f"argument {option}: expected one argument")
+    entries = _read_config_file(namespace["config"], command) if namespace["config"] else []
     entries += [(key, "argument --" + key.replace("_", "-"), text)
                 for key, text in namespace.items() if key in _KEYS and text is not None]
     values = {}
     for key, source, text in entries:  # flags come last, so they win
         try:
             values[key] = _KEYS[key][1](text)
+            if key == "theta" and len(values[key]) > 1 and command not in _ANGLE_LISTS:
+                raise ValueError(f"{command} takes one angle, got {len(values[key])}")
         except ValueError as exc:
             raise ValueError(f"{source}: {exc}") from None
     # RunConfig checks the rules across keys, which do not depend on theta, and
     # _parse_theta has checked every angle
-    cfg = RunConfig(namespace["command"], **values)
+    cfg = RunConfig(command, **values)
     if cfg.command == "cycles":  # one row per angle and cycle, from cycle 0
         check_rows(len(cfg.theta), cfg.cycles)
     return cfg
@@ -394,13 +386,12 @@ def emit(columns: dict[str, Column], fmt: str, path: str | None, meta: dict) -> 
 
 
 def _meta(cfg: RunConfig) -> dict:
-    meta = {
-        "command": cfg.command,
-        "version": __version__,
-        "delta_scale": cfg.delta_scale,
-        # the physics keys under FridgeConfig's names, then the run keys
-        "config": {_FRIDGE_KEYS.get(key, key): getattr(cfg, key) for key in _META_KEYS},
-    }
+    _, scaled, reads = _COMMANDS[cfg.command]
+    meta = {"command": cfg.command, "version": __version__}
+    if scaled:
+        meta["delta_scale"] = cfg.delta_scale
+    # the physics keys under FridgeConfig's names
+    meta["config"] = {_FRIDGE_KEYS.get(key, key): getattr(cfg, key) for key in reads}
     if cfg.command == "bcs":
         meta["prng"] = PRNG_ID
     return meta
@@ -456,18 +447,34 @@ def _columns_bcs(cfg: RunConfig) -> dict[str, np.ndarray]:
     return {"round": columns.pop("round_index"), **columns}
 
 
-# per command: its column builder and its columns in delta (or delta/k_B) units;
-# run() writes the verify-decomposition rows itself
+# the keys of a FridgeConfig, which each command that builds one takes: the six
+# physics keys and the angles
+_FRIDGE = (*_FRIDGE_KEYS, "theta")
+# per command: its column builder, its columns in delta (or delta/k_B) units,
+# and the config keys it takes but the output keys, in _KEYS order; run()
+# writes the verify-decomposition rows itself
 _COMMANDS = {
-    "exchange": (_columns_exchange, {"dQ1", "dQ2", "dQ3", "T1_after", "T2_after", "T3_after"}),
-    "ledger": (_columns_ledger, {"dW1", "dQ1", "dW2", "net_work", "cumulative_work"}),
-    "cycles": (_columns_cycles, {"T1", "energy_q1", "dQ1"}),
-    "phase-diagram": (_columns_phase_diagram, {"T2", "T3", "dQ1"}),
-    "cop": (_columns_cop, {"T2", "dQ1", "dQ3"}),
-    "bcs": (_columns_bcs, set()),
-    "verify-decomposition": (None, set()),
+    "exchange": (_columns_exchange, {"dQ1", "dQ2", "dQ3", "T1_after", "T2_after", "T3_after"},
+                 _FRIDGE),
+    "ledger": (_columns_ledger, {"dW1", "dQ1", "dW2", "net_work", "cumulative_work"}, _FRIDGE),
+    "cycles": (_columns_cycles, {"T1", "energy_q1", "dQ1"}, (*_FRIDGE, "cycles")),
+    "phase-diagram": (_columns_phase_diagram, {"T2", "T3", "dQ1"}, (*_FRIDGE, "grid")),
+    "cop": (_columns_cop, {"T2", "dQ1", "dQ3"}, (*_FRIDGE, "grid")),
+    "bcs": (_columns_bcs, set(), ("bits", "epsilon0", "rounds", "seed")),
+    "verify-decomposition": (None, set(), ("theta",)),
 }
 COMMANDS = tuple(_COMMANDS)
+# the commands that read every angle; the others read one
+_ANGLE_LISTS = ("cycles", "verify-decomposition")
+# each command's full option strings and the namespace key of each: --config,
+# then the keys it takes in _KEYS order: those of its _COMMANDS row, out,
+# format, and delta_scale where it has delta-unit columns.  _parser() adds them in this
+# order, which is the order argparse fills the namespace in, so _exact_flags
+# reads the keys, and reports a first error, alike
+_FLAGS = {command: {"--config": "config"} | {"--" + key.replace("_", "-"): key for key in _KEYS
+                                             if key in (*reads, "out", "format")
+                                             or key == "delta_scale" and scaled}
+          for command, (_, scaled, reads) in _COMMANDS.items()}
 
 
 def run(cfg: RunConfig) -> int:
@@ -483,7 +490,7 @@ def run(cfg: RunConfig) -> int:
         emit(listing, cfg.format, cfg.out, _meta(cfg))
         return 0 if min(fidelities) >= FIDELITY_GATE else 1
 
-    build, scaled_columns = _COMMANDS[cfg.command]
+    build, scaled_columns, _ = _COMMANDS[cfg.command]
     columns = _scaled(build(cfg), scaled_columns, cfg.delta_scale)
     return emit(columns, cfg.format, cfg.out, _meta(cfg))
 

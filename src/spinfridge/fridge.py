@@ -277,8 +277,12 @@ def phase_boundary_value(T2: float, T3: float, *, base: FridgeConfig | None = No
 
 
 def cop(cfg: FridgeConfig) -> float:
-    """Coefficient of performance |dQ1/dQ3| = E1/E3, temperature independent."""
-    return cfg.E1 / cfg.E3
+    """Coefficient of performance |dQ1/dQ3| = E1/E3, temperature independent;
+    a ratio that overflows raises ValueError."""
+    ratio = cfg.E1 / cfg.E3
+    if math.isinf(ratio):
+        raise ValueError(f"COP E1/E3 overflows at E1 = {cfg.E1!r}, E3 = {cfg.E3!r}")
+    return ratio
 
 
 def carnot_limit(T1: float, T2: float, T3: float) -> float:

@@ -110,10 +110,15 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 
 def binary_entropy(p_ground, p_excited):
     """von_neumann_entropy of the diagonal spin state diag(p_ground, p_excited),
-    elementwise over broadcast arrays (or plain floats), with 0 ln 0 = 0."""
+    elementwise over broadcast arrays (or plain floats), with 0 ln 0 = 0.
+
+    With s the smaller population and l the larger, it is -(s ln s + l log1p(-s)),
+    which keeps its relative accuracy where the spin is nearly pure: there l is
+    near 1 and off by rounding of the order of an ulp of 1, which ln l would
+    carry whole into a result of the order of s."""
+    small, large = np.minimum(p_ground, p_excited), np.maximum(p_ground, p_excited)
     with np.errstate(divide="ignore", invalid="ignore"):  # np.where drops 0 * log(0)
-        ground, excited = (np.where(q > 0.0, q * np.log(q), 0.0) for q in (p_ground, p_excited))
-    return -(ground + excited)
+        return -(np.where(small > 0.0, small * np.log(small), 0.0) + large * np.log1p(-small))
 
 
 def internal_energy(rho: DensityMatrix, h_sys: Operator) -> float:

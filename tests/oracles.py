@@ -11,7 +11,7 @@ for step on products of excited populations, and the uint8 pool that
 sampled bit by bit with Python ints from the raw PCG64 words.
 ``decimal_flow`` and ``decimal_cycles`` redo the population products at
 DECIMAL_DIGITS significant digits, from the exact values of the float
-inputs.
+inputs, and ``decimal_binary_entropy`` the entropy of a float population.
 """
 
 import functools
@@ -176,6 +176,15 @@ def decimal_cycles(cfg: FridgeConfig, n_cycles: int) -> tuple[list[Decimal], lis
             p1 += sin2 * (p010 - p101)
             populations.append(p1)
         return populations, [Decimal(cfg.E1) / ((1 - p) / p).ln() for p in populations]
+
+
+def decimal_binary_entropy(p: float) -> Decimal:
+    """-(p ln p + q ln q) with q = 1 - p, of the float p in [0, 1] exactly, at
+    DECIMAL_DIGITS significant digits or more, with 0 ln 0 = 0.  The precision
+    holds every digit of p after the point, so q is exact too."""
+    exact = Decimal(p)
+    with localcontext(Context(prec=DECIMAL_DIGITS + max(0, -exact.as_tuple().exponent))):
+        return -sum((x * x.ln() for x in (exact, 1 - exact) if x), Decimal(0))
 
 
 def _empirical_bias(bits: np.ndarray) -> float:

@@ -2,14 +2,17 @@
 
 import contextlib
 import copy
+import importlib.util
 import io
 import json
 import math
 import os
 import pickle
 import re
+import sys
 import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,8 @@ from hypothesis import strategies as st
 import spinfridge.cli as cli
 from spinfridge import FridgeConfig
 from spinfridge.cli import COMMANDS, RunConfig, main, parse_config
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(args, path):
@@ -77,11 +82,11 @@ def test_invalid_gap_combination_is_rejected(capsys, tmp_path):
 
 def test_config_file_roundtrip_and_flag_override(tmp_path):
     config = tmp_path / "run.cfg"
-    config.write_text("t3 = 8.0\ncycles = 12\n# comment line\ntheta = 0.5\n")
+    config.write_text("t3 = 8.0\ncycles = 12\n# comment line\ntheta = 0.5,0.9\n")
     cfg = parse_config(["cycles", "--config", str(config)])
     assert cfg.t3 == 8.0
     assert cfg.cycles == 12
-    assert cfg.theta == (0.5,)
+    assert cfg.theta == (0.5, 0.9)
     # flags win over the file
     cfg = parse_config(["cycles", "--config", str(config), "--t3", "9.0"])
     assert cfg.t3 == 9.0
@@ -89,10 +94,11 @@ def test_config_file_roundtrip_and_flag_override(tmp_path):
 
 def test_config_file_unknown_key_names_the_key(tmp_path, capsys):
     config = tmp_path / "run.cfg"
-    # an unknown key, a line without '=', then bad values of known keys: each
-    # error names line and key
+    # an unknown key, a key the command does not take, a line without '=', then
+    # bad values of its keys: each error names line and key
     for text, lineno, key in [
         ("tee3 = 8.0\n", 1, "tee3"),
+        ("t1 = 3\ncycles = 12\n", 2, "cycles"),
         ("t1 = 3\n\nt3 8.0\n", 3, "t3 8.0"),
         ("# cycles\ncycles = 1.5\n", 2, "cycles"),
         ("delta_scale = inf\n", 1, "delta_scale"),
@@ -104,6 +110,72 @@ def test_config_file_unknown_key_names_the_key(tmp_path, capsys):
         assert line.startswith(prefix) and key in line[len(prefix):]
 
 
+# the keys of a FridgeConfig, which each command that builds one takes
+FRIDGE_KEYS = ["e1", "e2", "e3", "t1", "t2", "t3", "theta"]
+# the keys each command takes besides --config, in table order: those it
+# reads, then out and format, then delta_scale where it has delta-unit columns
+TAKEN = {
+    "exchange": [*FRIDGE_KEYS, "out", "format", "delta_scale"],
+    "ledger": [*FRIDGE_KEYS, "out", "format", "delta_scale"],
+    "cycles": [*FRIDGE_KEYS, "cycles", "out", "format", "delta_scale"],
+    "phase-diagram": [*FRIDGE_KEYS, "grid", "out", "format", "delta_scale"],
+    "cop": [*FRIDGE_KEYS, "grid", "out", "format", "delta_scale"],
+    "bcs": ["bits", "epsilon0", "rounds", "seed", "out", "format"],
+    "verify-decomposition": ["theta", "out", "format"],
+}
+
+
+def taking(key):
+    """The commands that take the key."""
+    return [command for command, keys in TAKEN.items() if key in keys]
+
+
+def test_each_command_takes_its_keys_in_table_order():
+    for command, keys in TAKEN.items():
+        assert cli._FLAGS[command] == {"--config": "config",
+                                       **{"--" + key.replace("_", "-"): key for key in keys}}
+        assert keys == [key for key in cli._KEYS if key in keys]
+    # delta_scale goes exactly to the commands with delta-unit columns
+    assert taking("delta_scale") == [command for command, row in cli._COMMANDS.items() if row[1]]
+
+
+def test_the_readme_key_table_is_the_cli_table():
+    """Each row of README's key table: its keys in table order, each key's
+    default, and the commands that take it (notes in parentheses aside)."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    head = "| key | type | default | taken by |\n| --- | --- | --- | --- |\n"
+    rows = text[text.index(head) + len(head):].split("\n\n", 1)[0].splitlines()
+    keys = []
+    for row in rows:
+        names, _, defaults, commands = (cell.strip() for cell in row.strip("|").split(" | "))
+        names = re.findall(r"`(\w+)`", names)
+        keys += names
+        commands = re.sub(r" \([^)]*\)", "", commands)
+        commands = list(COMMANDS) if commands == "every command" else commands.split(", ")
+        for name, default in zip(names, defaults.split(", ") if len(names) > 1 else [defaults]):
+            value = {"pi/2": (math.pi / 2,), "stdout": None}.get(default, default)
+            if value == default:
+                value = cli._KEYS[name][1](default)
+            assert (value, commands) == (cli._DEFAULTS[name], taking(name)), row
+    assert keys == list(cli._KEYS)
+
+
+def test_every_benchmark_op_parses(tmp_path, monkeypatch):
+    """Every op of three passes of each benchmark workload at seeds 1-3 parses
+    to the values it passes, so no command rejects a key the benchmark gives it."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # for its dataclass
+    spec.loader.exec_module(workloads)
+    for workload in workloads.WORKLOADS:
+        for seed in (1, 2, 3):
+            for block in range(3 * workloads.PASS_BLOCKS):
+                for op in workloads.block_ops(workload, seed, block):
+                    cfg = parse_config(op.argv(str(tmp_path / "artifact")))
+                    assert cfg.command == op.command and cfg.format == op.fmt
+                    assert {key: getattr(cfg, key) for key in op.params} == op.params, op
+
+
 # two different non-default settings per config key; a gap key brings a second
 # gap along so that E2 = E1 + E3 still holds
 KEY_SETTINGS = {
@@ -113,8 +185,7 @@ KEY_SETTINGS = {
     "t1": ("t1=3", "t1=1.5"),
     "t2": ("t2=2.5", "t2=3"),
     "t3": ("t3=8", "t3=12"),
-    "g": ("g=2", "g=0.5"),
-    "theta": ("theta=0.3,0.7", "theta=1.1"),
+    "theta": ("theta=0.3", "theta=1.1"),
     "cycles": ("cycles=12", "cycles=3"),
     "grid": ("grid=1,5,3,9,7", "grid=2,4,4,8,3"),
     "bits": ("bits=5000", "bits=800"),
@@ -141,34 +212,75 @@ def as_config_file(setting, path):
 @pytest.mark.parametrize("key", list(cli._KEYS))
 def test_every_key_reads_alike_from_flag_and_file(key, tmp_path):
     first, second = KEY_SETTINGS[key]
-    by_flag = parse_config(["bcs", *as_flags(first)])
-    assert getattr(by_flag, key) != getattr(parse_config(["bcs"]), key)
-    assert parse_config(["bcs", *as_config_file(first, tmp_path / "a.cfg")]) == by_flag
-    # the flag wins when the file gives the key too
-    both = parse_config(["bcs", *as_config_file(first, tmp_path / "b.cfg"), *as_flags(second)])
-    assert both == parse_config(["bcs", *as_flags(second)])
-    assert getattr(both, key) != getattr(by_flag, key)
+    for command in taking(key):
+        by_flag = parse_config([command, *as_flags(first)])
+        assert getattr(by_flag, key) != getattr(parse_config([command]), key)
+        assert parse_config([command, *as_config_file(first, tmp_path / "a.cfg")]) == by_flag
+        # the flag wins when the file gives the key too
+        both = parse_config([command, *as_config_file(first, tmp_path / "b.cfg"),
+                             *as_flags(second)])
+        assert both == parse_config([command, *as_flags(second)])
+        assert getattr(both, key) != getattr(by_flag, key)
 
 
-# each flag form, an abbreviation, a bcs-only flag, a missing value, an
-# unknown flag, a stray argument and the command's help, with the exit code of
-# the parse (None: it parses; "bcs": it parses for bcs only)
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_key_the_command_does_not_take_exits_1_by_flag_and_by_file_line(command, tmp_path,
+                                                                        monkeypatch):
+    """Each key of another command, and g, which no command takes: one stderr
+    line, no stdout and no artifact, whether a flag or a file line gives it."""
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "run.cfg"
+    for key in [key for key in cli._KEYS if key not in TAKEN[command]] + ["g"]:
+        value = KEY_SETTINGS[key][0].split()[0].partition("=")[2] if key != "g" else "2"
+        flag = f"--{key.replace('_', '-')}={value}"
+        code, out, err = outcome(lambda: main([command, flag, "--out=a.csv"]))
+        assert (code, out, len(err.splitlines())) == (1, "", 1), (command, key, err)
+        if key != "g" or "grid" not in TAKEN[command]:  # there --g abbreviates --grid
+            assert err == f"error: unrecognized arguments: {flag}\n"
+        config.write_text(f"# line 1\n{key} = {value}\n")
+        assert outcome(lambda: main([command, "--config", str(config), "--out=a.csv"])) == (
+            1, "", f"error: {config}:2: {command} takes no key {key!r}\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["run.cfg"]
+
+
+@pytest.mark.parametrize("command", ["exchange", "ledger", "phase-diagram", "cop"])
+def test_a_command_that_reads_one_angle_rejects_a_list(command, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert outcome(lambda: main([command, "--theta=0.3,0.7", "--out=a.csv"])) == (
+        1, "", f"error: argument --theta: {command} takes one angle, got 2\n")
+    config = tmp_path / "run.cfg"
+    config.write_text("theta = 0.3,0.7,1.1\n")
+    assert outcome(lambda: main([command, "--config", str(config), "--out=a.csv"])) == (
+        1, "", f"error: {config}:1: theta: {command} takes one angle, got 3\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["run.cfg"]
+    assert parse_config([command, "--theta=0.3"]).theta == (0.3,)
+
+
+# each flag form, an abbreviation, a flag of some commands only, a missing
+# value, an unknown flag, a stray argument and the command's help, with the exit
+# code of the parse (None: it parses; a key: it parses on the commands that take
+# that key, and exits 1 on the others)
 PARSE_CASES = (
-    ([], None), (["--t1=3"], None), (["--t1", "3"], None), (["--thet=0.5"], None),
-    (["--thet", "0.5,0.7"], None), (["--theta=-2.4"], None), (["--bits=4000"], "bcs"),
-    (["--epsilon0", "0.2", "--rounds=2"], "bcs"), (["--t1"], 1), (["--t1=3", "--cycles"], 1),
-    (["--nope"], 1), (["--nope=1", "--t1=3"], 1), (["--e=1"], 1), (["stray"], 1),
+    ([], None), (["--t1=3"], "t1"), (["--t1", "3"], "t1"), (["--thet=0.5"], "theta"),
+    (["--thet", "0.5,0.7"], "theta"), (["--theta=-2.4"], "theta"), (["--bits=4000"], "bits"),
+    (["--epsilon0", "0.2", "--rounds=2"], "bits"), (["--t1"], 1), (["--t1=3", "--cycles"], 1),
+    (["--nope"], 1), (["--nope=1", "--t1=3"], 1), (["stray"], 1),
     (["--", "stray"], 1), (["-h"], 0), (["--he"], 0), (["--t1=3", "-h"], 0), (["--config"], 1),
-    (["--t3=8", "--t3=9", "--format", "json"], None), (["--theta", "-2.4"], None), (["--out="], None),
-    (["--config="], None),
+    (["--t3=8", "--t3=9", "--format", "json"], "t3"), (["--theta", "-2.4"], "theta"),
+    (["--out="], None), (["--config="], None),
+    # an abbreviation resolves against the command's own flags: --e is ambiguous
+    # where e1, e2 and e3 are taken and --epsilon0 on bcs; --g, no flag, is --grid
+    # where grid is taken
+    (["--e=1"], "epsilon0"), (["--g=2"], "grid"),
     # a value after a space that reads as numbers, exponent form included, is
     # the flag's value on both paths; '-' and any value after '--' are not
-    (["--theta", "-1e-3"], None), (["--theta", "-0.5,0.7"], None), (["--t1", "-1e300"], None),
-    (["--theta", "-1e-3", "--cyc=3"], None), (["--out", "-"], None), (["--", "--t1", "-1e300"], 1),
+    (["--theta", "-1e-3"], "theta"), (["--theta", "-0.5,0.7"], "theta"), (["--t1", "-1e300"], "t1"),
+    (["--theta", "-1e-3", "--cyc=3"], "cycles"), (["--out", "-"], None),
+    (["--", "--t1", "-1e300"], 1),
     # a theta list with an empty part parses, and its reader rejects it
-    (["--theta=0.3,,0.5"], None), (["--theta", "0.3,"], None), (["--thet", ",0.3"], None),
+    (["--theta=0.3,,0.5"], "theta"), (["--theta", "0.3,"], "theta"), (["--thet", ",0.3"], "theta"),
     # argparse reads --flag=-- as an empty list, for every key
-    *(([f"{flag}=--"], None if flag in cli._FLAGS else "bcs") for flag in cli._BCS_FLAGS),
+    (["--config=--"], None), *(([f"--{key.replace('_', '-')}=--"], key) for key in cli._KEYS),
 )
 
 
@@ -194,8 +306,8 @@ def test_each_command_parses_as_the_top_level_parser_would(command, monkeypatch)
         # values joined to their flags, as parse_config hands them over
         joined = [command, *cli._joined(command, args)]
         parsed = outcome(lambda: list(vars(parser.parse_args(joined)).items()))
-        if code == "bcs":
-            code = None if command == "bcs" else 1
+        if isinstance(code, str):
+            code = None if command in taking(code) else 1
         if code is None:
             assert parsed[0][0] != "exit", argv
         else:
@@ -218,8 +330,8 @@ def test_a_flag_read_as_no_value_exits_1_with_one_line(command, tmp_path, monkey
     """--flag=-- fails as --flag with no value does, on the exact-flag path and
     the argparse path alike, and writes no artifact."""
     monkeypatch.chdir(tmp_path)
-    for flag in cli._BCS_FLAGS if command == "bcs" else cli._FLAGS:
-        other = "--g=2" if flag != "--g" else "--t1=3"  # an exact flag of another key
+    for flag in cli._FLAGS[command]:
+        other = "--out=a" if flag != "--out" else "--format=csv"  # an exact flag of another key
         want = outcome(lambda: main([command, flag]))
         assert want == (1, "", f"error: argument {flag}: expected one argument\n")
         assert outcome(lambda: main([command, other, f"{flag}=--"])) == want, flag
@@ -231,10 +343,10 @@ def test_a_flag_read_as_no_value_exits_1_with_one_line(command, tmp_path, monkey
 
 @pytest.fixture(scope="module")
 def config_files(tmp_path_factory):
-    """The paths of a config file of valid keys, one with an invalid key, and
-    one that does not exist, by name."""
+    """The paths of a config file of valid cycles keys, one with an invalid bcs
+    key, and one that does not exist, by name."""
     folder = tmp_path_factory.mktemp("configs")
-    (folder / "good.cfg").write_text("t3 = 8\ncycles = 5\nrounds = 2\n")
+    (folder / "good.cfg").write_text("t3 = 8\ncycles = 5\nformat = json\n")
     (folder / "bad.cfg").write_text("seed = -1\n")
     return {name: str(folder / f"{name}.cfg") for name in ("good", "bad", "missing")}
 
@@ -244,7 +356,7 @@ def config_files(tmp_path_factory):
 FLAG_VALUES = {
     "--e1": ["1", "0.5", "-1"], "--e2": ["3", "2.5", "x"], "--e3": ["2", "0"],
     "--t1": ["3", "-3", "inf", "-1e300"], "--t2": ["2.5", "nan"], "--t3": ["8", "12", "-0.5"],
-    "--g": ["2", "0"], "--theta": ["0.5", "0.3,1.1", "-2.4", "-2.4,0.7", "-1e-3", "-0.5,0.7", "inf", ","],
+    "--theta": ["0.5", "0.3,1.1", "-2.4", "-2.4,0.7", "-1e-3", "-0.5,0.7", "inf", ","],
     "--cycles": ["3", "12", "0", "1.5"], "--grid": ["2,6,2,10,5", "1,5,3,9", "2,6,2,10,1"],
     "--seed": ["4", "-1"], "--out": ["a.csv", "-", "b c"], "--format": ["json", "csv", "xml"],
     "--delta-scale": ["2.5", "inf", "-2"], "--bits": ["4000", "3"], "--epsilon0": ["0.2", "1.0"],
@@ -252,13 +364,14 @@ FLAG_VALUES = {
 }
 # arguments that are no exact flag: an abbreviation, an unknown or a bare
 # option, help, a stray word and the end of options
-OTHER_ARGS = ["--thet=0.5", "--cyc", "--nope=1", "--e=1", "-h", "stray", "--", "--t1"]
+OTHER_ARGS = ["--thet=0.5", "--cyc", "--nope=1", "--e=1", "--g=2", "-h", "stray", "--", "--t1"]
 
 
 @st.composite
 def flag_args(draw, config_files):
-    """0-4 flags, each --flag=value or --flag value, keys repeating and
-    bcs-only flags on any command, with now and then an argument of another form."""
+    """0-4 flags, each --flag=value or --flag value, keys repeating and the
+    flags of every command on any command, with now and then an argument of
+    another form."""
     args = []
     for _ in range(draw(st.integers(0, 4))):
         flag = draw(st.sampled_from(list(FLAG_VALUES)))
@@ -284,9 +397,9 @@ def test_exact_flags_parse_as_argparse_does(config_files, command, data):
 
 
 def test_two_invalid_flags_report_the_first_key_in_argparse_order():
-    # argparse fills the shared keys first, so bcs reports seed before bits
-    for argv, key in ((["bcs", "--bits=3", "--seed=-1"], "seed"),
-                      (["bcs", "--rounds", "-1", "--t1=-3"], "t1"),
+    # argparse fills the namespace in table order, whatever the argument order
+    for argv, key in ((["bcs", "--seed=-1", "--bits=3"], "bits"),
+                      (["bcs", "--seed=-1", "--rounds", "-1"], "rounds"),
                       (["cycles", "--cycles=0", "--e1=x"], "e1")):
         (kind, message), _, _ = outcome(lambda: parse_config(argv))
         assert kind == "ValueError" and message.startswith(f"argument --{key}: "), argv
@@ -298,8 +411,9 @@ def test_exact_flags_never_build_the_argparse_parser(monkeypatch):
 
     monkeypatch.setattr(cli, "_parser", no_parser)
     for argv in (["exchange"], ["cycles", "--cycles", "3", "--theta=0.3,0.7"],
-                 ["ledger", "--theta", "-1e-3,-0.5", "--t1", "2"],
-                 ["bcs", "--bits=4000", "--rounds", "2", "--t1=3", "--t1", "4"],
+                 ["ledger", "--theta", "-1e-3", "--t1", "2"],
+                 ["verify-decomposition", "--theta", "-1e-3,-0.5"],
+                 ["bcs", "--bits=4000", "--rounds", "2", "--seed=3", "--seed", "4"],
                  ["phase-diagram", "--grid=2,6,2,10,5", "--format", "json", "--out="],
                  ["cop", "--config=", "--delta-scale", "2.5"]):
         assert isinstance(parse_config(argv), RunConfig)
@@ -325,17 +439,19 @@ def test_values_join_only_full_flags_of_the_command_before_the_end_of_options():
     assert cli._joined("cycles", ["--thet", "0.5", "--bits", "5", "--out", "-"]) == [
         "--thet", "0.5", "--bits", "5", "--out", "-"]
     assert cli._joined("bcs", ["--bits", "5"]) == ["--bits=5"]
+    assert cli._joined("bcs", ["--t1", "3"]) == ["--t1", "3"]
     assert cli._joined("cycles", ["--", "--t1", "3", "--out", "a"]) == ["--", "--t1", "3", "--out", "a"]
     assert cli._joined("cycles", ["--t1", "3", "--", "--t1", "3"]) == ["--t1=3", "--", "--t1", "3"]
 
 
 def test_exact_flags_read_only_flag_equals_value_arguments():
-    assert cli._exact_flags("bcs", ["--bits=4", "--out=", "--t1=3", "--t1=4"]) == {
-        "command": "bcs", **dict.fromkeys(cli._BCS_FLAGS.values()), "bits": "4", "out": "",
-        "t1": "4"}
+    assert cli._exact_flags("bcs", ["--bits=4", "--out=", "--seed=3", "--seed=4"]) == {
+        "command": "bcs", **dict.fromkeys(cli._FLAGS["bcs"].values()), "bits": "4", "out": "",
+        "seed": "4"}
     for args in (["--t1"], ["--t1", "3"], ["--t1=3", "4"], ["--out", "-"], ["stray"], ["--"],
                  ["-h"], ["--t1=3", "--"], ["--thet=0.5"], ["--bits=4"], ["--t1=--"]):
         assert cli._exact_flags("cycles", args) is None, args
+    assert cli._exact_flags("bcs", ["--t1=3"]) is None
 
 
 def test_equals_flags_never_read_a_value_as_numbers(monkeypatch):
@@ -452,40 +568,48 @@ def test_json_output_carries_metadata(tmp_path):
     assert len(document["data"]) == 4
 
 
-# a small run of each command, and the config keys its JSON meta echoes, in order
+# a small run of each command
 SMALL_RUNS = {"exchange": [], "ledger": [], "cycles": ["--cycles=1"],
               "phase-diagram": ["--grid=2,6,2,10,2"], "cop": ["--grid=2,6,2,10,2"],
               "bcs": ["--bits=1000"], "verify-decomposition": []}
-META_KEYS = ["E1", "E2", "E3", "T1", "T2", "T3", "g", "theta", "cycles", "grid", "bits", "epsilon0",
-             "rounds", "seed"]
+# each command's JSON meta config at its small run: the keys of its _COMMANDS row,
+# in table order, the physics keys under their FridgeConfig names
+PHYSICS_META = {"E1": 1.0, "E2": 3.0, "E3": 2.0, "T1": 2.0, "T2": 2.0, "T3": 10.0,
+                "theta": [math.pi / 2]}
+META_CONFIG = {
+    "exchange": PHYSICS_META,
+    "ledger": PHYSICS_META,
+    "cycles": {**PHYSICS_META, "cycles": 1},
+    "phase-diagram": {**PHYSICS_META, "grid": [2.0, 6.0, 2.0, 10.0, 2]},
+    "cop": {**PHYSICS_META, "grid": [2.0, 6.0, 2.0, 10.0, 2]},
+    "bcs": {"bits": 1000, "epsilon0": 0.5, "rounds": 1, "seed": 0},
+    "verify-decomposition": {"theta": [math.pi / 2]},
+}
 
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_json_meta_echoes_the_config_keys_in_table_order(command, tmp_path):
     out = tmp_path / "run.json"
     assert run_cli([command, *SMALL_RUNS[command], "--format=json"], out) == 0
-    config = json.loads(out.read_text())["meta"]["config"]
-    assert list(config) == META_KEYS
-    if command == "exchange":  # every default
-        assert config == {"E1": 1.0, "E2": 3.0, "E3": 2.0, "T1": 2.0, "T2": 2.0, "T3": 10.0,
-                          "g": 1.0, "theta": [math.pi / 2], "cycles": 60,
-                          "grid": [2.0, 6.0, 2.0, 10.0, 41], "bits": 1_000_000, "epsilon0": 0.5,
-                          "rounds": 1, "seed": 0}
-
-
-SHARED_FLAGS = ["--e1", "--e2", "--e3", "--t1", "--t2", "--t3", "--g", "--theta", "--cycles",
-                "--grid", "--seed", "--out", "--format", "--delta-scale"]
+    meta = json.loads(out.read_text())["meta"]
+    # delta_scale where the command takes it, and the PRNG of bcs
+    scale = {"delta_scale": 1.0} if "delta_scale" in TAKEN[command] else {}
+    prng = {"prng": "numpy-pcg64-byte-threshold"} if command == "bcs" else {}
+    assert list(meta) == ["command", "version", *scale, "config", *prng]
+    assert meta == {"command": command, "version": meta["version"], **scale,
+                    "config": META_CONFIG[command], **prng}
+    assert list(meta["config"]) == list(META_CONFIG[command])
 
 
 @pytest.mark.parametrize("command", COMMANDS)
-def test_each_command_help_lists_config_then_the_shared_then_the_bcs_flags(command, monkeypatch):
+def test_each_command_help_lists_config_then_the_flags_it_takes(command, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     code, text, err = outcome(lambda: main([command, "-h"]))
     assert (code, err) == (0, "") and text.startswith(f"usage: spinfridge {command} ")
     listed = re.findall(r"^  (?:-h, )?(--[\w-]+)", text, flags=re.MULTILINE)
-    bcs_only = ["--bits", "--epsilon0", "--rounds"] if command == "bcs" else []
-    assert listed == ["--help", "--config", *SHARED_FLAGS, *bcs_only]
-    assert "  --theta THETA         comma-separated angles in radians\n" in text
+    flags = ["--" + key.replace("_", "-") for key in TAKEN[command]]
+    assert listed == ["--help", "--config", *flags]
+    assert re.search(r"^  --out OUT +output path \(default: stdout\)$", text, flags=re.MULTILINE)
 
 
 def test_delta_scale_multiplies_energy_columns_only(tmp_path):
@@ -526,23 +650,22 @@ def test_exit_codes(capsys, tmp_path):
             warnings.simplefilter("error")  # outside pytest a warning prints its own lines
             assert main(args) == 1
         assert len(capsys.readouterr().err.splitlines()) == 1
-    # the bit-pool keys follow one rule, checked at parse time for every command
-    for command, line in (
-        ("cycles", "bits = 3"),
-        ("exchange", "epsilon0 = 1.0"),
-        ("ledger", "rounds = -1"),
-        ("bcs", "bits = 3"),
+    # a bit-pool key in the file of another command is rejected by its line,
+    # whatever its value, and by its rule on bcs
+    for command, line, reason in (
+        ("cycles", "bits = 4", "cycles takes no key 'bits'"),
+        ("exchange", "epsilon0 = 1.0", "exchange takes no key 'epsilon0'"),
+        ("ledger", "rounds = -1", "ledger takes no key 'rounds'"),
+        ("bcs", "bits = 3", "bits: bit count must be even and at least 2, got 3"),
     ):
         path = tmp_path / "pool.cfg"
         path.write_text(line + "\n")
         assert main([command, "--config", str(path)]) == 1
-        (message,) = capsys.readouterr().err.splitlines()
-        assert message.startswith("error: ")
+        assert capsys.readouterr().err == f"error: {path}:1: {reason}\n"
     # a rule of one key names the flag or the file line its value came from
     config = tmp_path / "key.cfg"
     for key, text, reason in (
         ("t1", "-3", "T1 must be positive and finite, got -3.0"),
-        ("g", "0", "g must be positive and finite, got 0.0"),
         ("theta", "0.5,inf", "theta must be finite, got inf"),
         ("theta", "0.3,,0.5", "theta list has an empty part: '0.3,,0.5'"),
         ("theta", "0.3,", "theta list has an empty part: '0.3,'"),
@@ -555,15 +678,15 @@ def test_exit_codes(capsys, tmp_path):
         ("seed", "-1", "seed must be a nonnegative integer, got -1"),
         ("bits", "100000000000000", "bit count must be at most 1000000000, got 100000000000000"),
     ):
-        assert main(["bcs", f"--{key}={text}"]) == 1
-        assert capsys.readouterr().err == f"error: argument --{key}: {reason}\n"
-        config.write_text(f"# line 1\n{key} = {text}\n")
-        assert main(["bcs", "--config", str(config)]) == 1
-        assert capsys.readouterr().err == f"error: {config}:2: {key}: {reason}\n"
-    # the seed rule holds for every command, as the pool keys do
+        for command in taking(key):
+            assert main([command, f"--{key}={text}"]) == 1
+            assert capsys.readouterr().err == f"error: argument --{key}: {reason}\n"
+            config.write_text(f"# line 1\n{key} = {text}\n")
+            assert main([command, "--config", str(config)]) == 1
+            assert capsys.readouterr().err == f"error: {config}:2: {key}: {reason}\n"
+    # a command that does not read the seed does not take it either
     assert main(["exchange", "--seed=-1"]) == 1
-    assert capsys.readouterr().err == (
-        "error: argument --seed: seed must be a nonnegative integer, got -1\n")
+    assert capsys.readouterr().err == "error: unrecognized arguments: --seed=-1\n"
     # a rule across keys reports no single source
     for args, reason in (
         (["exchange", "--e3", "2.5"], "E2 must equal E1 + E3 (self-contained condition): "
@@ -664,14 +787,11 @@ def test_a_cycles_run_above_the_row_limit_is_rejected_before_it_runs(monkeypatch
     assert capsys.readouterr().err.splitlines() == [
         "error: 10 angles x (100000 + 1) cycles is 1000010 rows, above the row limit of 1000000"]
     assert parse_config(["cycles", "--cycles=99999", thetas]).cycles == 99999
-    # the rule counts the rows of cycles alone, which writes one per angle and cycle
-    assert parse_config(["ledger", "--cycles=100000", thetas]).theta == (0.1,) * 10
 
 
 CONTRACT_POSITIVE = ("5e-324", "1e-300", "1e-12", "0.5", "1", "2", "3", "1e12", "1e300", "1e308",
                      "1.7976931348623157e308", "1.8e308")
 CONTRACT_VALUES = CONTRACT_POSITIVE + ("0", "-0.0", "inf", "-inf", "nan", "-1", "-1e300", "abc", "")
-CONTRACT_KEYS = [key for key in cli._KEYS if key != "out"]
 # the documented non-finite outputs: temperatures at +inf from spin_temperature
 # (its 0.0 and -0.0 are finite), and the Carnot ceiling inf or nan outside T1 < T2 < T3
 CONTRACT_MARKERS = {"T1_after": ("inf",), "T2_after": ("inf",), "T3_after": ("inf",),
@@ -691,13 +811,15 @@ def assert_finite(name, value):
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.sampled_from(COMMANDS),
-       st.lists(st.sampled_from(CONTRACT_KEYS), min_size=1, max_size=3, unique=True),
-       st.sampled_from(["flags", "file"]), st.sampled_from(["csv", "json"]), st.data())
-def test_the_cli_contract_holds_for_any_key_value(command, keys, source, fmt, data):
+@given(st.sampled_from(COMMANDS), st.sampled_from(["flags", "file"]),
+       st.sampled_from(["csv", "json"]), st.data())
+def test_the_cli_contract_holds_for_any_key_value(command, source, fmt, data):
     """Exit 0, 1 or 2; exit 1 with one error line (verify-decomposition's
     fidelity lines aside); an exit-0 artifact finite but for the documented
-    markers; and no RuntimeWarning, which the test run turns into an error."""
+    markers; and no RuntimeWarning, which the test run turns into an error.
+    The keys are those the command takes, but out."""
+    keys = data.draw(st.lists(st.sampled_from([key for key in TAKEN[command] if key != "out"]),
+                              min_size=1, max_size=3, unique=True))
     setting = {key: contract_value(data, key) for key in keys}
     setting.setdefault("format", fmt)
     with tempfile.TemporaryDirectory() as tmp:

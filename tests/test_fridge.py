@@ -294,6 +294,9 @@ def test_phase_boundary_values_and_sign_agreement():
 def test_cop_values_and_dynamic_ratio():
     assert cop(FridgeConfig()) == pytest.approx(0.5)
     assert cop(FridgeConfig(E1=2.0, E2=3.0, E3=1.0)) == pytest.approx(2.0)
+    # E2 = E1 + E3 holds in float where E3 is below an ulp of E1, and E1/E3 overflows
+    with pytest.raises(ValueError, match=r"COP E1/E3 overflows at E1 = 1e-12, E3 = 5e-324"):
+        cop(FridgeConfig(E1=1e-12, E2=1e-12, E3=5e-324))
 
     for theta in (0.2, 0.7, 1.2, math.pi / 2.0):
         report = exchange(FridgeConfig(theta=theta))

@@ -362,6 +362,23 @@ def test_vectorised_temperature_and_entropy_keep_the_scalar_markers(p):
     assert math.isclose(entropy, oracles.binary_entropy(p), rel_tol=1e-15)
 
 
+# excited populations from the smallest subnormal to 1 - 2^-53: near purity on
+# either side, where one population is 1 less a tiny one that rounds
+ENTROPY_POPULATIONS = ([2.0 ** -1074] + [10.0 ** -k for k in range(1, 324, 7)] + [0.3, 0.5]
+                       + [1.0 - 2.0 ** -k for k in range(1, 54, 4)])
+
+
+@pytest.mark.parametrize("p", ENTROPY_POPULATIONS)
+def test_binary_entropy_keeps_its_relative_accuracy_near_purity(p):
+    """Within 8 u of the exact entropy of the float p (u = 2^-53), with either
+    population the ground one, where 1 - p rounds too (a log with a few ulps
+    of error, then three roundings)."""
+    want = float(oracles.decimal_binary_entropy(p))
+    for ground, excited in ((1.0 - p, p), (p, 1.0 - p)):
+        got = float(binary_entropy(ground, excited))
+        assert abs(got - want) <= 8.0 * 2.0 ** -53 * want, (ground, excited, got, want)
+
+
 @st.composite
 def near_boundary_configs(draw):
     """T1 within 1e-15 to 1e-6 relative of T_bound = E1 / (E2/T2 - E3/T3)."""
@@ -401,9 +418,11 @@ def test_exchange_flow_matches_the_decimal_oracle(cfg):
 
 
 def test_run_cycles_matches_the_decimal_trajectory(rng):
-    """p to 1e-12 and T1 to TEMP_REL_TOL relative of a 50-digit loop on every row
-    but those within 1e-6 of p = 1/2, including the rows near full inversion
-    (1 - p < 1e-6) that test_run_cycles_matches_the_loop cannot check."""
+    """p and entropy_q1 to 1e-12 and T1 to TEMP_REL_TOL relative of a 50-digit
+    loop on every row (T1 but those within 1e-6 of p = 1/2), including the rows
+    near full inversion (1 - p < 1e-6) that test_run_cycles_matches_the_loop
+    cannot check.  The entropy is that of the smaller population, exact at its
+    float, so the rounding of 1 - p never enters the oracle."""
     inverted = 0
     for _ in range(80):
         e1, e3 = rng.uniform(0.05, 20.0, 2)
@@ -415,6 +434,8 @@ def test_run_cycles_matches_the_decimal_trajectory(rng):
         for n, (p, t1) in enumerate(zip(populations, temperatures)):
             got_p = cols.energy_q1[n] / cfg.E1
             assert abs(got_p - float(p)) <= 1e-12 * float(p), (cfg, n)
+            entropy = float(oracles.decimal_binary_entropy(float(min(p, 1 - p))))
+            assert abs(cols.entropy_q1[n] - entropy) <= 1e-12 * entropy, (cfg, n)
             if abs(1 - 2 * p) >= Decimal("1e-6"):
                 assert close_temperature(cols.T1[n], float(t1)), (cfg, n, cols.T1[n], float(t1))
             inverted += 1 - p < Decimal("1e-6")
