@@ -11,11 +11,10 @@ __version__ = "0.1.0"
 
 # each module and the public names it exports, each name once
 _EXPORTS = {
-    "linalg": """Operator DensityMatrix PauliString kron partial_trace herm_exp evolve dephase
+    "linalg": """Operator DensityMatrix PauliString kron partial_trace herm_exp evolve
         pauli_to_operator""",
     "thermo": """SpinSpec WorkLedgerEntry thermal_state effective_temperature
-        von_neumann_entropy internal_energy ledger_step spin_hamiltonian spin_temperature
-        binary_entropy""",
+        von_neumann_entropy internal_energy ledger_step spin_temperature binary_entropy""",
     "fridge": """FridgeConfig ExchangeReport exchange_generator exchange_pauli_terms
         initial_state exchange boltzmann_margin exchange_flow exchange_sweep working_condition
         bound_temperature phase_boundary_value cop carnot_limit carnot_sweep two_spin_swap

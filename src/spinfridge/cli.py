@@ -2,7 +2,10 @@
 
 Configuration comes from the defaults of the config-key table (the reference
 operating point), overridden by a flat key=value config file, overridden by flags.
-Each command takes only the keys it reads, by flag and by file line alike.
+Each command takes the keys of its row of the command table, by flag and by
+file line alike.  It reads each of them but for two cases, where a grid axis
+replaces a key that is still checked: phase-diagram reads neither t2 nor t3,
+and cop reads neither t2 nor the T3 fields of its grid.
 All emitted numbers are in internal units (delta = k_B = 1) unless a
 --delta-scale multiplier is given; the scale is recorded in JSON metadata.
 
@@ -73,7 +76,7 @@ def _parse_grid(text: str) -> tuple[float, float, float, float, int]:
         raise ValueError("grid must be 'T2_min,T2_max,T3_min,T3_max,steps'")
     t2_min, t2_max, t3_min, t3_max = (float(p) for p in parts[:4])
     steps = int(parts[4])
-    check_grid((t2_min, t2_max), (t3_min, t3_max), steps, steps)
+    check_grid((t2_min, t2_max), (t3_min, t3_max), steps)
     return (t2_min, t2_max, t3_min, t3_max, steps)
 
 
@@ -108,7 +111,7 @@ _DEFAULTS = {key: default for key, (default, *_) in _KEYS.items()}
 class RunConfig(types.SimpleNamespace):
     """The resolved configuration: ``command``, each config key (its default
     unless given), and ``fridge``, the physics keys and the first angle as a
-    FridgeConfig (the default g), built here, so that the rules across keys
+    FridgeConfig, built here, so that the rules across keys
     (E2 = E1 + E3, the E/T underflow) are checked once; the builders reuse it."""
 
     def __init__(self, command: str, **values) -> None:
@@ -485,8 +488,9 @@ def run(cfg: RunConfig) -> int:
         for theta, fidelity in zip(cfg.theta, fidelities):
             print(f"theta={theta!r} fidelity={fidelity!r}", file=sys.stderr)
         seq = sequences[0]
+        # every pulse runs for the unit time
         listing = {"index": np.arange(1, len(seq.labels) + 1), "label": list(seq.labels),
-                   "duration": (seq.durations, seq.layout)}
+                   "duration": (np.array([1.0]), np.zeros(len(seq.labels), dtype=np.intp))}
         emit(listing, cfg.format, cfg.out, _meta(cfg))
         return 0 if min(fidelities) >= FIDELITY_GATE else 1
 

@@ -52,19 +52,17 @@ N_BLOCKS = 4
 
 
 class GateStep(Record):
-    """One pulse: exp(-i*generator) applied for a normalized unit duration."""
+    """One pulse: exp(-i*generator), applied for the unit time."""
 
-    _fields = ("label", "generator", "duration")
+    _fields = ("label", "generator")
     __slots__ = (*_fields, "_unitary")
 
-    def __init__(self, label: str, generator: Operator, duration: float = 1.0) -> None:
+    def __init__(self, label: str, generator: Operator) -> None:
         try:  # herm_exp's hermiticity check is the step's only one (closed form if diagonal)
             unitary = herm_exp(generator, 1.0)
         except ValueError:
             raise ValueError(f"gate generator for {label!r} must be Hermitian") from None
-        if not duration > 0.0:
-            raise ValueError("gate duration must be positive")
-        self._set(label, generator, duration)
+        self._set(label, generator)
         object.__setattr__(self, "_unitary", unitary)
 
     def unitary(self) -> Operator:
@@ -76,8 +74,8 @@ class CompiledSequence:
     """Ordered pulse list with the block structure of the four Pauli terms.
 
     Its pulses are rows of read-only stacks: ``generators`` and ``unitaries``,
-    shape (rows, dim, dim), each unitary herm_exp's of its generator, and
-    ``durations``.  Step k applies row ``layout[k]`` and is named
+    shape (rows, dim, dim), each unitary herm_exp's of its generator.  Step k
+    applies row ``layout[k]`` and is named
     ``labels[k]``.  Built from GateSteps, each step has a row of its own; a
     compiled exchange has 11 rows (4 basis changes, 5 frame pulses and 2
     cores) laid out over 40 steps.  A sequence is immutable, and equal only
@@ -87,7 +85,6 @@ class CompiledSequence:
 
     generators: np.ndarray
     unitaries: np.ndarray
-    durations: np.ndarray
     layout: np.ndarray
     labels: tuple[str, ...]
     theta: float
@@ -107,11 +104,10 @@ class CompiledSequence:
             raise ValueError("term boundaries must be strictly increasing")
         stacks = (np.array([step.generator.matrix for step in steps]),
                   np.array([step.unitary().matrix for step in steps]),
-                  np.array([step.duration for step in steps], dtype=float),
                   np.arange(len(steps)))
         for stack in stacks:
             stack.setflags(write=False)
-        self.__dict__.update(zip(("generators", "unitaries", "durations", "layout"), stacks),
+        self.__dict__.update(zip(("generators", "unitaries", "layout"), stacks),
                              labels=tuple(step.label for step in steps), theta=theta,
                              term_boundaries=boundaries)
 
@@ -121,7 +117,7 @@ class CompiledSequence:
     __deepcopy__ = __copy__
 
     def __setstate__(self, state: dict) -> None:  # unpickled, unchecked: its rows were checked
-        for name in ("generators", "unitaries", "durations", "layout"):
+        for name in ("generators", "unitaries", "layout"):
             state[name].setflags(write=False)
         self.__dict__.update(state)
 
@@ -137,7 +133,7 @@ class CompiledSequence:
     @property
     def steps(self) -> tuple[GateStep, ...]:
         """The steps as GateSteps, built afresh on every call."""
-        return tuple(GateStep(label, Operator(self.generators[row]), float(self.durations[row]))
+        return tuple(GateStep(label, Operator(self.generators[row]))
                      for label, row in zip(self.labels, self.layout))
 
     def blocks(self) -> list[tuple[GateStep, ...]]:
@@ -175,7 +171,7 @@ def _template() -> tuple[CompiledSequence, np.ndarray, np.ndarray, np.ndarray]:
     sequence's generators and unitaries stacked, shape (2, 11, 8, 8)."""
     izz = pauli_matrix("IZZ")
     izz.setflags(write=False)
-    terms = exchange_pauli_terms(1.0)
+    terms = exchange_pauli_terms()
     coeffs = list(dict.fromkeys(term.coeff for term in terms))
     quarter = math.pi / 4.0
     pulses = [
@@ -207,9 +203,9 @@ def _template() -> tuple[CompiledSequence, np.ndarray, np.ndarray, np.ndarray]:
 def compile_exchange(theta: float | Sequence[float]):
     """Forty-step pulse sequence realizing exp(-i*theta*exchange).
 
-    theta = g*t is the dimensionless evolution angle; pi/2 is a complete
-    population exchange and larger values simply wind further.  The coupling
-    g only fixes the physical time t = theta/g, so it does not enter here.
+    theta = g*t is the dimensionless evolution angle, the coupling g being the
+    unit of time; pi/2 is a complete population exchange and larger values
+    simply wind further.
 
     ``theta`` is one angle, whose sequence comes back, or a list of angles,
     whose sequences come back as a list.  Every angle's two cores are built
@@ -240,7 +236,7 @@ def compile_exchange(theta: float | Sequence[float]):
 def _exchange_eigh() -> tuple[np.ndarray, np.ndarray]:
     """The eigendecomposition of the unit exchange coupling, which verify
     exponentiates at every angle."""
-    w, v = np.linalg.eigh(exchange_generator(1.0).matrix)
+    w, v = np.linalg.eigh(exchange_generator().matrix)
     w.setflags(write=False)
     v.setflags(write=False)
     return w, v
@@ -343,9 +339,8 @@ def run_with_ledger(
     if h_sys.dim != rho0.dim or seq.generators.shape[-1] != rho0.dim:
         raise ValueError("generator, state, and system Hamiltonian dimensions must agree")
     rhos = canonical_chain(rho0.matrix, seq.unitaries, seq.layout)
-    h_total = seq.generators * (1.0 / seq.durations).astype(complex)[:, None, None]
+    h_total = seq.generators[seq.layout]  # each pulse's generator, applied for the unit time
     h_control = h_total - h_sys.matrix
-    h_total, h_control = h_total[seq.layout], h_control[seq.layout]
 
     def traces(rho, h):  # internal_energy of every pulse, summed in the same order
         return np.einsum("kij,kji->k", rho, h).real

@@ -103,19 +103,16 @@ def detect_convergence(T1, tol: float) -> tuple[bool, float]:
     return diffs.size == 5 and bool(np.all(diffs < tol)), float(temps[-1])
 
 
-def check_grid(
-    t2_range: tuple[float, float], t3_range: tuple[float, float], n2: int, n3: int
-) -> None:
-    """The grid rule: an integer count of 2 to MAX_GRID_STEPS points and 0 < min <= max per axis,
-    with both bounds and min + (max - min)(steps - 1), the largest value the
-    axis formulas form, positive and finite."""
-    check_count("grid steps", n2)
-    check_count("grid steps", n3)
-    if n2 < 2 or n3 < 2:
+def check_grid(t2_range: tuple[float, float], t3_range: tuple[float, float], steps: int) -> None:
+    """The grid rule: an integer count of 2 to MAX_GRID_STEPS points per axis and
+    0 < min <= max per axis, with both bounds and min + (max - min)(steps - 1),
+    the largest value the axis formulas form, positive and finite."""
+    check_count("grid steps", steps)
+    if steps < 2:
         raise ValueError("grid must have at least 2 points per axis")
-    if n2 > MAX_GRID_STEPS or n3 > MAX_GRID_STEPS:
+    if steps > MAX_GRID_STEPS:
         raise ValueError(f"grid must have at most {MAX_GRID_STEPS} points per axis")
-    for name, bounds, steps in (("T2", t2_range, n2), ("T3", t3_range, n3)):
+    for name, bounds in (("T2", t2_range), ("T3", t3_range)):
         low, high = (float(bound) for bound in bounds)  # a numpy scalar would warn on overflow
         check_positive(f"{name} grid minimum", low)
         check_positive(f"{name} grid maximum", high)
@@ -128,19 +125,19 @@ def check_grid(
 def scan_phase_diagram(
     t2_range: tuple[float, float],
     t3_range: tuple[float, float],
-    grid: int | tuple[int, int],
+    steps: int,
     *,
     base: FridgeConfig | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(T2, T3, dQ1) of one exchange per grid cell, one entry per cell.
+    """(T2, T3, dQ1) of one exchange per cell of the steps x steps grid, one
+    entry per cell.
 
     Cells are ordered by T2 then T3.  Gaps, T1 and theta are taken from
     ``base`` (default configuration if omitted).
     """
-    n2, n3 = grid if isinstance(grid, tuple) else (grid, grid)
-    check_grid(t2_range, t3_range, n2, n3)
+    check_grid(t2_range, t3_range, steps)
     base = base or FridgeConfig()
-    t2s = np.linspace(t2_range[0], t2_range[1], n2)
-    t3s = np.linspace(t3_range[0], t3_range[1], n3)
+    t2s = np.linspace(t2_range[0], t2_range[1], steps)
+    t3s = np.linspace(t3_range[0], t3_range[1], steps)
     dq1 = base.E1 * exchange_sweep(base, t2s[:, None], t3s[None, :])
-    return t2s.repeat(n3), np.tile(t3s, n2), dq1.ravel()
+    return t2s.repeat(steps), np.tile(t3s, steps), dq1.ravel()

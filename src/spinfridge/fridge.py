@@ -3,13 +3,14 @@
 Three spins with gaps E1, E2, E3 and E2 = E1 + E3 make the joint levels
 |010> and |101> degenerate, so the exchange coupling
 
-    H_exc = g (|010><101| + |101><010|)
+    H_exc = |010><101| + |101><010|
 
 moves population between them without any work input.  When the baths are
 arranged so that P_101 > P_010 in the initial product of thermal states,
 the exchange drains excited-state population from spin 1 and cools it.
-All quantities are in delta units with k_B = 1; the three spins are closed
-during an exchange (baths detached).
+All quantities are in delta units with k_B = 1, and the coupling is the
+unit of time: an exchange by angle theta = g*t is exp(-i*theta*H_exc).  The
+three spins are closed during an exchange (baths detached).
 
 Sign convention: dQ_i > 0 means spin i absorbs energy, so successful
 cooling of spin 1 shows up as dQ1 < 0.
@@ -83,23 +84,21 @@ def check_theta(theta: float) -> None:
 
 
 class FridgeConfig(Record):
-    """Gaps, bath temperatures, coupling, and evolution angle theta = g*t.
+    """Gaps, bath temperatures, and evolution angle theta = g*t.
 
     Defaults reproduce the reference operating point E = (1, 3, 2) delta,
     T = (2, 2, 10) delta/k_B, theta = pi/2 (a complete exchange).
     """
 
-    __slots__ = _fields = ("E1", "E2", "E3", "T1", "T2", "T3", "g", "theta")
+    __slots__ = _fields = ("E1", "E2", "E3", "T1", "T2", "T3", "theta")
 
     def __init__(self, E1: float = 1.0, E2: float = 3.0, E3: float = 2.0, T1: float = 2.0,
-                 T2: float = 2.0, T3: float = 10.0, g: float = 1.0,
-                 theta: float = math.pi / 2) -> None:
+                 T2: float = 2.0, T3: float = 10.0, theta: float = math.pi / 2) -> None:
         check_gaps(E1, E2, E3)
         for spin, (gap, temp) in enumerate(((E1, T1), (E2, T2), (E3, T3)), start=1):
             check_spin(spin, gap, temp)
-        check_positive("g", g)
         check_theta(theta)
-        self._set(E1, E2, E3, T1, T2, T3, g, theta)
+        self._set(E1, E2, E3, T1, T2, T3, theta)
 
     @property
     def gaps(self) -> tuple[float, float, float]:
@@ -125,21 +124,21 @@ class ExchangeReport(NamedTuple):
     T3_after: float
 
 
-def exchange_generator(g: float = 1.0) -> Operator:
-    """The bare two-entry exchange coupling g(|010><101| + |101><010|)."""
+def exchange_generator() -> Operator:
+    """The bare two-entry exchange coupling |010><101| + |101><010|."""
     mat = np.zeros((8, 8), dtype=complex)
-    mat[[IDX_010, IDX_101], [IDX_101, IDX_010]] = g
+    mat[[IDX_010, IDX_101], [IDX_101, IDX_010]] = 1.0
     return Operator(mat)
 
 
-def exchange_pauli_terms(g: float = 1.0) -> tuple[PauliString, ...]:
+def exchange_pauli_terms() -> tuple[PauliString, ...]:
     """The exchange coupling as four mutually commuting three-body Paulis.
 
     The sign of the YXY term is fixed by requiring the sum to reproduce
     the two-entry matrix of exchange_generator entrywise (checked in the
-    test suite); with standard Pauli conventions that term carries -g/4.
+    test suite); with standard Pauli conventions that term carries -1/4.
     """
-    quarter = g / 4.0
+    quarter = 0.25
     return (
         PauliString("XXX", quarter),
         PauliString("XYY", quarter),
@@ -240,17 +239,21 @@ def bound_temperature(E1: float, E2: float, E3: float, T2: float, T3: float) -> 
     """Fixed-point temperature E1 / (E2/T2 - E3/T3) of the cooling cycle.
 
     This is where the working condition turns into an equality with the
-    bath temperatures held fixed; spin 1 cools iff T1 exceeds it.
+    bath temperatures held fixed; spin 1 cools iff T1 exceeds it.  An E/T
+    that overflows, or a quotient that is not a positive finite float, raises
+    ValueError.
     """
     check_gaps(E1, E2, E3)
     check_positive("T2", T2)
     check_positive("T3", T3)
-    denom = E2 / T2 - E3 / T3
-    if denom <= 0.0:
-        raise ValueError(
-            f"no cooling regime: E2/T2 = {E2 / T2} does not exceed E3/T3 = {E3 / T3}"
-        )
-    return E1 / denom
+    r2, r3 = E2 / T2, E3 / T3
+    if math.isinf(r2) or math.isinf(r3):
+        raise ValueError(f"E2/T2 = {r2} or E3/T3 = {r3} overflows")
+    if r2 - r3 <= 0.0:
+        raise ValueError(f"no cooling regime: E2/T2 = {r2} does not exceed E3/T3 = {r3}")
+    bound = E1 / (r2 - r3)
+    check_positive("bound temperature E1/(E2/T2 - E3/T3)", bound)
+    return bound
 
 
 def phase_boundary_value(T2: float, T3: float, *, base: FridgeConfig | None = None) -> float:

@@ -128,12 +128,12 @@ class Operator:
     def n_qubits(self) -> int:
         return self.dim.bit_length() - 1
 
-    def is_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
-        return bool(np.max(np.abs(self._mat - self._mat.conj().T)) <= tol)
+    def is_hermitian(self) -> bool:
+        return bool(np.max(np.abs(self._mat - self._mat.conj().T)) <= HERMITIAN_TOL)
 
-    def is_unitary(self, tol: float = UNITARY_TOL) -> bool:
+    def is_unitary(self) -> bool:
         probe = self._mat.conj().T @ self._mat
-        return bool(np.max(np.abs(probe - np.eye(self.dim))) <= tol)
+        return bool(np.max(np.abs(probe - np.eye(self.dim))) <= UNITARY_TOL)
 
     def __add__(self, other: "Operator") -> "Operator":
         return Operator(self._mat + other._mat)
@@ -408,7 +408,10 @@ def herm_exp(h: Operator, t: float) -> Operator:
     """Unitary exp(-i*h*t) for Hermitian h: diag(exp(-i*t*diag(h))), the exact
     exponential, when h has no off-diagonal entry, else through eigh.  At the
     compiler's cores, |t h| from 1e-12 to 1e12, both give the same bytes (a test
-    pins that); outside that range eigh rescales the matrix and may not."""
+    pins that); outside that range eigh rescales the matrix and may not.  A t
+    that is not finite raises ValueError."""
+    if not math.isfinite(t):
+        raise ValueError(f"herm_exp requires a finite time, got {t}")
     if not h.is_hermitian():
         raise ValueError("herm_exp requires a Hermitian generator")
     mat = h.matrix
@@ -434,8 +437,3 @@ def evolve(rho: DensityMatrix, u: Operator) -> DensityMatrix:
     if not u.is_unitary():
         raise ValueError("evolve requires a unitary operator")
     return DensityMatrix(u.matrix @ rho.matrix @ u.matrix.conj().T)
-
-
-def dephase(rho: DensityMatrix) -> DensityMatrix:
-    """Zero all computational-basis coherences, keeping the diagonal."""
-    return DensityMatrix(np.diag(np.diag(rho.matrix)))

@@ -19,7 +19,7 @@ from .linalg import DensityMatrix, Operator, Record, evolve, herm_exp
 
 
 def check_positive(name: str, value) -> None:
-    """The rule of every gap, temperature and coupling: positive and finite.
+    """The rule of every gap and temperature: positive and finite.
 
     ``value`` is a float or an array; for an array the smallest entry that
     breaks the rule is named (a nan last).
@@ -65,11 +65,6 @@ class WorkLedgerEntry(Record):
         if not abs(net_work - (dW1 + dQ1 + dW2)) <= 1e-12:  # a nan fails
             raise ValueError("net_work must equal dW1 + dQ1 + dW2")
         self._set(step_index, dW1, dQ1, dW2, net_work, cumulative_work)
-
-
-def spin_hamiltonian(E: float) -> Operator:
-    """Single-spin Hamiltonian E|1><1| (ground state at zero energy)."""
-    return Operator(np.diag([0.0, float(E)]))
 
 
 def thermal_state(spec: SpinSpec) -> DensityMatrix:

@@ -21,7 +21,7 @@ from decimal import Context, Decimal, localcontext
 import numpy as np
 from scipy.linalg import expm
 
-from spinfridge import CycleColumns, FridgeConfig, spin_temperature
+from spinfridge import CycleColumns, DensityMatrix, FridgeConfig, Operator, spin_temperature
 from spinfridge.cooling import (
     BcsResult,
     BcsRound,
@@ -84,12 +84,22 @@ def loop_partial_trace(mat: np.ndarray, keep: list[int], n: int) -> np.ndarray:
     return out
 
 
-def exchange_matrix(g: float = 1.0) -> np.ndarray:
-    """The two-entry coupling, written out literally."""
+def exchange_matrix() -> np.ndarray:
+    """The two-entry unit coupling, written out literally."""
     mat = np.zeros((8, 8), dtype=complex)
-    mat[0b010, 0b101] = g
-    mat[0b101, 0b010] = g
+    mat[0b010, 0b101] = 1.0
+    mat[0b101, 0b010] = 1.0
     return mat
+
+
+def spin_hamiltonian(E: float) -> Operator:
+    """Single-spin Hamiltonian E|1><1| (ground state at zero energy)."""
+    return Operator(np.diag([0.0, float(E)]))
+
+
+def dephase(rho: DensityMatrix) -> DensityMatrix:
+    """Zero all computational-basis coherences, keeping the diagonal."""
+    return DensityMatrix(np.diag(np.diag(rho.matrix)))
 
 
 def product_thermal_matrix(

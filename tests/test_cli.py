@@ -160,6 +160,21 @@ def test_the_readme_key_table_is_the_cli_table():
     assert keys == list(cli._KEYS)
 
 
+def test_the_readme_examples_run(tmp_path, capsys):
+    """Each spinfridge line of README's Examples block exits 0 through main, its
+    --out in tmp_path, and the library example runs as written."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text[text.index("Examples:\n\n```\n"):].split("```")[1]
+    examples = [line.split()[1:] for line in block.splitlines() if line.startswith("spinfridge ")]
+    assert len(examples) == 5
+    for argv in examples:
+        argv = [str(tmp_path / arg) if flag == "--out" else arg
+                for flag, arg in zip([None, *argv], argv)]
+        assert main(argv) == 0, argv
+    library = text[text.index("## Library example"):].split("```python\n", 1)[1].split("```")[0]
+    exec(library, {})
+
+
 def test_every_benchmark_op_parses(tmp_path, monkeypatch):
     """Every op of three passes of each benchmark workload at seeds 1-3 parses
     to the values it passes, so no command rejects a key the benchmark gives it."""

@@ -100,7 +100,7 @@ def test_verify_against_scipy_oracle():
 def fresh_fidelity(seq, theta):
     """verify's fidelity with the direct exponential computed afresh by herm_exp."""
     u_seq = sequence_unitary(seq)
-    u_direct = herm_exp(exchange_generator(FridgeConfig().g), theta)
+    u_direct = herm_exp(exchange_generator(), theta)
     return float(abs(np.trace(u_seq.matrix.conj().T @ u_direct.matrix))) / u_seq.dim
 
 
@@ -173,7 +173,7 @@ def test_verify_over_a_list_is_verify_per_sequence(count):
     if count > 4:  # one sequence twice, and a list with every step shared
         seqs[4] = seqs[0]
         assert verify([seqs[0]] * 3) == [verify(seqs[0])] * 3
-    direct = exchange_generator(1.0)
+    direct = exchange_generator()
     want = [float(abs(np.trace(loop_product(seq).conj().T @ herm_exp(direct, seq.theta).matrix)))
             / 8.0 for seq in seqs]
     got = verify(seqs)
@@ -293,15 +293,8 @@ def test_ledger_run_books_zero_total_work():
 
 
 def test_gate_step_validation():
-    with pytest.raises(ValueError):
-        GateStep(label="bad", generator=Operator(np.array([[0, 1], [0, 0]])))
-    with pytest.raises(ValueError):
-        GateStep(label="bad", generator=Operator(np.eye(2)), duration=0.0)
-    # hermiticity is checked first, then the duration
     with pytest.raises(ValueError, match="^gate generator for 'bad' must be Hermitian$"):
-        GateStep(label="bad", generator=Operator(np.array([[0, 1], [0, 0]])), duration=0.0)
-    with pytest.raises(ValueError, match="^gate duration must be positive$"):
-        GateStep(label="bad", generator=Operator(np.eye(2)), duration=0.0)
+        GateStep(label="bad", generator=Operator(np.array([[0, 1], [0, 0]])))
 
 
 def test_each_pulse_generator_is_checked_for_hermiticity_once():
@@ -325,7 +318,7 @@ def fresh_ledger(seq, rho0, h_sys):
     generator afresh."""
     rho, entries, cumulative = rho0, [], 0.0
     for index, step in enumerate(seq.steps, start=1):
-        rho, entry = ledger_step(rho, step.generator, step.duration, h_sys,
+        rho, entry = ledger_step(rho, step.generator, 1.0, h_sys,
                                  step_index=index, cumulative_before=cumulative)
         cumulative = entry.cumulative_work
         entries.append(entry)
@@ -384,7 +377,7 @@ def high_e_over_t_configs(count, seed):
 
 @pytest.mark.parametrize("theta", (math.pi / 2.0, 0.7, -2.4))
 @pytest.mark.parametrize(
-    "cfg", (FridgeConfig(), FridgeConfig(E1=0.7, E2=2.2, E3=1.5, T1=5.0, T2=3.0, T3=12.0, g=2.5))
+    "cfg", (FridgeConfig(), FridgeConfig(E1=0.7, E2=2.2, E3=1.5, T1=5.0, T2=3.0, T3=12.0))
 )
 def test_ledger_with_stored_unitaries_is_bit_identical(cfg, theta):
     fold_matches_the_loop(cfg, theta)
@@ -426,7 +419,7 @@ def test_ledger_fold_takes_the_per_state_fallback_only_for_a_clamp():
 
 
 def test_ledger_rejects_each_pulse_as_the_per_pulse_loop():
-    # GateStep checks each generator and duration where the step is built, and
+    # GateStep checks each generator where the step is built, and
     # CompiledSequence their shared dimension, so the state's and h_sys's
     # dimensions are what the ledger has left to check
     seq, rho0 = compile_exchange(0.7), initial_state(FridgeConfig())
@@ -461,8 +454,7 @@ def test_term_boundaries_must_split_one_or_more_steps():
     seq = spinfridge.CompiledSequence(steps, 0.7, [1, 3])
     assert seq.term_boundaries == (1, 3) and seq.layout.tolist() == [0, 1, 2]
     assert seq.labels == tuple(step.label for step in steps)
-    assert not any(stack.flags.writeable for stack in (seq.generators, seq.unitaries,
-                                                       seq.durations, seq.layout))
+    assert not any(stack.flags.writeable for stack in (seq.generators, seq.unitaries, seq.layout))
 
 
 def test_per_op_calls_build_no_gate_step_and_read_no_step():
@@ -540,7 +532,7 @@ def held_arrays(value) -> list[np.ndarray]:
         return [value.matrix]
     if isinstance(value, GateStep):
         return [value.generator.matrix, value.unitary().matrix]
-    return [value.generators, value.unitaries, value.durations, value.layout]
+    return [value.generators, value.unitaries, value.layout]
 
 
 CLONES = {"copy": copy.copy, "deepcopy": copy.deepcopy,
@@ -570,7 +562,7 @@ def test_a_copy_or_a_pickle_keeps_the_type_the_bytes_and_read_only_arrays(kind, 
 
 def test_compiles_share_every_theta_independent_step():
     a, b = compile_exchange(0.3), compile_exchange(-1.7)
-    assert a.generators.shape == a.unitaries.shape == (11, 8, 8) and a.durations.shape == (11,)
+    assert a.generators.shape == a.unitaries.shape == (11, 8, 8)
     # the 9 rows after the two cores (5 fixed rotations or ZZ pulses and 4 basis
     # changes) are the template's, byte for byte, and the cores are the angle's
     for stack in ("generators", "unitaries"):
@@ -637,8 +629,8 @@ def stepwise_compile(theta):
 
 
 def step_bytes(seq):
-    """Each step's label, duration, generator and unitary, read from the stacks."""
-    return [(label, seq.durations[row], seq.generators[row].tobytes(), seq.unitaries[row].tobytes())
+    """Each step's label, generator and unitary, read from the stacks."""
+    return [(label, seq.generators[row].tobytes(), seq.unitaries[row].tobytes())
             for label, row in zip(seq.labels, seq.layout, strict=True)]
 
 

@@ -128,7 +128,7 @@ def test_temperature_is_monotone_non_increasing():
 
 def test_reset_preserves_the_reduced_target_state():
     cfg = FridgeConfig()
-    rho = evolve(initial_state(cfg), herm_exp(exchange_generator(cfg.g), cfg.theta / cfg.g))
+    rho = evolve(initial_state(cfg), herm_exp(exchange_generator(), cfg.theta))
     reduced = partial_trace(rho, (0,))
     rebuilt = DensityMatrix(
         kron(
@@ -188,8 +188,9 @@ def test_scan_phase_diagram_validation():
     with pytest.raises(ValueError):
         scan_phase_diagram((-1.0, 6.0), (2.0, 10.0), 5)
     with pytest.raises(ValueError, match="at most 1000"):
-        scan_phase_diagram((2.0, 6.0), (2.0, 10.0), (2, 1001))
-    for grid in ((2.9, 3), (3, 2.0), 3.0, True):  # a step count is never truncated
+        scan_phase_diagram((2.0, 6.0), (2.0, 10.0), 1001)
+    # a step count is never truncated, and the grid is square: a pair is no count
+    for grid in (2.9, 3.0, True, (3, 3)):
         with pytest.raises(ValueError, match="grid steps must be an integer"):
             scan_phase_diagram((2.0, 6.0), (2.0, 10.0), grid)
     # an overflowing axis raises before it is formed, and a numpy bound does not warn first

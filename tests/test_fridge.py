@@ -44,8 +44,8 @@ def test_config_validation():
         FridgeConfig(E1=1.0, E2=2.5, E3=2.0)
     with pytest.raises(ValueError):
         FridgeConfig(T2=-1.0)
-    with pytest.raises(ValueError):
-        FridgeConfig(g=0.0)
+    with pytest.raises(ValueError, match="theta must be finite"):
+        FridgeConfig(theta=math.nan)
 
 
 def test_self_contained_tolerance_is_relative():
@@ -62,9 +62,8 @@ def test_self_contained_tolerance_is_relative():
 
 
 def test_h_exc_has_exactly_two_entries():
-    h = exchange_generator(1.3).matrix
-    assert h[0b010, 0b101] == pytest.approx(1.3)
-    assert h[0b101, 0b010] == pytest.approx(1.3)
+    h = exchange_generator().matrix
+    assert h[0b010, 0b101] == h[0b101, 0b010] == 1.0
     mask = np.ones((8, 8), dtype=bool)
     mask[0b010, 0b101] = mask[0b101, 0b010] = False
     assert np.max(np.abs(h[mask])) == 0.0
@@ -72,10 +71,10 @@ def test_h_exc_has_exactly_two_entries():
 
 def test_pauli_form_matches_two_entry_coupling():
     total = None
-    for term in exchange_pauli_terms(0.7):
+    for term in exchange_pauli_terms():
         op = pauli_to_operator(term)
         total = op if total is None else total + op
-    assert np.max(np.abs(total.matrix - oracles.exchange_matrix(0.7))) <= 1e-14
+    assert np.max(np.abs(total.matrix - oracles.exchange_matrix())) <= 1e-14
 
 
 def test_pauli_terms_pairwise_commute():
@@ -86,7 +85,7 @@ def test_pauli_terms_pairwise_commute():
 
 def test_self_containment_commutator():
     cfg = FridgeConfig()
-    h_exc = exchange_generator(cfg.g).matrix
+    h_exc = exchange_generator().matrix
     h_sys = system_hamiltonian(cfg).matrix
     comm = h_exc @ h_sys - h_sys @ h_exc
     assert np.max(np.abs(comm)) <= 1e-12
@@ -182,7 +181,7 @@ def test_exchange_heats_balance_and_leave_other_levels_alone(rng):
         assert report.dQ1 + report.dQ2 + report.dQ3 == pytest.approx(0.0, abs=1e-10)
 
         rho0 = initial_state(cfg)
-        rho1 = evolve(rho0, herm_exp(exchange_generator(cfg.g), cfg.theta / cfg.g))
+        rho1 = evolve(rho0, herm_exp(exchange_generator(), cfg.theta))
         for idx in range(8):
             if idx in (0b010, 0b101):
                 continue
@@ -196,7 +195,7 @@ def test_exchange_conserves_total_internal_energy():
         cfg = FridgeConfig(theta=theta)
         h_sys = system_hamiltonian(cfg)
         rho0 = initial_state(cfg)
-        rho1 = evolve(rho0, herm_exp(exchange_generator(cfg.g), theta / cfg.g))
+        rho1 = evolve(rho0, herm_exp(exchange_generator(), theta))
         assert internal_energy(rho1, h_sys) == pytest.approx(
             internal_energy(rho0, h_sys), abs=1e-11
         )
@@ -268,10 +267,26 @@ def test_bound_temperature_values():
     )
     # equal bath temperatures collapse algebraically to T2
     assert bound_temperature(1.0, 3.0, 2.0, 5.0, 5.0) == pytest.approx(5.0, abs=1e-12)
+    # a subnormal bound is positive and finite
+    assert bound_temperature(5e-324, 1.0, 1.0, 0.5, 1.0) == 5e-324
     with pytest.raises(ValueError, match="no cooling regime"):
         bound_temperature(1.0, 3.0, 2.0, 10.0, 2.0)
     with pytest.raises(ValueError):
         bound_temperature(1.0, 2.5, 2.0, 2.0, 10.0)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((5e307, 1e308, 5e307, 1e-308, 1e-308), "E2/T2 = inf or E3/T3 = inf overflows"),
+    ((1.0, 3.0, 2.0, 1e-308, 1.0), "E2/T2 = inf or E3/T3 = 2.0 overflows"),
+    ((1.0, 3.0, 2.0, 2.0, 1e-308), "E2/T2 = 1.5 or E3/T3 = inf overflows"),
+    ((1e308, 1.5e308, 5e307, 1e308, 3.334e307), "bound temperature .* got inf"),
+    ((5e-324, 1.0, 1.0, 0.2, 1.0), "bound temperature .* got 0.0"),
+], ids=["both-ratios-overflow", "E2-T2-overflows", "E3-T3-overflows", "bound-overflows",
+        "bound-underflows"])
+def test_bound_temperature_rejects_an_overflow_and_a_bound_that_is_not_positive_finite(args,
+                                                                                        message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        bound_temperature(*args)
 
 
 @pytest.mark.parametrize("gaps", [(-1.0, 1.0, 2.0), (0.0, 2.0, 2.0), (1.0, math.inf, math.inf)])

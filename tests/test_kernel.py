@@ -39,7 +39,6 @@ from spinfridge import (
     phase_boundary_value,
     run_cycles,
     scan_phase_diagram,
-    spin_hamiltonian,
     spin_temperature,
     thermal_state,
     von_neumann_entropy,
@@ -54,10 +53,10 @@ TEMPERATURE_FIELDS = ("T1_after", "T2_after", "T3_after")
 def dense_exchange(cfg: FridgeConfig) -> ExchangeReport:
     """One exchange through 8x8 matrices: evolve, then trace out per spin."""
     rho0 = initial_state(cfg)
-    rho1 = evolve(rho0, herm_exp(exchange_generator(cfg.g), cfg.theta / cfg.g))
+    rho1 = evolve(rho0, herm_exp(exchange_generator(), cfg.theta))
     heats, temps = [], []
     for qubit, gap in enumerate(cfg.gaps):
-        h_i = spin_hamiltonian(gap)
+        h_i = oracles.spin_hamiltonian(gap)
         before = partial_trace(rho0, (qubit,))
         after = partial_trace(rho1, (qubit,))
         heats.append(internal_energy(after, h_i) - internal_energy(before, h_i))
@@ -71,10 +70,10 @@ def dense_exchange(cfg: FridgeConfig) -> ExchangeReport:
 
 def dense_cycles(cfg: FridgeConfig, n_cycles: int, theta: float) -> CycleColumns:
     """Evolve-reset loop through 8x8 matrices: keep spin 1, refresh spins 2 and 3."""
-    u = herm_exp(exchange_generator(cfg.g), theta / cfg.g)
+    u = herm_exp(exchange_generator(), theta)
     baths = kron(thermal_state(SpinSpec(cfg.E2, cfg.T2)),
                  thermal_state(SpinSpec(cfg.E3, cfg.T3)))
-    h1 = spin_hamiltonian(cfg.E1)
+    h1 = oracles.spin_hamiltonian(cfg.E1)
     rho = initial_state(cfg)
     rows = []
     energy = None
@@ -123,7 +122,7 @@ def configs(draw):
     return FridgeConfig(
         E1=e1, E2=e2, E3=e3,
         T1=e1 / draw(ratios), T2=e2 / draw(ratios), T3=e3 / draw(ratios),
-        g=draw(st.floats(0.1, 10.0)), theta=draw(angles),
+        theta=draw(angles),
     )
 
 
@@ -208,8 +207,8 @@ def test_scan_phase_diagram_equals_per_cell_dense_exchange(e1, e3, t1, theta, t2
                                                            t3_lo, t3_span):
     base = FridgeConfig(E1=e1, E2=e1 + e3, E3=e3, T1=t1, theta=theta)
     t2_range, t3_range = (t2_lo, t2_lo + t2_span), (t3_lo, t3_lo + t3_span)
-    t2s, t3s, dq1 = scan_phase_diagram(t2_range, t3_range, (4, 3), base=base)
-    cells = [(t2, t3) for t2 in np.linspace(*t2_range, 4) for t3 in np.linspace(*t3_range, 3)]
+    t2s, t3s, dq1 = scan_phase_diagram(t2_range, t3_range, 4, base=base)
+    cells = [(t2, t3) for t2 in np.linspace(*t2_range, 4) for t3 in np.linspace(*t3_range, 4)]
     assert list(zip(t2s.tolist(), t3s.tolist())) == cells
     for t2, t3, heat in zip(t2s.tolist(), t3s.tolist(), dq1.tolist()):
         cfg = base._replace(T2=t2, T3=t3)

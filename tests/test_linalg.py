@@ -18,7 +18,6 @@ from spinfridge import (
     Operator,
     PauliString,
     SpinSpec,
-    dephase,
     evolve,
     herm_exp,
     initial_state,
@@ -330,6 +329,15 @@ def test_herm_exp_rejects_non_hermitian():
         herm_exp(Operator(np.array([[0, 1], [0, 0]])), 1.0)
 
 
+@pytest.mark.parametrize("h, t", [(Operator(np.diag([0.0, 1.0])), math.inf),
+                                  (PAULI_X, math.nan), (PAULI_X, -math.inf)],
+                         ids=["closed-form-inf", "eigh-nan", "eigh-minus-inf"])
+def test_herm_exp_rejects_a_time_that_is_not_finite(h, t):
+    # the closed form and eigh each make a nan matrix of a time that is not finite
+    with pytest.raises(ValueError, match=f"^herm_exp requires a finite time, got {t}$"):
+        herm_exp(h, t)
+
+
 def test_evolve_trivial_cases(rng):
     rho = DensityMatrix(oracles.random_density(rng, 4))
     assert np.allclose(evolve(rho, Operator(np.eye(4))).matrix, rho.matrix, atol=1e-15)
@@ -366,30 +374,6 @@ def test_evolve_rejects_a_unitary_of_another_dimension():
 def test_embed_single_rejects_a_wide_operator_and_a_qubit_out_of_range(a, qubit, n_qubits, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         embed_single(a, qubit, n_qubits)
-
-
-def test_dephase_fixes_diagonal_and_crushes_plus():
-    rho = DensityMatrix(np.diag([0.7, 0.3]))
-    assert np.allclose(dephase(rho).matrix, rho.matrix, atol=1e-15)
-
-    plus = DensityMatrix(np.full((2, 2), 0.5))
-    assert np.allclose(dephase(plus).matrix, np.eye(2) / 2.0, atol=1e-15)
-
-
-def test_dephase_preserves_diagonal_expectations(rng):
-    rho = DensityMatrix(oracles.random_density(rng, 8))
-    h = Operator(np.diag(rng.normal(size=8)).astype(complex))
-    before = np.trace(rho.matrix @ h.matrix).real
-    after = np.trace(dephase(rho).matrix @ h.matrix).real
-    assert after == pytest.approx(before, abs=1e-12)
-
-
-def test_dephase_idempotent_and_trace_preserving(rng):
-    rho = DensityMatrix(oracles.random_density(rng, 8))
-    once = dephase(rho)
-    twice = dephase(once)
-    assert np.allclose(once.matrix, twice.matrix, atol=1e-15)
-    assert float(np.trace(once.matrix).real) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_pauli_string_validation():

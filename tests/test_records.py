@@ -30,15 +30,15 @@ ROUND = BcsRound(1, 0.8, 0.79, 125)
 # per class: its values in field order, and the keywords that build the same
 # record, in another order, leaving out each field that has a default
 RECORDS = [
-    (FridgeConfig, (1.0, 3.0, 2.0, 2.0, 2.0, 10.0, 1.0, math.pi / 2), {}),
-    (FridgeConfig, (1.0, 3.0, 2.0, 3.0, 2.0, 10.0, 1.0, 0.5), {"theta": 0.5, "T1": 3.0}),
+    (FridgeConfig, (1.0, 3.0, 2.0, 2.0, 2.0, 10.0, math.pi / 2), {}),
+    (FridgeConfig, (1.0, 3.0, 2.0, 3.0, 2.0, 10.0, 0.5), {"theta": 0.5, "T1": 3.0}),
     (SpinSpec, (1.0, 2.0), {"T": 2.0, "E": 1.0}),
     (WorkLedgerEntry, (3, 0.5, 0.25, -0.75, 0.0, 1.5),
      {"cumulative_work": 1.5, "net_work": 0.0, "dW2": -0.75, "dQ1": 0.25, "dW1": 0.5,
       "step_index": 3}),
     (PauliString, ("XYZ", 1.0), {"letters": "XYZ"}),
     (BiasState, (0.5, 10), {"n_bits": 10, "epsilon": 0.5}),
-    (GateStep, ("X@1", PAULI_X, 1.0), {"generator": PAULI_X, "label": "X@1"}),
+    (GateStep, ("X@1", PAULI_X), {"generator": PAULI_X, "label": "X@1"}),
     (ExchangeReport, tuple(0.1 * k for k in range(10)),
      dict(zip(reversed(ExchangeReport._fields), reversed([0.1 * k for k in range(10)])))),
     (BcsRound, (1, 0.8, 0.79, 125),

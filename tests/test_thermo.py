@@ -12,14 +12,12 @@ from spinfridge import (
     DensityMatrix,
     Operator,
     SpinSpec,
-    dephase,
     effective_temperature,
     boltzmann_margin,
     evolve,
     herm_exp,
     internal_energy,
     ledger_step,
-    spin_hamiltonian,
     thermal_state,
     von_neumann_entropy,
 )
@@ -122,7 +120,7 @@ def test_internal_energy_dimension_mismatch():
 
 def test_ledger_step_zero_generator_is_identity():
     rho = thermal_state(SpinSpec(E=1.0, T=2.0))
-    after, entry = ledger_step(rho, Operator(np.zeros((2, 2))), 1.0, spin_hamiltonian(1.0))
+    after, entry = ledger_step(rho, Operator(np.zeros((2, 2))), 1.0, oracles.spin_hamiltonian(1.0))
     assert np.allclose(after.matrix, rho.matrix, atol=1e-14)
     assert entry.net_work == pytest.approx(0.0, abs=1e-13)
     assert entry.dQ1 == pytest.approx(0.0, abs=1e-13)
@@ -132,7 +130,7 @@ def test_ledger_step_commuting_generator_moves_nothing():
     # diagonal generator, diagonal state: populations cannot change
     rho = DensityMatrix(np.diag([0.6, 0.4]))
     gen = Operator(np.diag([0.0, 0.9]))
-    after, entry = ledger_step(rho, gen, 1.0, spin_hamiltonian(1.0))
+    after, entry = ledger_step(rho, gen, 1.0, oracles.spin_hamiltonian(1.0))
     assert np.allclose(after.populations, rho.populations, atol=1e-14)
     assert entry.net_work == pytest.approx(0.0, abs=1e-12)
 
@@ -140,9 +138,9 @@ def test_ledger_step_commuting_generator_moves_nothing():
 def test_ledger_step_validation():
     rho = DensityMatrix(np.eye(2) / 2.0)
     with pytest.raises(ValueError):
-        ledger_step(rho, Operator(np.array([[0, 1], [0, 0]])), 1.0, spin_hamiltonian(1.0))
+        ledger_step(rho, Operator(np.array([[0, 1], [0, 0]])), 1.0, oracles.spin_hamiltonian(1.0))
     with pytest.raises(ValueError):
-        ledger_step(rho, Operator(np.zeros((2, 2))), 0.0, spin_hamiltonian(1.0))
+        ledger_step(rho, Operator(np.zeros((2, 2))), 0.0, oracles.spin_hamiltonian(1.0))
 
 
 def test_ledger_step_rejects_a_nan_entry():
@@ -151,7 +149,8 @@ def test_ledger_step_rejects_a_nan_entry():
     rho = thermal_state(SpinSpec(E=1.0, T=2.0))
     with np.errstate(over="ignore"), \
             pytest.raises(ValueError, match="^net_work must equal dW1 \\+ dQ1 \\+ dW2$"):
-        ledger_step(rho, Operator(1e300 * np.diag([1.0, -1.0])), 1e-10, spin_hamiltonian(1.0))
+        ledger_step(rho, Operator(1e300 * np.diag([1.0, -1.0])), 1e-10,
+                    oracles.spin_hamiltonian(1.0))
 
 
 def test_ledger_identity_against_energy_delta(rng):
@@ -194,7 +193,7 @@ def test_rotation_plus_dephase_prepares_thermal_state():
     p_ground = 1.0 - oracles.thermal_population(spec.E, spec.T)
     angle = 2.0 * math.acos(math.sqrt(p_ground))
     rotation = herm_exp(PAULI_X, angle / 2.0)
-    prepared = dephase(evolve(DensityMatrix(np.diag([1.0, 0.0])), rotation))
+    prepared = oracles.dephase(evolve(DensityMatrix(np.diag([1.0, 0.0])), rotation))
     assert np.allclose(prepared.matrix, thermal_state(spec).matrix, atol=1e-12)
 
 
