@@ -40,6 +40,7 @@ from .linalg import (
     Record,
     canonical_chain,
     diagonal_exp,
+    eigh_exp,
     embed_single,
     herm_exp,
     pauli_matrix,
@@ -282,10 +283,7 @@ def verify(seqs: CompiledSequence | Sequence[CompiledSequence]):
     """
     batch = [seqs] if isinstance(seqs, CompiledSequence) else list(seqs)
     products = _products(batch)
-    w, v = _exchange_eigh()
-    thetas = np.array([seq.theta for seq in batch], dtype=float)
-    # eigh_exp at every angle: (v * exp(-i w theta)) @ v^H
-    direct = (v * np.exp(-1j * w * thetas[:, None])[:, None, :]) @ v.conj().T
+    direct = eigh_exp(_exchange_eigh(), np.array([seq.theta for seq in batch], dtype=float))
     overlaps = np.trace(products.conj().transpose(0, 2, 1) @ direct, axis1=1, axis2=2)
     fidelities = [float(abs(overlap)) / products.shape[-1] for overlap in overlaps]
     return fidelities[0] if isinstance(seqs, CompiledSequence) else fidelities

@@ -25,23 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (
-    DensityMatrix,
-    Operator,
-    PauliString,
-    Record,
-    evolve,
-    kron,
-    partial_trace,
-)
-from .thermo import (
-    SpinSpec,
-    check_positive,
-    effective_temperature,
-    internal_energy,
-    spin_temperature,
-    thermal_state,
-)
+from .linalg import DensityMatrix, Operator, PauliString, Record
+from .thermo import check_positive, spin_temperature
 
 SELF_CONTAINED_RTOL = 1e-12
 
@@ -301,30 +286,39 @@ def carnot_limit(T1: float, T2: float, T3: float) -> float:
 
 
 def carnot_sweep(T1, T2, T3) -> np.ndarray:
-    """carnot_limit elementwise over broadcast arrays of positive temperatures, by the
-    same expression: +inf at T1 = T2, nan where T1 <= T2 < T3 fails, and no
-    floating-point warning (an overflow reads inf, as in float arithmetic)."""
+    """carnot_limit elementwise over broadcast arrays of positive temperatures: +inf
+    at T1 = T2, nan where T1 <= T2 < T3 fails, and no floating-point warning.
+
+    A ceiling is the quotient (T3 - T2) T1 / (T3 (T2 - T1)) wherever that is a
+    positive finite float.  Where T1 < T2 < T3 and it is not, one of its products
+    has over- or underflowed, and the ceiling is ((T3 - T2)/T3) (T1/(T2 - T1)),
+    whose two factors stay in range; it is formed only when such a cell exists.
+    """
     T1, T2, T3 = (np.asarray(temp, dtype=float) for temp in (T1, T2, T3))
     with np.errstate(all="ignore"):
-        limit = (T3 - T2) * T1 / (T3 * (T2 - T1))
-    return np.where((T1 <= T2) & (T2 < T3), limit, math.nan)
-
-
-_SWAP_2 = Operator(np.eye(4, dtype=complex)[[0, 2, 1, 3]])  # |01> <-> |10>
+        limit = np.where((T1 <= T2) & (T2 < T3), (T3 - T2) * T1 / (T3 * (T2 - T1)), math.nan)
+        if (redo := (T1 < T2) & (T2 < T3) & ~((limit > 0.0) & (limit < math.inf))).any():
+            np.multiply((T3 - T2) / T3, T1 / (T2 - T1), out=limit, where=redo)
+    return limit
 
 
 def two_spin_swap(E1: float, E2: float, T0: float) -> tuple[float, float]:
-    """SWAP-based cooling of two thermal spins at a common temperature T0.
+    """SWAP-based cooling of two thermal spins at a common temperature T0, in
+    closed form.
 
     Returns (T_after, work): the effective temperature of spin 1 after the
-    SWAP (analytically T0*E1/E2) and the work the SWAP costs, which is
-    strictly positive for E1 < E2 - the non-self-contained contrast case.
+    SWAP, which hands it the populations of spin 2 (analytically T0*E1/E2),
+    and the work the SWAP costs, (E2 - E1)(p1 - p2) with p_i = b_i/(1 + b_i)
+    and b_i = e^(-E_i/T0) the excited populations before.  The work is formed
+    as (E2 - E1) b2 expm1((E2 - E1)/T0) / ((1 + b1)(1 + b2)), with no
+    cancellation, and is strictly positive for E1 < E2 (unless it underflows):
+    the non-self-contained contrast case.  Spin 2 keeps the rules of check_spin
+    at T0, and so spin 1 does, with its smaller gap: an E/T above about 708.4
+    raises ValueError.
     """
     if not (0.0 < E1 < E2):
         raise ValueError(f"gaps must satisfy 0 < E1 < E2, got {(E1, E2)}")
-    rho = DensityMatrix(kron(thermal_state(SpinSpec(E1, T0)), thermal_state(SpinSpec(E2, T0))))
-    h_sys = Operator(np.diag([0.0, E2, E1, E1 + E2]).astype(complex))
-    rho_after = evolve(rho, _SWAP_2)
-    t_after = effective_temperature(partial_trace(rho_after, (0,)), E1)
-    work = internal_energy(rho_after, h_sys) - internal_energy(rho, h_sys)
-    return t_after, work
+    check_spin(2, E2, T0)
+    b1, b2 = math.exp(-E1 / T0), math.exp(-E2 / T0)
+    t_after = float(spin_temperature(1.0 / (1.0 + b2), b2 / (1.0 + b2), E1))
+    return t_after, (E2 - E1) * b2 * math.expm1((E2 - E1) / T0) / ((1.0 + b1) * (1.0 + b2))

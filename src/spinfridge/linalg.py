@@ -398,10 +398,12 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     return DensityMatrix(reduced.reshape(2**k, 2**k))
 
 
-def eigh_exp(eig: tuple[np.ndarray, np.ndarray], t: float) -> Operator:
-    """Unitary exp(-i*h*t) from the eigendecomposition eig = np.linalg.eigh(h)."""
+def eigh_exp(eig: tuple[np.ndarray, np.ndarray], t) -> np.ndarray:
+    """The matrix exp(-i*h*t), (v * exp(-i w t)) @ v^H, from the eigendecomposition
+    (w, v) = np.linalg.eigh(h): one matrix for a float t, and for an array of times
+    a stack of them along its leading axes, each equal to its own call bit for bit."""
     w, v = eig
-    return Operator((v * np.exp(-1j * w * t)) @ v.conj().T)
+    return (v * np.exp(-1j * w * np.asarray(t)[..., None])[..., None, :]) @ v.conj().T
 
 
 def herm_exp(h: Operator, t: float) -> Operator:
@@ -417,7 +419,7 @@ def herm_exp(h: Operator, t: float) -> Operator:
     mat = h.matrix
     if _is_diagonal(mat):
         return Operator(diagonal_exp(mat.diagonal().real, t))
-    return eigh_exp(np.linalg.eigh(mat), t)
+    return Operator(eigh_exp(np.linalg.eigh(mat), t))
 
 
 def diagonal_exp(diagonals: np.ndarray, t: float) -> np.ndarray:

@@ -123,19 +123,18 @@ def internal_energy(rho: DensityMatrix, h_sys: Operator) -> float:
     return float(np.real(np.einsum("ij,ji->", rho.matrix, h_sys.matrix)))
 
 
-def ledger_step(rho_before: DensityMatrix, generator: Operator, duration: float, h_sys: Operator,
-                *, step_index: int = 0,
+def ledger_step(rho_before: DensityMatrix, generator: Operator, h_sys: Operator, *,
+                step_index: int = 0,
                 cumulative_before: float = 0.0) -> tuple[DensityMatrix, WorkLedgerEntry]:
     """Apply one pulse exp(-i*generator) and book its work and heat.
 
-    The pulse runs for ``duration`` under the constant total Hamiltonian
-    generator/duration, i.e. the control term is
-    H_c = generator/duration - h_sys.  Phases: dW1 = tr(rho H_c) when the
-    field switches on, dQ1 = tr[(rho' - rho)(h_sys + H_c)] during the
-    evolution (zero up to rounding, since the total Hamiltonian commutes
-    with the evolution), and dW2 = -tr(rho' H_c) when the field switches
-    off.  The net work therefore equals the internal-energy change
-    tr[h_sys (rho' - rho)].
+    The pulse runs for the unit time under the constant total Hamiltonian
+    generator, i.e. the control term is H_c = generator - h_sys.  Phases:
+    dW1 = tr(rho H_c) when the field switches on, dQ1 = tr[(rho' - rho)
+    generator] during the evolution (zero up to rounding, since the total
+    Hamiltonian commutes with the evolution), and dW2 = -tr(rho' H_c) when
+    the field switches off.  The net work therefore equals the
+    internal-energy change tr[h_sys (rho' - rho)].
 
     This is the per-pulse form of compiler.run_with_ledger, which books a
     whole compiled sequence at once, bit for bit as a loop of these calls.
@@ -144,15 +143,12 @@ def ledger_step(rho_before: DensityMatrix, generator: Operator, duration: float,
         unitary = herm_exp(generator, 1.0)
     except ValueError:
         raise ValueError("pulse generator must be Hermitian") from None
-    if not duration > 0.0:
-        raise ValueError("pulse duration must be positive")
     if generator.dim != rho_before.dim or h_sys.dim != rho_before.dim:
         raise ValueError("generator, state, and system Hamiltonian dimensions must agree")
-    h_total = (1.0 / duration) * generator
-    h_control = h_total - h_sys
+    h_control = generator - h_sys
     rho_after = evolve(rho_before, unitary)
     dw1 = internal_energy(rho_before, h_control)
-    dq1 = internal_energy(rho_after, h_total) - internal_energy(rho_before, h_total)
+    dq1 = internal_energy(rho_after, generator) - internal_energy(rho_before, generator)
     dw2 = -internal_energy(rho_after, h_control)
     net = dw1 + dq1 + dw2
     return rho_after, WorkLedgerEntry(step_index, dw1, dq1, dw2, net, cumulative_before + net)

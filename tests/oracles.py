@@ -11,7 +11,9 @@ for step on products of excited populations, and the uint8 pool that
 sampled bit by bit with Python ints from the raw PCG64 words.
 ``decimal_flow`` and ``decimal_cycles`` redo the population products at
 DECIMAL_DIGITS significant digits, from the exact values of the float
-inputs, and ``decimal_binary_entropy`` the entropy of a float population.
+inputs, ``decimal_binary_entropy`` the entropy of a float population, and
+``decimal_swap`` and ``decimal_carnot`` the two-spin SWAP and the Carnot
+ceiling, over the seeded sweeps of ``swap_inputs`` and ``carnot_inputs``.
 """
 
 import functools
@@ -195,6 +197,55 @@ def decimal_binary_entropy(p: float) -> Decimal:
     exact = Decimal(p)
     with localcontext(Context(prec=DECIMAL_DIGITS + max(0, -exact.as_tuple().exponent))):
         return -sum((x * x.ln() for x in (exact, 1 - exact) if x), Decimal(0))
+
+
+def log_uniform(rng: np.random.Generator, low: float, high: float, size) -> np.ndarray:
+    """Draws spread evenly in log between low and high."""
+    return np.exp(rng.uniform(math.log(low), math.log(high), size))
+
+
+SWEEP_SEED, SWEEP_DRAWS = 60221, 4000
+
+
+def swap_inputs(seed: int = SWEEP_SEED,
+                draws: int = SWEEP_DRAWS) -> list[tuple[float, float, float]]:
+    """(E1, E2, T0) for the two-spin SWAP: E2/T0 log-uniform from 1e-6 to 700,
+    E1/E2 log-uniform from 1e-3 to 0.999 and T0 log-uniform from 1e-3 to 1e3."""
+    rng = np.random.default_rng(seed)
+    ratios, fractions, temps = (log_uniform(rng, low, high, draws)
+                                for low, high in ((1e-6, 700.0), (1e-3, 0.999), (1e-3, 1e3)))
+    return [(float(f * r * t), float(r * t), float(t)) for r, f, t in zip(ratios, fractions, temps)]
+
+
+def carnot_inputs(seed: int = SWEEP_SEED,
+                  draws: int = SWEEP_DRAWS) -> list[tuple[float, float, float]]:
+    """(T1, T2, T3), T1 < T2 < T3, with T = 1/x for three x = E/T log-uniform
+    from 1e-6 to 700 (E = 1) per draw; a draw with a tie is left out."""
+    temps = np.sort(1.0 / log_uniform(np.random.default_rng(seed), 1e-6, 700.0, (draws, 3)))
+    return [(float(t1), float(t2), float(t3)) for t1, t2, t3 in temps if t1 < t2 < t3]
+
+
+def decimal_swap(E1: float, E2: float, T0: float) -> tuple[Decimal, Decimal]:
+    """(T_after, work) of the two-spin SWAP: spin 1 takes the populations of
+    spin 2, so T_after = T0*E1/E2, and work = (E2 - E1)(p1 - p2) with p_i the
+    excited populations before."""
+    with localcontext(Context(prec=DECIMAL_DIGITS)):
+        e1, e2, t0 = map(Decimal, (E1, E2, T0))
+        b1, b2 = ((-gap / t0).exp() for gap in (e1, e2))
+        return e1 * t0 / e2, (e2 - e1) * (b1 / (1 + b1) - b2 / (1 + b2))
+
+
+def decimal_carnot(T1: float, T2: float, T3: float) -> Decimal:
+    """The Carnot ceiling (T3 - T2) T1 / (T3 (T2 - T1)), T1 < T2 < T3."""
+    with localcontext(Context(prec=DECIMAL_DIGITS)):
+        t1, t2, t3 = map(Decimal, (T1, T2, T3))
+        return (t3 - t2) * t1 / (t3 * (t2 - t1))
+
+
+def relative_error(got: float, want: Decimal) -> float:
+    """|got - want| / |want|, with got's exact value."""
+    with localcontext(Context(prec=DECIMAL_DIGITS)):
+        return float(abs(Decimal(got) - want) / abs(want))
 
 
 def _empirical_bias(bits: np.ndarray) -> float:

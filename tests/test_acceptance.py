@@ -251,7 +251,7 @@ def test_criterion_10_core_property_suites():
     for _ in range(50):
         rho = DensityMatrix(oracles.random_density(rng, 8))
         gen = Operator(oracles.random_hermitian(rng, 8))
-        after, entry = ledger_step(rho, gen, 1.0, h_sys)
+        after, entry = ledger_step(rho, gen, h_sys)
         delta = internal_energy(after, h_sys) - internal_energy(rho, h_sys)
         ok = ok and abs(entry.net_work - delta) <= 1e-10
         ok = ok and abs(entry.dQ1) <= 1e-10

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinfridge.cli as cli
-from spinfridge import FridgeConfig
+from spinfridge import FridgeConfig, carnot_limit
 from spinfridge.cli import COMMANDS, RunConfig, main, parse_config
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -533,6 +533,15 @@ def test_cop_sweep(tmp_path):
     assert len(rows) == 9
     assert all(float(r["cop"]) == 0.5 for r in rows)
     assert float(rows[0]["carnot_limit"]) == math.inf  # T2 = T1 endpoint
+
+
+def test_cop_carnot_column_stays_in_range_where_only_a_product_overflows(tmp_path):
+    out = tmp_path / "cop.csv"
+    assert run_cli(["cop", "--t1=1", "--t3=1.7e308", "--grid=1e300,1e300,2,10,2"], out) == 0
+    _, rows = read_csv(out)
+    # (T3 - T2) T1 / (T3 (T2 - T1)) with T3 (T2 - T1) past the float range: about 1e-300
+    assert [row["carnot_limit"] for row in rows] == [repr(carnot_limit(1.0, 1e300, 1.7e308))] * 2
+    assert 9.9e-301 < carnot_limit(1.0, 1e300, 1.7e308) < 1e-300
 
 
 def test_bcs_csv_contract(tmp_path):

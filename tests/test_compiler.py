@@ -304,7 +304,7 @@ def test_each_pulse_generator_is_checked_for_hermiticity_once():
                            side_effect=Operator.is_hermitian) as checks:
         GateStep(label="Rzxy", generator=generator)
         assert checks.call_count == 1
-        ledger_step(rho0, generator, 1.0, h_sys)  # exponentiates the generator itself
+        ledger_step(rho0, generator, h_sys)  # exponentiates the generator itself
     assert [call.args[0] for call in checks.call_args_list] == [generator, generator]
 
 
@@ -318,7 +318,7 @@ def fresh_ledger(seq, rho0, h_sys):
     generator afresh."""
     rho, entries, cumulative = rho0, [], 0.0
     for index, step in enumerate(seq.steps, start=1):
-        rho, entry = ledger_step(rho, step.generator, 1.0, h_sys,
+        rho, entry = ledger_step(rho, step.generator, h_sys,
                                  step_index=index, cumulative_before=cumulative)
         cumulative = entry.cumulative_work
         entries.append(entry)
@@ -483,7 +483,7 @@ def test_the_closed_form_core_is_the_eigendecomposition_bytes(log_theta, sign, c
     are those of the eigendecomposition every generator went through before."""
     generator = Operator(coeff * (sign * 10.0**log_theta) * pauli_matrix("IZZ"))
     want = eigh_exp(np.linalg.eigh(generator.matrix), 1.0)
-    assert herm_exp(generator, 1.0).matrix.tobytes() == want.matrix.tobytes()
+    assert herm_exp(generator, 1.0).matrix.tobytes() == want.tobytes()
 
 
 @settings(max_examples=150, deadline=None)

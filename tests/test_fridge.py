@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,11 +14,13 @@ import oracles
 from spinfridge import (
     DensityMatrix,
     FridgeConfig,
+    Operator,
     SpinSpec,
     bound_temperature,
     carnot_limit,
     carnot_sweep,
     cop,
+    effective_temperature,
     evolve,
     exchange,
     exchange_generator,
@@ -26,6 +30,7 @@ from spinfridge import (
     initial_state,
     internal_energy,
     kron,
+    partial_trace,
     pauli_to_operator,
     phase_boundary_value,
     run_cycles,
@@ -348,6 +353,22 @@ def test_carnot_sweep_is_carnot_limit_point_by_point(t1, t3, t2s):
             assert repr(carnot_limit(t1, t2, t3)) == repr(limit)
 
 
+@pytest.mark.parametrize("temps", [(1.0, 1e300, 1.7e308), (1e-200, 2e-200, 3e-200),
+                                   (1e200, 2e200, 3e200)])
+def test_carnot_limit_stays_in_range_where_only_a_product_over_or_underflows(temps):
+    # the one-step quotient is 0.0, nan and nan here
+    assert oracles.relative_error(carnot_limit(*temps), oracles.decimal_carnot(*temps)) <= 1e-15
+
+
+def test_carnot_sweep_redoes_only_the_cells_out_of_range():
+    t1, t3 = 1.0, 1.7e308
+    t2s = [t1, 2.0, 1e300, t3, 0.5]
+    got = carnot_sweep(t1, np.array(t2s), t3).tolist()
+    assert list(map(repr, got[:2] + got[3:])) == [
+        repr(carnot_point(t1, t2, t3)) for t2 in t2s[:2] + t2s[3:]]  # inf, 1.0, nan, nan
+    assert oracles.relative_error(got[2], oracles.decimal_carnot(t1, 1e300, t3)) <= 1e-15
+
+
 def test_carnot_limit_rejects_an_infinite_temperature():
     with pytest.raises(ValueError, match="T3 must be positive and finite, got inf"):
         carnot_limit(1.0, 2.0, math.inf)
@@ -428,7 +449,54 @@ def test_two_spin_swap_validation():
         two_spin_swap(2.0, 1.0, 4.0)
     with pytest.raises(ValueError):
         two_spin_swap(1.0, 2.0, -1.0)
-    # SpinSpec's temperature rule is the only one
+    # the rules of check_spin for spin 2 at T0, which spin 1 keeps with its smaller gap
     for T0 in (0.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="temperature must be positive and finite"):
+        with pytest.raises(ValueError, match="^T2 must be positive and finite"):
             two_spin_swap(1.0, 2.0, T0)
+
+
+@pytest.mark.parametrize("gaps, T0, message", [
+    ((1.0, 2.0), 1e-300, "spin 2: E2/T2 = 1.9999999999999998e+300 exceeds about 708.4"),
+    ((1.0, 800.0), 1.0, "spin 2: E2/T2 = 800.0 exceeds about 708.4"),
+])
+def test_two_spin_swap_rejects_an_e_over_t_that_underflows(gaps, T0, message):
+    # a pure spin would move nothing, and the SWAP would read (0.0, 0.0)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        two_spin_swap(*gaps, T0)
+
+
+SWAP_SWEEP = oracles.swap_inputs()
+
+
+def test_two_spin_swap_work_is_within_1e_12_of_the_decimal_oracle():
+    worst = max(oracles.relative_error(two_spin_swap(*args)[1], oracles.decimal_swap(*args)[1])
+                for args in SWAP_SWEEP)
+    assert worst <= 1e-12
+
+
+def test_two_spin_swap_temperature_is_within_1e_9_of_the_decimal_oracle():
+    worst = max(oracles.relative_error(two_spin_swap(*args)[0], oracles.decimal_swap(*args)[0])
+                for args in SWAP_SWEEP)
+    assert worst <= 1e-9
+
+
+def test_two_spin_swap_agrees_with_the_dense_swap(rng):
+    swap = Operator(np.eye(4, dtype=complex)[[0, 2, 1, 3]])  # |01> <-> |10>
+    for _ in range(50):
+        e1 = rng.uniform(0.3, 3.0)
+        e2 = e1 + rng.uniform(0.1, 3.0)
+        t0 = rng.uniform(0.5, 20.0)
+        rho = kron(thermal_state(SpinSpec(e1, t0)), thermal_state(SpinSpec(e2, t0)))
+        after = evolve(rho, swap)
+        h_sys = Operator(np.diag([0.0, e2, e1, e1 + e2]))
+        t_after, work = two_spin_swap(e1, e2, t0)
+        assert t_after == pytest.approx(effective_temperature(partial_trace(after, (0,)), e1),
+                                        rel=1e-12)
+        assert work == pytest.approx(internal_energy(after, h_sys) - internal_energy(rho, h_sys),
+                                     abs=1e-12)
+
+
+def test_two_spin_swap_builds_no_density_matrix():
+    with mock.patch.object(DensityMatrix, "__init__", side_effect=AssertionError), \
+            mock.patch.object(DensityMatrix, "_of_canonical", side_effect=AssertionError):
+        assert two_spin_swap(1.0, 3.0, 4.0)[1] > 0.0
